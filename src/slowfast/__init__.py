@@ -8,7 +8,7 @@ from .model import (DriftFn, JumpSpec, SizeDist, SlowFastModel, parse_drift,
 from .noise import (IncrementStream, TwoSidedPath, rescale_fast,
                     sample_increments, sample_two_sided, substream)
 from .integrator import (DivergedError, Trajectory, simulate_frozen_fast,
-                         simulate_slow_fast, step)
+                         simulate_slow_fast)
 from .averaging import (AveragedModel, MixingReport, RateReport,
                         build_averaged, estimate_fbar, mixing_diagnostic,
                         simulate_auxiliary, simulate_averaged,

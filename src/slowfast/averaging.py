@@ -22,16 +22,16 @@ construction at fixed block size delta.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from .harness import fit_exp_rate, fit_loglog_rate
-from .integrator import (DivergedError, Trajectory, apply_noise,
-                         frozen_fast_batch, make_grid, simulate_frozen_fast)
-from .model import sigma_is_zero
+from .integrator import (DivergedError, _euler, _nan_after_divergence,
+                         _trajectory, _write_csv, frozen_fast_batch, make_grid,
+                         simulate_frozen_fast)
+from .model import has_slow_noise
 from .noise import (ROLE_FAST, ROLE_SLOW, rescale_fast, sample_increments,
                     substream)
 
@@ -211,10 +211,7 @@ class MixingReport:
                           for t, d in zip(self.times, self.deviations)]}
 
     def curve_to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("t,deviation\n")
-            for t, d in zip(self.times, self.deviations):
-                fh.write(f"{t:.17g},{d:.17g}\n")
+        _write_csv(path, "t,deviation", np.column_stack([self.times, self.deviations]))
 
 
 def mixing_diagnostic(m, x, y_list, t_end, dt, n_paths, rng, curve_step=0.05,
@@ -281,21 +278,13 @@ def simulate_averaged(am, t_end, dt, incr, x0=None, seed_tag=None):
     grid = make_grid(t_end, dt)
     if len(incr.grid) != len(grid) or not np.allclose(incr.grid, grid):
         raise ValueError("increment stream grid does not match (t_end, dt)")
-    n = am.n
-    xs = np.empty((len(grid), n))
-    xs[0] = am.x0 if x0 is None else np.asarray(x0, dtype=float)
     a_t = am.a.T
-    diverged_at = None
-    for k in range(len(grid) - 1):
-        x = xs[k]
-        xs[k + 1] = x + (x @ a_t + am.fbar(x)) * dt + apply_noise(
-            am.sigma1, incr.d_brownian[k] + incr.d_jump[k])
-        if not np.all(np.isfinite(xs[k + 1])):
-            diverged_at = k + 1
-            xs[k + 2:] = np.nan
-            break
+    run = _euler((am.x0 if x0 is None else x0,),
+                 lambda k, s: (s[0] @ a_t + am.fbar(s[0]),), (dt,),
+                 ((am.sigma1, incr.d_brownian + incr.d_jump),), len(grid) - 1,
+                 path=True)
     meta = {"process": "averaged", "dt": dt, "seed": seed_tag}
-    return Trajectory(grid, xs, meta, diverged_at is not None, diverged_at)
+    return _trajectory(grid, run.path[0], meta, run.diverged_at)
 
 
 def simulate_auxiliary(m, delta, t_end, dt, rng, return_true=False):
@@ -314,87 +303,91 @@ def simulate_auxiliary(m, delta, t_end, dt, rng, return_true=False):
     grid = make_grid(t_end, dt)
     n = m.n
     slow = sample_increments(n, grid, rng, jump=m.jump_slow)
-    fast = sample_increments(n, grid, rng, jump=m.jump_fast,
-                             var_scale=1.0 / m.epsilon,
-                             rate_scale=1.0 / m.epsilon)
+    fast = rescale_fast(n, m.epsilon, grid, rng, jump=m.jump_fast)
+    d_slow = slow.d_brownian + slow.d_jump
+    d_fast = fast.d_brownian + fast.d_jump
     steps = len(grid) - 1
-    xs = np.empty((steps + 1, n)); ys = np.empty((steps + 1, n))
-    xh = np.empty((steps + 1, n)); yh = np.empty((steps + 1, n))
-    xs[0] = xh[0] = m.x0
-    ys[0] = yh[0] = m.y0
+    blocks = np.floor(grid[:-1] / delta + 1e-12)
+    bounds = [0] + (np.flatnonzero(np.diff(blocks)) + 1).tolist() + [steps]
     a_t, b_t = m.a.T, m.b.T
-    x_frozen = m.x0.copy()
-    block = 0
-    for k in range(steps):
-        t = grid[k]
-        new_block = int(np.floor(t / delta + 1e-12))
-        if new_block != block:
-            block = new_block
-            x_frozen = xs[k].copy()
-            yh[k] = ys[k]
-        ds = apply_noise(m.sigma1, slow.d_brownian[k] + slow.d_jump[k])
-        df = apply_noise(m.sigma2, fast.d_brownian[k] + fast.d_jump[k])
-        xs[k + 1] = xs[k] + (xs[k] @ a_t + m.f(xs[k], ys[k])) * dt + ds
-        ys[k + 1] = ys[k] + (ys[k] @ b_t + m.g(xs[k], ys[k])) * (dt / m.epsilon) + df
-        xh[k + 1] = xh[k] + (xh[k] @ a_t + m.f(x_frozen, yh[k])) * dt + ds
-        yh[k + 1] = yh[k] + (yh[k] @ b_t + m.g(x_frozen, yh[k])) * (dt / m.epsilon) + df
+
+    def drift(k, s):
+        x, y, xh, yh = s
+        return (x @ a_t + m.f(x, y), y @ b_t + m.g(x, y),
+                xh @ a_t + m.f(x_frozen, yh), yh @ b_t + m.g(x_frozen, yh))
+
+    # each block restarts y_hat from y and freezes the slow argument at x
+    path = tuple(np.empty((steps + 1, n)) for _ in range(4))
+    x, y, xh = m.x0, m.y0, m.x0
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        x_frozen = x
+        noise = ((m.sigma1, d_slow[start:end]), (m.sigma2, d_fast[start:end])) * 2
+        run = _euler((x, y, xh, y), drift, (dt, dt / m.epsilon) * 2, noise,
+                     end - start, path=True)
+        for full, part in zip(path, run.path):
+            full[start:end + 1] = part
+        x, y, xh = (part[-1] for part in run.path[:3])
+    at = _nan_after_divergence(path)
+    xs, ys, xh, yh = path
     meta = {"process": "auxiliary", "delta": delta, "dt": dt}
-    out = (Trajectory(grid, xh, dict(meta, component="x_hat")),
-           Trajectory(grid, yh, dict(meta, component="y_hat")))
+    out = (_trajectory(grid, xh, dict(meta, component="x_hat"), at),
+           _trajectory(grid, yh, dict(meta, component="y_hat"), at))
     if return_true:
-        return out + (Trajectory(grid, xs, dict(meta, component="x")),
-                      Trajectory(grid, ys, dict(meta, component="y")))
+        return out + (_trajectory(grid, xs, dict(meta, component="x"), at),
+                      _trajectory(grid, ys, dict(meta, component="y"), at))
     return out
+
+
+def _increment_blocks(m, grid, master_seed, start, count):
+    """Fast and slow increments (steps, count, n) of paths start..start+count-1,
+    each from its own substreams; the slow block is None without slow noise."""
+    n = m.n
+    steps = len(grid) - 1
+    d_fast = np.empty((steps, count, n))
+    d_slow = np.empty((steps, count, n)) if has_slow_noise(m) else None
+    for i in range(count):
+        fast = rescale_fast(n, m.epsilon, grid,
+                            substream(master_seed, start + i, ROLE_FAST),
+                            jump=m.jump_fast)
+        d_fast[:, i, :] = fast.d_brownian + fast.d_jump
+        if d_slow is not None:
+            slow = sample_increments(n, grid,
+                                     substream(master_seed, start + i, ROLE_SLOW),
+                                     jump=m.jump_slow)
+            d_slow[:, i, :] = slow.d_brownian + slow.d_jump
+    return d_fast, d_slow
 
 
 def coupled_error_batch(m, am, t_end, dt, master_seed, start, count):
     """Vectorized coupled full/averaged runs for paths [start, start+count).
 
     Per path the slow and fast streams come from the path's own substreams,
-    so each path is bit-identical to a standalone single-path run.  Returns
-    (sup |x_eps - x|^2 over the grid, x_eps(T) - x(T), diverged mask).
+    so each path sees the noise of a standalone single-path run on the same
+    coordinates; at n = 1 it is bit-identical to that run, while for n > 1
+    the block matmuls may round differently in the last bits.  Returns
+    (sup |x_eps - x|^2 over the grid, x_eps(T) - x(T), diverged mask), the
+    first two NaN on diverged paths.
     """
     n = m.n
     grid = make_grid(t_end, dt)
-    steps = len(grid) - 1
-    need_slow = not (sigma_is_zero(m.sigma1)
-                     and (m.jump_slow is None or m.jump_slow.intensity == 0))
-
-    d_fast = np.empty((steps, count, n))
-    d_slow = np.zeros((steps, count, n)) if need_slow else None
-    for i in range(count):
-        fast = rescale_fast(n, m.epsilon, grid,
-                            substream(master_seed, start + i, ROLE_FAST),
-                            jump=m.jump_fast)
-        d_fast[:, i, :] = fast.d_brownian + fast.d_jump
-        if need_slow:
-            slow = sample_increments(n, grid,
-                                     substream(master_seed, start + i, ROLE_SLOW),
-                                     jump=m.jump_slow)
-            d_slow[:, i, :] = slow.d_brownian + slow.d_jump
-
-    x = np.broadcast_to(m.x0, (count, n)).copy()
-    y = np.broadcast_to(m.y0, (count, n)).copy()
-    xa = x.copy()
+    d_fast, d_slow = _increment_blocks(m, grid, master_seed, start, count)
     a_t, b_t = m.a.T, m.b.T
-    sup_sq = np.zeros(count)
-    alive = np.ones(count, dtype=bool)
-    for k in range(steps):
-        fx = m.f(x, y)
-        gy = m.g(x, y)
-        fb = am.fbar(xa)
-        ds = apply_noise(m.sigma1, d_slow[k]) if need_slow else 0.0
-        x = x + (x @ a_t + fx) * dt + ds
-        y = y + (y @ b_t + gy) * (dt / m.epsilon) + apply_noise(m.sigma2, d_fast[k])
-        xa = xa + (xa @ a_t + fb) * dt + ds
-        diff = x - xa
-        sq = np.sum(diff * diff, axis=-1)
-        ok = (np.all(np.isfinite(x), axis=-1) & np.all(np.isfinite(y), axis=-1)
-              & np.all(np.isfinite(xa), axis=-1))
-        alive &= ok
-        sup_sq = np.where(alive, np.maximum(sup_sq, sq), sup_sq)
-    diff_t = x - xa
-    return sup_sq, diff_t, ~alive
+
+    def drift(k, s):
+        x, y, xa = s
+        return x @ a_t + m.f(x, y), y @ b_t + m.g(x, y), xa @ a_t + am.fbar(xa)
+
+    def gap_sq(s):
+        diff = s[0] - s[2]
+        return np.sum(diff * diff, axis=-1)
+
+    x0 = np.broadcast_to(m.x0, (count, n))
+    ds = None if d_slow is None else (m.sigma1, d_slow)
+    run = _euler((x0, np.broadcast_to(m.y0, (count, n)), x0), drift,
+                 (dt, dt / m.epsilon, dt), (ds, (m.sigma2, d_fast), ds),
+                 len(grid) - 1, sup=gap_sq)
+    x, _, xa = run.state
+    return run.sup, x - xa, run.diverged
 
 
 @dataclass
@@ -426,10 +419,8 @@ class RateReport:
                 "flagged": self.flagged}
 
     def curve_to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("epsilon,error,stderr\n")
-            for e, v, s in zip(self.epsilons, self.errors, self.stderrs):
-                fh.write(f"{e:.17g},{v:.17g},{s:.17g}\n")
+        _write_csv(path, "epsilon,error,stderr",
+                   np.column_stack([self.epsilons, self.errors, self.stderrs]))
 
 
 def strong_error_experiment(m, epsilons, delta_rule, t_end, n_paths,
@@ -460,17 +451,14 @@ def strong_error_experiment(m, epsilons, delta_rule, t_end, n_paths,
         me = m.with_epsilon(eps)
         dt = eps / 10.0
         sup_all = np.empty(n_paths)
-        bad = 0
         for s in range(0, n_paths, batch):
             c = min(batch, n_paths - s)
-            sup_sq, _, div = coupled_error_batch(me, am, t_end, dt,
-                                                 master_seed, s, c)
-            sup_all[s:s + c] = np.where(div, np.nan, sup_sq)
-            bad += int(div.sum())
-        vals = sup_all[np.isfinite(sup_all)]
+            sup_all[s:s + c], _, _ = coupled_error_batch(me, am, t_end, dt,
+                                                         master_seed, s, c)
+        vals = sup_all[np.isfinite(sup_all)]         # diverged paths are NaN
         errors[j] = vals.mean()
         stderrs[j] = vals.std(ddof=1) / np.sqrt(len(vals))
-        diverged[j] = bad
+        diverged[j] = n_paths - len(vals)
     flagged = [float(e) for e, d in zip(epsilons, diverged)
                if d > 0.05 * n_paths]
     if np.all(errors > 0):
@@ -484,7 +472,3 @@ def strong_error_experiment(m, epsilons, delta_rule, t_end, n_paths,
                       slope, intercept, ci_low, ci_high,
                       n_paths, diverged, flagged)
 
-
-def report_to_json_file(report, path):
-    with open(path, "w") as fh:
-        json.dump(report.to_json(), fh, indent=2)

@@ -25,7 +25,7 @@ from .averaging import (build_averaged, estimate_fbar, mixing_diagnostic,
 from .deviation import (autocovariance_kernel, build_deviation_model,
                         diffusion_matrix, matrix_sqrt_psd, simulate_deviation,
                         weak_limit_report)
-from .integrator import simulate_slow_fast
+from .integrator import make_grid, simulate_slow_fast
 from .manifold import lyapunov_perron_solve, tracking_check
 from .model import DriftFn, JumpSpec, SizeDist, SlowFastModel, validate_model
 from .noise import sample_increments, substream
@@ -208,7 +208,7 @@ def cmd_deviate(cfg, seed, out_dir, workers):
     dm = build_deviation_model(am, htilde, x=x_point)
     t_end = float(blk.get("t_end", 1.0))
     dt = float(blk.get("dt_theta", 1e-3))
-    slow = sample_increments(m.n, np.arange(0, t_end + dt / 2, dt),
+    slow = sample_increments(m.n, make_grid(t_end, dt),
                              np.random.default_rng(seed + 1), jump=m.jump_slow)
     x_path = simulate_averaged(am, t_end, dt, slow)
     theta = simulate_deviation(dm, x_path, t_end, dt, np.random.default_rng(seed + 2))

@@ -28,13 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import simulate_averaged
-from .integrator import (Trajectory, apply_noise, frozen_fast_batch,
-                         make_grid)
-from .model import sigma_is_zero
-from .noise import (ROLE_BURN, ROLE_DEV, ROLE_FAST, ROLE_SLOW,
-                    rescale_fast, sample_increments, substream)
-from .harness import two_sample_compare
+from .averaging import _increment_blocks, simulate_averaged
+from .integrator import (_euler, _trajectory, _write_csv, apply_noise,
+                         frozen_fast_batch, make_grid)
+from .model import has_slow_noise
+from .noise import ROLE_BURN, ROLE_DEV, ROLE_SLOW, sample_increments, substream
+from .harness import _var_se, two_sample_compare
 
 
 @dataclass
@@ -55,13 +54,9 @@ class KernelEstimate:
         n = self.h.shape[-1]
         names = [f"H_{i+1}{j+1}" for i in range(n) for j in range(n)]
         errs = [f"stderr_{i+1}{j+1}" for i in range(n) for j in range(n)]
-        with open(path, "w") as fh:
-            fh.write("s," + ",".join(names + errs) + "\n")
-            for k, s in enumerate(self.lags):
-                cells = [f"{s:.17g}"]
-                cells += [f"{v:.17g}" for v in self.h[k].ravel()]
-                cells += [f"{v:.17g}" for v in self.stderr[k].ravel()]
-                fh.write(",".join(cells) + "\n")
+        rows = np.column_stack([self.lags, self.h.reshape(-1, n * n),
+                                self.stderr.reshape(-1, n * n)])
+        _write_csv(path, ",".join(["s"] + names + errs), rows)
 
 
 def autocovariance_kernel(m, x, lags, burn_in, horizon, dt, rng, n_replicas=24):
@@ -245,33 +240,22 @@ def simulate_deviation(dm, x_path, t_end, dt, rng, literal_drift=None):
         raise ValueError("carrier path does not cover [0, t_end]")
     steps = len(grid) - 1
     n = dm.n
-    theta = np.zeros(n)
-    states = np.empty((steps + 1, n))
-    states[0] = theta
     a_t = dm.a.T
     dw = rng.normal(0.0, math.sqrt(dt), size=(steps, n))
     # left-endpoint state of the carrier path at every step, resolved once
     idx = np.clip(np.searchsorted(x_path.grid, grid[:-1] + 1e-12, side="right") - 1,
                   0, len(x_path.grid) - 1)
     x_at = x_path.states[idx]
-    constant = dm.deriv_const is not None and dm.htilde_const is not None
-    if constant:
-        jac, s = dm.deriv_const, dm.sqrt_const
-    diverged_at = None
     ones = np.ones(n)
-    for k in range(steps):
-        if not constant:
-            jac = dm.deriv(x_at[k])
-            s = dm.sqrt_htilde(x_at[k])
-        drift = theta @ a_t + (jac @ ones if literal else jac @ theta)
-        theta = theta + drift * dt + s @ dw[k]
-        states[k + 1] = theta
-        if not np.all(np.isfinite(theta)):
-            diverged_at = k + 1
-            states[k + 2:] = np.nan
-            break
+
+    def drift(k, s):
+        jac = dm.deriv(x_at[k])
+        return (s[0] @ a_t + (jac @ ones if literal else jac @ s[0]),)
+
+    run = _euler((np.zeros(n),), drift, (dt,),
+                 (lambda k, s: dm.sqrt_htilde(x_at[k]) @ dw[k],), steps, path=True)
     meta = {"process": "deviation", "dt": dt, "literal_drift": literal}
-    return Trajectory(grid, states, meta, diverged_at is not None, diverged_at)
+    return _trajectory(grid, run.path[0], meta, run.diverged_at)
 
 
 @dataclass
@@ -286,37 +270,22 @@ class TruncationSpec:
 
 
 def _manifold_started_inputs(m, t_end, dt, master_seed, start, count,
-                             burn_time=None, y_start=None):
+                             burn_time=None):
     """Fast/slow increments plus a manifold start per path.
 
     The manifold start is the frozen-fast stationary value at x0, realized
     by a burn-in at the fast timescale on the path's own burn substream.
     """
-    n = m.n
     grid = make_grid(t_end, dt)
-    steps = len(grid) - 1
     if burn_time is None:
         burn_time = 10.0 * m.epsilon / m.gamma_b
     burn_steps = max(int(round(burn_time / dt)), 1)
-
-    d_fast = np.empty((steps, count, n))
-    need_slow = not (sigma_is_zero(m.sigma1)
-                     and (m.jump_slow is None or m.jump_slow.intensity == 0))
-    d_slow = np.zeros((steps, count, n)) if need_slow else None
-    y_h0 = np.empty((count, n))
+    d_fast, d_slow = _increment_blocks(m, grid, master_seed, start, count)
+    y_h0 = np.empty((count, m.n))
     for i in range(count):
-        fast = rescale_fast(n, m.epsilon, grid,
-                            substream(master_seed, start + i, ROLE_FAST),
-                            jump=m.jump_fast)
-        d_fast[:, i, :] = fast.d_brownian + fast.d_jump
-        if need_slow:
-            slow = sample_increments(n, grid,
-                                     substream(master_seed, start + i, ROLE_SLOW),
-                                     jump=m.jump_slow)
-            d_slow[:, i, :] = slow.d_brownian + slow.d_jump
         burn_rng = substream(master_seed, start + i, ROLE_BURN)
-        burn = frozen_fast_batch(m, m.x0, m.y0 if y_start is None else y_start,
-                                 burn_steps, dt, burn_rng, 1, fast_rate=True)
+        burn = frozen_fast_batch(m, m.x0, m.y0, burn_steps, dt, burn_rng, 1,
+                                 fast_rate=True)
         y_h0[i] = burn[-1, 0]
     return grid, d_fast, d_slow, y_h0
 
@@ -350,34 +319,24 @@ def residual_theta2(m, epsilon, t_end, dt, n_paths, master_seed,
     grid, d_fast, d_slow, y_h0 = _manifold_started_inputs(
         me, t_end, dt, master_seed, 0, n_paths, burn_time=burn_time)
     n = me.n
-    steps = len(grid) - 1
     a_t, b_t = me.a.T, me.b.T
-    x = np.broadcast_to(me.x0, (n_paths, n)).copy()
-    xh = x.copy()
-    y = y_h0.copy() if y_on_manifold else np.broadcast_to(me.y0, (n_paths, n)).copy()
-    yh = y_h0.copy()
-    theta2 = np.zeros((n_paths, n))
-    sup_sq = np.zeros(n_paths)
-    alive = np.ones(n_paths, dtype=bool)
     root = math.sqrt(epsilon)
-    for k in range(steps):
-        fx = me.f(x, y)
-        fxh = me.f(xh, yh)
-        gy = me.g(x, y)
-        gyh = me.g(xh, yh)
-        ds = apply_noise(me.sigma1, d_slow[k]) if d_slow is not None else 0.0
-        df = apply_noise(me.sigma2, d_fast[k])
-        theta2 = theta2 + (theta2 @ a_t + (fx - fxh) / root) * dt
-        x = x + (x @ a_t + fx) * dt + ds
-        xh = xh + (xh @ a_t + fxh) * dt + ds
-        y = y + (y @ b_t + gy) * (dt / epsilon) + df
-        yh = yh + (yh @ b_t + gyh) * (dt / epsilon) + df
-        ok = np.all(np.isfinite(theta2), axis=-1) & np.all(np.isfinite(y), axis=-1)
-        alive &= ok
-        sup_sq = np.where(alive,
-                          np.maximum(sup_sq, np.sum(theta2 * theta2, axis=-1)),
-                          sup_sq)
-    vals = sup_sq[alive]
+
+    def drift(k, s):
+        theta2, x, xh, y, yh = s
+        fx, fxh = me.f(x, y), me.f(xh, yh)
+        return (theta2 @ a_t + (fx - fxh) / root, x @ a_t + fx, xh @ a_t + fxh,
+                y @ b_t + me.g(x, y), yh @ b_t + me.g(xh, yh))
+
+    x0 = np.broadcast_to(me.x0, (n_paths, n))
+    y0 = y_h0 if y_on_manifold else np.broadcast_to(me.y0, (n_paths, n))
+    ds = None if d_slow is None else (me.sigma1, d_slow)
+    df = (me.sigma2, d_fast)
+    run = _euler((np.zeros((n_paths, n)), x0, x0, y0, y_h0), drift,
+                 (dt, dt, dt, dt / epsilon, dt / epsilon), (None, ds, ds, df, df),
+                 len(grid) - 1, sup=lambda s: np.sum(s[0] * s[0], axis=-1))
+    alive = ~run.diverged
+    vals = run.sup[alive]
     if len(vals) == 0:
         raise RuntimeError("all residual paths diverged")
     return Theta2Report(float(vals.mean()),
@@ -396,13 +355,9 @@ def simulate_truncated_deviation(m, am, epsilon, trunc, t_end, dt, master_seed,
     may be a TruncationSpec, a positive float (inf allowed), or None for the
     ungated process.
     """
-    if isinstance(trunc, TruncationSpec):
-        radius = trunc.k
-    elif trunc is None:
-        radius = math.inf
-    else:
-        radius = float(trunc)
-        TruncationSpec(radius)
+    if not isinstance(trunc, TruncationSpec):
+        trunc = TruncationSpec(math.inf if trunc is None else float(trunc))
+    radius = trunc.k
     me = m.with_epsilon(epsilon)
     if dt > epsilon / 10 + 1e-15:
         raise ValueError("dt violates the stability guard dt <= epsilon/10")
@@ -411,33 +366,28 @@ def simulate_truncated_deviation(m, am, epsilon, trunc, t_end, dt, master_seed,
     n = me.n
     steps = len(grid) - 1
     a_t, b_t = me.a.T, me.b.T
-
-    xh = me.x0.copy()
-    yh = y_h0[0].copy()
-    xa = am.x0.copy()
-    theta1 = np.zeros(n)
-    states = np.empty((steps + 1, n))
-    states[0] = theta1
     drives = np.empty((steps, n))
     gates = np.empty(steps)
     root = math.sqrt(epsilon)
-    for k in range(steps):
+
+    def drift(k, s):
+        theta1, xh, yh, xa = s
         fxh = me.f(xh, yh)
-        gyh = me.g(xh, yh)
         fb = am.fbar(xa)
         drive = (fxh - fb) / root
         gate = 1.0 if float(np.linalg.norm(theta1)) <= radius else 0.0
         drives[k] = drive
         gates[k] = gate
-        theta1 = theta1 + (theta1 @ a_t + gate * drive) * dt
-        states[k + 1] = theta1
-        ds = apply_noise(me.sigma1, d_slow[k][0]) if d_slow is not None else 0.0
-        xh = xh + (xh @ a_t + fxh) * dt + ds
-        yh = yh + (yh @ b_t + gyh) * (dt / epsilon) + apply_noise(
-            me.sigma2, d_fast[k][0])
-        xa = xa + (xa @ a_t + fb) * dt + ds
-    traj = Trajectory(grid, states, {"process": "truncated-deviation",
-                                     "k": radius, "epsilon": epsilon})
+        return (theta1 @ a_t + gate * drive, xh @ a_t + fxh,
+                yh @ b_t + me.g(xh, yh), xa @ a_t + fb)
+
+    ds = None if d_slow is None else (me.sigma1, d_slow[:, 0])
+    run = _euler((np.zeros(n), me.x0, y_h0[0], am.x0), drift,
+                 (dt, dt, dt / epsilon, dt), (None, ds, (me.sigma2, d_fast[:, 0]), ds),
+                 steps, path=True)
+    traj = _trajectory(grid, run.path[0], {"process": "truncated-deviation",
+                                           "k": radius, "epsilon": epsilon},
+                       run.diverged_at)
     if return_drive:
         return traj, {"drive": drives, "gate": gates}
     return traj
@@ -456,23 +406,18 @@ def simulate_corrected(am, dm, epsilon, t_end, dt, rng, seed_tag=None):
     incr = sample_increments(n, grid, c_slow, jump=am.jump_slow)
     steps = len(grid) - 1
     dw = c_dev.normal(0.0, math.sqrt(dt), size=(steps, n))
-    xs = np.empty((steps + 1, n))
-    xs[0] = am.x0
+    d_slow = incr.d_brownian + incr.d_jump
     a_t = am.a.T
     root = math.sqrt(epsilon)
-    diverged_at = None
-    for k in range(steps):
-        x = xs[k]
-        s = dm.sqrt_htilde(x)
-        xs[k + 1] = (x + (x @ a_t + am.fbar(x)) * dt
-                     + apply_noise(am.sigma1, incr.d_brownian[k] + incr.d_jump[k])
-                     + root * (s @ dw[k]))
-        if not np.all(np.isfinite(xs[k + 1])):
-            diverged_at = k + 1
-            xs[k + 2:] = np.nan
-            break
+
+    def noise(k, s):
+        return (apply_noise(am.sigma1, d_slow[k])
+                + root * (dm.sqrt_htilde(s[0]) @ dw[k]))
+
+    run = _euler((am.x0,), lambda k, s: (s[0] @ a_t + am.fbar(s[0]),), (dt,),
+                 (noise,), steps, path=True)
     meta = {"process": "corrected", "epsilon": epsilon, "dt": dt, "seed": seed_tag}
-    return Trajectory(grid, xs, meta, diverged_at is not None, diverged_at)
+    return _trajectory(grid, run.path[0], meta, run.diverged_at)
 
 
 @dataclass
@@ -504,14 +449,12 @@ def rescaled_fluctuation_samples(m, am, t_end, dt, n_paths, master_seed,
                                  batch=2000):
     """Samples of (x_eps(T) - x(T)) / sqrt(eps) over coupled path pairs."""
     from .averaging import coupled_error_batch
-    n = m.n
-    out = np.empty((n_paths, n))
-    alive = np.ones(n_paths, dtype=bool)
+    out = np.empty((n_paths, m.n))
     for s in range(0, n_paths, batch):
         c = min(batch, n_paths - s)
-        _, diff_t, div = coupled_error_batch(m, am, t_end, dt, master_seed, s, c)
+        _, diff_t, _ = coupled_error_batch(m, am, t_end, dt, master_seed, s, c)
         out[s:s + c] = diff_t / math.sqrt(m.epsilon)
-        alive[s:s + c] = ~div
+    alive = np.all(np.isfinite(out), axis=1)         # diverged paths are NaN
     return out[alive], int((~alive).sum())
 
 
@@ -525,20 +468,17 @@ def limit_marginal_samples(dm, am, t_end, dt, n_paths, master_seed):
     n = dm.n
     grid = make_grid(t_end, dt)
     steps = len(grid) - 1
-    deterministic_x = (sigma_is_zero(am.sigma1)
-                       and (am.jump_slow is None or am.jump_slow.intensity == 0))
+    deterministic_x = not has_slow_noise(am)
     if deterministic_x and dm.htilde_const is not None and dm.deriv_const is not None:
-        theta = np.zeros((n_paths, n))
         dw = np.empty((steps, n_paths, n))
         for i in range(n_paths):
             dw[:, i, :] = substream(master_seed, i, ROLE_DEV).normal(
                 0.0, math.sqrt(dt), size=(steps, n))
         a_t = dm.a.T
         j_t = dm.deriv_const.T
-        s_t = dm.sqrt_const.T
-        for k in range(steps):
-            theta = theta + (theta @ a_t + theta @ j_t) * dt + dw[k] @ s_t
-        return theta
+        return _euler((np.zeros((n_paths, n)),),
+                      lambda k, s: (s[0] @ a_t + s[0] @ j_t,), (dt,),
+                      ((dm.sqrt_const, dw),), steps).state[0]
     zero = sample_increments(n, grid, substream(master_seed, 0, ROLE_SLOW),
                              jump=am.jump_slow)
     samples = np.empty((n_paths, n))
@@ -567,9 +507,7 @@ def weak_limit_report(m, am, dm, t_end, dt, n_paths, master_seed,
                                        master_seed + 1)
     cmp = two_sample_compare(theta_eps, theta_lim, alpha=alpha)
     var = theta_eps.var(axis=0, ddof=1)
-    c = theta_eps - theta_eps.mean(axis=0)
-    var_se = np.sqrt(np.maximum(np.mean(c ** 4, axis=0) - var ** 2, 0.0)
-                     / len(theta_eps))
+    var_se = np.array([_var_se(col) for col in theta_eps.T])
     return WeakLimitReport(
         m.epsilon, n_paths, cmp.mean_diff, cmp.var_diff, cmp.cdf_distance,
         cmp.critical_value, theta_eps.mean(axis=0), var,

@@ -37,7 +37,8 @@ from scipy.linalg import expm
 from scipy.signal import lfilter
 
 from .harness import fit_exp_rate
-from .model import decay_rate, sigma_is_zero
+from .integrator import _euler, _write_csv, apply_noise
+from .model import decay_rate, has_slow_noise
 from .noise import sample_two_sided
 
 
@@ -136,38 +137,24 @@ def sample_stationary_paths(m, epsilon, t_neg, t_pos, grid_step, rng):
     grid = grid_step * np.arange(-steps_neg, steps_pos + 1)
 
     fast = sample_two_sided(n, t_neg, t_pos, grid_step, c_xi, jump=m.jump_fast)
-    d_fast = np.concatenate([fast.negative.d_brownian + fast.negative.d_jump,
-                             fast.positive.d_brownian + fast.positive.d_jump])
-    xi = _convolve_path(m.b, grid_step, d_fast, m.sigma2)
+    xi = _convolve_path(m.b, grid_step, fast.increments(), m.sigma2)
 
-    if sigma_is_zero(m.sigma1) and (m.jump_slow is None or m.jump_slow.intensity == 0):
+    if not has_slow_noise(m):
         eta = np.zeros((len(grid), n))
     else:
         slow = sample_two_sided(n, t_neg, t_pos, grid_step, c_eta,
                                 jump=m.jump_slow, var_scale=epsilon,
                                 rate_scale=epsilon)
-        d_slow = np.concatenate([slow.negative.d_brownian + slow.negative.d_jump,
-                                 slow.positive.d_brownian + slow.positive.d_jump])
-        eta = _convolve_path(epsilon * m.a, grid_step, d_slow, m.sigma1)
+        eta = _convolve_path(epsilon * m.a, grid_step, slow.increments(), m.sigma1)
     return FrozenStationaryPaths(grid, eta, xi, grid_step, steps_neg)
 
 
 def _convolve_path(kernel_matrix, dt, increments, sigma):
     """Stationary convolution values along the grid via the one-step recurrence
     value_{k+1} = e^{K dt} value_k + sigma * increment_k, started from 0."""
-    n = increments.shape[-1]
-    scaled = sigma * increments if np.ndim(sigma) == 0 else increments @ np.asarray(sigma).T
     kernel_matrix = np.atleast_2d(kernel_matrix)
-    e = expm(kernel_matrix * dt)
-    out = np.zeros((len(increments) + 1, n))
-    if n == 1:
-        d = float(e[0, 0])
-        if len(increments):
-            out[1:, 0] = lfilter([1.0], [1.0, -d], scaled[:, 0])
-    else:
-        for k in range(len(increments)):
-            out[k + 1] = out[k] @ e.T + scaled[k]
-    return out
+    return _forward_recurrence(expm(kernel_matrix * dt), np.eye(len(kernel_matrix)),
+                               apply_noise(sigma, increments))
 
 
 @dataclass(frozen=True)
@@ -222,8 +209,7 @@ def stationary_solution(spec, rng):
     path = sample_two_sided(n, spec.t_neg, 0.0, spec.grid_step, rng,
                             jump=spec.jump, var_scale=var_scale,
                             rate_scale=rate_scale)
-    incr = path.negative.d_brownian + path.negative.d_jump
-    values = _convolve_path(kernel, spec.grid_step, incr, spec.sigma)
+    values = _convolve_path(kernel, spec.grid_step, path.increments(), spec.sigma)
     return path.negative.grid, values, values[-1]
 
 
@@ -235,11 +221,6 @@ class WeightedFunctionGrid:
     u: np.ndarray
     v: np.ndarray
     gamma: float
-
-    def weighted_norm(self):
-        w = np.exp(self.gamma * self.grid)
-        return (float(np.max(w * np.linalg.norm(self.u, axis=-1)))
-                + float(np.max(w * np.linalg.norm(self.v, axis=-1))))
 
 
 @dataclass
@@ -275,11 +256,8 @@ class ManifoldSolution:
         n = self.profile.u.shape[-1]
         header = ("t," + ",".join(f"u{i+1}" for i in range(n)) + ","
                   + ",".join(f"v{i+1}" for i in range(n)))
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for t, u, v in zip(self.profile.grid, self.profile.u, self.profile.v):
-                cells = [f"{t:.17g}"] + [f"{c:.17g}" for c in u] + [f"{c:.17g}" for c in v]
-                fh.write(",".join(cells) + "\n")
+        _write_csv(path, header,
+                   np.column_stack([self.profile.grid, self.profile.u, self.profile.v]))
 
 
 def _forward_recurrence(e_mat, c_mat, drive):
@@ -318,6 +296,28 @@ def _backward_recurrence(e_mat, c_mat, drive, terminal):
     return out
 
 
+def _sweep_operators(m, epsilon, step, frozen_u):
+    """Per-cell propagators of the fast forward and the slow backward sweep."""
+    ops = [expm(m.b * step), _phi1(m.b, step)]
+    if not frozen_u:
+        ops += [expm(-epsilon * m.a * step), epsilon * _phi1(-epsilon * m.a, step)]
+    return ops
+
+
+def _sweep(m, ops, u0, u, v, eta_w, xi_w):
+    """One application of the graph map; a frozen slow profile stays put."""
+    v_new = _forward_recurrence(ops[0], ops[1], m.g(u + eta_w, v + xi_w)[:-1])
+    if len(ops) == 2:
+        return u, v_new
+    return _backward_recurrence(ops[2], ops[3], m.f(u + eta_w, v + xi_w)[:-1], u0), v_new
+
+
+def _weighted_gap(weight, du, dv):
+    """|du| + |dv| in the e^{gamma t} weighted sup norm."""
+    return (float(np.max(weight * np.linalg.norm(du, axis=-1)))
+            + float(np.max(weight * np.linalg.norm(dv, axis=-1))))
+
+
 def lyapunov_perron_solve(m, epsilon, u0, gamma=None, grid_step=0.005,
                           tol=1e-9, max_iter=200, rng=None, t_neg=None,
                           paths=None, gamma_a_rev=None, frozen_u=False):
@@ -351,11 +351,8 @@ def lyapunov_perron_solve(m, epsilon, u0, gamma=None, grid_step=0.005,
         raise ValueError("paths grid step does not match grid_step")
     ts, eta_w, xi_w = paths.window_neg(t_neg)
 
-    e_b = expm(m.b * grid_step)
-    c_b = _phi1(m.b, grid_step)
+    ops = _sweep_operators(m, epsilon, grid_step, frozen_u)
     if not frozen_u:
-        e_am = expm(-epsilon * m.a * grid_step)
-        c_a = epsilon * _phi1(-epsilon * m.a, grid_step)
         if n == 1:
             u = np.exp(epsilon * float(m.a[0, 0]) * ts)[:, None] * u0
         else:
@@ -369,15 +366,8 @@ def lyapunov_perron_solve(m, epsilon, u0, gamma=None, grid_step=0.005,
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        g_vals = m.g(u + eta_w, v + xi_w)
-        v_new = _forward_recurrence(e_b, c_b, g_vals[:-1])
-        if frozen_u:
-            u_new = u
-        else:
-            f_vals = m.f(u + eta_w, v + xi_w)
-            u_new = _backward_recurrence(e_am, c_a, f_vals[:-1], u0)
-        res = (float(np.max(weight * np.linalg.norm(u_new - u, axis=-1)))
-               + float(np.max(weight * np.linalg.norm(v_new - v, axis=-1))))
+        u_new, v_new = _sweep(m, ops, u0, u, v, eta_w, xi_w)
+        res = _weighted_gap(weight, u_new - u, v_new - v)
         residuals.append(res)
         u, v = u_new, v_new
         if res < tol:
@@ -396,20 +386,10 @@ def lyapunov_perron_solve(m, epsilon, u0, gamma=None, grid_step=0.005,
 def reapply_sweep(m, sol, paths, frozen_u=False):
     """Residual of one extra sweep applied to a converged solution."""
     ts, eta_w, xi_w = paths.window_neg(sol.t_neg)
-    step = paths.step
     u, v = sol.profile.u, sol.profile.v
-    g_vals = m.g(u + eta_w, v + xi_w)
-    v_new = _forward_recurrence(expm(m.b * step), _phi1(m.b, step), g_vals[:-1])
-    if frozen_u:
-        u_new = u
-    else:
-        f_vals = m.f(u + eta_w, v + xi_w)
-        u_new = _backward_recurrence(expm(-sol.epsilon * m.a * step),
-                                     sol.epsilon * _phi1(-sol.epsilon * m.a, step),
-                                     f_vals[:-1], sol.u0)
-    w = np.exp(sol.gamma * ts)
-    return (float(np.max(w * np.linalg.norm(u_new - u, axis=-1)))
-            + float(np.max(w * np.linalg.norm(v_new - v, axis=-1))))
+    ops = _sweep_operators(m, sol.epsilon, paths.step, frozen_u)
+    u_new, v_new = _sweep(m, ops, sol.u0, u, v, eta_w, xi_w)
+    return _weighted_gap(np.exp(sol.gamma * ts), u_new - u, v_new - v)
 
 
 def asymptotic_manifold_h0(m, u0, grid_step=0.005, t_neg=None, rng=None,
@@ -448,8 +428,7 @@ def tracking_check(m, epsilon, ic_on, ic_off, t_end, dt, rng=None, gamma=None,
     the report carries the fitted decay rate of |u-u'| + |v-v'| and the
     envelope e^{-gamma t} |v0 - v0'| / (1 - rho).
     """
-    n = m.n
-    lf, lg = _lipschitz_pair(m)
+    _, lg = _lipschitz_pair(m)
     ga, ga_rev, gb = _gammas(m, gamma_a_rev)
     if gamma is None:
         gamma = 0.5 * (gb - lg)
@@ -457,31 +436,26 @@ def tracking_check(m, epsilon, ic_on, ic_off, t_end, dt, rng=None, gamma=None,
 
     if paths is None:
         spin = 5.0 / gb
-        if not (sigma_is_zero(m.sigma1) and (m.jump_slow is None
-                                             or m.jump_slow.intensity == 0)):
-            if epsilon > 0:
-                spin = max(spin, 5.0 / (epsilon * ga))
+        if has_slow_noise(m) and epsilon > 0:
+            spin = max(spin, 5.0 / (epsilon * ga))
         paths = sample_stationary_paths(m, epsilon, spin, t_end, dt, rng)
     ts, eta_w, xi_w = paths.window_pos(t_end)
 
-    u = np.vstack([np.atleast_1d(np.asarray(ic_on[0], float)),
-                   np.atleast_1d(np.asarray(ic_off[0], float))])
-    v = np.vstack([np.atleast_1d(np.asarray(ic_on[1], float)),
-                   np.atleast_1d(np.asarray(ic_off[1], float))])
+    u = np.vstack([ic_on[0], ic_off[0]]).astype(float)
+    v = np.vstack([ic_on[1], ic_off[1]]).astype(float)
     dv0 = float(np.linalg.norm(v[0] - v[1]))
 
     a_t, b_t = m.a.T, m.b.T
-    gaps = np.empty(len(ts))
-    gaps[0] = float(np.linalg.norm(u[0] - u[1]) + np.linalg.norm(v[0] - v[1]))
-    for k in range(len(ts) - 1):
-        eta_k = eta_w[k]
-        xi_k = xi_w[k]
-        fu = m.f(u + eta_k, v + xi_k)
-        gv = m.g(u + eta_k, v + xi_k)
-        u = u + (epsilon * (u @ a_t) + epsilon * fu) * dt
-        v = v + (v @ b_t + gv) * dt
-        gaps[k + 1] = float(np.linalg.norm(u[0] - u[1])
-                            + np.linalg.norm(v[0] - v[1]))
+
+    def drift(k, s):
+        u, v = s
+        arg = (u + eta_w[k], v + xi_w[k])
+        return epsilon * (u @ a_t) + epsilon * m.f(*arg), v @ b_t + m.g(*arg)
+
+    us, vs = _euler((u, v), drift, (dt, dt), (None, None), len(ts) - 1,
+                    path=True).path
+    gaps = (np.linalg.norm(us[:, 0] - us[:, 1], axis=-1)
+            + np.linalg.norm(vs[:, 0] - vs[:, 1], axis=-1))
 
     envelope = np.exp(-gamma * ts) * dv0 / (1.0 - rho)
     positive = gaps > max(gaps[0] * 1e-12, 1e-300)

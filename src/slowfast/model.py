@@ -73,24 +73,28 @@ class SizeDist:
         if self.kind == "uniform":
             if not self.low < self.high:
                 raise ValueError("uniform size distribution needs low < high")
-            if max(abs(self.low), abs(self.high)) >= 1.0:
-                raise ValueError("jump sizes must lie strictly inside the unit ball")
         elif self.kind == "atoms":
             if not self.values:
                 raise ValueError("atom size distribution needs at least one value")
-            if any(abs(v) >= 1.0 for v in self.values):
-                raise ValueError("jump sizes must lie strictly inside the unit ball")
             if any(p < 0 for p in self.probs) or abs(sum(self.probs) - 1.0) > 1e-12:
                 raise ValueError("atom probabilities must be a distribution")
             if len(self.probs) != len(self.values):
                 raise ValueError("values and probs must have equal length")
         else:
             raise ValueError(f"unknown size distribution kind {self.kind!r}")
+        if self.max_abs() >= 1.0:
+            raise ValueError("jump sizes must lie strictly inside the unit ball")
 
     def mean(self):
         if self.kind == "uniform":
             return 0.5 * (self.low + self.high)
         return float(np.dot(self.values, self.probs))
+
+    def max_abs(self):
+        """Largest size magnitude of one coordinate."""
+        if self.kind == "uniform":
+            return max(abs(self.low), abs(self.high))
+        return max(abs(v) for v in self.values)
 
     def sample(self, rng, size):
         if self.kind == "uniform":
@@ -251,6 +255,13 @@ class SlowFastModel:
                 if m.shape != (n, n):
                     raise ValueError(f"{name} matrix must be {n}x{n}")
                 object.__setattr__(self, name, m)
+        # each event draws i.i.d. coordinates, so the worst jump is a corner
+        for name in ("jump_slow", "jump_fast"):
+            jump = getattr(self, name)
+            corner = 0.0 if jump is None else np.sqrt(n) * jump.size_dist.max_abs()
+            if corner >= 1.0:
+                raise ValueError(f"{name} sizes reach norm {corner:.3g} in dimension "
+                                 f"{n}; jumps must lie strictly inside the unit ball")
 
     @property
     def n(self):
@@ -270,8 +281,10 @@ class SlowFastModel:
                              float(epsilon), self.x0, self.y0)
 
 
-def sigma_is_zero(sigma):
-    return not np.any(np.asarray(sigma))
+def has_slow_noise(m):
+    """Whether the slow equation of a SlowFastModel or AveragedModel is noisy."""
+    return bool(np.any(np.asarray(m.sigma1))) or (
+        m.jump_slow is not None and m.jump_slow.intensity > 0)
 
 
 @dataclass(frozen=True)

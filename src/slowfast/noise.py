@@ -123,25 +123,10 @@ class TwoSidedPath:
     negative: IncrementStream     # grid on [-T_neg, 0]
     positive: IncrementStream     # grid on [0, T]
 
-    def cumulative(self):
-        """Path values anchored so the value at time 0 is exactly 0.
-
-        Negative-side values are minus the tail sums of the increments on
-        [t, 0]; positive-side values are plain cumulative sums.
-        """
-        inc_n = self.negative.d_brownian + self.negative.d_jump
-        inc_p = self.positive.d_brownian + self.positive.d_jump
-        n = max(self.negative.n, self.positive.n)
-        neg_vals = np.zeros((len(self.negative.grid), n))
-        if inc_n.shape[0]:
-            tail = np.cumsum(inc_n[::-1], axis=0)[::-1]
-            neg_vals[:-1] = -tail
-        pos_vals = np.zeros((len(self.positive.grid), n))
-        if inc_p.shape[0]:
-            pos_vals[1:] = np.cumsum(inc_p, axis=0)
-        times = np.concatenate([self.negative.grid[:-1], self.positive.grid])
-        values = np.concatenate([neg_vals[:-1], pos_vals])
-        return times, values
+    def increments(self):
+        """Per-step increments (Brownian + compensated jumps) on [-T_neg, T]."""
+        return np.concatenate([self.negative.d_brownian + self.negative.d_jump,
+                               self.positive.d_brownian + self.positive.d_jump])
 
 
 def sample_two_sided(n, t_neg, t_pos, grid_step, rng, jump=None,

@@ -147,6 +147,19 @@ def test_deviate_with_htilde_override_zero(tmp_path, capsys):
     assert all(float(r.split(",")[1]) == 0.0 for r in rows)
 
 
+def test_deviate_grid_step_not_dividing_horizon(tmp_path, capsys):
+    # 1.0 / 0.3 is not an integer: the last step is shortened to end at t_end
+    cfg_data = json.loads(json.dumps(LINEAR_CFG))
+    cfg_data["deviate"] = {"htilde_override": [[0.25]], "t_end": 1.0,
+                           "dt_theta": 0.3}
+    cfg = write_cfg(tmp_path, cfg_data)
+    assert main(["deviate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    files = [f for f in os.listdir(tmp_path / "o") if f.endswith("-theta.csv")]
+    rows = open(tmp_path / "o" / files[0]).read().strip().split("\n")[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [0.0, 0.3, 0.6, 1.0]
+
+
 def test_model_from_config_expr_drifts():
     cfg = {"model": {
         "dim": 1, "a": [[-1.0]], "b": [[-2.0]],

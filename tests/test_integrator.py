@@ -2,11 +2,21 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from slowfast.averaging import (build_averaged, coupled_error_batch,
+                                simulate_auxiliary, simulate_averaged)
 from slowfast.benchmarks import linear_benchmark
-from slowfast.integrator import (Trajectory, make_grid, simulate_frozen_fast,
-                                 simulate_slow_fast, step)
+from slowfast.deviation import (DeviationModel, limit_marginal_samples,
+                                residual_theta2, simulate_corrected,
+                                simulate_deviation,
+                                simulate_truncated_deviation)
+from slowfast.integrator import (Trajectory, _euler, frozen_fast_batch,
+                                 make_grid, simulate_frozen_fast,
+                                 simulate_slow_fast)
+from slowfast.manifold import tracking_check
 from slowfast.model import DriftFn, SlowFastModel
 from slowfast.noise import sample_increments
 
@@ -18,10 +28,139 @@ def model(a=-1.0, b=-2.0, f=None, g=None, sigma1=0.0, sigma2=0.0, eps=1.0,
                          epsilon=eps, x0=[x0], y0=[y0])
 
 
-def test_step_identity_without_drift_or_noise():
-    s = step(np.array([1.5]), np.zeros((1, 1)), np.zeros(1), 0.0, 0.01,
-             np.zeros(1), np.zeros(1))
-    assert s[0] == 1.5
+# -- the Euler kernel ----------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), paths=st.integers(1, 4), matrix_sigma=st.booleans(),
+       steps=st.integers(0, 25), seed=st.integers(0, 2 ** 32 - 1))
+def test_euler_kernel_matches_reference_loop(n, paths, matrix_sigma, steps, seed):
+    rng = np.random.default_rng(seed)
+    a = -np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    b = -2.0 * np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    s1 = 0.3 * rng.standard_normal((n, n)) if matrix_sigma else 0.3
+    s2 = rng.standard_normal((n, n)) if matrix_sigma else 1.0
+    x0, y0 = rng.standard_normal((2, paths, n))
+    dx, dy = 0.1 * rng.standard_normal((2, steps, paths, n))
+    dt, h_fast = 0.01, 0.1
+
+    def amp(sigma, d):
+        return sigma * d if np.ndim(sigma) == 0 else d @ sigma.T
+
+    def drift(k, s):
+        x, y = s
+        return x @ a.T + np.tanh(y), y @ b.T + 0.25 * np.sin(x)
+
+    def gap(s):
+        return np.sum((s[0] - s[1]) ** 2, axis=-1)
+
+    # one noise term as (sigma, increments), one as a function of the step
+    run = _euler((x0, y0), drift, (dt, h_fast),
+                 ((s1, dx), lambda k, s: amp(s2, dy[k])), steps, sup=gap, path=True)
+
+    x, y = x0, y0
+    xs, ys, best = [x], [y], gap((x, y))
+    for k in range(steps):
+        x, y = (x + (x @ a.T + np.tanh(y)) * dt + amp(s1, dx[k]),
+                y + (y @ b.T + 0.25 * np.sin(x)) * h_fast + amp(s2, dy[k]))
+        xs.append(x)
+        ys.append(y)
+        best = np.maximum(best, gap((x, y)))
+    assert np.array_equal(run.path[0], np.array(xs))
+    assert np.array_equal(run.path[1], np.array(ys))
+    assert np.array_equal(run.state[0], x) and np.array_equal(run.state[1], y)
+    assert np.array_equal(run.sup, best)
+    assert not run.diverged.any() and np.all(run.diverged_at == -1)
+
+
+def test_euler_divergence_conventions():
+    # y blows up on path 0 only; x = int tanh(y) stays finite on every path,
+    # so only the check of every component finds the diverged path
+    y0 = np.array([[1.0], [0.0], [1e-200]])
+
+    def drift(k, s):
+        return np.tanh(s[1]), 50.0 * s[1]
+
+    run = _euler((np.zeros((3, 1)), y0), drift, (0.1, 0.1), (None, None), 400,
+                 sup=lambda s: np.abs(s[0][:, 0]), path=True)
+    x, y = np.zeros((3, 1)), y0
+    raw = [y]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(400):
+            x, y = x + np.tanh(y) * 0.1, y + 50.0 * y * 0.1
+            raw.append(y)
+    raw = np.array(raw)
+    first = int(np.argmax(~np.isfinite(raw[:, 0, 0])))
+    assert np.isfinite(x).all() and not np.isfinite(y[0]).all()
+    assert list(run.diverged) == [True, False, False]
+    assert list(run.diverged_at) == [first, -1, -1]
+    assert np.isnan(run.state[0][0]).all() and np.isnan(run.state[1][0]).all()
+    assert np.isnan(run.sup[0]) and np.isfinite(run.sup[1:]).all()
+    assert np.array_equal(run.path[1][:first + 1, 0], raw[:first + 1, 0])
+    assert np.isnan(run.path[0][first + 1:, 0]).all()
+    assert np.isnan(run.path[1][first + 1:, 0]).all()
+    assert np.array_equal(run.path[1][:, 1:], raw[:, 1:])
+
+
+# one blow-up model per equation: the slow drift A = +50, or the fast B = +50
+SLOW_UP = model(a=50.0, sigma2=1.0)
+FAST_UP = model(b=50.0, sigma2=1.0)
+GRID = make_grid(40.0, 0.1)
+
+
+def _rng():
+    return np.random.default_rng(3)
+
+
+def _up_averaged():
+    return build_averaged(SLOW_UP)
+
+
+def _up_deviation():
+    return DeviationModel(SLOW_UP.a, np.zeros((1, 1)), np.eye(1))
+
+
+BLOWUPS = {
+    "simulate_slow_fast":
+        lambda: simulate_slow_fast(SLOW_UP, 40.0, 0.1, _rng())[0].diverged,
+    "simulate_frozen_fast":
+        lambda: simulate_frozen_fast(FAST_UP, [0.0], [1.0], 40.0, 0.1, _rng()).diverged,
+    "frozen_fast_batch":
+        lambda: not np.isfinite(frozen_fast_batch(FAST_UP, [0.0], [1.0], 400, 0.1,
+                                                  _rng(), 3)[-1]).any(),
+    "simulate_averaged":
+        lambda: simulate_averaged(_up_averaged(), 40.0, 0.1,
+                                  sample_increments(1, GRID, _rng())).diverged,
+    "simulate_auxiliary":
+        lambda: all(t.diverged for t in simulate_auxiliary(SLOW_UP, 10.0, 40.0, 0.1,
+                                                           _rng(), return_true=True)),
+    "coupled_error_batch":
+        lambda: coupled_error_batch(SLOW_UP, _up_averaged(), 40.0, 0.1, 5, 0, 3)[2].all(),
+    "simulate_deviation":
+        lambda: simulate_deviation(_up_deviation(),
+                                   Trajectory(GRID, np.zeros((len(GRID), 1))),
+                                   40.0, 0.1, _rng()).diverged,
+    "residual_theta2":
+        lambda: pytest.raises(RuntimeError, residual_theta2, SLOW_UP, 1.0, 40.0,
+                              0.1, 3, 5) is not None,
+    "simulate_truncated_deviation":
+        lambda: simulate_truncated_deviation(SLOW_UP, _up_averaged(), 1.0, None,
+                                             40.0, 0.1, 5).diverged,
+    "simulate_corrected":
+        lambda: simulate_corrected(_up_averaged(), _up_deviation(), 0.5, 40.0, 0.1,
+                                   _rng()).diverged,
+    "limit_marginal_samples":
+        lambda: not np.isfinite(limit_marginal_samples(_up_deviation(), _up_averaged(),
+                                                       40.0, 0.1, 3, 5)).any(),
+    "tracking_check":
+        lambda: not np.isfinite(tracking_check(SLOW_UP, 1.0, ([0.5], [0.3]),
+                                               ([0.6], [0.9]), 40.0, 0.1,
+                                               rng=_rng()).gap[-1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOWUPS))
+def test_blow_up_is_flagged_by_every_simulator(name):
+    assert BLOWUPS[name]()
 
 
 def test_linear_decay_matches_exponential():

@@ -119,6 +119,24 @@ def test_jump_spec_validation():
     assert spec.mean_size == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("size", [SizeDist.uniform(-0.9, 0.9),
+                                  SizeDist.atoms([-0.2, 0.75])])
+@pytest.mark.parametrize("which", ["jump_slow", "jump_fast"])
+def test_jump_sizes_bounded_in_vector_norm(which, size):
+    # coordinates are drawn i.i.d., so in 2-D the corner jump has norm
+    # sqrt(2) * max|size| >= 1 although every coordinate is inside (-1, 1)
+    def build(n):
+        return SlowFastModel(a=-np.eye(n), b=-2.0 * np.eye(n), f=DriftFn.zero(n),
+                             g=DriftFn.zero(n), **{which: JumpSpec(1.0, size)})
+
+    assert build(1).n == 1
+    with pytest.raises(ValueError, match="unit ball"):
+        build(2)
+    ok = JumpSpec(1.0, SizeDist.uniform(-0.7, 0.7))       # corner norm 0.99
+    assert SlowFastModel(a=-np.eye(2), b=-2.0 * np.eye(2), f=DriftFn.zero(2),
+                         g=DriftFn.zero(2), **{which: ok}).n == 2
+
+
 def test_growth_check_detects_violation():
     # declared growth far below the actual magnitude of f
     f = DriftFn.from_expressions(["10*x1"], 1, lip=0.1, growth=0.0)

@@ -92,12 +92,12 @@ def test_empty_grid_rejected():
         sample_increments(1, np.array([0.0, 0.0]), np.random.default_rng(0))
 
 
-def test_two_sided_anchored_at_zero():
+def test_two_sided_increments_span_both_segments():
     path = sample_two_sided(1, 2.0, 1.0, 0.01, np.random.default_rng(8), jump=UNIF)
-    times, values = path.cumulative()
-    i0 = int(np.argmin(np.abs(times)))
-    assert times[i0] == 0.0
-    assert values[i0, 0] == 0.0
+    incr = path.increments()
+    assert incr.shape == (300, 1)
+    assert np.array_equal(incr[:200], path.negative.d_brownian + path.negative.d_jump)
+    assert np.array_equal(incr[200:], path.positive.d_brownian + path.positive.d_jump)
 
 
 def test_two_sided_empty_negative_segment():
