@@ -107,15 +107,7 @@ def build_averaged(m, mode="auto", table_axes=None, rng=None, burn_in=None,
     """
     n = m.n
     if mode == "auto":
-        if m.f.kind == "zero":
-            mode = "zero"
-        elif not m.f.depends_on_y:
-            mode = "y-independent"
-        elif m.f.kind in ("linear", "constant", "zero") and \
-                m.g.kind in ("linear", "constant", "zero"):
-            mode = "linear"
-        else:
-            mode = "tabulated"
+        mode = _auto_mode(m)
 
     if mode == "zero":
         fbar = AveragedDrift(n, "zero", lambda x: np.zeros(x.shape[:-1] + (n,)),
@@ -161,6 +153,19 @@ def build_averaged(m, mode="auto", table_axes=None, rng=None, burn_in=None,
         raise ValueError(f"unknown averaging mode {mode!r}")
 
     return AveragedModel(m.a, fbar, m.sigma1, m.jump_slow, m.x0)
+
+
+def _auto_mode(m):
+    """The averaging mode ``build_averaged`` picks for ``m``: every mode but
+    'tabulated' is closed form."""
+    if m.f.kind == "zero":
+        return "zero"
+    if not m.f.depends_on_y:
+        return "y-independent"
+    if m.f.kind in ("linear", "constant", "zero") and \
+            m.g.kind in ("linear", "constant", "zero"):
+        return "linear"
+    return "tabulated"
 
 
 def _linear_parts(drift):
@@ -230,10 +235,7 @@ def mixing_diagnostic(m, x, y_list, t_end, dt, n_paths, rng, curve_step=0.05,
     eta_declared = 2.0 * (m.gamma_b - 6.0 * m.g.lip ** 2)
 
     if fbar_value is None:
-        closed_form = (not m.f.depends_on_y
-                       or (m.f.kind in ("linear", "constant", "zero")
-                           and m.g.kind in ("linear", "constant", "zero")))
-        if closed_form:
+        if _auto_mode(m) != "tabulated":
             fbar_value = build_averaged(m).fbar(x)
         else:
             fbar_value = estimate_fbar(m, x, rng=rng).value
@@ -278,13 +280,18 @@ def simulate_averaged(am, t_end, dt, incr, x0=None, seed_tag=None):
     grid = make_grid(t_end, dt)
     if len(incr.grid) != len(grid) or not np.allclose(incr.grid, grid):
         raise ValueError("increment stream grid does not match (t_end, dt)")
-    a_t = am.a.T
-    run = _euler((am.x0 if x0 is None else x0,),
-                 lambda k, s: (s[0] @ a_t + am.fbar(s[0]),), (dt,),
-                 ((am.sigma1, incr.d_brownian + incr.d_jump),), len(grid) - 1,
-                 path=True)
+    run = _averaged_run(am, am.x0 if x0 is None else x0, dt,
+                        (am.sigma1, incr.d_brownian + incr.d_jump), len(grid) - 1)
     meta = {"process": "averaged", "dt": dt, "seed": seed_tag}
     return _trajectory(grid, run.path[0], meta, run.diverged_at)
+
+
+def _averaged_run(am, x0, dt, noise, steps):
+    """Averaged slow equation from x0 (..., n) under one ``_euler`` noise
+    term; records the full path."""
+    a_t = am.a.T
+    return _euler((x0,), lambda k, s: (s[0] @ a_t + am.fbar(s[0]),), (dt,),
+                  (noise,), steps, path=True)
 
 
 def simulate_auxiliary(m, delta, t_end, dt, rng, return_true=False):
@@ -341,21 +348,27 @@ def simulate_auxiliary(m, delta, t_end, dt, rng, return_true=False):
 def _increment_blocks(m, grid, master_seed, start, count):
     """Fast and slow increments (steps, count, n) of paths start..start+count-1,
     each from its own substreams; the slow block is None without slow noise."""
-    n = m.n
-    steps = len(grid) - 1
-    d_fast = np.empty((steps, count, n))
-    d_slow = np.empty((steps, count, n)) if has_slow_noise(m) else None
+    d_fast = np.empty((len(grid) - 1, count, m.n))
     for i in range(count):
-        fast = rescale_fast(n, m.epsilon, grid,
+        fast = rescale_fast(m.n, m.epsilon, grid,
                             substream(master_seed, start + i, ROLE_FAST),
                             jump=m.jump_fast)
         d_fast[:, i, :] = fast.d_brownian + fast.d_jump
-        if d_slow is not None:
-            slow = sample_increments(n, grid,
-                                     substream(master_seed, start + i, ROLE_SLOW),
-                                     jump=m.jump_slow)
-            d_slow[:, i, :] = slow.d_brownian + slow.d_jump
-    return d_fast, d_slow
+    return d_fast, _slow_increments(m, grid, master_seed, start, count)
+
+
+def _slow_increments(m, grid, master_seed, start, count):
+    """Slow increments (steps, count, n) of paths start..start+count-1, each
+    from its own slow substream; None without slow noise.  ``m`` is a
+    SlowFastModel or an AveragedModel."""
+    if not has_slow_noise(m):
+        return None
+    d_slow = np.empty((len(grid) - 1, count, m.n))
+    for i in range(count):
+        slow = sample_increments(m.n, grid, substream(master_seed, start + i, ROLE_SLOW),
+                                 jump=m.jump_slow)
+        d_slow[:, i, :] = slow.d_brownian + slow.d_jump
+    return d_slow
 
 
 def coupled_error_batch(m, am, t_end, dt, master_seed, start, count):

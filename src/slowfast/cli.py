@@ -28,7 +28,7 @@ from .deviation import (autocovariance_kernel, build_deviation_model,
 from .integrator import make_grid, simulate_slow_fast
 from .manifold import lyapunov_perron_solve, tracking_check
 from .model import DriftFn, JumpSpec, SizeDist, SlowFastModel, validate_model
-from .noise import sample_increments, substream
+from .noise import ROLE_DEV, ROLE_SLOW, sample_increments, substream
 
 
 class UsageError(Exception):
@@ -104,7 +104,7 @@ class _Checks:
         print(f"{status} {criterion} {value:.6g} {tol:.6g}")
 
 
-def cmd_validate(cfg, seed, out_dir, workers):
+def cmd_validate(cfg, seed, out_dir):
     m = model_from_config(cfg)
     report = validate_model(m, rng=np.random.default_rng(seed))
     print(json.dumps(report.to_json(), indent=2))
@@ -119,7 +119,7 @@ def _require_valid(m, seed):
     return True
 
 
-def cmd_simulate(cfg, seed, out_dir, workers):
+def cmd_simulate(cfg, seed, out_dir):
     m = model_from_config(cfg)
     if not _require_valid(m, seed):
         return 2
@@ -135,7 +135,7 @@ def cmd_simulate(cfg, seed, out_dir, workers):
     return 0
 
 
-def cmd_average(cfg, seed, out_dir, workers):
+def cmd_average(cfg, seed, out_dir):
     m = model_from_config(cfg)
     if not _require_valid(m, seed):
         return 2
@@ -166,7 +166,7 @@ def cmd_average(cfg, seed, out_dir, workers):
     return 0
 
 
-def cmd_manifold(cfg, seed, out_dir, workers):
+def cmd_manifold(cfg, seed, out_dir):
     m = model_from_config(cfg)
     if not _require_valid(m, seed):
         return 2
@@ -184,7 +184,7 @@ def cmd_manifold(cfg, seed, out_dir, workers):
     return 0
 
 
-def cmd_deviate(cfg, seed, out_dir, workers):
+def cmd_deviate(cfg, seed, out_dir):
     m = model_from_config(cfg)
     if not _require_valid(m, seed):
         return 2
@@ -208,10 +208,10 @@ def cmd_deviate(cfg, seed, out_dir, workers):
     dm = build_deviation_model(am, htilde, x=x_point)
     t_end = float(blk.get("t_end", 1.0))
     dt = float(blk.get("dt_theta", 1e-3))
-    slow = sample_increments(m.n, make_grid(t_end, dt),
-                             np.random.default_rng(seed + 1), jump=m.jump_slow)
+    slow = sample_increments(m.n, make_grid(t_end, dt), substream(seed, 0, ROLE_SLOW),
+                             jump=m.jump_slow)
     x_path = simulate_averaged(am, t_end, dt, slow)
-    theta = simulate_deviation(dm, x_path, t_end, dt, np.random.default_rng(seed + 2))
+    theta = simulate_deviation(dm, x_path, t_end, dt, substream(seed, 0, ROLE_DEV))
     theta.to_csv(_artifact(out_dir, "deviate", seed, "-theta.csv"), label="theta")
     path = _artifact(out_dir, "deviate", seed, ".json")
     with open(path, "w") as fh:
@@ -220,7 +220,7 @@ def cmd_deviate(cfg, seed, out_dir, workers):
     return 0
 
 
-def cmd_verify(cfg, seed, out_dir, workers):
+def cmd_verify(cfg, seed, out_dir):
     """Desk-scale reproduction of the convergence and deviation claims."""
     checks = _Checks()
     rng = np.random.default_rng(seed)
@@ -290,7 +290,6 @@ def main(argv=None):
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=False, help="path to a JSON config")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default="artifacts")
     try:
         args = parser.parse_args(argv)
@@ -319,7 +318,7 @@ def main(argv=None):
     out_dir = args.out if args.out != "artifacts" else cfg.get("out", "artifacts")
 
     try:
-        return _COMMANDS[args.command](cfg, seed, out_dir, args.workers)
+        return _COMMANDS[args.command](cfg, seed, out_dir)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

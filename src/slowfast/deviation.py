@@ -10,9 +10,15 @@ stationary autocovariance of f(x, .) along the fast invariant state:
 Htilde_ij = int_0^inf (H_ij(s) + H_ji(s)) ds, symmetrized so the square root
 exists.  The driving W' is taken independent of the slow noise: the limit
 fluctuation originates in the fast noise.  The matrix-valued drift reading
-(adding J(x) itself rather than J(x) theta) is exposed behind
-``literal_drift`` for comparison; both coincide whenever the averaged drift
-is constant.
+(adding J(x) itself rather than J(x) theta) is the ``literal_drift`` field
+of ``DeviationModel`` and applies in every sampler; both readings coincide
+whenever the averaged drift is constant.
+
+One batched stepper integrates the limit SDE along carrier states of the
+averaged equation: ``simulate_deviation`` is its one-path call along a given
+carrier, and ``limit_marginal_samples`` steps the carrier once for the whole
+batch and theta along it.  ``DeviationModel.drift`` and ``.noise`` hold the
+coefficients, batched over the carrier's rows.
 
 The stationary fast state inside the kernel is realized by the long-run
 frozen-fast process, estimated over independent replicas.  Residual
@@ -28,11 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import _increment_blocks, simulate_averaged
+from .averaging import _averaged_run, _increment_blocks, _slow_increments
 from .integrator import (_euler, _trajectory, _write_csv, apply_noise,
                          frozen_fast_batch, make_grid)
-from .model import has_slow_noise
-from .noise import ROLE_BURN, ROLE_DEV, ROLE_SLOW, sample_increments, substream
+from .noise import ROLE_BURN, ROLE_DEV, sample_increments, substream
 from .harness import _var_se, two_sample_compare
 
 
@@ -160,49 +165,55 @@ def matrix_sqrt_psd(matrix):
     return (q * np.sqrt(np.clip(w, 0.0, None))) @ q.T
 
 
+def _matvec(mat, v):
+    """mat v over the leading axes of v: one (n, n) matrix, or one per row."""
+    if mat.ndim == 2:
+        return v @ mat.T
+    return (mat @ v[..., None])[..., 0]
+
+
 class DeviationModel:
     """Coefficients of the limit SDE: drift Jacobian and diffusion matrix.
 
     ``fbar_deriv`` and ``htilde`` may be constant matrices or callables of
-    the slow state; square roots are cached per evaluation point.
+    one slow state.  ``drift`` and ``noise`` take slow states batched over
+    leading axes and evaluate a callable once per row; they are the only
+    readers of ``literal_drift`` and of the coefficient kind.
     """
 
     def __init__(self, a, fbar_deriv, htilde, literal_drift=False):
         self.a = np.atleast_2d(np.asarray(a, dtype=float))
         self.n = self.a.shape[0]
-        self._deriv = fbar_deriv
-        self._htilde = htilde
         self.literal_drift = bool(literal_drift)
-        self._sqrt_cache = {}
         self.deriv_const = (np.atleast_2d(np.asarray(fbar_deriv, dtype=float))
                             if not callable(fbar_deriv) else None)
         self.htilde_const = (np.atleast_2d(np.asarray(htilde, dtype=float))
                              if not callable(htilde) else None)
-        if self.htilde_const is not None:
-            self.sqrt_const = matrix_sqrt_psd(self.htilde_const)
+        self._deriv = fbar_deriv if callable(fbar_deriv) else self.deriv_const
+        if callable(htilde):
+            self._sqrt = lambda x: matrix_sqrt_psd(htilde(x))
         else:
-            self.sqrt_const = None
+            self._sqrt = matrix_sqrt_psd(self.htilde_const)
 
-    def deriv(self, x):
-        if self.deriv_const is not None:
-            return self.deriv_const
-        return np.atleast_2d(np.asarray(self._deriv(x), dtype=float))
+    def _at(self, coef, x):
+        """A coefficient at slow states x (..., n): the constant (n, n)
+        matrix, or the callable evaluated at every row, (..., n, n)."""
+        if not callable(coef):
+            return coef
+        x = np.asarray(x, dtype=float)
+        mats = [coef(row) for row in x.reshape(-1, self.n)]
+        return np.reshape(mats, x.shape[:-1] + (self.n, self.n))
 
-    def htilde(self, x):
-        if self.htilde_const is not None:
-            return self.htilde_const
-        return np.atleast_2d(np.asarray(self._htilde(x), dtype=float))
+    def drift(self, theta, x):
+        """A theta + J(x) theta, or A theta + J(x) 1 in the literal reading,
+        for fluctuations theta (..., n) along slow states x."""
+        jac = self._at(self._deriv, x)
+        lin = jac.sum(axis=-1) if self.literal_drift else _matvec(jac, theta)
+        return theta @ self.a.T + lin
 
-    def sqrt_htilde(self, x):
-        if self.sqrt_const is not None:
-            return self.sqrt_const
-        key = np.asarray(x, dtype=float).tobytes()
-        cached = self._sqrt_cache.get(key)
-        if cached is None:
-            cached = matrix_sqrt_psd(self.htilde(x))
-            if len(self._sqrt_cache) < 4096:
-                self._sqrt_cache[key] = cached
-        return cached
+    def noise(self, dw, x):
+        """sqrt(Htilde(x)) dw for Brownian increments dw (..., n)."""
+        return _matvec(self._at(self._sqrt, x), dw)
 
     def to_json(self):
         return {
@@ -232,30 +243,29 @@ def build_deviation_model(am, kernel_or_htilde, x=None, fd_step=1e-5,
     return DeviationModel(am.a, deriv, htilde, literal_drift=literal_drift)
 
 
-def simulate_deviation(dm, x_path, t_end, dt, rng, literal_drift=None):
+def _limit_run(dm, x_at, dw, dt, path=False):
+    """Step the limit SDE from theta(0) = 0 for P paths.
+
+    ``x_at`` (steps, 1 or P, n) holds the carrier state at the start of each
+    step and ``dw`` (steps, P, n) the Brownian increments.
+    """
+    return _euler((np.zeros(dw.shape[1:]),), lambda k, s: (dm.drift(s[0], x_at[k]),),
+                  (dt,), (lambda k, s: dm.noise(dw[k], x_at[k]),), len(dw),
+                  path=path)
+
+
+def simulate_deviation(dm, x_path, t_end, dt, rng):
     """Integrate the limit SDE along a realized averaged path, theta(0) = 0."""
-    literal = dm.literal_drift if literal_drift is None else literal_drift
     grid = make_grid(t_end, dt)
     if x_path.grid[-1] < t_end - 1e-12:
         raise ValueError("carrier path does not cover [0, t_end]")
-    steps = len(grid) - 1
-    n = dm.n
-    a_t = dm.a.T
-    dw = rng.normal(0.0, math.sqrt(dt), size=(steps, n))
-    # left-endpoint state of the carrier path at every step, resolved once
+    dw = rng.normal(0.0, math.sqrt(dt), size=(len(grid) - 1, 1, dm.n))
+    # left-endpoint state of the carrier path at every step
     idx = np.clip(np.searchsorted(x_path.grid, grid[:-1] + 1e-12, side="right") - 1,
                   0, len(x_path.grid) - 1)
-    x_at = x_path.states[idx]
-    ones = np.ones(n)
-
-    def drift(k, s):
-        jac = dm.deriv(x_at[k])
-        return (s[0] @ a_t + (jac @ ones if literal else jac @ s[0]),)
-
-    run = _euler((np.zeros(n),), drift, (dt,),
-                 (lambda k, s: dm.sqrt_htilde(x_at[k]) @ dw[k],), steps, path=True)
-    meta = {"process": "deviation", "dt": dt, "literal_drift": literal}
-    return _trajectory(grid, run.path[0], meta, run.diverged_at)
+    run = _limit_run(dm, x_path.states[idx, None], dw, dt, path=True)
+    meta = {"process": "deviation", "dt": dt, "literal_drift": dm.literal_drift}
+    return _trajectory(grid, run.path[0][:, 0], meta, run.diverged_at[0])
 
 
 @dataclass
@@ -407,15 +417,12 @@ def simulate_corrected(am, dm, epsilon, t_end, dt, rng, seed_tag=None):
     steps = len(grid) - 1
     dw = c_dev.normal(0.0, math.sqrt(dt), size=(steps, n))
     d_slow = incr.d_brownian + incr.d_jump
-    a_t = am.a.T
     root = math.sqrt(epsilon)
 
     def noise(k, s):
-        return (apply_noise(am.sigma1, d_slow[k])
-                + root * (dm.sqrt_htilde(s[0]) @ dw[k]))
+        return apply_noise(am.sigma1, d_slow[k]) + root * dm.noise(dw[k], s[0])
 
-    run = _euler((am.x0,), lambda k, s: (s[0] @ a_t + am.fbar(s[0]),), (dt,),
-                 (noise,), steps, path=True)
+    run = _averaged_run(am, am.x0, dt, noise, steps)
     meta = {"process": "corrected", "epsilon": epsilon, "dt": dt, "seed": seed_tag}
     return _trajectory(grid, run.path[0], meta, run.diverged_at)
 
@@ -461,35 +468,26 @@ def rescaled_fluctuation_samples(m, am, t_end, dt, n_paths, master_seed,
 def limit_marginal_samples(dm, am, t_end, dt, n_paths, master_seed):
     """Samples of theta(T) from the limit SDE, one substream per path.
 
-    When the averaged equation is deterministic (no slow noise), all paths
-    share its single realized trajectory and the stepping vectorizes; with
-    slow noise each path rides its own averaged realization.
+    One batched run.  The averaged carrier is stepped once for the whole
+    batch: a single path without slow noise, otherwise one path per sample
+    on that path's slow substream.  Theta then rides it on each path's own
+    deviation substream, so row i equals ``simulate_deviation`` along path
+    i's carrier with ``substream(master_seed, i, ROLE_DEV)``, in either
+    drift reading.  Diverged paths are NaN.
     """
     n = dm.n
     grid = make_grid(t_end, dt)
     steps = len(grid) - 1
-    deterministic_x = not has_slow_noise(am)
-    if deterministic_x and dm.htilde_const is not None and dm.deriv_const is not None:
-        dw = np.empty((steps, n_paths, n))
-        for i in range(n_paths):
-            dw[:, i, :] = substream(master_seed, i, ROLE_DEV).normal(
-                0.0, math.sqrt(dt), size=(steps, n))
-        a_t = dm.a.T
-        j_t = dm.deriv_const.T
-        return _euler((np.zeros((n_paths, n)),),
-                      lambda k, s: (s[0] @ a_t + s[0] @ j_t,), (dt,),
-                      ((dm.sqrt_const, dw),), steps).state[0]
-    zero = sample_increments(n, grid, substream(master_seed, 0, ROLE_SLOW),
-                             jump=am.jump_slow)
-    samples = np.empty((n_paths, n))
+    d_slow = _slow_increments(am, grid, master_seed, 0, n_paths)
+    x0 = np.broadcast_to(am.x0, (1 if d_slow is None else n_paths, n))
+    noise = None if d_slow is None else (am.sigma1, d_slow)
+    carrier = _averaged_run(am, x0, dt, noise, steps).path[0]
+    del d_slow, noise         # freed before the theta increments are allocated
+    dw = np.empty((steps, n_paths, n))
     for i in range(n_paths):
-        slow = sample_increments(n, grid, substream(master_seed, i, ROLE_SLOW),
-                                 jump=am.jump_slow) if not deterministic_x else zero
-        x_path = simulate_averaged(am, t_end, dt, slow)
-        traj = simulate_deviation(dm, x_path, t_end, dt,
-                                  substream(master_seed, i, ROLE_DEV))
-        samples[i] = traj.states[-1]
-    return samples
+        dw[:, i, :] = substream(master_seed, i, ROLE_DEV).normal(
+            0.0, math.sqrt(dt), size=(steps, n))
+    return _limit_run(dm, carrier[:-1], dw, dt).state[0]
 
 
 def weak_limit_report(m, am, dm, t_end, dt, n_paths, master_seed,

@@ -215,18 +215,11 @@ def frozen_fast_batch(m, x_frozen, y0, steps, dt, rng, n_paths, fast_rate=False)
     def noise(k, s):
         incr = rng.normal(0.0, std, size=(n_paths, n))
         if rate > 0:
-            counts = rng.poisson(rate * dt, size=(n_paths, 1))
+            counts = rng.poisson(rate * dt, size=n_paths)
             # lump per-step event sizes; exact event times are irrelevant here
+            draws = m.jump_fast.size_dist.sample(rng, (int(counts.sum()), n))
             sizes = np.zeros((n_paths, n))
-            active = counts[:, 0] > 0
-            if np.any(active):
-                total = int(counts.sum())
-                draws = m.jump_fast.size_dist.sample(rng, (total, n))
-                pos = 0
-                for i in np.nonzero(active)[0]:
-                    c = int(counts[i, 0])
-                    sizes[i] = draws[pos:pos + c].sum(axis=0)
-                    pos += c
+            np.add.at(sizes, np.repeat(np.arange(n_paths), counts), draws)
             incr = incr + sizes - rate * m.jump_fast.mean_size * dt
         return apply_noise(m.sigma2, incr)
 

@@ -1,9 +1,14 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from slowfast.averaging import build_averaged, simulate_averaged
 from slowfast.cli import main, model_from_config
+from slowfast.deviation import build_deviation_model, simulate_deviation
+from slowfast.integrator import make_grid
+from slowfast.noise import ROLE_DEV, ROLE_SLOW, sample_increments, substream
 
 LINEAR_CFG = {
     "model": {
@@ -158,6 +163,30 @@ def test_deviate_grid_step_not_dividing_horizon(tmp_path, capsys):
     files = [f for f in os.listdir(tmp_path / "o") if f.endswith("-theta.csv")]
     rows = open(tmp_path / "o" / files[0]).read().strip().split("\n")[1:]
     assert [float(r.split(",")[0]) for r in rows] == [0.0, 0.3, 0.6, 1.0]
+
+
+def test_deviate_theta_rides_substream_carrier(tmp_path, capsys):
+    cfg_data = json.loads(json.dumps(LINEAR_CFG))
+    cfg_data["model"]["sigma1"] = 0.3
+    cfg_data["deviate"] = {"htilde_override": [[0.25]], "t_end": 0.5,
+                           "dt_theta": 0.01}
+    cfg = write_cfg(tmp_path, cfg_data)
+    assert main(["deviate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    files = [f for f in os.listdir(tmp_path / "o") if f.endswith("-theta.csv")]
+    written = np.loadtxt(tmp_path / "o" / files[0], delimiter=",", skiprows=1)
+    m = model_from_config(cfg_data)
+    am = build_averaged(m)
+    dm = build_deviation_model(am, np.array([[0.25]]), x=m.x0)
+    slow = sample_increments(1, make_grid(0.5, 0.01), substream(7, 0, ROLE_SLOW))
+    carrier = simulate_averaged(am, 0.5, 0.01, slow)
+    theta = simulate_deviation(dm, carrier, 0.5, 0.01, substream(7, 0, ROLE_DEV))
+    assert np.array_equal(written[:, 1], theta.states[:, 0])
+
+
+def test_workers_flag_is_rejected(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, LINEAR_CFG)
+    assert main(["validate", "--config", cfg, "--workers", "2"]) == 1
 
 
 def test_model_from_config_expr_drifts():

@@ -3,17 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slowfast.averaging import AveragedDrift, AveragedModel, build_averaged
+from slowfast.averaging import (AveragedDrift, AveragedModel, build_averaged,
+                                simulate_averaged)
 from slowfast.benchmarks import linear_benchmark, tanh_benchmark
 from slowfast.deviation import (DeviationModel, TruncationSpec,
                                 autocovariance_kernel, build_deviation_model,
                                 diffusion_matrix, fbar_derivative,
-                                matrix_sqrt_psd, residual_theta2,
-                                simulate_corrected, simulate_deviation,
-                                simulate_truncated_deviation, weak_limit_report)
+                                limit_marginal_samples, matrix_sqrt_psd,
+                                residual_theta2, simulate_corrected,
+                                simulate_deviation, simulate_truncated_deviation,
+                                weak_limit_report)
 from slowfast.integrator import make_grid
 from slowfast.model import DriftFn, SlowFastModel, parse_drift
-from slowfast.noise import sample_increments
+from slowfast.noise import ROLE_DEV, ROLE_SLOW, sample_increments, substream
 
 OU_VAR_AT_1 = 0.125 * (1.0 - np.exp(-2.0))     # (Htilde/2a)(1 - e^{-2a})
 
@@ -149,7 +151,6 @@ def averaged_and_deviation(htilde=0.25):
 def x_path_for(am, t_end, dt, seed=0):
     grid = make_grid(t_end, dt)
     incr = sample_increments(1, grid, np.random.default_rng(seed))
-    from slowfast.averaging import simulate_averaged
     return simulate_averaged(am, t_end, dt, incr)
 
 
@@ -163,19 +164,14 @@ def test_deviation_zero_coefficients_stay_zero():
 
 def test_deviation_variance_at_one():
     _, am, dm = averaged_and_deviation()
-    xp = x_path_for(am, 1.0, 1e-3)
-    rng = np.random.default_rng(2)
-    finals = np.array([
-        simulate_deviation(dm, xp, 1.0, 1e-3, rng).states[-1, 0]
-        for _ in range(2500)])
+    finals = limit_marginal_samples(dm, am, 1.0, 1e-3, 2500, 2)[:, 0]
     var = finals.var(ddof=1)
     se = var * np.sqrt(2.0 / len(finals))
     assert abs(var - OU_VAR_AT_1) <= 3 * se
 
 
 def test_deviation_stationary_variance():
-    # batched sampler of the same SDE marginal, long horizon
-    from slowfast.deviation import limit_marginal_samples
+    # the same SDE marginal, long horizon
     _, am, dm = averaged_and_deviation()
     finals = limit_marginal_samples(dm, am, 5.0, 2e-3, 4000, 303)[:, 0]
     var = finals.var(ddof=1)
@@ -186,17 +182,62 @@ def test_deviation_stationary_variance():
 def test_literal_drift_flag_changes_nonzero_jacobian_only():
     m, am, _ = averaged_and_deviation()
     xp = x_path_for(am, 1.0, 1e-3)
+
+    def final_pair(jac):
+        runs = [simulate_deviation(DeviationModel(m.a, jac, np.array([[0.25]]),
+                                                  literal_drift=literal),
+                                   xp, 1.0, 1e-3, np.random.default_rng(5))
+                for literal in (False, True)]
+        return runs[0].states, runs[1].states
+
     # zero Jacobian: both readings integrate the same equation
-    dm0 = DeviationModel(m.a, np.zeros((1, 1)), np.array([[0.25]]))
-    a = simulate_deviation(dm0, xp, 1.0, 1e-3, np.random.default_rng(5))
-    b = simulate_deviation(dm0, xp, 1.0, 1e-3, np.random.default_rng(5),
-                           literal_drift=True)
-    assert np.array_equal(a.states, b.states)
-    dm1 = DeviationModel(m.a, np.array([[0.3]]), np.array([[0.25]]))
-    a = simulate_deviation(dm1, xp, 1.0, 1e-3, np.random.default_rng(5))
-    b = simulate_deviation(dm1, xp, 1.0, 1e-3, np.random.default_rng(5),
-                           literal_drift=True)
-    assert not np.array_equal(a.states, b.states)
+    a, b = final_pair(np.zeros((1, 1)))
+    assert np.array_equal(a, b)
+    a, b = final_pair(np.array([[0.3]]))
+    assert not np.array_equal(a, b)
+
+
+def test_limit_sampler_honours_literal_drift():
+    m, am, _ = averaged_and_deviation()
+    dm = DeviationModel(m.a, np.array([[0.5]]), np.array([[0.25]]),
+                        literal_drift=True)
+    samples = limit_marginal_samples(dm, am, 1.0, 1e-2, 40, 8)
+    xp = x_path_for(am, 1.0, 1e-2)
+    per_path = [simulate_deviation(dm, xp, 1.0, 1e-2,
+                                   substream(8, i, ROLE_DEV)).states[-1]
+                for i in range(40)]
+    assert np.array_equal(samples, np.array(per_path))
+
+
+def _carrier(am, t_end, dt, master_seed, i):
+    """Path i's averaged carrier as limit_marginal_samples realizes it."""
+    rng = substream(master_seed, i, ROLE_SLOW)
+    incr = sample_increments(am.n, make_grid(t_end, dt), rng, jump=am.jump_slow)
+    return simulate_averaged(am, t_end, dt, incr)
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(1, 2), callable_jac=st.booleans(), slow=st.booleans(),
+       literal=st.booleans(), paths=st.integers(1, 3),
+       seed=st.integers(0, 2**16))
+def test_limit_samples_match_single_path_runs(n, callable_jac, slow, literal,
+                                              paths, seed):
+    a = -np.eye(n) + 0.2 * np.eye(n, k=1)
+    am = AveragedModel(a, AveragedDrift(n, "tanh", np.tanh), 0.3 if slow else 0.0,
+                       None, np.linspace(0.8, -0.4, n))
+    jac = ((lambda x: np.diag(1.0 - np.tanh(x) ** 2)) if callable_jac
+           else 0.5 * np.eye(n))
+    htilde = 0.25 * np.eye(n) + 0.05 * (np.ones((n, n)) - np.eye(n))
+    dm = DeviationModel(a, jac, htilde, literal_drift=literal)
+    t_end, dt = 0.3, 0.01
+    samples = limit_marginal_samples(dm, am, t_end, dt, paths, seed)
+    for i in range(paths):
+        theta = simulate_deviation(dm, _carrier(am, t_end, dt, seed, i), t_end, dt,
+                                   substream(seed, i, ROLE_DEV)).states[-1]
+        if n == 1:
+            assert np.array_equal(samples[i], theta)
+        else:
+            np.testing.assert_allclose(samples[i], theta, rtol=1e-12, atol=1e-14)
 
 
 # -- truncated fluctuation ------------------------------------------------------
@@ -282,7 +323,6 @@ def test_corrected_reduces_to_averaged_at_zero_epsilon():
     _, am, dm = averaged_and_deviation()
     traj = simulate_corrected(am, dm, 0.0, 1.0, 0.005,
                               np.random.default_rng(21))
-    from slowfast.averaging import simulate_averaged
     rng = np.random.default_rng(21)
     c_slow, _ = rng.spawn(2)
     incr = sample_increments(1, make_grid(1.0, 0.005), c_slow, jump=am.jump_slow)
@@ -374,7 +414,6 @@ def test_deviation_requires_carrier_coverage():
 
 
 def test_limit_sampler_with_slow_noise_per_path():
-    from slowfast.deviation import limit_marginal_samples
     m = linear_benchmark(epsilon=1e-2)
     m = SlowFastModel(a=m.a, b=m.b, f=m.f, g=m.g, sigma1=0.3, sigma2=1.0,
                       epsilon=m.epsilon, x0=m.x0, y0=m.y0)

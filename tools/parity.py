@@ -13,8 +13,9 @@ single-path runs must diverge at the same row.  ``compare`` requires
 to satisfy max|a - b| <= 1e-10 (1 + max|a|).  The ``n1`` simulators named
 in ``N1_REORDERED`` add their terms in a different order since the Euler
 kernel replaced the hand-written loops; they are held to the ``n2`` bound.
-Keys present in only one file are listed and not compared.  Exits 1 when any
-compared key fails.
+Keys named in ``CHANGED_BY_DESIGN`` are reported with their reason and not
+counted as failures.  Keys present in only one file are listed and not
+compared.  Exits 1 when any compared key fails.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ N2_RTOL = 1e-10
 N1_REORDERED = {
     "corrected": "the slow noise and the sqrt(eps) correction are summed "
                  "before they are added to the state",
+}
+# key -> why it differs from checkouts before the batched limit-SDE sampler
+CHANGED_BY_DESIGN = {
+    "n1lin/limit_literal": "limit_marginal_samples without slow noise ignored "
+                           "literal_drift and stepped J theta; it now steps J 1",
 }
 
 
@@ -111,10 +117,11 @@ def dump(path):
         put(f"{name}/coupled/div", div)
         htilde = 0.25 * np.eye(n) + 0.05 * (np.ones((n, n)) - np.eye(n))
         dm = sf.build_deviation_model(am, htilde, x=m.x0)
+        dm_lit = sf.build_deviation_model(am, htilde, x=m.x0, literal_drift=True)
         dm_var = sf.build_deviation_model(am, htilde)
         traj(f"{name}/deviation", sf.simulate_deviation(dm, xa, 0.5, dt, rng(7)))
-        traj(f"{name}/deviation_literal",
-             sf.simulate_deviation(dm, xa, 0.5, dt, rng(7), literal_drift=True))
+        traj(f"{name}/deviation_literal", sf.simulate_deviation(dm_lit, xa, 0.5, dt,
+                                                                rng(7)))
         traj(f"{name}/deviation_var", sf.simulate_deviation(dm_var, xa, 0.5, dt, rng(8)))
         rep = sf.residual_theta2(m, eps, 0.3, dt, 6, 17)
         put(f"{name}/theta2", [rep.mean_sup_sq, rep.stderr, rep.n_diverged])
@@ -128,6 +135,11 @@ def dump(path):
             put(f"{name}/truncated/{radius}/gate", drive["gate"])
         traj(f"{name}/corrected", sf.simulate_corrected(am, dm, eps, 0.5, dt, rng(9)))
         put(f"{name}/limit", limit_marginal_samples(dm, am, 0.3, 0.01, 5, 23))
+        # a nonzero Jacobian, so that the literal reading is visible
+        dm_lit_j = sf.DeviationModel(am.a, 0.5 * np.eye(n), htilde, literal_drift=True)
+        put(f"{name}/limit_literal", limit_marginal_samples(dm_lit_j, am, 0.3, 0.01, 5,
+                                                            23))
+        put(f"{name}/limit_var", limit_marginal_samples(dm_var, am, 0.3, 0.01, 5, 23))
         tr = sf.tracking_check(m, eps, (m.x0, m.y0), (m.x0, m.y0 + 0.5), 1.0, 0.005,
                                rng=rng(10))
         put(f"{name}/tracking/gap", tr.gap)
@@ -181,6 +193,9 @@ def compare(path_a, path_b):
             continue
         fin = np.isfinite(u) & np.isfinite(v)
         delta = float(np.max(np.abs(u[fin] - v[fin]), initial=0.0))
+        if key in CHANGED_BY_DESIGN:
+            print(f"BY-DESIGN {key}: max|d| {delta:.3g}: {CHANGED_BY_DESIGN[key]}")
+            continue
         scale = 1.0 + float(np.max(np.abs(u[fin]), initial=0.0))
         bound = N2_RTOL * scale
         exact = key.startswith("n1") and key.split("/")[1] not in N1_REORDERED
