@@ -28,12 +28,12 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from .harness import fit_exp_rate, fit_loglog_rate
-from .integrator import (DivergedError, _euler, _nan_after_divergence,
-                         _trajectory, _write_csv, frozen_fast_batch, make_grid,
-                         simulate_frozen_fast)
+from .integrator import (DivergedError, _check_stable, _euler,
+                         _nan_after_divergence, _trajectory, _write_csv,
+                         frozen_fast_batch, make_grid, simulate_frozen_fast)
 from .model import has_slow_noise
-from .noise import (ROLE_FAST, ROLE_SLOW, rescale_fast, sample_increments,
-                    substream)
+from .noise import (ROLE_FAST, ROLE_SLOW, _path_increments, rescale_fast,
+                    sample_increments, substream)
 
 
 class AveragedDrift:
@@ -305,8 +305,7 @@ def simulate_auxiliary(m, delta, t_end, dt, rng, return_true=False):
     """
     if not 0 < delta <= t_end:
         raise ValueError("need 0 < delta <= t_end")
-    if dt > m.epsilon / 10 + 1e-15:
-        raise ValueError("dt violates the stability guard dt <= epsilon/10")
+    _check_stable(dt, m.epsilon)
     grid = make_grid(t_end, dt)
     n = m.n
     slow = sample_increments(n, grid, rng, jump=m.jump_slow)
@@ -348,12 +347,10 @@ def simulate_auxiliary(m, delta, t_end, dt, rng, return_true=False):
 def _increment_blocks(m, grid, master_seed, start, count):
     """Fast and slow increments (steps, count, n) of paths start..start+count-1,
     each from its own substreams; the slow block is None without slow noise."""
-    d_fast = np.empty((len(grid) - 1, count, m.n))
-    for i in range(count):
-        fast = rescale_fast(m.n, m.epsilon, grid,
-                            substream(master_seed, start + i, ROLE_FAST),
-                            jump=m.jump_fast)
-        d_fast[:, i, :] = fast.d_brownian + fast.d_jump
+    d_fast = _path_increments(m.n, grid, count,
+                              lambda i: substream(master_seed, start + i, ROLE_FAST),
+                              jump=m.jump_fast, var_scale=1.0 / m.epsilon,
+                              rate_scale=1.0 / m.epsilon)
     return d_fast, _slow_increments(m, grid, master_seed, start, count)
 
 
@@ -363,12 +360,9 @@ def _slow_increments(m, grid, master_seed, start, count):
     SlowFastModel or an AveragedModel."""
     if not has_slow_noise(m):
         return None
-    d_slow = np.empty((len(grid) - 1, count, m.n))
-    for i in range(count):
-        slow = sample_increments(m.n, grid, substream(master_seed, start + i, ROLE_SLOW),
-                                 jump=m.jump_slow)
-        d_slow[:, i, :] = slow.d_brownian + slow.d_jump
-    return d_slow
+    return _path_increments(m.n, grid, count,
+                            lambda i: substream(master_seed, start + i, ROLE_SLOW),
+                            jump=m.jump_slow)
 
 
 def coupled_error_batch(m, am, t_end, dt, master_seed, start, count):
@@ -381,6 +375,7 @@ def coupled_error_batch(m, am, t_end, dt, master_seed, start, count):
     (sup |x_eps - x|^2 over the grid, x_eps(T) - x(T), diverged mask), the
     first two NaN on diverged paths.
     """
+    _check_stable(dt, m.epsilon)
     n = m.n
     grid = make_grid(t_end, dt)
     d_fast, d_slow = _increment_blocks(m, grid, master_seed, start, count)

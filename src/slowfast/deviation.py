@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averaging import _averaged_run, _increment_blocks, _slow_increments
-from .integrator import (_euler, _trajectory, _write_csv, apply_noise,
-                         frozen_fast_batch, make_grid)
-from .noise import ROLE_BURN, ROLE_DEV, sample_increments, substream
+from .integrator import (_check_stable, _euler, _frozen_fast_run, _trajectory,
+                         _write_csv, apply_noise, frozen_fast_batch, make_grid)
+from .noise import ROLE_BURN, ROLE_DEV, _path_increments, substream
 from .harness import _var_se, two_sample_compare
 
 
@@ -259,7 +259,7 @@ def simulate_deviation(dm, x_path, t_end, dt, rng):
     grid = make_grid(t_end, dt)
     if x_path.grid[-1] < t_end - 1e-12:
         raise ValueError("carrier path does not cover [0, t_end]")
-    dw = rng.normal(0.0, math.sqrt(dt), size=(len(grid) - 1, 1, dm.n))
+    dw = _path_increments(dm.n, grid, 1, lambda i: rng)
     # left-endpoint state of the carrier path at every step
     idx = np.clip(np.searchsorted(x_path.grid, grid[:-1] + 1e-12, side="right") - 1,
                   0, len(x_path.grid) - 1)
@@ -284,19 +284,20 @@ def _manifold_started_inputs(m, t_end, dt, master_seed, start, count,
     """Fast/slow increments plus a manifold start per path.
 
     The manifold start is the frozen-fast stationary value at x0, realized
-    by a burn-in at the fast timescale on the path's own burn substream.
+    by a burn-in at the fast timescale on the path's own burn substream; all
+    paths burn in as one batch.
     """
     grid = make_grid(t_end, dt)
     if burn_time is None:
         burn_time = 10.0 * m.epsilon / m.gamma_b
     burn_steps = max(int(round(burn_time / dt)), 1)
     d_fast, d_slow = _increment_blocks(m, grid, master_seed, start, count)
-    y_h0 = np.empty((count, m.n))
-    for i in range(count):
-        burn_rng = substream(master_seed, start + i, ROLE_BURN)
-        burn = frozen_fast_batch(m, m.x0, m.y0, burn_steps, dt, burn_rng, 1,
-                                 fast_rate=True)
-        y_h0[i] = burn[-1, 0]
+    scale = 1.0 / m.epsilon
+    d_burn = _path_increments(m.n, dt * np.arange(burn_steps + 1), count,
+                              lambda i: substream(master_seed, start + i, ROLE_BURN),
+                              jump=m.jump_fast, var_scale=scale, rate_scale=scale)
+    x0, y0 = (np.broadcast_to(v, d_burn.shape[1:]) for v in (m.x0, m.y0))
+    y_h0 = _frozen_fast_run(m, x0, y0, dt * scale, d_burn).state[0]
     return grid, d_fast, d_slow, y_h0
 
 
@@ -324,8 +325,7 @@ def residual_theta2(m, epsilon, t_end, dt, n_paths, master_seed,
     which collapses the residual to zero exactly.
     """
     me = m.with_epsilon(epsilon)
-    if dt > epsilon / 10 + 1e-15:
-        raise ValueError("dt violates the stability guard dt <= epsilon/10")
+    _check_stable(dt, epsilon)
     grid, d_fast, d_slow, y_h0 = _manifold_started_inputs(
         me, t_end, dt, master_seed, 0, n_paths, burn_time=burn_time)
     n = me.n
@@ -369,8 +369,7 @@ def simulate_truncated_deviation(m, am, epsilon, trunc, t_end, dt, master_seed,
         trunc = TruncationSpec(math.inf if trunc is None else float(trunc))
     radius = trunc.k
     me = m.with_epsilon(epsilon)
-    if dt > epsilon / 10 + 1e-15:
-        raise ValueError("dt violates the stability guard dt <= epsilon/10")
+    _check_stable(dt, epsilon)
     grid, d_fast, d_slow, y_h0 = _manifold_started_inputs(
         me, t_end, dt, master_seed, path_index, 1, burn_time=burn_time)
     n = me.n
@@ -412,17 +411,14 @@ def simulate_corrected(am, dm, epsilon, t_end, dt, rng, seed_tag=None):
     """
     c_slow, c_dev = rng.spawn(2)
     grid = make_grid(t_end, dt)
-    n = am.n
-    incr = sample_increments(n, grid, c_slow, jump=am.jump_slow)
-    steps = len(grid) - 1
-    dw = c_dev.normal(0.0, math.sqrt(dt), size=(steps, n))
-    d_slow = incr.d_brownian + incr.d_jump
+    d_slow = _path_increments(am.n, grid, 1, lambda i: c_slow, jump=am.jump_slow)[:, 0]
+    dw = _path_increments(am.n, grid, 1, lambda i: c_dev)[:, 0]
     root = math.sqrt(epsilon)
 
     def noise(k, s):
         return apply_noise(am.sigma1, d_slow[k]) + root * dm.noise(dw[k], s[0])
 
-    run = _averaged_run(am, am.x0, dt, noise, steps)
+    run = _averaged_run(am, am.x0, dt, noise, len(grid) - 1)
     meta = {"process": "corrected", "epsilon": epsilon, "dt": dt, "seed": seed_tag}
     return _trajectory(grid, run.path[0], meta, run.diverged_at)
 
@@ -477,16 +473,12 @@ def limit_marginal_samples(dm, am, t_end, dt, n_paths, master_seed):
     """
     n = dm.n
     grid = make_grid(t_end, dt)
-    steps = len(grid) - 1
     d_slow = _slow_increments(am, grid, master_seed, 0, n_paths)
     x0 = np.broadcast_to(am.x0, (1 if d_slow is None else n_paths, n))
     noise = None if d_slow is None else (am.sigma1, d_slow)
-    carrier = _averaged_run(am, x0, dt, noise, steps).path[0]
+    carrier = _averaged_run(am, x0, dt, noise, len(grid) - 1).path[0]
     del d_slow, noise         # freed before the theta increments are allocated
-    dw = np.empty((steps, n_paths, n))
-    for i in range(n_paths):
-        dw[:, i, :] = substream(master_seed, i, ROLE_DEV).normal(
-            0.0, math.sqrt(dt), size=(steps, n))
+    dw = _path_increments(n, grid, n_paths, lambda i: substream(master_seed, i, ROLE_DEV))
     return _limit_run(dm, carrier[:-1], dw, dt).state[0]
 
 

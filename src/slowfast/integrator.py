@@ -12,8 +12,15 @@ scheme of Higham, SIAM Review 43(3):525, 2001).  The private kernel
 state, running sup, full path); a simulator supplies its drift, step factors
 and noise.  Jumps break the smoothness higher-order schemes need, and every
 claim verified downstream is a weak or strong limit, so the explicit scheme
-is the right tool.  The coupled simulator enforces ``dt <= epsilon / 10``
-because the fast drift scales like 1/epsilon.
+is the right tool.  Every simulator of the coupled system enforces
+``dt <= epsilon / 10`` (``_check_stable``) because the fast drift scales
+like 1/epsilon.
+
+Noise is drawn before stepping, never inside the loop: every increment
+block comes from ``noise.sample_increments`` (batches through
+``noise._path_increments``).  ``_frozen_fast_run`` steps the frozen-fast
+equation for ``simulate_frozen_fast`` (one path), ``frozen_fast_batch`` and
+the manifold burn-in of ``deviation``.
 
 A non-finite value stays non-finite under the step, so divergence is read
 once, after the loop, from every component of the final state.  Single-path
@@ -29,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .noise import rescale_fast, sample_increments
+from .noise import _path_increments, rescale_fast, sample_increments
 
 
 class DivergedError(RuntimeError):
@@ -107,8 +114,8 @@ def _euler(state, drift, factors, noise, steps, sup=None, path=False):
     returns one drift per component for step k.  Component c moves by
     ``drift * factors[c]`` plus its noise term ``noise[c]``: None, a pair
     ``(sigma, increments)`` adding ``apply_noise(sigma, increments[k])``, or
-    a function ``(k, s) -> array`` for noise drawn per step or scaled by the
-    state.  ``sup(s)`` maps a state to one value per path, whose running max
+    a function ``(k, s) -> array`` for noise scaled by the state.
+    ``sup(s)`` maps a state to one value per path, whose running max
     over the grid is recorded; ``path=True`` records every state.
     """
     terms = [t if t is None or callable(t) else _scaled(*t) for t in noise]
@@ -149,6 +156,13 @@ def _trajectory(grid, states, meta, diverged_at):
     return Trajectory(grid, states, meta, at >= 0, at if at >= 0 else None)
 
 
+def _check_stable(dt, epsilon):
+    """Refuse steps the fast drift, scaled by 1/epsilon, cannot take."""
+    if dt > epsilon / 10 + 1e-15:
+        raise ValueError(
+            f"dt={dt} violates the stability guard dt <= epsilon/10 = {epsilon / 10}")
+
+
 def simulate_slow_fast(m, t_end, dt, rng=None, slow_incr=None, fast_incr=None,
                        seed_tag=None):
     """Simulate the coupled system on [0, t_end]; returns (x, y) trajectories.
@@ -156,9 +170,7 @@ def simulate_slow_fast(m, t_end, dt, rng=None, slow_incr=None, fast_incr=None,
     Increments may be injected (for coupling experiments); otherwise the slow
     stream is drawn first and the fast stream second from ``rng``.
     """
-    if dt > m.epsilon / 10 + 1e-15:
-        raise ValueError(
-            f"dt={dt} violates the stability guard dt <= epsilon/10 = {m.epsilon / 10}")
+    _check_stable(dt, m.epsilon)
     grid = make_grid(t_end, dt)
     n = m.n
     if slow_incr is None:
@@ -181,18 +193,22 @@ def simulate_slow_fast(m, t_end, dt, rng=None, slow_incr=None, fast_incr=None,
             _trajectory(grid, ys, dict(meta, component="y"), run.diverged_at))
 
 
-def simulate_frozen_fast(m, x_frozen, y0, t_end, dt, rng=None, incr=None,
-                         seed_tag=None):
+def _frozen_fast_run(m, x_frozen, y0, h, d_fast, path=False):
+    """Frozen-fast equation from y0 (..., n), slow argument x_frozen (same
+    shape), step factor h, driven by summed fast increments (steps, ..., n)."""
+    b_t = m.b.T
+    return _euler((y0,), lambda k, s: (s[0] @ b_t + m.g(x_frozen, s[0]),), (h,),
+                  ((m.sigma2, d_fast),), len(d_fast), path=path)
+
+
+def simulate_frozen_fast(m, x_frozen, y0, t_end, dt, rng=None, seed_tag=None):
     """Fast equation with the slow state frozen, at the fast equation's own
     timescale (no 1/epsilon)."""
     grid = make_grid(t_end, dt)
     x_frozen = np.asarray(x_frozen, dtype=float)
-    if incr is None:
-        incr = sample_increments(m.n, grid, rng, jump=m.jump_fast)
-    b_t = m.b.T
-    run = _euler((y0,), lambda k, s: (s[0] @ b_t + m.g(x_frozen, s[0]),), (dt,),
-                 ((m.sigma2, incr.d_brownian + incr.d_jump),), len(grid) - 1,
-                 path=True)
+    incr = sample_increments(m.n, grid, rng, jump=m.jump_fast)
+    run = _frozen_fast_run(m, x_frozen, y0, dt, incr.d_brownian + incr.d_jump,
+                           path=True)
     meta = {"process": "frozen-fast", "x_frozen": x_frozen.tolist(), "dt": dt,
             "seed": seed_tag}
     return _trajectory(grid, run.path[0], meta, run.diverged_at)
@@ -201,29 +217,16 @@ def simulate_frozen_fast(m, x_frozen, y0, t_end, dt, rng=None, incr=None,
 def frozen_fast_batch(m, x_frozen, y0, steps, dt, rng, n_paths, fast_rate=False):
     """Batched frozen-fast stepping; returns states (steps+1, n_paths, n).
 
+    The paths draw their increments from ``rng`` in turn, path 0 first, each
+    as one ``sample_increments`` stream, so path i equals the i-th of
+    ``n_paths`` successive ``simulate_frozen_fast`` runs on that generator.
     ``fast_rate=True`` runs at the rescaled timescale (drift / epsilon, noise
-    variance dt/epsilon), which is the regime the coupled system's fast
-    component lives in.
+    variance dt/epsilon, jump rate / epsilon), which is the regime the
+    coupled system's fast component lives in.
     """
-    n = m.n
     scale = 1.0 / m.epsilon if fast_rate else 1.0
-    x_frozen = np.broadcast_to(np.asarray(x_frozen, dtype=float), (n_paths, n))
-    b_t = m.b.T
-    std = np.sqrt(dt * scale)
-    rate = 0.0 if m.jump_fast is None else m.jump_fast.intensity * scale
-
-    def noise(k, s):
-        incr = rng.normal(0.0, std, size=(n_paths, n))
-        if rate > 0:
-            counts = rng.poisson(rate * dt, size=n_paths)
-            # lump per-step event sizes; exact event times are irrelevant here
-            draws = m.jump_fast.size_dist.sample(rng, (int(counts.sum()), n))
-            sizes = np.zeros((n_paths, n))
-            np.add.at(sizes, np.repeat(np.arange(n_paths), counts), draws)
-            incr = incr + sizes - rate * m.jump_fast.mean_size * dt
-        return apply_noise(m.sigma2, incr)
-
-    y0 = np.broadcast_to(np.asarray(y0, dtype=float), (n_paths, n))
-    run = _euler((y0,), lambda k, s: (s[0] @ b_t + m.g(x_frozen, s[0]),),
-                 (dt * scale,), (noise,), steps, path=True)
-    return run.path[0]
+    d_fast = _path_increments(m.n, dt * np.arange(steps + 1), n_paths, lambda i: rng,
+                              jump=m.jump_fast, var_scale=scale, rate_scale=scale)
+    x_frozen, y0 = (np.broadcast_to(np.asarray(v, dtype=float), d_fast.shape[1:])
+                    for v in (x_frozen, y0))
+    return _frozen_fast_run(m, x_frozen, y0, dt * scale, d_fast, path=True).path[0]

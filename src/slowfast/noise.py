@@ -11,10 +11,13 @@ Fast-time rescaling multiplies the Brownian variance and the jump rate by
 a positive-time segment with the path anchored at 0 at time 0, which is what
 stationary stochastic convolutions integrate against.
 
-Reproducibility contract: each (master_seed, path_index, role) triple derives
-an independent substream, and a generator's draw order inside one stream is
-fixed (Brownian block first, then jump count, times, sizes).  Ensembles built
-from substreams are therefore bit-identical regardless of worker count.
+Reproducibility contract: every increment any simulator uses is drawn by
+``sample_increments``, one path at a time.  Each (master_seed, path_index,
+role) triple derives an independent substream, and a generator's draw order
+inside one path is fixed (Brownian block first, then jump count, times,
+sizes); a generator that serves several paths draws them in turn, path 0
+first.  Ensembles built from substreams are therefore bit-identical
+regardless of worker count or batch size.
 """
 
 from __future__ import annotations
@@ -108,6 +111,20 @@ def sample_increments(n, grid, rng, jump=None, var_scale=1.0, rate_scale=1.0):
     return IncrementStream(grid, d_brownian, d_jump, events)
 
 
+def _path_increments(n, grid, count, rng_at, jump=None, var_scale=1.0,
+                     rate_scale=1.0):
+    """Summed increments (steps, count, n) of ``count`` paths: path i is one
+    ``sample_increments`` stream drawn from ``rng_at(i)``.  Generators are
+    requested one path at a time, so a batch never holds them all at once;
+    ``rng_at`` may return one generator for every path."""
+    out = np.empty((len(grid) - 1, count, n))
+    for i in range(count):
+        incr = sample_increments(n, grid, rng_at(i), jump=jump,
+                                 var_scale=var_scale, rate_scale=rate_scale)
+        out[:, i] = incr.d_brownian + incr.d_jump
+    return out
+
+
 def rescale_fast(n, epsilon, grid, rng, jump=None):
     """Increment stream of the fast-time driving noise at timescale 1/epsilon."""
     if not epsilon > 0:
@@ -139,9 +156,6 @@ def sample_two_sided(n, t_neg, t_pos, grid_step, rng, jump=None,
         steps = max(int(round((t1 - t0) / grid_step)), 0)
         grid = t0 + grid_step * np.arange(steps + 1)
         grid[-1] = t1
-        if steps == 0:
-            grid = np.array([t1])
-            return IncrementStream(grid, np.zeros((0, n)), np.zeros((0, n)), [])
         return sample_increments(n, grid, rng, jump=jump,
                                  var_scale=var_scale, rate_scale=rate_scale)
 

@@ -7,7 +7,9 @@ Each criterion prints one line of the form
 and then asserts.  The reference models are the linear benchmark
 (a = 1, b = 2, f = y, g = 0, sigma1 = 0, sigma2 = 1, no jumps), whose
 frozen-fast state is a mean-zero OU process with stationary variance 1/4,
-autocovariance 0.25 e^{-2s}, integrated fluctuation matrix 0.25, and limit
+autocovariance 0.25 e^{-2s} (at the kernel's Euler step dt: variance
+1/(4 - 4 dt), decaying by (1 - 2 dt) per step), integrated fluctuation
+matrix 0.25, and limit
 fluctuation variance 0.125 (1 - e^{-2}) at time 1, and the tanh benchmark
 (f = tanh(y), g = 0.25 tanh(x)).
 """
@@ -28,8 +30,12 @@ from slowfast.manifold import (asymptotic_manifold_h0, lyapunov_perron_solve,
 from slowfast.model import DriftFn, JumpSpec, SizeDist, SlowFastModel
 from slowfast.noise import sample_increments
 
-OU_VAR = 0.25                                   # sigma2^2 / (2 b)
-OU_COV_1 = 0.25 * np.exp(-2.0)                  # 0.0338338...
+# the kernel estimator sees the Euler-stepped OU state y <- (1 - 2 dt) y + dW,
+# with variance 1 / (4 - 4 dt) = 0.252525... and lag-1 autocovariance
+# var (1 - 2 dt)^(1/dt) = 0.0334898...; they tend to 1/4 and e^{-2}/4 as dt -> 0
+KERNEL_DT = 0.01
+EULER_OU_VAR = 1.0 / (4.0 - 4.0 * KERNEL_DT)
+EULER_OU_COV_1 = EULER_OU_VAR * (1.0 - 2.0 * KERNEL_DT) ** (1.0 / KERNEL_DT)
 HTILDE = 0.25                                   # 2 int (s^2/2b) e^{-bs} ds = s^2/b^2
 THETA_VAR_1 = 0.125 * (1.0 - np.exp(-2.0))      # 0.1080830...
 
@@ -98,12 +104,12 @@ def test_criterion_4_kernel_and_diffusion_matrix():
     done = stopwatch(60.0, "deviation.kernel")
     m = linear_benchmark()
     lags = np.arange(0.0, 5.0001, 0.05)
-    kernel = autocovariance_kernel(m, [1.0], lags, 5.0, 2005.0, 0.01,
+    kernel = autocovariance_kernel(m, [1.0], lags, 5.0, 2005.0, KERNEL_DT,
                                    np.random.default_rng(105), n_replicas=24)
     i1 = int(round(1.0 / 0.05))
-    check("deviation.kernel-lag0", float(kernel.h[0, 0, 0]) - OU_VAR,
+    check("deviation.kernel-lag0", float(kernel.h[0, 0, 0]) - EULER_OU_VAR,
           3.0 * float(kernel.stderr[0, 0, 0]))
-    check("deviation.kernel-lag1", float(kernel.h[i1, 0, 0]) - OU_COV_1,
+    check("deviation.kernel-lag1", float(kernel.h[i1, 0, 0]) - EULER_OU_COV_1,
           3.0 * float(kernel.stderr[i1, 0, 0]))
     htilde = diffusion_matrix(kernel)
     check("deviation.diffusion-matrix", float(htilde[0, 0]) - HTILDE,

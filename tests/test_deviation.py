@@ -7,14 +7,15 @@ from slowfast.averaging import (AveragedDrift, AveragedModel, build_averaged,
                                 simulate_averaged)
 from slowfast.benchmarks import linear_benchmark, tanh_benchmark
 from slowfast.deviation import (DeviationModel, TruncationSpec,
-                                autocovariance_kernel, build_deviation_model,
-                                diffusion_matrix, fbar_derivative,
+                                _manifold_started_inputs, autocovariance_kernel,
+                                build_deviation_model, diffusion_matrix,
+                                fbar_derivative,
                                 limit_marginal_samples, matrix_sqrt_psd,
                                 residual_theta2, simulate_corrected,
                                 simulate_deviation, simulate_truncated_deviation,
                                 weak_limit_report)
 from slowfast.integrator import make_grid
-from slowfast.model import DriftFn, SlowFastModel, parse_drift
+from slowfast.model import DriftFn, JumpSpec, SizeDist, SlowFastModel, parse_drift
 from slowfast.noise import ROLE_DEV, ROLE_SLOW, sample_increments, substream
 
 OU_VAR_AT_1 = 0.125 * (1.0 - np.exp(-2.0))     # (Htilde/2a)(1 - e^{-2a})
@@ -295,6 +296,22 @@ def test_truncated_exceedance_probability_decreases_in_radius(tanh_averaged):
 
 
 # -- residual ----------------------------------------------------------------
+
+def test_batched_burn_in_rows_equal_single_path_burn_ins():
+    m = SlowFastModel(a=[[-1.0]], b=[[-2.0]], f=parse_drift(["tanh(y1)"], 1),
+                      g=parse_drift(["0.25*tanh(x1 + y1)"], 1, lip=0.25),
+                      sigma1=0.3, sigma2=1.0, epsilon=0.05, x0=[0.8], y0=[0.4],
+                      jump_slow=JumpSpec(1.0, SizeDist.uniform(-0.3, 0.3)),
+                      jump_fast=JumpSpec(4.0, SizeDist.uniform(-0.5, 0.5)))
+    grid, d_fast, d_slow, y_h0 = _manifold_started_inputs(m, 0.2, 0.005, 7, 2, 5)
+    assert len(set(y_h0[:, 0])) == 5
+    for i in range(5):
+        g1, f1, s1, y1 = _manifold_started_inputs(m, 0.2, 0.005, 7, 2 + i, 1)
+        assert np.array_equal(g1, grid)
+        assert np.array_equal(y1[0], y_h0[i])
+        assert np.array_equal(f1[:, 0], d_fast[:, i])
+        assert np.array_equal(s1[:, 0], d_slow[:, i])
+
 
 def test_residual_zero_for_constant_f():
     m = tanh_benchmark()

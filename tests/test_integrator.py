@@ -17,7 +17,7 @@ from slowfast.integrator import (Trajectory, _euler, frozen_fast_batch,
                                  make_grid, simulate_frozen_fast,
                                  simulate_slow_fast)
 from slowfast.manifold import tracking_check
-from slowfast.model import DriftFn, SlowFastModel
+from slowfast.model import DriftFn, JumpSpec, SizeDist, SlowFastModel, parse_drift
 from slowfast.noise import sample_increments
 
 
@@ -163,6 +163,63 @@ def test_blow_up_is_flagged_by_every_simulator(name):
     assert BLOWUPS[name]()
 
 
+# every simulator of the coupled system, at step dt on model m
+COUPLED = {
+    "simulate_slow_fast": lambda m, dt: simulate_slow_fast(m, 0.2, dt, _rng()),
+    "simulate_auxiliary": lambda m, dt: simulate_auxiliary(m, 0.1, 0.2, dt, _rng()),
+    "coupled_error_batch":
+        lambda m, dt: coupled_error_batch(m, build_averaged(m), 0.2, dt, 5, 0, 5),
+    "residual_theta2": lambda m, dt: residual_theta2(m, m.epsilon, 0.2, dt, 3, 5),
+    "simulate_truncated_deviation":
+        lambda m, dt: simulate_truncated_deviation(m, build_averaged(m), m.epsilon,
+                                                   None, 0.2, dt, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUPLED))
+def test_stability_guard(name):
+    m = linear_benchmark(epsilon=0.01)
+    with pytest.raises(ValueError, match="stability guard"):
+        COUPLED[name](m, 0.05)
+    COUPLED[name](m, 0.001)                     # dt = epsilon / 10 is allowed
+
+
+def _frozen_model(n, rng, jumps, matrix_sigma, eps):
+    g = parse_drift([f"0.2*tanh(x{i + 1} - y{(i + 1) % n + 1})" for i in range(n)],
+                    n, lip=0.2, growth=0.2)
+    b = -2.0 * np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    sigma2 = rng.standard_normal((n, n)) if matrix_sigma else 0.7
+    jump = JumpSpec(3.0, SizeDist.uniform(-0.2, 0.4)) if jumps else None
+    return SlowFastModel(a=-np.eye(n), b=b, f=DriftFn.zero(n), g=g, sigma2=sigma2,
+                         jump_fast=jump, epsilon=eps, x0=np.zeros(n), y0=np.zeros(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), paths=st.integers(1, 3), jumps=st.booleans(),
+       matrix_sigma=st.booleans(), fast_rate=st.booleans(),
+       eps=st.sampled_from([1.0, 0.5, 0.25]), steps=st.integers(0, 30),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_frozen_fast_batch_equals_successive_single_runs(n, paths, jumps, matrix_sigma,
+                                                        fast_rate, eps, steps, seed):
+    rng = np.random.default_rng(seed)
+    m = _frozen_model(n, rng, jumps, matrix_sigma, eps)
+    x, y0 = rng.standard_normal((2, n))
+    dt = 0.01
+    ys = frozen_fast_batch(m, x, y0, steps, dt, np.random.default_rng(seed + 1), paths,
+                           fast_rate=fast_rate)
+    # at the fast rate a path is a frozen-fast run at step dt / epsilon; epsilon
+    # is a power of two, so that rescaling is exact
+    h = dt / eps if fast_rate else dt
+    one = np.random.default_rng(seed + 1)
+    ref = np.stack([simulate_frozen_fast(m, x, y0, steps * h, h, one).states
+                    for _ in range(paths)], axis=1)
+    assert ys.shape == (steps + 1, paths, n)
+    if n == 1:
+        assert np.array_equal(ys, ref)
+    else:
+        np.testing.assert_allclose(ys, ref, rtol=1e-12, atol=1e-12)
+
+
 def test_linear_decay_matches_exponential():
     x, _ = simulate_slow_fast(model(), 1.0, 0.001, np.random.default_rng(0))
     assert abs(x.states[-1, 0] - np.exp(-1.0)) < 2e-3
@@ -199,11 +256,6 @@ def test_epsilon_one_matches_plain_sde():
         ys.append(ys[-1] + (-2.0 * ys[-1]) * 0.01
                   + fast.d_brownian[k] + fast.d_jump[k])
     assert np.allclose(y.states[:, 0], np.array(ys)[:, 0], atol=1e-12)
-
-
-def test_stability_guard():
-    with pytest.raises(ValueError):
-        simulate_slow_fast(model(eps=0.01), 1.0, 0.01, np.random.default_rng(0))
 
 
 def test_determinism_bit_identical():
