@@ -30,10 +30,18 @@ from scipy.interpolate import RegularGridInterpolator
 from .harness import fit_exp_rate, fit_loglog_rate
 from .integrator import (DivergedError, _check_stable, _euler,
                          _nan_after_divergence, _trajectory, _write_csv,
-                         frozen_fast_batch, make_grid, simulate_frozen_fast)
+                         frozen_fast_batch, make_grid)
 from .model import has_slow_noise
 from .noise import (ROLE_FAST, ROLE_SLOW, _path_increments, rescale_fast,
                     sample_increments, substream)
+
+# batch means behind the standard error of ``estimate_fbar``
+FBAR_BATCHES = 16
+# time between the points of the relaxation curve of ``mixing_diagnostic``
+CURVE_STEP = 0.05
+# paths per kernel run in ``coupled_error_batch``: caps its (steps, paths, n)
+# increment blocks at 160 MB for 1e4 steps at n = 1
+COUPLED_CHUNK = 2000
 
 
 class AveragedDrift:
@@ -71,29 +79,36 @@ class FbarEstimate:
     stderr: np.ndarray
 
 
-def estimate_fbar(m, x, burn_in=None, horizon=60.0, dt=0.005, rng=None,
-                  n_batches=16):
-    """Ergodic estimate of the averaged drift at ``x``.
+def estimate_fbar(m, x, burn_in=None, horizon=60.0, dt=0.005, rng=None):
+    """Ergodic estimate of the averaged drift at each point of ``x`` (..., n).
 
     Time-averages f(x, y_x(s)) over s in [burn_in, horizon] along one
-    frozen-fast path; the standard error comes from batch means.  The default
-    burn-in is 10/gamma_b, the safe linear relaxation scale.
+    frozen-fast path per point; the standard error comes from
+    ``FBAR_BATCHES`` batch means.  The paths are one ``frozen_fast_batch``
+    run drawn from ``rng`` in turn, so point i equals the i-th of successive
+    single-point calls.  The default burn-in is 10/gamma_b, the safe linear
+    relaxation scale.
     """
     if burn_in is None:
         burn_in = 10.0 / m.gamma_b
     if not horizon > burn_in:
         raise ValueError("horizon must exceed burn_in")
-    traj = simulate_frozen_fast(m, x, m.y0, horizon, dt, rng=rng)
-    if traj.diverged:
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape[-1] != m.n:
+        raise ValueError(f"points must have shape (..., {m.n})")
+    points = x.reshape(-1, m.n)
+    grid = make_grid(horizon, dt)
+    ys = frozen_fast_batch(m, points, m.y0, len(grid) - 1, dt, rng, len(points))
+    if not np.all(np.isfinite(ys[-1])):          # NaN after a divergence
         raise DivergedError("frozen-fast path diverged during fbar estimation")
-    keep = traj.grid >= burn_in
-    vals = m.f(np.broadcast_to(np.asarray(x, float), traj.states[keep].shape),
-               traj.states[keep])
-    value = vals.mean(axis=0)
-    batches = np.array_split(vals, n_batches, axis=0)
-    bm = np.stack([b.mean(axis=0) for b in batches])
-    stderr = bm.std(axis=0, ddof=1) / np.sqrt(len(batches))
-    return FbarEstimate(value, stderr)
+    window = ys[grid >= burn_in]
+    # one contiguous (T, n) block per point: its sums run as a lone point's do
+    vals = np.ascontiguousarray(
+        m.f(np.broadcast_to(points, window.shape), window).transpose(1, 0, 2))
+    bm = np.stack([b.mean(axis=1) for b in np.array_split(vals, FBAR_BATCHES, axis=1)],
+                  axis=1)
+    stderr = bm.std(axis=1, ddof=1) / np.sqrt(FBAR_BATCHES)
+    return FbarEstimate(vals.mean(axis=1).reshape(x.shape), stderr.reshape(x.shape))
 
 
 def build_averaged(m, mode="auto", table_axes=None, rng=None, burn_in=None,
@@ -135,12 +150,9 @@ def build_averaged(m, mode="auto", table_axes=None, rng=None, burn_in=None,
         if table_axes is None or rng is None:
             raise ValueError("tabulated averaging needs table_axes and rng")
         axes = [np.asarray(ax, dtype=float) for ax in table_axes]
-        shape = tuple(len(ax) for ax in axes)
-        values = np.empty(shape + (n,))
-        for idx in np.ndindex(shape):
-            node = np.array([axes[d][idx[d]] for d in range(n)])
-            values[idx] = estimate_fbar(m, node, burn_in=burn_in,
-                                        horizon=horizon, dt=dt, rng=rng).value
+        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        values = estimate_fbar(m, nodes, burn_in=burn_in, horizon=horizon, dt=dt,
+                               rng=rng).value
         interp = RegularGridInterpolator(axes, values, bounds_error=False,
                                          fill_value=None)
 
@@ -219,13 +231,16 @@ class MixingReport:
         _write_csv(path, "t,deviation", np.column_stack([self.times, self.deviations]))
 
 
-def mixing_diagnostic(m, x, y_list, t_end, dt, n_paths, rng, curve_step=0.05,
-                      fbar_value=None):
+def mixing_diagnostic(m, x, y_list, t_end, dt, n_paths, rng, fbar_value=None):
     """Estimate the relaxation of E f(x, y_x(t)) toward fbar(x).
 
-    Returns both the fitted empirical rate and the rate implied by the
-    declared constants; points whose deviation sits below the Monte-Carlo
-    noise floor (or is non-positive) are skipped by the fit.
+    ``n_paths`` paths from each start of ``y_list`` form one
+    ``frozen_fast_batch`` run, drawn from ``rng`` start by start; at each
+    curve point, every ``CURVE_STEP`` in time, the first start with the
+    largest deviation is reported.  Returns both the fitted empirical rate
+    and the rate implied by the declared constants; points whose deviation
+    sits below the Monte-Carlo noise floor (or is non-positive) are skipped
+    by the fit.
     """
     if n_paths < 100:
         raise ValueError("need at least 100 paths for the mixing diagnostic")
@@ -240,26 +255,21 @@ def mixing_diagnostic(m, x, y_list, t_end, dt, n_paths, rng, curve_step=0.05,
         else:
             fbar_value = estimate_fbar(m, x, rng=rng).value
 
+    starts = np.asarray(y_list, dtype=float).reshape(-1, m.n)
     steps = int(round(t_end / dt))
-    stride = max(int(round(curve_step / dt)), 1)
-    sample_steps = list(range(0, steps + 1, stride))
-    times = np.array([k * dt for k in sample_steps])
-
-    best_dev = np.zeros(len(sample_steps))
-    floors = np.zeros(len(sample_steps))
-    for y0 in y_list:
-        ys = frozen_fast_batch(m, x, np.asarray(y0, float), steps, dt, rng, n_paths)
-        xb = np.broadcast_to(x, (n_paths, m.n))
-        dev = np.empty(len(sample_steps))
-        floor = np.empty(len(sample_steps))
-        for j, k in enumerate(sample_steps):
-            fv = m.f(xb, ys[k])
-            mean_f = fv.mean(axis=0)
-            dev[j] = np.linalg.norm(mean_f - fbar_value)
-            floor[j] = np.linalg.norm(fv.std(axis=0, ddof=1)) / np.sqrt(n_paths)
-        keep = dev > best_dev
-        best_dev = np.where(keep, dev, best_dev)
-        floors = np.where(keep, floor, floors)
+    sample_steps = np.arange(0, steps + 1, max(int(round(CURVE_STEP / dt)), 1))
+    times = sample_steps * dt
+    ys = frozen_fast_batch(m, x, np.repeat(starts, n_paths, axis=0), steps, dt, rng,
+                           len(starts) * n_paths)
+    curve = ys[sample_steps].reshape(len(sample_steps), len(starts), n_paths, m.n)
+    fv = m.f(np.broadcast_to(x, curve.shape), curve)
+    dev = np.linalg.norm(fv.mean(axis=2) - fbar_value, axis=-1)     # (times, starts)
+    floor = np.linalg.norm(fv.std(axis=2, ddof=1), axis=-1) / np.sqrt(n_paths)
+    # a NaN or zero deviation never wins; with no winner both stay 0
+    dev = np.where(dev > 0, dev, 0.0)
+    pick = (np.arange(len(sample_steps)), dev.argmax(axis=1))
+    best_dev = dev[pick]
+    floors = np.where(best_dev > 0, floor[pick], 0.0)
 
     usable = best_dev > np.maximum(3.0 * floors, 1e-14)
     if usable.sum() >= 3:
@@ -271,7 +281,7 @@ def mixing_diagnostic(m, x, y_list, t_end, dt, n_paths, rng, curve_step=0.05,
                         n_paths)
 
 
-def simulate_averaged(am, t_end, dt, incr, x0=None, seed_tag=None):
+def simulate_averaged(am, t_end, dt, incr, x0=None):
     """Integrate the averaged slow equation against a given increment stream.
 
     Passing the slow stream of a coupled run realizes the pathwise coupling
@@ -282,8 +292,7 @@ def simulate_averaged(am, t_end, dt, incr, x0=None, seed_tag=None):
         raise ValueError("increment stream grid does not match (t_end, dt)")
     run = _averaged_run(am, am.x0 if x0 is None else x0, dt,
                         (am.sigma1, incr.d_brownian + incr.d_jump), len(grid) - 1)
-    meta = {"process": "averaged", "dt": dt, "seed": seed_tag}
-    return _trajectory(grid, run.path[0], meta, run.diverged_at)
+    return _trajectory(grid, run.path[0], run.diverged_at)
 
 
 def _averaged_run(am, x0, dt, noise, steps):
@@ -335,12 +344,9 @@ def simulate_auxiliary(m, delta, t_end, dt, rng, return_true=False):
         x, y, xh = (part[-1] for part in run.path[:3])
     at = _nan_after_divergence(path)
     xs, ys, xh, yh = path
-    meta = {"process": "auxiliary", "delta": delta, "dt": dt}
-    out = (_trajectory(grid, xh, dict(meta, component="x_hat"), at),
-           _trajectory(grid, yh, dict(meta, component="y_hat"), at))
+    out = (_trajectory(grid, xh, at), _trajectory(grid, yh, at))
     if return_true:
-        return out + (_trajectory(grid, xs, dict(meta, component="x"), at),
-                      _trajectory(grid, ys, dict(meta, component="y"), at))
+        return out + (_trajectory(grid, xs, at), _trajectory(grid, ys, at))
     return out
 
 
@@ -371,13 +377,23 @@ def coupled_error_batch(m, am, t_end, dt, master_seed, start, count):
     Per path the slow and fast streams come from the path's own substreams,
     so each path sees the noise of a standalone single-path run on the same
     coordinates; at n = 1 it is bit-identical to that run, while for n > 1
-    the block matmuls may round differently in the last bits.  Returns
-    (sup |x_eps - x|^2 over the grid, x_eps(T) - x(T), diverged mask), the
-    first two NaN on diverged paths.
+    the block matmuls may round differently in the last bits.  Paths are
+    stepped ``COUPLED_CHUNK`` at a time.  Returns (sup |x_eps - x|^2 over the
+    grid, x_eps(T) - x(T), diverged mask), the first two NaN on diverged
+    paths.
     """
     _check_stable(dt, m.epsilon)
-    n = m.n
     grid = make_grid(t_end, dt)
+    end = start + count
+    chunks = [_coupled_run(m, am, grid, dt, master_seed, s, min(COUPLED_CHUNK, end - s))
+              for s in range(start, end, COUPLED_CHUNK)]
+    return tuple(np.concatenate(parts) for parts in zip(*chunks))
+
+
+def _coupled_run(m, am, grid, dt, master_seed, start, count):
+    """One kernel run of ``coupled_error_batch``; its increments are freed
+    when it returns."""
+    n = m.n
     d_fast, d_slow = _increment_blocks(m, grid, master_seed, start, count)
     a_t, b_t = m.a.T, m.b.T
 
@@ -432,7 +448,7 @@ class RateReport:
 
 
 def strong_error_experiment(m, epsilons, delta_rule, t_end, n_paths,
-                            master_seed, am=None, batch=512):
+                            master_seed, am=None):
     """Monte-Carlo strong error of the averaged approximation across epsilons.
 
     For each epsilon the full and averaged slow equations share the slow
@@ -456,14 +472,9 @@ def strong_error_experiment(m, epsilons, delta_rule, t_end, n_paths,
     diverged = np.zeros(len(epsilons), dtype=int)
     deltas = np.array([rule(e) for e in epsilons])
     for j, eps in enumerate(epsilons):
-        me = m.with_epsilon(eps)
-        dt = eps / 10.0
-        sup_all = np.empty(n_paths)
-        for s in range(0, n_paths, batch):
-            c = min(batch, n_paths - s)
-            sup_all[s:s + c], _, _ = coupled_error_batch(me, am, t_end, dt,
-                                                         master_seed, s, c)
-        vals = sup_all[np.isfinite(sup_all)]         # diverged paths are NaN
+        sup, _, _ = coupled_error_batch(m.with_epsilon(eps), am, t_end, eps / 10.0,
+                                        master_seed, 0, n_paths)
+        vals = sup[np.isfinite(sup)]                 # diverged paths are NaN
         errors[j] = vals.mean()
         stderrs[j] = vals.std(ddof=1) / np.sqrt(len(vals))
         diverged[j] = n_paths - len(vals)

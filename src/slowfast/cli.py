@@ -133,7 +133,7 @@ def cmd_simulate(cfg, seed, out_dir):
     blk = cfg.get("simulate", {})
     t_end = float(blk.get("t_end", 1.0))
     dt = float(blk.get("dt", m.epsilon / 10.0))
-    x, y = simulate_slow_fast(m, t_end, dt, substream(seed, 0, 0), seed_tag=seed)
+    x, y = simulate_slow_fast(m, t_end, dt, substream(seed, 0, 0))
     px = _artifact(out_dir, "simulate", seed, "-x.csv")
     py = _artifact(out_dir, "simulate", seed, "-y.csv")
     x.to_csv(px, label="x")

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import _averaged_run, _increment_blocks, _slow_increments
+from .averaging import (_averaged_run, _increment_blocks, _slow_increments,
+                        coupled_error_batch)
 from .integrator import (_check_stable, _euler, _frozen_fast_run, _trajectory,
                          _write_csv, apply_noise, frozen_fast_batch, make_grid)
 from .noise import ROLE_BURN, ROLE_DEV, _path_increments, substream
@@ -264,8 +265,7 @@ def simulate_deviation(dm, x_path, t_end, dt, rng):
     idx = np.clip(np.searchsorted(x_path.grid, grid[:-1] + 1e-12, side="right") - 1,
                   0, len(x_path.grid) - 1)
     run = _limit_run(dm, x_path.states[idx, None], dw, dt, path=True)
-    meta = {"process": "deviation", "dt": dt, "literal_drift": dm.literal_drift}
-    return _trajectory(grid, run.path[0][:, 0], meta, run.diverged_at[0])
+    return _trajectory(grid, run.path[0][:, 0], run.diverged_at[0])
 
 
 @dataclass
@@ -279,18 +279,15 @@ class TruncationSpec:
             raise ValueError("truncation radius must be positive")
 
 
-def _manifold_started_inputs(m, t_end, dt, master_seed, start, count,
-                             burn_time=None):
+def _manifold_started_inputs(m, t_end, dt, master_seed, start, count):
     """Fast/slow increments plus a manifold start per path.
 
     The manifold start is the frozen-fast stationary value at x0, realized
-    by a burn-in at the fast timescale on the path's own burn substream; all
-    paths burn in as one batch.
+    by a burn-in of 10 epsilon / gamma_b (ten fast relaxation times) on the
+    path's own burn substream; all paths burn in as one batch.
     """
     grid = make_grid(t_end, dt)
-    if burn_time is None:
-        burn_time = 10.0 * m.epsilon / m.gamma_b
-    burn_steps = max(int(round(burn_time / dt)), 1)
+    burn_steps = max(int(round(10.0 * m.epsilon / m.gamma_b / dt)), 1)
     d_fast, d_slow = _increment_blocks(m, grid, master_seed, start, count)
     scale = 1.0 / m.epsilon
     d_burn = _path_increments(m.n, dt * np.arange(burn_steps + 1), count,
@@ -316,7 +313,7 @@ class Theta2Report:
 
 
 def residual_theta2(m, epsilon, t_end, dt, n_paths, master_seed,
-                    burn_time=None, y_on_manifold=False):
+                    y_on_manifold=False):
     """Monte-Carlo estimate of E sup_t |theta2|^2.
 
     theta2 integrates A theta2 + (f(x, y) - f(x_h, y_h)) / sqrt(eps) where
@@ -327,7 +324,7 @@ def residual_theta2(m, epsilon, t_end, dt, n_paths, master_seed,
     me = m.with_epsilon(epsilon)
     _check_stable(dt, epsilon)
     grid, d_fast, d_slow, y_h0 = _manifold_started_inputs(
-        me, t_end, dt, master_seed, 0, n_paths, burn_time=burn_time)
+        me, t_end, dt, master_seed, 0, n_paths)
     n = me.n
     a_t, b_t = me.a.T, me.b.T
     root = math.sqrt(epsilon)
@@ -355,8 +352,7 @@ def residual_theta2(m, epsilon, t_end, dt, n_paths, master_seed,
 
 
 def simulate_truncated_deviation(m, am, epsilon, trunc, t_end, dt, master_seed,
-                                 path_index=0, burn_time=None,
-                                 return_drive=False):
+                                 path_index=0, return_drive=False):
     """Gated fluctuation: d theta1 = A theta1 dt + q(theta1) drive dt.
 
     The drive is (f(x_h, y_h) - fbar(x_avg)) / sqrt(eps) along a manifold-
@@ -371,7 +367,7 @@ def simulate_truncated_deviation(m, am, epsilon, trunc, t_end, dt, master_seed,
     me = m.with_epsilon(epsilon)
     _check_stable(dt, epsilon)
     grid, d_fast, d_slow, y_h0 = _manifold_started_inputs(
-        me, t_end, dt, master_seed, path_index, 1, burn_time=burn_time)
+        me, t_end, dt, master_seed, path_index, 1)
     n = me.n
     steps = len(grid) - 1
     a_t, b_t = me.a.T, me.b.T
@@ -394,15 +390,13 @@ def simulate_truncated_deviation(m, am, epsilon, trunc, t_end, dt, master_seed,
     run = _euler((np.zeros(n), me.x0, y_h0[0], am.x0), drift,
                  (dt, dt, dt / epsilon, dt), (None, ds, (me.sigma2, d_fast[:, 0]), ds),
                  steps, path=True)
-    traj = _trajectory(grid, run.path[0], {"process": "truncated-deviation",
-                                           "k": radius, "epsilon": epsilon},
-                       run.diverged_at)
+    traj = _trajectory(grid, run.path[0], run.diverged_at)
     if return_drive:
         return traj, {"drive": drives, "gate": gates}
     return traj
 
 
-def simulate_corrected(am, dm, epsilon, t_end, dt, rng, seed_tag=None):
+def simulate_corrected(am, dm, epsilon, t_end, dt, rng):
     """Averaged slow equation plus the sqrt(eps)-scaled fluctuation noise.
 
     The correction's Brownian motion is independent of the slow noise (child
@@ -419,8 +413,7 @@ def simulate_corrected(am, dm, epsilon, t_end, dt, rng, seed_tag=None):
         return apply_noise(am.sigma1, d_slow[k]) + root * dm.noise(dw[k], s[0])
 
     run = _averaged_run(am, am.x0, dt, noise, len(grid) - 1)
-    meta = {"process": "corrected", "epsilon": epsilon, "dt": dt, "seed": seed_tag}
-    return _trajectory(grid, run.path[0], meta, run.diverged_at)
+    return _trajectory(grid, run.path[0], run.diverged_at)
 
 
 @dataclass
@@ -448,15 +441,10 @@ class WeakLimitReport:
                 "pass": bool(self.passed)}
 
 
-def rescaled_fluctuation_samples(m, am, t_end, dt, n_paths, master_seed,
-                                 batch=2000):
+def rescaled_fluctuation_samples(m, am, t_end, dt, n_paths, master_seed):
     """Samples of (x_eps(T) - x(T)) / sqrt(eps) over coupled path pairs."""
-    from .averaging import coupled_error_batch
-    out = np.empty((n_paths, m.n))
-    for s in range(0, n_paths, batch):
-        c = min(batch, n_paths - s)
-        _, diff_t, _ = coupled_error_batch(m, am, t_end, dt, master_seed, s, c)
-        out[s:s + c] = diff_t / math.sqrt(m.epsilon)
+    _, diff_t, _ = coupled_error_batch(m, am, t_end, dt, master_seed, 0, n_paths)
+    out = diff_t / math.sqrt(m.epsilon)
     alive = np.all(np.isfinite(out), axis=1)         # diverged paths are NaN
     return out[alive], int((~alive).sum())
 
@@ -483,7 +471,7 @@ def limit_marginal_samples(dm, am, t_end, dt, n_paths, master_seed):
 
 
 def weak_limit_report(m, am, dm, t_end, dt, n_paths, master_seed,
-                      dt_limit=None, alpha=0.01, batch=2000):
+                      dt_limit=None, alpha=0.01):
     """Desk-scale weak-convergence check of the rescaled fluctuation marginal.
 
     Compares the empirical law of (x_eps(T) - x(T)) / sqrt(eps) against
@@ -491,7 +479,7 @@ def weak_limit_report(m, am, dm, t_end, dt, n_paths, master_seed,
     moment gates.
     """
     theta_eps, n_div = rescaled_fluctuation_samples(m, am, t_end, dt, n_paths,
-                                                    master_seed, batch=batch)
+                                                    master_seed)
     dt_limit = dt_limit if dt_limit is not None else min(10 * dt, 1e-3)
     theta_lim = limit_marginal_samples(dm, am, t_end, dt_limit, n_paths,
                                        master_seed + 1)

@@ -44,14 +44,13 @@ class Ensemble:
         _write_csv(path, header, np.column_stack([np.arange(self.n_paths), flat]))
 
 
-def run_ensemble(task, n_paths, master_seed, workers=1, task_id="task",
-                 role=ROLE_TASK):
-    """Run ``task(rng, index)`` once per path on derived substreams."""
+def run_ensemble(task, n_paths, master_seed, workers=1, task_id="task"):
+    """Run ``task(rng, index)`` once per path on its ``ROLE_TASK`` substream."""
     if n_paths < 1:
         raise ValueError("need at least one path")
 
     def one(i):
-        return np.asarray(task(substream(master_seed, i, role), i), dtype=float)
+        return np.asarray(task(substream(master_seed, i, ROLE_TASK), i), dtype=float)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

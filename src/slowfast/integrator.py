@@ -31,7 +31,7 @@ ensemble statistics exclude and count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -45,11 +45,10 @@ class DivergedError(RuntimeError):
 
 @dataclass
 class Trajectory:
-    """One realized path: time grid plus states, with provenance tags."""
+    """One realized path: time grid plus states."""
 
     grid: np.ndarray                 # (M+1,)
     states: np.ndarray               # (M+1, n)
-    meta: dict = field(default_factory=dict)
     diverged: bool = False
     diverged_at: int | None = None
 
@@ -150,10 +149,10 @@ def _scaled(sigma, increments):
     return lambda k, s: apply_noise(sigma, increments[k])
 
 
-def _trajectory(grid, states, meta, diverged_at):
+def _trajectory(grid, states, diverged_at):
     """Single-path Trajectory flagged from its first non-finite row (-1: none)."""
     at = int(diverged_at)
-    return Trajectory(grid, states, meta, at >= 0, at if at >= 0 else None)
+    return Trajectory(grid, states, at >= 0, at if at >= 0 else None)
 
 
 def _check_stable(dt, epsilon):
@@ -163,8 +162,7 @@ def _check_stable(dt, epsilon):
             f"dt={dt} violates the stability guard dt <= epsilon/10 = {epsilon / 10}")
 
 
-def simulate_slow_fast(m, t_end, dt, rng=None, slow_incr=None, fast_incr=None,
-                       seed_tag=None):
+def simulate_slow_fast(m, t_end, dt, rng=None, slow_incr=None, fast_incr=None):
     """Simulate the coupled system on [0, t_end]; returns (x, y) trajectories.
 
     Increments may be injected (for coupling experiments); otherwise the slow
@@ -187,10 +185,9 @@ def simulate_slow_fast(m, t_end, dt, rng=None, slow_incr=None, fast_incr=None,
              (m.sigma2, fast_incr.d_brownian + fast_incr.d_jump))
     run = _euler((m.x0, m.y0), drift, (dt, dt / m.epsilon), noise, len(grid) - 1,
                  path=True)
-    meta = {"process": "slow-fast", "epsilon": m.epsilon, "dt": dt, "seed": seed_tag}
     xs, ys = run.path
-    return (_trajectory(grid, xs, dict(meta, component="x"), run.diverged_at),
-            _trajectory(grid, ys, dict(meta, component="y"), run.diverged_at))
+    return (_trajectory(grid, xs, run.diverged_at),
+            _trajectory(grid, ys, run.diverged_at))
 
 
 def _frozen_fast_run(m, x_frozen, y0, h, d_fast, path=False):
@@ -201,7 +198,7 @@ def _frozen_fast_run(m, x_frozen, y0, h, d_fast, path=False):
                   ((m.sigma2, d_fast),), len(d_fast), path=path)
 
 
-def simulate_frozen_fast(m, x_frozen, y0, t_end, dt, rng=None, seed_tag=None):
+def simulate_frozen_fast(m, x_frozen, y0, t_end, dt, rng=None):
     """Fast equation with the slow state frozen, at the fast equation's own
     timescale (no 1/epsilon)."""
     grid = make_grid(t_end, dt)
@@ -209,9 +206,7 @@ def simulate_frozen_fast(m, x_frozen, y0, t_end, dt, rng=None, seed_tag=None):
     incr = sample_increments(m.n, grid, rng, jump=m.jump_fast)
     run = _frozen_fast_run(m, x_frozen, y0, dt, incr.d_brownian + incr.d_jump,
                            path=True)
-    meta = {"process": "frozen-fast", "x_frozen": x_frozen.tolist(), "dt": dt,
-            "seed": seed_tag}
-    return _trajectory(grid, run.path[0], meta, run.diverged_at)
+    return _trajectory(grid, run.path[0], run.diverged_at)
 
 
 def frozen_fast_batch(m, x_frozen, y0, steps, dt, rng, n_paths, fast_rate=False):

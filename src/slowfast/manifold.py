@@ -41,6 +41,9 @@ from .integrator import _euler, _write_csv, apply_noise
 from .model import decay_rate, has_slow_noise
 from .noise import sample_two_sided
 
+# sweeps ``lyapunov_perron_solve`` makes before it gives up and raises
+MAX_SWEEPS = 200
+
 
 def _phi1(matrix, dt):
     """Integral of the matrix exponential over one cell: int_0^dt e^{M u} du."""
@@ -319,7 +322,7 @@ def _weighted_gap(weight, du, dv):
 
 
 def lyapunov_perron_solve(m, epsilon, u0, gamma=None, grid_step=0.005,
-                          tol=1e-9, max_iter=200, rng=None, t_neg=None,
+                          tol=1e-9, rng=None, t_neg=None,
                           paths=None, gamma_a_rev=None, frozen_u=False):
     """Iterate the graph map to its fixed point for one noise realization.
 
@@ -365,7 +368,7 @@ def lyapunov_perron_solve(m, epsilon, u0, gamma=None, grid_step=0.005,
     residuals = []
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_SWEEPS + 1):
         u_new, v_new = _sweep(m, ops, u0, u, v, eta_w, xi_w)
         res = _weighted_gap(weight, u_new - u, v_new - v)
         residuals.append(res)
@@ -375,7 +378,7 @@ def lyapunov_perron_solve(m, epsilon, u0, gamma=None, grid_step=0.005,
             break
     if not converged:
         raise RuntimeError(f"fixed-point iteration did not converge in "
-                           f"{max_iter} sweeps (last residual {residuals[-1]:.3g})")
+                           f"{MAX_SWEEPS} sweeps (last residual {residuals[-1]:.3g})")
 
     profile = WeightedFunctionGrid(ts, u, v, gamma)
     return ManifoldSolution(u0, epsilon, gamma, profile, v[-1].copy(), rho,

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slowfast.averaging import (build_averaged, check_fbar_lipschitz,
-                                estimate_fbar, mixing_diagnostic,
-                                simulate_auxiliary, simulate_averaged,
-                                strong_error_experiment)
+from slowfast.averaging import (_averaged_run, build_averaged,
+                                check_fbar_lipschitz, estimate_fbar,
+                                mixing_diagnostic, simulate_auxiliary,
+                                simulate_averaged, strong_error_experiment)
 from slowfast.benchmarks import linear_benchmark, tanh_benchmark
 from slowfast.integrator import make_grid, simulate_slow_fast
-from slowfast.model import DriftFn, SlowFastModel, parse_drift
-from slowfast.noise import sample_increments
+from slowfast.model import DriftFn, JumpSpec, SizeDist, SlowFastModel, parse_drift
+from slowfast.noise import _path_increments, sample_increments
 
 
 def test_fbar_linear_benchmark_is_zero():
@@ -62,6 +64,40 @@ def test_fbar_scaling_on_linear_benchmark():
     assert gap <= 3 * se
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 2), points=st.integers(1, 4), jumps=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fbar_points_equal_successive_single_point_calls(n, points, jumps, seed):
+    rng = np.random.default_rng(seed)
+    f = parse_drift([f"tanh(y{i + 1} + 0.5*x{i + 1})" for i in range(n)], n,
+                    lip=1.0, growth=1.0)
+    g = parse_drift([f"0.2*tanh(x{i + 1} - y{(i + 1) % n + 1})" for i in range(n)],
+                    n, lip=0.2, growth=0.2)
+    jump = JumpSpec(3.0, SizeDist.uniform(-0.2, 0.4)) if jumps else None
+    m = SlowFastModel(a=-np.eye(n), b=-2.0 * np.eye(n), f=f, g=g, sigma2=0.7,
+                      jump_fast=jump, epsilon=1.0, x0=np.zeros(n),
+                      y0=rng.standard_normal(n))
+    xs = rng.uniform(-1.0, 1.0, size=(points, n))
+    kw = dict(burn_in=0.5, horizon=2.0, dt=0.01)
+    est = estimate_fbar(m, xs, rng=np.random.default_rng(seed + 1), **kw)
+    one = np.random.default_rng(seed + 1)
+    ref = [estimate_fbar(m, x, rng=one, **kw) for x in xs]
+    value = np.stack([e.value for e in ref])
+    stderr = np.stack([e.stderr for e in ref])
+    assert est.value.shape == est.stderr.shape == (points, n)
+    if points == 1:
+        assert np.array_equal(est.value, value)
+        assert np.array_equal(est.stderr, stderr)
+    else:
+        np.testing.assert_allclose(est.value, value, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(est.stderr, stderr, rtol=1e-12, atol=1e-15)
+
+
+def test_fbar_rejects_points_of_the_wrong_dimension():
+    with pytest.raises(ValueError, match="shape"):
+        estimate_fbar(linear_benchmark(), [[1.0, 2.0]], rng=np.random.default_rng(0))
+
+
 def test_build_averaged_linear_closed_form():
     m = linear_benchmark()
     am = build_averaged(m)
@@ -106,6 +142,27 @@ def test_mixing_rate_linear_benchmark():
                             np.random.default_rng(4))
     assert rep.eta_declared == pytest.approx(4.0)
     assert abs(rep.eta_empirical - 2.0) <= 0.3
+
+
+def test_mixing_two_starts_report_the_larger_deviation():
+    # the two-start run draws start 1's paths right after start 0's, so it
+    # sees the paths of two successive one-start runs on one generator
+    m = linear_benchmark()
+    args = ([1.0], 1.0, 0.01, 200)
+    both = mixing_diagnostic(m, args[0], [np.array([2.0]), np.array([-2.0])],
+                             *args[1:], np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    first = mixing_diagnostic(m, args[0], [np.array([2.0])], *args[1:], rng)
+    second = mixing_diagnostic(m, args[0], [np.array([-2.0])], *args[1:], rng)
+    assert np.array_equal(both.times, first.times)
+    # the first start wins ties (both start at deviation 2), so the second
+    # wins only where it is larger
+    later = second.deviations > first.deviations
+    assert later.any() and not later[0]
+    assert np.array_equal(both.deviations,
+                          np.where(later, second.deviations, first.deviations))
+    assert np.array_equal(both.noise_floor,
+                          np.where(later, second.noise_floor, first.noise_floor))
 
 
 def test_mixing_curve_zero_for_y_independent_f():
@@ -163,9 +220,11 @@ def test_simulate_averaged_gaussian_variance():
     am = type(am)(am.a, am.fbar, 1.0, None, am.x0)
     rng = np.random.default_rng(14)
     grid = make_grid(1.0, 0.005)
-    finals = np.array([
-        simulate_averaged(am, 1.0, 0.005, sample_increments(1, grid, rng)).states[-1, 0]
-        for _ in range(3000)])
+    # 3000 successive streams of one generator, stepped as one batch
+    incr = _path_increments(1, grid, 3000, lambda i: rng)
+    run = _averaged_run(am, np.broadcast_to(am.x0, (3000, 1)), 0.005,
+                        (am.sigma1, incr), len(grid) - 1)
+    finals = run.path[0][-1, :, 0]
     var = finals.var(ddof=1)
     target = 0.5 * (1.0 - np.exp(-2.0))
     se = var * np.sqrt(2.0 / len(finals))

@@ -36,11 +36,15 @@ def test_kernel_zero_for_y_independent_drift():
 def test_kernel_matches_ou_autocovariance():
     m = linear_benchmark()
     lags = np.arange(0.0, 5.0001, 0.05)
-    k = autocovariance_kernel(m, [1.0], lags, 5.0, 505.0, 0.01,
+    dt = 0.01
+    k = autocovariance_kernel(m, [1.0], lags, 5.0, 505.0, dt,
                               np.random.default_rng(1), n_replicas=16)
     i1 = int(round(1.0 / 0.05))
-    assert abs(k.h[0, 0, 0] - 0.25) <= 3 * k.stderr[0, 0, 0]
-    assert abs(k.h[i1, 0, 0] - 0.25 * np.exp(-2.0)) <= 3 * k.stderr[i1, 0, 0]
+    # moments of the Euler-stepped OU process y <- (1 - 2 dt) y + dW the
+    # estimator samples; they tend to 1/4 and e^{-2}/4 as dt -> 0
+    var = 1.0 / (4.0 - 4.0 * dt)
+    assert abs(k.h[0, 0, 0] - var) <= 3 * k.stderr[0, 0, 0]
+    assert abs(k.h[i1, 0, 0] - var * (1.0 - 2.0 * dt) ** (1.0 / dt)) <= 3 * k.stderr[i1, 0, 0]
     assert k.decayed
 
 

@@ -139,6 +139,13 @@ def test_residual_ratios_bounded_by_rho():
     assert max(ratios) <= sol.rho + 0.05
 
 
+def test_solver_raises_when_it_does_not_converge():
+    # no residual is below tol = 0, so every one of the 200 sweeps runs
+    with pytest.raises(RuntimeError, match="did not converge in 200 sweeps"):
+        lyapunov_perron_solve(tanh_benchmark(), 0.1, [0.8], t_neg=4.0, tol=0.0,
+                              rng=np.random.default_rng(6))
+
+
 def test_solution_invariants_and_reapplication():
     m = tanh_benchmark()
     paths = sample_stationary_paths(m, 0.1, 16.0, 0.0, 0.005,

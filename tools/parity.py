@@ -123,6 +123,23 @@ def dump(path):
         else:
             axis = np.linspace(-1.0, 1.0, 3)
             am = sf.build_averaged(m, table_axes=[axis] * n, rng=rng(4), horizon=6.0)
+        points = m.x0 + np.linspace(-0.5, 0.5, 3)[:, None]
+        try:
+            est = sf.estimate_fbar(m, points, horizon=6.0, rng=rng(12))
+            fbar = [est.value, est.stderr]
+        except ValueError:    # estimate_fbar of one point: successive calls
+            gen = rng(12)
+            ests = [sf.estimate_fbar(m, p, horizon=6.0, rng=gen) for p in points]
+            fbar = [[e.value for e in ests], [e.stderr for e in ests]]
+        put(f"{name}/fbar_points", fbar)
+        mix = sf.mixing_diagnostic(m, m.x0, [m.y0, 1.0 - m.y0], 1.0, 0.01, 100,
+                                   rng(13), fbar_value=am.fbar(m.x0))
+        for field in ("times", "deviations", "noise_floor", "eta_empirical"):
+            put(f"{name}/mixing/{field}", getattr(mix, field))
+        rate = sf.strong_error_experiment(m, [eps, eps / 2, eps / 4], "eps**(2/3)",
+                                          0.2, 600, 31, am=am)
+        put(f"{name}/rate/errors", rate.errors)
+        put(f"{name}/rate/stderrs", rate.stderrs)
         grid = make_grid(0.5, dt)
         incr = sample_increments(n, grid, rng(5), jump=m.jump_slow)
         xa = sf.simulate_averaged(am, 0.5, dt, incr)
