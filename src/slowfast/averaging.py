@@ -31,7 +31,7 @@ from .harness import fit_exp_rate, fit_loglog_rate
 from .integrator import (DivergedError, _check_stable, _euler,
                          _nan_after_divergence, _trajectory, _write_csv,
                          frozen_fast_batch, make_grid)
-from .model import has_slow_noise
+from .model import _lin, has_slow_noise
 from .noise import (ROLE_FAST, ROLE_SLOW, _path_increments, rescale_fast,
                     sample_increments, substream)
 
@@ -39,9 +39,6 @@ from .noise import (ROLE_FAST, ROLE_SLOW, _path_increments, rescale_fast,
 FBAR_BATCHES = 16
 # time between the points of the relaxation curve of ``mixing_diagnostic``
 CURVE_STEP = 0.05
-# paths per kernel run in ``coupled_error_batch``: caps its (steps, paths, n)
-# increment blocks at 160 MB for 1e4 steps at n = 1
-COUPLED_CHUNK = 2000
 
 
 class AveragedDrift:
@@ -143,7 +140,7 @@ def build_averaged(m, mode="auto", table_axes=None, rng=None, burn_in=None,
         shift = fy @ m_c + cf
 
         def fn(x):
-            return x @ jac.T + shift
+            return _lin(jac, x) + shift
 
         fbar = AveragedDrift(n, "linear", fn, deriv_matrix=jac)
     elif mode == "tabulated":
@@ -298,8 +295,7 @@ def simulate_averaged(am, t_end, dt, incr, x0=None):
 def _averaged_run(am, x0, dt, noise, steps):
     """Averaged slow equation from x0 (..., n) under one ``_euler`` noise
     term; records the full path."""
-    a_t = am.a.T
-    return _euler((x0,), lambda k, s: (s[0] @ a_t + am.fbar(s[0]),), (dt,),
+    return _euler((x0,), lambda k, s: (_lin(am.a, s[0]) + am.fbar(s[0]),), (dt,),
                   (noise,), steps, path=True)
 
 
@@ -324,12 +320,11 @@ def simulate_auxiliary(m, delta, t_end, dt, rng, return_true=False):
     steps = len(grid) - 1
     blocks = np.floor(grid[:-1] / delta + 1e-12)
     bounds = [0] + (np.flatnonzero(np.diff(blocks)) + 1).tolist() + [steps]
-    a_t, b_t = m.a.T, m.b.T
 
     def drift(k, s):
         x, y, xh, yh = s
-        return (x @ a_t + m.f(x, y), y @ b_t + m.g(x, y),
-                xh @ a_t + m.f(x_frozen, yh), yh @ b_t + m.g(x_frozen, yh))
+        return (_lin(m.a, x) + m.f(x, y), _lin(m.b, y) + m.g(x, y),
+                _lin(m.a, xh) + m.f(x_frozen, yh), _lin(m.b, yh) + m.g(x_frozen, yh))
 
     # each block restarts y_hat from y and freezes the slow argument at x
     path = tuple(np.empty((steps + 1, n)) for _ in range(4))
@@ -377,37 +372,26 @@ def coupled_error_batch(m, am, t_end, dt, master_seed, start, count):
     Per path the slow and fast streams come from the path's own substreams,
     so each path sees the noise of a standalone single-path run on the same
     coordinates; at n = 1 it is bit-identical to that run, while for n > 1
-    the block matmuls may round differently in the last bits.  Paths are
-    stepped ``COUPLED_CHUNK`` at a time.  Returns (sup |x_eps - x|^2 over the
-    grid, x_eps(T) - x(T), diverged mask), the first two NaN on diverged
-    paths.
+    the block matmuls may round differently in the last bits.  Returns (sup
+    |x_eps - x|^2 over the grid, x_eps(T) - x(T), diverged mask), the first
+    two NaN on diverged paths.
     """
     _check_stable(dt, m.epsilon)
     grid = make_grid(t_end, dt)
-    end = start + count
-    chunks = [_coupled_run(m, am, grid, dt, master_seed, s, min(COUPLED_CHUNK, end - s))
-              for s in range(start, end, COUPLED_CHUNK)]
-    return tuple(np.concatenate(parts) for parts in zip(*chunks))
-
-
-def _coupled_run(m, am, grid, dt, master_seed, start, count):
-    """One kernel run of ``coupled_error_batch``; its increments are freed
-    when it returns."""
-    n = m.n
     d_fast, d_slow = _increment_blocks(m, grid, master_seed, start, count)
-    a_t, b_t = m.a.T, m.b.T
 
     def drift(k, s):
         x, y, xa = s
-        return x @ a_t + m.f(x, y), y @ b_t + m.g(x, y), xa @ a_t + am.fbar(xa)
+        return (_lin(m.a, x) + m.f(x, y), _lin(m.b, y) + m.g(x, y),
+                _lin(m.a, xa) + am.fbar(xa))
 
     def gap_sq(s):
         diff = s[0] - s[2]
         return np.sum(diff * diff, axis=-1)
 
-    x0 = np.broadcast_to(m.x0, (count, n))
+    x0, y0 = (np.broadcast_to(v, (count, m.n)) for v in (m.x0, m.y0))
     ds = None if d_slow is None else (m.sigma1, d_slow)
-    run = _euler((x0, np.broadcast_to(m.y0, (count, n)), x0), drift,
+    run = _euler((x0, y0, x0), drift,
                  (dt, dt / m.epsilon, dt), (ds, (m.sigma2, d_fast), ds),
                  len(grid) - 1, sup=gap_sq)
     x, _, xa = run.state

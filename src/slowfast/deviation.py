@@ -36,7 +36,7 @@ import numpy as np
 
 from .averaging import (_averaged_run, _increment_blocks, _slow_increments,
                         coupled_error_batch)
-from .integrator import (_check_stable, _euler, _frozen_fast_run, _trajectory,
+from .integrator import (_check_stable, _euler, _frozen_fast_run, _lin, _trajectory,
                          _write_csv, apply_noise, frozen_fast_batch, make_grid)
 from .noise import ROLE_BURN, ROLE_DEV, _path_increments, substream
 from .harness import _var_se, two_sample_compare
@@ -169,7 +169,7 @@ def matrix_sqrt_psd(matrix):
 def _matvec(mat, v):
     """mat v over the leading axes of v: one (n, n) matrix, or one per row."""
     if mat.ndim == 2:
-        return v @ mat.T
+        return _lin(mat, v)
     return (mat @ v[..., None])[..., 0]
 
 
@@ -210,7 +210,7 @@ class DeviationModel:
         for fluctuations theta (..., n) along slow states x."""
         jac = self._at(self._deriv, x)
         lin = jac.sum(axis=-1) if self.literal_drift else _matvec(jac, theta)
-        return theta @ self.a.T + lin
+        return _lin(self.a, theta) + lin
 
     def noise(self, dw, x):
         """sqrt(Htilde(x)) dw for Brownian increments dw (..., n)."""
@@ -326,14 +326,14 @@ def residual_theta2(m, epsilon, t_end, dt, n_paths, master_seed,
     grid, d_fast, d_slow, y_h0 = _manifold_started_inputs(
         me, t_end, dt, master_seed, 0, n_paths)
     n = me.n
-    a_t, b_t = me.a.T, me.b.T
     root = math.sqrt(epsilon)
 
     def drift(k, s):
         theta2, x, xh, y, yh = s
         fx, fxh = me.f(x, y), me.f(xh, yh)
-        return (theta2 @ a_t + (fx - fxh) / root, x @ a_t + fx, xh @ a_t + fxh,
-                y @ b_t + me.g(x, y), yh @ b_t + me.g(xh, yh))
+        return (_lin(me.a, theta2) + (fx - fxh) / root, _lin(me.a, x) + fx,
+                _lin(me.a, xh) + fxh, _lin(me.b, y) + me.g(x, y),
+                _lin(me.b, yh) + me.g(xh, yh))
 
     x0 = np.broadcast_to(me.x0, (n_paths, n))
     y0 = y_h0 if y_on_manifold else np.broadcast_to(me.y0, (n_paths, n))
@@ -370,7 +370,6 @@ def simulate_truncated_deviation(m, am, epsilon, trunc, t_end, dt, master_seed,
         me, t_end, dt, master_seed, path_index, 1)
     n = me.n
     steps = len(grid) - 1
-    a_t, b_t = me.a.T, me.b.T
     drives = np.empty((steps, n))
     gates = np.empty(steps)
     root = math.sqrt(epsilon)
@@ -383,8 +382,8 @@ def simulate_truncated_deviation(m, am, epsilon, trunc, t_end, dt, master_seed,
         gate = 1.0 if float(np.linalg.norm(theta1)) <= radius else 0.0
         drives[k] = drive
         gates[k] = gate
-        return (theta1 @ a_t + gate * drive, xh @ a_t + fxh,
-                yh @ b_t + me.g(xh, yh), xa @ a_t + fb)
+        return (_lin(me.a, theta1) + gate * drive, _lin(me.a, xh) + fxh,
+                _lin(me.b, yh) + me.g(xh, yh), _lin(me.a, xa) + fb)
 
     ds = None if d_slow is None else (me.sigma1, d_slow[:, 0])
     run = _euler((np.zeros(n), me.x0, y_h0[0], am.x0), drift,
@@ -465,7 +464,7 @@ def limit_marginal_samples(dm, am, t_end, dt, n_paths, master_seed):
     x0 = np.broadcast_to(am.x0, (1 if d_slow is None else n_paths, n))
     noise = None if d_slow is None else (am.sigma1, d_slow)
     carrier = _averaged_run(am, x0, dt, noise, len(grid) - 1).path[0]
-    del d_slow, noise         # freed before the theta increments are allocated
+    del d_slow, noise         # its chunk buffer is freed before theta's is allocated
     dw = _path_increments(n, grid, n_paths, lambda i: substream(master_seed, i, ROLE_DEV))
     return _limit_run(dm, carrier[:-1], dw, dt).state[0]
 

@@ -16,9 +16,9 @@ is the right tool.  Every simulator of the coupled system enforces
 ``dt <= epsilon / 10`` (``_check_stable``) because the fast drift scales
 like 1/epsilon.
 
-Noise is drawn before stepping, never inside the loop: every increment
-block comes from ``noise.sample_increments`` (batches through
-``noise._path_increments``).  ``_frozen_fast_run`` steps the frozen-fast
+Single paths draw their noise before stepping (``noise.sample_increments``);
+batches stream theirs inside the loop, a time chunk at a time, from
+``noise._path_increments``.  ``_frozen_fast_run`` steps the frozen-fast
 equation for ``simulate_frozen_fast`` (one path), ``frozen_fast_batch`` and
 the manifold burn-in of ``deviation``.
 
@@ -36,6 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .model import _lin
 from .noise import _path_increments, rescale_fast, sample_increments
 
 
@@ -81,7 +82,7 @@ def apply_noise(sigma, incr):
     """Apply a scalar or matrix amplitude to an increment (..., n)."""
     if np.ndim(sigma) == 0:
         return sigma * incr
-    return incr @ np.asarray(sigma).T
+    return _lin(np.asarray(sigma), incr)
 
 
 class _Run(NamedTuple):
@@ -175,11 +176,10 @@ def simulate_slow_fast(m, t_end, dt, rng=None, slow_incr=None, fast_incr=None):
         slow_incr = sample_increments(n, grid, rng, jump=m.jump_slow)
     if fast_incr is None:
         fast_incr = rescale_fast(n, m.epsilon, grid, rng, jump=m.jump_fast)
-    a_t, b_t = m.a.T, m.b.T
 
     def drift(k, s):
         x, y = s
-        return x @ a_t + m.f(x, y), y @ b_t + m.g(x, y)
+        return _lin(m.a, x) + m.f(x, y), _lin(m.b, y) + m.g(x, y)
 
     noise = ((m.sigma1, slow_incr.d_brownian + slow_incr.d_jump),
              (m.sigma2, fast_incr.d_brownian + fast_incr.d_jump))
@@ -193,8 +193,7 @@ def simulate_slow_fast(m, t_end, dt, rng=None, slow_incr=None, fast_incr=None):
 def _frozen_fast_run(m, x_frozen, y0, h, d_fast, path=False):
     """Frozen-fast equation from y0 (..., n), slow argument x_frozen (same
     shape), step factor h, driven by summed fast increments (steps, ..., n)."""
-    b_t = m.b.T
-    return _euler((y0,), lambda k, s: (s[0] @ b_t + m.g(x_frozen, s[0]),), (h,),
+    return _euler((y0,), lambda k, s: (_lin(m.b, s[0]) + m.g(x_frozen, s[0]),), (h,),
                   ((m.sigma2, d_fast),), len(d_fast), path=path)
 
 

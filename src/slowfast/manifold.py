@@ -38,7 +38,7 @@ from scipy.signal import lfilter
 
 from .harness import fit_exp_rate
 from .integrator import _euler, _write_csv, apply_noise
-from .model import decay_rate, has_slow_noise
+from .model import _lin, decay_rate, has_slow_noise
 from .noise import sample_two_sided
 
 # sweeps ``lyapunov_perron_solve`` makes before it gives up and raises
@@ -448,12 +448,10 @@ def tracking_check(m, epsilon, ic_on, ic_off, t_end, dt, rng=None, gamma=None,
     v = np.vstack([ic_on[1], ic_off[1]]).astype(float)
     dv0 = float(np.linalg.norm(v[0] - v[1]))
 
-    a_t, b_t = m.a.T, m.b.T
-
     def drift(k, s):
         u, v = s
         arg = (u + eta_w[k], v + xi_w[k])
-        return epsilon * (u @ a_t) + epsilon * m.f(*arg), v @ b_t + m.g(*arg)
+        return epsilon * _lin(m.a, u) + epsilon * m.f(*arg), _lin(m.b, v) + m.g(*arg)
 
     us, vs = _euler((u, v), drift, (dt, dt), (None, None), len(ts) - 1,
                     path=True).path

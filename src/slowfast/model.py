@@ -38,6 +38,11 @@ def _as_vector(v, n):
     return arr
 
 
+def _lin(mat, x):
+    """x @ mat.T over (..., n); at n = 1 a scalar multiply, same bits, no matmul."""
+    return x * mat[0, 0] if mat.shape == (1, 1) else x @ mat.T
+
+
 def decay_rate(matrix):
     """Spectral decay rate: the negated largest real eigenvalue part.
 
@@ -179,7 +184,7 @@ class DriftFn:
         c = np.zeros(n) if const is None else _as_vector(const, n)
 
         def fn(x, y):
-            return x @ fx.T + y @ fy.T + c
+            return _lin(fx, x) + _lin(fy, y) + c
 
         lip = max(np.linalg.norm(fx, 2), np.linalg.norm(fy, 2))
         return cls(n, "linear", fn, depends_on_y=bool(np.any(fy)), lip=lip,
@@ -194,7 +199,7 @@ class DriftFn:
         gy = np.zeros((n, n)) if gy is None else _as_matrix(gy)
 
         def fn(x, y):
-            return amp * np.tanh(x @ gx.T + y @ gy.T)
+            return amp * np.tanh(_lin(gx, x) + _lin(gy, y))
 
         scaled = amp[:, None] * np.hstack([gx, gy])
         lip = float(np.linalg.norm(scaled, 2))

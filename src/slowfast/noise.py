@@ -11,18 +11,18 @@ Fast-time rescaling multiplies the Brownian variance and the jump rate by
 a positive-time segment with the path anchored at 0 at time 0, which is what
 stationary stochastic convolutions integrate against.
 
-Reproducibility contract: every increment any simulator uses is drawn by
-``sample_increments``, one path at a time.  Each (master_seed, path_index,
-role) triple derives an independent substream, and a generator's draw order
-inside one path is fixed (Brownian block first, then jump count, times,
-sizes); a generator that serves several paths draws them in turn, path 0
-first.  Ensembles built from substreams are therefore bit-identical
-regardless of worker count or batch size.
+Reproducibility contract: each (master_seed, path_index, role) triple
+derives an independent substream.  A path draws its jump count, times and
+sizes first, then its Brownian block in step order.  ``sample_increments``
+draws one path; ``_path_increments`` streams a batch in time chunks, one
+generator per path, to the same numbers.  A generator serving several
+paths draws them whole, path 0 first.  Ensembles are therefore
+bit-identical regardless of worker count, batch size or chunk length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +42,11 @@ def substream(master_seed, path_index=0, role=0):
     return np.random.Generator(np.random.PCG64(ss))
 
 
+# steps per time chunk of a streamed batch; it sets the buffer size only,
+# since chunks draw the same numbers as whole paths
+CHUNK_STEPS = 512
+
+
 @dataclass
 class IncrementStream:
     """Per-step Brownian and compensated jump increments on a time grid."""
@@ -49,7 +54,8 @@ class IncrementStream:
     grid: np.ndarray              # (M+1,) strictly increasing times
     d_brownian: np.ndarray        # (M, n)
     d_jump: np.ndarray            # (M, n), compensated
-    jump_events: list = field(default_factory=list)   # [(time, size vector)]
+    # structured array of the events, ``time`` (E,) and ``size`` (E, n)
+    jump_events: np.ndarray = ()
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -83,6 +89,15 @@ def _check_grid(grid):
     return grid
 
 
+def _draw_jumps(n, grid, rng, jump, rate):
+    """One path's events in time order: times (E,), sizes (E, n), steps (E,)."""
+    count = rng.poisson(rate * (grid[-1] - grid[0]))
+    times = np.sort(rng.uniform(grid[0], grid[-1], size=count))
+    sizes = jump.size_dist.sample(rng, (count, n))
+    idx = np.clip(np.searchsorted(grid, times, side="right") - 1, 0, len(grid) - 2)
+    return times, sizes, idx
+
+
 def sample_increments(n, grid, rng, jump=None, var_scale=1.0, rate_scale=1.0):
     """Sample one increment stream on ``grid``.
 
@@ -95,34 +110,75 @@ def sample_increments(n, grid, rng, jump=None, var_scale=1.0, rate_scale=1.0):
         raise ValueError("an rng is required to sample increments")
     m = len(grid) - 1
     dts = np.diff(grid)
-    d_brownian = rng.normal(0.0, 1.0, size=(m, n)) * np.sqrt(var_scale * dts)[:, None]
+    rate = 0.0 if jump is None or m == 0 else jump.intensity * rate_scale
     d_jump = np.zeros((m, n))
-    events = []
-    rate = 0.0 if jump is None else jump.intensity * rate_scale
-    if rate > 0 and m > 0:
-        span = grid[-1] - grid[0]
-        count = rng.poisson(rate * span)
-        times = np.sort(rng.uniform(grid[0], grid[-1], size=count))
-        sizes = jump.size_dist.sample(rng, (count, n))
-        idx = np.clip(np.searchsorted(grid, times, side="right") - 1, 0, m - 1)
+    times, sizes = np.empty(0), np.empty((0, n))
+    if rate > 0:
+        times, sizes, idx = _draw_jumps(n, grid, rng, jump, rate)
         np.add.at(d_jump, idx, sizes)
         d_jump -= rate * jump.mean_size * dts[:, None]
-        events = list(zip(times.tolist(), [s for s in sizes]))
+    events = np.rec.fromarrays([times, sizes], dtype=[("time", float), ("size", float, (n,))])
+    d_brownian = rng.standard_normal((m, n)) * np.sqrt(var_scale * dts)[:, None]
     return IncrementStream(grid, d_brownian, d_jump, events)
 
 
-def _path_increments(n, grid, count, rng_at, jump=None, var_scale=1.0,
-                     rate_scale=1.0):
-    """Summed increments (steps, count, n) of ``count`` paths: path i is one
-    ``sample_increments`` stream drawn from ``rng_at(i)``.  Generators are
-    requested one path at a time, so a batch never holds them all at once;
-    ``rng_at`` may return one generator for every path."""
-    out = np.empty((len(grid) - 1, count, n))
-    for i in range(count):
-        incr = sample_increments(n, grid, rng_at(i), jump=jump,
-                                 var_scale=var_scale, rate_scale=rate_scale)
-        out[:, i] = incr.d_brownian + incr.d_jump
-    return out
+class _path_increments:    # lower case, as it is called like a function
+    """Summed increments (steps, count, n): path i is the ``sample_increments``
+    stream of ``rng_at(i)``, drawn ``CHUNK_STEPS`` steps at a time as the
+    kernel reads the steps in order, or whole when paths share a generator."""
+
+    def __init__(self, n, grid, count, rng_at, jump=None, var_scale=1.0,
+                 rate_scale=1.0):
+        self._grid, self._jump, self._var = _check_grid(grid), jump, var_scale
+        self.shape = (len(self._grid) - 1, count, n)
+        self._gens = [rng_at(i) for i in range(count)]
+        whole = len({id(g) for g in self._gens}) < count
+        self._buf = np.empty((len(self) if whole else min(CHUNK_STEPS, len(self)), count, n))
+        self._rate = 0.0 if jump is None or len(self) == 0 else jump.intensity * rate_scale
+        # the drawn chunk's steps, and sizes, steps and paths of all events
+        self._start, self._end, self._events = 0, 0, None
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, k):
+        """Step k (count, n); other keys index the whole block, if unstepped."""
+        if isinstance(k, (int, np.integer)):
+            if k == self._end:
+                self._fill()
+            if self._start <= k < self._end:
+                return self._buf[k - self._start]
+        elif self._start == 0 and self._end in (0, len(self)):
+            if self._end < len(self):
+                self._buf = np.empty(self.shape)
+                self._fill()
+            return self._buf[k]
+        raise IndexError(f"{k!r}: streamed increments are read in step order")
+
+    def _fill(self):
+        lo, hi = self._end, min(self._end + len(self._buf), len(self))
+        n, dts = self.shape[2], np.diff(self._grid)[lo:hi, None, None]
+        buf, tmp = self._buf[:hi - lo], np.empty((hi - lo, n))
+        drawn = []
+        for i, rng in enumerate(self._gens):
+            if lo == 0 and self._rate > 0:
+                drawn.append(_draw_jumps(n, self._grid, rng, self._jump, self._rate)[1:])
+            rng.standard_normal(out=tmp)
+            buf[:, i] = tmp
+        buf *= np.sqrt(self._var * dts)
+        if drawn:
+            self._events = [np.concatenate(part) for part in zip(*drawn)] + [
+                np.repeat(np.arange(len(drawn)), [len(steps) for _, steps in drawn])]
+        if self._events is not None:
+            # one path's events in a step keep their time order, as in its stream
+            size, step, path = self._events
+            now = (step >= lo) & (step < hi)
+            d_jump = np.zeros_like(buf)
+            np.add.at(d_jump, (step[now] - lo, path[now]), size[now])
+            d_jump -= self._rate * self._jump.mean_size * dts
+            buf += d_jump
+        self._start, self._end = lo, hi
+
 
 
 def rescale_fast(n, epsilon, grid, rng, jump=None):

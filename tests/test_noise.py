@@ -18,7 +18,7 @@ def test_zero_noise_stream_is_zero():
     incr = sample_increments(1, grid_of(1.0, 0.1), np.random.default_rng(0))
     # no jump spec: jump part identically zero
     assert np.all(incr.d_jump == 0)
-    assert incr.jump_events == []
+    assert len(incr.jump_events) == 0
 
 
 def test_gaussian_increment_variance():

@@ -1,0 +1,125 @@
+"""Streamed batch increments: every row of a batch equals its standalone run.
+
+Batches draw their noise in time chunks of ``noise.CHUNK_STEPS`` steps, one
+generator per path.  The chunk length must not change a single bit of any
+path, so the checks below run at several chunk lengths, step counts that
+are not multiples of them, and jump rates high enough that events land in
+the last step of a chunk.
+"""
+
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from slowfast import noise
+from slowfast.averaging import build_averaged, coupled_error_batch, simulate_averaged
+from slowfast.benchmarks import linear_benchmark
+from slowfast.deviation import DeviationModel, limit_marginal_samples, simulate_deviation
+from slowfast.integrator import make_grid, simulate_slow_fast
+from slowfast.model import DriftFn, JumpSpec, SizeDist, SlowFastModel
+from slowfast.noise import (ROLE_DEV, ROLE_FAST, ROLE_SLOW, _path_increments,
+                            rescale_fast, sample_increments, substream)
+
+EPS, DT = 0.1, 0.01
+
+
+def _model(n, jumps, matrix_sigma):
+    """Linear n-dimensional model (closed-form averaged drift); with jumps,
+    about five fast events per step."""
+    off = np.eye(n, k=1)
+    return SlowFastModel(
+        a=-np.eye(n) + 0.2 * off, b=-2.0 * np.eye(n) + 0.3 * off,
+        f=DriftFn.linear(fx=0.3 * off.T, fy=np.eye(n) - 0.2 * off),
+        g=DriftFn.linear(fx=0.25 * np.eye(n), fy=0.1 * off.T),
+        sigma1=0.3, sigma2=np.eye(n) + 0.2 * off if matrix_sigma else 1.0,
+        jump_slow=JumpSpec(10.0, SizeDist.uniform(-0.3, 0.3)) if jumps else None,
+        jump_fast=JumpSpec(50.0, SizeDist.uniform(-0.4, 0.2)) if jumps else None,
+        epsilon=EPS, x0=np.linspace(0.8, -0.4, n), y0=np.linspace(0.4, -0.2, n))
+
+
+def _same(batch, single, n):
+    if n == 1:
+        assert np.array_equal(batch, single)
+    else:
+        np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-14)
+
+
+@settings(max_examples=16, deadline=None)
+@given(n=st.integers(1, 3), jumps=st.booleans(), matrix_sigma=st.booleans(),
+       chunk=st.sampled_from([1, 3, 7, noise.CHUNK_STEPS]),
+       steps=st.integers(1, 40), paths=st.integers(1, 4),
+       seed=st.integers(0, 2**16))
+def test_streamed_rows_equal_single_path_runs(n, jumps, matrix_sigma, chunk, steps,
+                                              paths, seed):
+    m = _model(n, jumps, matrix_sigma)
+    am = build_averaged(m)
+    t_end, start = steps * DT, 3
+    grid = make_grid(t_end, DT)
+    with mock.patch.object(noise, "CHUNK_STEPS", chunk):
+        sup, diff, div = coupled_error_batch(m, am, t_end, DT, seed, start, paths)
+        dm = DeviationModel(am.a, 0.5 * np.eye(n), 0.25 * np.eye(n))
+        theta = limit_marginal_samples(dm, am, t_end, DT, paths, seed)
+    chunk_ends = set(range(chunk - 1, steps, chunk)) | {steps - 1}
+    events = []
+    for i in range(paths):
+        slow = sample_increments(n, grid, substream(seed, start + i, ROLE_SLOW),
+                                 jump=m.jump_slow)
+        fast = rescale_fast(n, EPS, grid, substream(seed, start + i, ROLE_FAST),
+                            jump=m.jump_fast)
+        events.extend(fast.jump_events["time"])
+        x, _ = simulate_slow_fast(m, t_end, DT, slow_incr=slow, fast_incr=fast)
+        xa = simulate_averaged(am, t_end, DT, slow)
+        assert not div[i]
+        _same(sup[i], np.max(np.sum((x.states - xa.states) ** 2, axis=-1)), n)
+        _same(diff[i], x.states[-1] - xa.states[-1], n)
+        # the limit SDE along path i's own carrier, on its deviation substream
+        carrier = simulate_averaged(am, t_end, DT, sample_increments(
+            n, grid, substream(seed, i, ROLE_SLOW), jump=am.jump_slow))
+        ref = simulate_deviation(dm, carrier, t_end, DT, substream(seed, i, ROLE_DEV))
+        _same(theta[i], ref.states[-1], n)
+    if jumps:      # events land in the last step of some chunk
+        assert chunk_ends & set(np.minimum((np.array(events) / DT).astype(int),
+                                           steps - 1).tolist())
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_coupled_batch_does_not_depend_on_chunk_length(chunk):
+    m = _model(1, True, False)
+    am = build_averaged(m)
+    ref = coupled_error_batch(m, am, 0.6, DT, 21, 0, 12)
+    with mock.patch.object(noise, "CHUNK_STEPS", chunk):
+        got = coupled_error_batch(m, am, 0.6, DT, 21, 0, 12)
+    for r, g in zip(ref, got):
+        assert np.array_equal(r, g)
+
+
+def test_coupled_batch_memory_stays_within_a_few_chunk_buffers():
+    # 4000 paths x 4000 steps: a whole increment block would take 128 MB
+    m = linear_benchmark(epsilon=1e-3)
+    am = build_averaged(m)
+    paths = 4000
+    buffer = noise.CHUNK_STEPS * paths * m.n * 8
+    tracemalloc.start()
+    try:
+        coupled_error_batch(m, am, 0.4, 1e-4, 5, 0, paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * buffer
+
+
+def test_streamed_steps_are_read_in_order():
+    grid = make_grid(1.0, 0.1)
+    incr = _path_increments(1, grid, 2, lambda i: substream(1, i, ROLE_FAST))
+    with mock.patch.object(noise, "CHUNK_STEPS", 4):
+        stepped = _path_increments(1, grid, 2, lambda i: substream(1, i, ROLE_FAST))
+    rows = [stepped[k].copy() for k in range(len(stepped))]
+    assert np.array_equal(np.stack(rows), incr[:])     # whole block, drawn at once
+    with pytest.raises(IndexError):
+        stepped[0]                 # its chunk has been overwritten
+    with pytest.raises(IndexError):
+        stepped[:, 0]              # no whole block once stepping has begun
