@@ -14,10 +14,10 @@ fluctuation originates in the fast noise.  The matrix-valued drift reading
 of ``DeviationModel`` and applies in every sampler; both readings coincide
 whenever the averaged drift is constant.
 
-One batched stepper integrates the limit SDE along carrier states of the
-averaged equation: ``simulate_deviation`` is its one-path call along a given
-carrier, and ``limit_marginal_samples`` steps the carrier once for the whole
-batch and theta along it.  ``DeviationModel.drift`` and ``.noise`` hold the
+The limit SDE is stepped along carrier states of the averaged equation:
+``simulate_deviation`` along a given carrier path, and
+``limit_marginal_samples`` steps carrier and theta together, one batch for
+all its paths.  ``DeviationModel.drift`` and ``.noise`` hold the
 coefficients, batched over the carrier's rows.
 
 The stationary fast state inside the kernel is realized by the long-run
@@ -198,12 +198,14 @@ class DeviationModel:
 
     def _at(self, coef, x):
         """A coefficient at slow states x (..., n): the constant (n, n)
-        matrix, or the callable evaluated at every row, (..., n, n)."""
+        matrix, or the callable evaluated once per distinct row, (..., n, n);
+        paths that share a carrier share its evaluations."""
         if not callable(coef):
             return coef
         x = np.asarray(x, dtype=float)
-        mats = [coef(row) for row in x.reshape(-1, self.n)]
-        return np.reshape(mats, x.shape[:-1] + (self.n, self.n))
+        rows, where = np.unique(x.reshape(-1, self.n), axis=0, return_inverse=True)
+        mats = np.reshape([coef(row) for row in rows], (-1, self.n, self.n))
+        return mats[where.reshape(-1)].reshape(x.shape[:-1] + (self.n, self.n))
 
     def drift(self, theta, x):
         """A theta + J(x) theta, or A theta + J(x) 1 in the literal reading,
@@ -244,17 +246,6 @@ def build_deviation_model(am, kernel_or_htilde, x=None, fd_step=1e-5,
     return DeviationModel(am.a, deriv, htilde, literal_drift=literal_drift)
 
 
-def _limit_run(dm, x_at, dw, dt, path=False):
-    """Step the limit SDE from theta(0) = 0 for P paths.
-
-    ``x_at`` (steps, 1 or P, n) holds the carrier state at the start of each
-    step and ``dw`` (steps, P, n) the Brownian increments.
-    """
-    return _euler((np.zeros(dw.shape[1:]),), lambda k, s: (dm.drift(s[0], x_at[k]),),
-                  (dt,), (lambda k, s: dm.noise(dw[k], x_at[k]),), len(dw),
-                  path=path)
-
-
 def simulate_deviation(dm, x_path, t_end, dt, rng):
     """Integrate the limit SDE along a realized averaged path, theta(0) = 0."""
     grid = make_grid(t_end, dt)
@@ -264,7 +255,9 @@ def simulate_deviation(dm, x_path, t_end, dt, rng):
     # left-endpoint state of the carrier path at every step
     idx = np.clip(np.searchsorted(x_path.grid, grid[:-1] + 1e-12, side="right") - 1,
                   0, len(x_path.grid) - 1)
-    run = _limit_run(dm, x_path.states[idx, None], dw, dt, path=True)
+    x_at = x_path.states[idx, None]
+    run = _euler((np.zeros((1, dm.n)),), lambda k, s: (dm.drift(s[0], x_at[k]),), (dt,),
+                 (lambda k, s: dm.noise(dw[k], x_at[k]),), len(dw), path=True)
     return _trajectory(grid, run.path[0][:, 0], run.diverged_at[0])
 
 
@@ -402,17 +395,24 @@ def simulate_corrected(am, dm, epsilon, t_end, dt, rng):
     streams: slow first, then the correction).  epsilon = 0 reproduces the
     plain averaged path for the same generator state.
     """
-    c_slow, c_dev = rng.spawn(2)
+    grid, run = _corrected_run(am, dm, epsilon, t_end, dt, [rng.spawn(2)])
+    return _trajectory(grid, run.path[0][:, 0], run.diverged_at[0])
+
+
+def _corrected_run(am, dm, epsilon, t_end, dt, pairs):
+    """``simulate_corrected`` for one path per (slow, correction) generator
+    pair, as one batch; returns the grid and the recorded run."""
     grid = make_grid(t_end, dt)
-    d_slow = _path_increments(am.n, grid, 1, lambda i: c_slow, jump=am.jump_slow)[:, 0]
-    dw = _path_increments(am.n, grid, 1, lambda i: c_dev)[:, 0]
+    count = len(pairs)
+    d_slow = _path_increments(am.n, grid, count, lambda i: pairs[i][0], jump=am.jump_slow)
+    dw = _path_increments(am.n, grid, count, lambda i: pairs[i][1])
     root = math.sqrt(epsilon)
 
     def noise(k, s):
         return apply_noise(am.sigma1, d_slow[k]) + root * dm.noise(dw[k], s[0])
 
-    run = _averaged_run(am, am.x0, dt, noise, len(grid) - 1)
-    return _trajectory(grid, run.path[0], run.diverged_at)
+    x0 = np.broadcast_to(am.x0, (count, am.n))
+    return grid, _averaged_run(am, x0, dt, noise, len(grid) - 1)
 
 
 @dataclass
@@ -451,22 +451,27 @@ def rescaled_fluctuation_samples(m, am, t_end, dt, n_paths, master_seed):
 def limit_marginal_samples(dm, am, t_end, dt, n_paths, master_seed):
     """Samples of theta(T) from the limit SDE, one substream per path.
 
-    One batched run.  The averaged carrier is stepped once for the whole
-    batch: a single path without slow noise, otherwise one path per sample
-    on that path's slow substream.  Theta then rides it on each path's own
-    deviation substream, so row i equals ``simulate_deviation`` along path
-    i's carrier with ``substream(master_seed, i, ROLE_DEV)``, in either
-    drift reading.  Diverged paths are NaN.
+    One batched run steps the averaged carrier and theta together: every
+    path's carrier starts at the averaged start and moves on the path's slow
+    substream, and theta rides it on the path's deviation substream.  So row
+    i equals ``simulate_deviation`` along path i's carrier with
+    ``substream(master_seed, i, ROLE_DEV)``, in either drift reading.
+    Diverged paths are NaN.
     """
     n = dm.n
     grid = make_grid(t_end, dt)
     d_slow = _slow_increments(am, grid, master_seed, 0, n_paths)
-    x0 = np.broadcast_to(am.x0, (1 if d_slow is None else n_paths, n))
-    noise = None if d_slow is None else (am.sigma1, d_slow)
-    carrier = _averaged_run(am, x0, dt, noise, len(grid) - 1).path[0]
-    del d_slow, noise         # its chunk buffer is freed before theta's is allocated
     dw = _path_increments(n, grid, n_paths, lambda i: substream(master_seed, i, ROLE_DEV))
-    return _limit_run(dm, carrier[:-1], dw, dt).state[0]
+
+    def drift(k, s):
+        x, theta = s
+        return _lin(am.a, x) + am.fbar(x), dm.drift(theta, x)
+
+    x0 = np.broadcast_to(am.x0, (n_paths, n))
+    run = _euler((x0, np.zeros((n_paths, n))), drift, (dt, dt),
+                 (None if d_slow is None else (am.sigma1, d_slow),
+                  lambda k, s: dm.noise(dw[k], s[0])), len(grid) - 1)
+    return run.state[1]
 
 
 def weak_limit_report(m, am, dm, t_end, dt, n_paths, master_seed,

@@ -12,10 +12,12 @@ Numbers are decimals with an optional exponent.  The grammar is kept small on
 purpose: every production is Lipschitz-auditable, which is what the model
 validation layer relies on.
 
-Evaluation is numpy-vectorized: coordinates are read off the last axis of the
-``x`` and ``y`` arrays and every node evaluates with numpy semantics, so one
-compiled expression serves scalars, single states ``(n,)`` and whole path
-batches ``(..., n)`` alike.
+Evaluation is compiled, as SymPy's ``lambdify`` does: the parser emits numpy
+source text while it reads, and ``compile_components`` turns a drift's
+component texts into one function once, so a drift call runs the numpy
+operations alone, in the order the parser read them.  Coordinates are read
+off the last axis of the ``x`` and ``y`` arrays, so one compiled drift serves
+single states ``(n,)`` and whole path batches ``(..., n)`` alike.
 """
 
 from __future__ import annotations
@@ -75,16 +77,24 @@ def _tokenize(source):
 
 
 class _Parser:
-    """Recursive-descent parser producing a tuple AST.
+    """Recursive-descent parser that emits numpy source text as it reads.
 
-    Nodes: ('num', v) | ('var', 'x'|'y', index) | ('neg', a)
-         | ('bin', op, a, b) | ('call', name, a)
+    A number becomes a name bound to its value as a numpy float in
+    ``consts`` (shared by the components of one drift): a literal such as
+    ``1e999`` is inf, which has no literal form, and numpy division by a
+    zero constant gives inf or NaN where Python's raises.  ``xK`` / ``yK``
+    becomes ``x[..., K-1]`` / ``y[..., K-1]`` and is listed in ``reads``, in
+    textual order.  Operators, parentheses and function calls are copied:
+    Python's precedence and left associativity are the grammar's, so the
+    operations run in the parsed order.  Only text built here from matched
+    tokens reaches the generated source.
     """
 
-    def __init__(self, source):
-        self.source = source
+    def __init__(self, source, consts):
         self.tokens = _tokenize(source)
         self.i = 0
+        self.consts = consts
+        self.reads = []
 
     def peek(self):
         return self.tokens[self.i]
@@ -101,135 +111,87 @@ class _Parser:
         self.advance()
 
     def parse(self):
-        node = self.expr()
+        code = self.expr()
         kind, text, pos = self.peek()
         if kind != "end":
             raise DriftSyntaxError(f"trailing input {text!r}", pos)
-        return node
+        return code
 
     def expr(self):
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = ("bin", text, node, self.term())
-            else:
-                return node
+        return self.chain("+-", self.term)
 
     def term(self):
-        node = self.factor()
+        return self.chain("*/", self.factor)
+
+    def chain(self, ops, operand):
+        """Operands joined by left-associative operators in ``ops``."""
+        code = operand()
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = ("bin", text, node, self.factor())
-            else:
-                return node
+            kind, op, _ = self.peek()
+            if kind != "op" or op not in ops:
+                return code
+            self.advance()
+            code = f"{code} {op} {operand()}"
 
     def factor(self):
         kind, text, pos = self.advance()
         if kind == "num":
-            return ("num", float(text))
+            self.consts.append(np.float64(text))
+            return f"c{len(self.consts) - 1}"
         if kind == "op" and text == "-":
-            return ("neg", self.factor())
+            return f"-{self.factor()}"
         if kind == "op" and text == "(":
-            node = self.expr()
+            code = self.expr()
             self.expect_op(")")
-            return node
+            return f"({code})"
         if kind == "name":
             ident = _IDENT_RE.match(text)
             if ident:
-                return ("var", ident.group(1), int(ident.group(2)))
+                base, index = ident.group(1), int(ident.group(2))
+                self.reads.append((base, index))
+                return f"{base}[..., {index - 1}]"
             if text in _FUNCS:
                 self.expect_op("(")
-                node = self.expr()
+                code = self.expr()
                 self.expect_op(")")
-                return ("call", text, node)
+                return f"{text}({code})"
             raise DriftNameError(f"unknown identifier {text!r} (at position {pos})")
         raise DriftSyntaxError(f"unexpected token {text!r}" if text else "unexpected end of input", pos)
 
 
 def parse_expression(source):
-    """Parse one component expression into an AST."""
-    return _Parser(source).parse()
-
-
-def check_arity(ast, n):
-    """Ensure every coordinate index in ``ast`` lies in 1..n."""
-    kind = ast[0]
-    if kind == "var":
-        idx = ast[2]
-        if not 1 <= idx <= n:
-            raise DriftArityError(
-                f"coordinate {ast[1]}{idx} out of range for dimension n={n}"
-            )
-    elif kind == "neg":
-        check_arity(ast[1], n)
-    elif kind == "bin":
-        check_arity(ast[2], n)
-        check_arity(ast[3], n)
-    elif kind == "call":
-        check_arity(ast[2], n)
-
-
-def references_y(ast):
-    kind = ast[0]
-    if kind == "var":
-        return ast[1] == "y"
-    if kind == "neg":
-        return references_y(ast[1])
-    if kind == "bin":
-        return references_y(ast[2]) or references_y(ast[3])
-    if kind == "call":
-        return references_y(ast[2])
-    return False
-
-
-def eval_ast(ast, x, y):
-    """Evaluate a node against coordinate arrays ``x``, ``y`` of shape (..., n)."""
-    kind = ast[0]
-    if kind == "num":
-        return ast[1]
-    if kind == "var":
-        base = x if ast[1] == "x" else y
-        return base[..., ast[2] - 1]
-    if kind == "neg":
-        return -eval_ast(ast[1], x, y)
-    if kind == "bin":
-        a = eval_ast(ast[2], x, y)
-        b = eval_ast(ast[3], x, y)
-        op = ast[1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            return np.divide(a, b)
-    return _FUNCS[ast[1]](eval_ast(ast[2], x, y))
+    """Parse one component expression into numpy source text in ``x``, ``y``
+    and the constants ``c0``, ``c1``, ..."""
+    return _Parser(source, []).parse()
 
 
 def compile_components(sources, n):
-    """Parse component expressions and return a vectorized (x, y) -> (..., n) map.
+    """Parse component expressions and return a vectorized (x, y) -> (..., n) map
+    and whether it reads ``y``.
 
     Raises DriftSyntaxError / DriftNameError / DriftArityError on bad input.
     """
-    asts = []
+    consts, codes, reads = [], [], []
     for src in sources:
-        ast = parse_expression(src)
-        check_arity(ast, n)
-        asts.append(ast)
-    if len(asts) != n:
-        raise DriftArityError(f"{len(asts)} component expressions for dimension n={n}")
-    depends_y = any(references_y(a) for a in asts)
+        parser = _Parser(src, consts)
+        codes.append(parser.parse())
+        for base, index in parser.reads:
+            if not 1 <= index <= n:
+                raise DriftArityError(
+                    f"coordinate {base}{index} out of range for dimension n={n}")
+        reads += parser.reads
+    if len(codes) != n:
+        raise DriftArityError(f"{len(codes)} component expressions for dimension n={n}")
+    namespace = {"__builtins__": {}, **_FUNCS, **{f"c{i}": c for i, c in enumerate(consts)}}
+    columns = eval(f"lambda x, y: [{', '.join(codes)}]", namespace)
+    if any("/" in code for code in codes):
+        columns = np.errstate(divide="ignore", invalid="ignore")(columns)
 
     def evaluate(x, y):
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        shape = x[..., 0].shape
-        cols = [np.broadcast_to(np.asarray(eval_ast(a, x, y), dtype=float), shape) for a in asts]
-        return np.stack(cols, axis=-1)
+        out = np.empty(x.shape[:-1] + (n,))
+        for k, col in enumerate(columns(x, np.asarray(y, dtype=float))):
+            out[..., k] = col
+        return out
 
-    return evaluate, depends_y
+    return evaluate, any(base == "y" for base, _ in reads)

@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slowfast.averaging import build_averaged, simulate_averaged
 from slowfast.cli import main, model_from_config
 from slowfast.deviation import build_deviation_model, simulate_deviation
+from slowfast.exprlang import DriftExprError, compile_components
 from slowfast.integrator import make_grid
 from slowfast.noise import ROLE_DEV, ROLE_SLOW, sample_increments, substream
 
@@ -208,3 +214,40 @@ def test_verify_command_prints_pass_lines(capsys):
     assert len(lines) >= 7
     assert all(l.startswith("PASS") for l in lines)
     assert any("manifold.constant-graph" in l for l in lines)
+
+
+# whole drift sources (valid for n = 2), and fragments of sources, valid and not
+SOURCES = ["tanh(y1)", "0.5*x2 - y1", "x1/y2", "exp(exp(y1))", "1e999*x1", "-(x2)"]
+SOURCE_PIECES = ["x1", "y1", "x2", "y2", "x0", "z1", "tanh", "exp", "log", "(", ")",
+                 "+", "-", "*", "/", "2", ".5", "1e999", " ", "'", ";", "["]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 2),
+       components=st.lists(st.sampled_from(SOURCES)
+                           | st.lists(st.sampled_from(SOURCE_PIECES), max_size=6)
+                           .map("".join), min_size=1, max_size=3))
+def test_validate_exit_code_matches_the_error_class(n, components):
+    try:
+        compile_components(components, n)
+        rejected = False
+    except DriftExprError:
+        rejected = True
+    cfg = {"model": {"dim": n, "a": (-np.eye(n)).tolist(), "b": (-2.0 * np.eye(n)).tolist(),
+                     "f": {"kind": "expr", "components": components, "lip": 1.0,
+                           "growth": 1.0},
+                     "g": {"kind": "zero"}, "sigma2": 1.0}}
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        with (np.errstate(all="ignore"), contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err)):
+            code = main(["validate", "--config", path, "--out", tmp])
+    has_error_line = any(line.startswith("error: ")
+                         for line in err.getvalue().splitlines())
+    if rejected:
+        assert code == 1 and has_error_line
+    else:
+        assert code in (0, 2) and not has_error_line

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from slowfast.averaging import (AveragedDrift, AveragedModel, build_averaged,
                                 simulate_averaged)
 from slowfast.benchmarks import linear_benchmark, tanh_benchmark
-from slowfast.deviation import (DeviationModel, TruncationSpec,
+from slowfast.deviation import (DeviationModel, TruncationSpec, _corrected_run,
                                 _manifold_started_inputs, autocovariance_kernel,
                                 build_deviation_model, diffusion_matrix,
                                 fbar_derivative,
@@ -363,10 +363,11 @@ def test_corrected_variance_additivity():
     # sigma1 = 0: Var x_hat(1) = eps * Var theta(1)
     _, am, dm = averaged_and_deviation()
     eps = 0.2
-    rng = np.random.default_rng(23)
-    finals = np.array([
-        simulate_corrected(am, dm, eps, 1.0, 2.5e-3, rng).states[-1, 0]
-        for _ in range(2000)])
+    # 2000 successive simulate_corrected calls on default_rng(23), as one batch
+    children = np.random.default_rng(23).spawn(4000)
+    _, run = _corrected_run(am, dm, eps, 1.0, 2.5e-3, list(zip(children[::2],
+                                                                children[1::2])))
+    finals = run.state[0][:, 0]
     var = finals.var(ddof=1)
     target = eps * OU_VAR_AT_1
     se = var * np.sqrt(2.0 / len(finals))

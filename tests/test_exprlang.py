@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slowfast.exprlang import (DriftArityError, DriftNameError,
+from slowfast.exprlang import (DriftArityError, DriftExprError, DriftNameError,
                                DriftSyntaxError, compile_components,
                                parse_expression)
 from slowfast.model import parse_drift
@@ -44,6 +46,7 @@ def test_precedence_and_associativity():
     assert ev("8 / 4 / 2", 0, 0) == 1.0
     assert ev("-(x1 + 1)", 2.0, 0) == -3.0
     assert ev("--x1", 2.0, 0) == 2.0
+    assert ev("---x1", 2.0, 0) == -2.0
 
 
 def test_vectorized_evaluation_matches_scalar():
@@ -102,3 +105,88 @@ def test_parse_drift_wraps_exprs():
     assert f(np.array([1.0]), np.array([3.0]))[0] == pytest.approx(7.0)
     assert f.lip == 3.0
     assert f.depends_on_y
+
+
+# -- compiled drifts against numpy references --------------------------------
+#
+# The strategy builds each expression's text and its numpy reference
+# together, one grammar production at a time: (text, ref, level), with level
+# 0 for a sum, 1 for a product and 2 for a factor.  An operand of lower level
+# than its position needs is parenthesized, which does not change its value.
+
+LITERALS = ["5.", ".5", "1e-3", "1e999", "0", "2", "0.25"]
+FUNCS = {"sin": np.sin, "cos": np.cos, "tanh": np.tanh, "exp": np.exp}
+BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+
+
+def _operand(item, level):
+    text, ref, own = item
+    return (text if own >= level else f"({text})"), ref
+
+
+def _chain(items, ops, level):
+    text, ref = _operand(items[0], level + 1)
+    for item, op in zip(items[1:], ops):
+        rhs_text, rhs = _operand(item, level + 1)
+        text = f"{text} {op} {rhs_text}"
+        ref = (lambda a, b, fn: lambda x, y: fn(a(x, y), b(x, y)))(ref, rhs, BINARY[op])
+    return text, ref, level
+
+
+def _expressions(n):
+    number = st.sampled_from(LITERALS).map(
+        lambda t: (t, lambda x, y, v=float(t): v, 2))
+    coord = st.tuples(st.sampled_from("xy"), st.integers(1, n)).map(
+        lambda c: (f"{c[0]}{c[1]}",
+                   lambda x, y: (x if c[0] == "x" else y)[..., c[1] - 1], 2))
+
+    def extend(inner):
+        neg = inner.map(lambda e: ("-" + _operand(e, 2)[0],
+                                   lambda x, y, r=e[1]: -r(x, y), 2))
+        call = st.tuples(st.sampled_from(sorted(FUNCS)), inner).map(
+            lambda c: (f"{c[0]}({c[1][0]})",
+                       lambda x, y: FUNCS[c[0]](c[1][1](x, y)), 2))
+        chains = [
+            st.integers(2, 3).flatmap(lambda k, ops=ops, level=level: st.tuples(
+                st.lists(inner, min_size=k, max_size=k),
+                st.lists(st.sampled_from(ops), min_size=k - 1, max_size=k - 1)))
+            .map(lambda p, level=level: _chain(p[0], p[1], level))
+            for ops, level in (("+-", 0), ("*/", 1))]
+        return st.one_of(neg, call, *chains)
+
+    return st.recursive(number | coord, extend, max_leaves=8)
+
+
+@st.composite
+def _drifts(draw):
+    n = draw(st.integers(1, 3))
+    exprs = draw(st.lists(_expressions(n), min_size=n, max_size=n))
+    shape = draw(st.sampled_from([(n,), (4, n)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x, y = (np.where(rng.random(shape) < 0.25, 0.0, rng.normal(0.0, 2.0, shape))
+            for _ in range(2))
+    return n, exprs, x, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(_drifts())
+def test_compiled_drift_is_bit_identical_to_numpy_reference(drift):
+    n, exprs, x, y = drift
+    fn, depends_y = compile_components([text for text, _, _ in exprs], n)
+    with np.errstate(all="ignore"):
+        got = fn(x, y)
+        want = np.stack([np.broadcast_to(np.asarray(ref(x, y), dtype=float),
+                                         x.shape[:-1]) for _, ref, _ in exprs], axis=-1)
+    assert got.shape == x.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert depends_y == any("y" in text for text, _, _ in exprs)
+
+
+@pytest.mark.parametrize("src", [
+    "__import__('os')", "__import__", "x1.real", "x1[0]", "'x1'", "x1; x1",
+    "x1 ** 2", "lambda: x1", "np.tanh(x1)", "tanh.__class__", "exp(x1)(x1)",
+])
+def test_only_grammar_text_compiles(src):
+    with pytest.raises(DriftExprError):
+        compile_components([src], 1)

@@ -7,6 +7,7 @@ are not multiples of them, and jump rates high enough that events land in
 the last step of a chunk.
 """
 
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -110,6 +111,23 @@ def test_coupled_batch_memory_stays_within_a_few_chunk_buffers():
     finally:
         tracemalloc.stop()
     assert peak < 3 * buffer
+
+
+def test_limit_samples_memory_stays_within_a_few_chunk_buffers():
+    # 4000 paths x 1000 steps with slow noise: a recorded carrier path alone
+    # would take 32 MB
+    m = dataclasses.replace(linear_benchmark(epsilon=1e-3), sigma1=0.3)
+    am = build_averaged(m)
+    dm = DeviationModel(am.a, np.zeros((1, 1)), 0.25 * np.eye(1))
+    paths = 4000
+    buffer = noise.CHUNK_STEPS * paths * m.n * 8
+    tracemalloc.start()
+    try:
+        limit_marginal_samples(dm, am, 1.0, 1e-3, paths, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * buffer
 
 
 def test_streamed_steps_are_read_in_order():

@@ -31,16 +31,8 @@ import sys
 import numpy as np
 
 N2_RTOL = 1e-10
-_JUMPS_FIRST = ("a path now draws its jumps before its Brownian block, so that "
-                "batches can stream the Brownian block in time chunks; every "
-                "output of a model with jumps is re-sampled")
 # key pattern -> why its random numbers differ from checkouts before the change
-RESAMPLED = {
-    # before streamed batch increments
-    "n1/*": _JUMPS_FIRST,
-    "n2s/*": _JUMPS_FIRST,
-    "n2m/*": _JUMPS_FIRST,
-}
+RESAMPLED = {}
 # key pattern -> why it moved in the last bits only
 LAST_BITS = {}
 
@@ -119,14 +111,8 @@ def dump(path):
             axis = np.linspace(-1.0, 1.0, 3)
             am = sf.build_averaged(m, table_axes=[axis] * n, rng=rng(4), horizon=6.0)
         points = m.x0 + np.linspace(-0.5, 0.5, 3)[:, None]
-        try:
-            est = sf.estimate_fbar(m, points, horizon=6.0, rng=rng(12))
-            fbar = [est.value, est.stderr]
-        except ValueError:    # estimate_fbar of one point: successive calls
-            gen = rng(12)
-            ests = [sf.estimate_fbar(m, p, horizon=6.0, rng=gen) for p in points]
-            fbar = [[e.value for e in ests], [e.stderr for e in ests]]
-        put(f"{name}/fbar_points", fbar)
+        est = sf.estimate_fbar(m, points, horizon=6.0, rng=rng(12))
+        put(f"{name}/fbar_points", [est.value, est.stderr])
         mix = sf.mixing_diagnostic(m, m.x0, [m.y0, 1.0 - m.y0], 1.0, 0.01, 100,
                                    rng(13), fbar_value=am.fbar(m.x0))
         for field in ("times", "deviations", "noise_floor", "eta_empirical"):
