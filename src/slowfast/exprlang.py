@@ -47,6 +47,11 @@ class DriftArityError(DriftExprError):
     """Coordinate index outside 1..n."""
 
 
+# deepest parenthesis nesting the parser reads: each level costs five Python
+# frames of its recursion, and Python's own compiler refuses 200 nested
+# brackets in the generated source
+MAX_NESTING = 150
+
 _FUNCS = {"sin": np.sin, "cos": np.cos, "tanh": np.tanh, "exp": np.exp}
 
 _TOKEN_RE = re.compile(
@@ -92,6 +97,12 @@ class _Parser:
 
     def __init__(self, source, consts):
         self.tokens = _tokenize(source)
+        depth = 0
+        for _, text, pos in self.tokens:
+            depth += (text == "(") - (text == ")")
+            if depth > MAX_NESTING:
+                raise DriftSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING} levels", pos)
         self.i = 0
         self.consts = consts
         self.reads = []
@@ -139,7 +150,12 @@ class _Parser:
             self.consts.append(np.float64(text))
             return f"c{len(self.consts) - 1}"
         if kind == "op" and text == "-":
-            return f"-{self.factor()}"
+            # a run of signs is read in a loop, so it does not deepen the recursion
+            signs = "-"
+            while self.peek()[:2] == ("op", "-"):
+                self.advance()
+                signs += "-"
+            return signs + self.factor()
         if kind == "op" and text == "(":
             code = self.expr()
             self.expect_op(")")
@@ -169,7 +185,9 @@ def compile_components(sources, n):
     """Parse component expressions and return a vectorized (x, y) -> (..., n) map
     and whether it reads ``y``.
 
-    Raises DriftSyntaxError / DriftNameError / DriftArityError on bad input.
+    Raises DriftSyntaxError / DriftNameError / DriftArityError on bad input,
+    DriftSyntaxError also for parentheses nested deeper than ``MAX_NESTING``
+    and for expressions too long or deep for Python's compiler.
     """
     consts, codes, reads = [], [], []
     for src in sources:
@@ -183,7 +201,12 @@ def compile_components(sources, n):
     if len(codes) != n:
         raise DriftArityError(f"{len(codes)} component expressions for dimension n={n}")
     namespace = {"__builtins__": {}, **_FUNCS, **{f"c{i}": c for i, c in enumerate(consts)}}
-    columns = eval(f"lambda x, y: [{', '.join(codes)}]", namespace)
+    try:
+        columns = eval(f"lambda x, y: [{', '.join(codes)}]", namespace)
+    except (RecursionError, SyntaxError, MemoryError) as err:
+        # Python's compiler refuses the generated source as too deep or too long
+        raise DriftSyntaxError(f"expression too large to compile ({type(err).__name__})",
+                               0) from err
     if any("/" in code for code in codes):
         columns = np.errstate(divide="ignore", invalid="ignore")(columns)
 

@@ -26,6 +26,11 @@ is exact up to tail truncation.
 
 One noise realization is frozen per solve; statistics over the random graph
 come from independent realizations.
+
+Each sweep runs two one-step recurrences along the grid.  At n = 1 they are
+linear filters (``lfilter``); at n >= 2 the drive term C drive_k is one
+matmul over the whole grid per sweep, so only the E w_k product stays in the
+step loop, and the first slow profile e^{eps A t} u0 is one stacked ``expm``.
 """
 
 from __future__ import annotations
@@ -273,8 +278,9 @@ def _forward_recurrence(e_mat, c_mat, drive):
         if len(drive):
             out[1:, 0] = lfilter([g], [1.0, -d], drive[:, 0])
     else:
+        drive = drive @ c_mat.T
         for k in range(len(drive)):
-            out[k + 1] = out[k] @ e_mat.T + drive[k] @ c_mat.T
+            out[k + 1] = out[k] @ e_mat.T + drive[k]
     return out
 
 
@@ -294,8 +300,9 @@ def _backward_recurrence(e_mat, c_mat, drive, terminal):
             w_rev = (d ** ks) * terminal[0] + z
             out[:-1, 0] = w_rev[::-1]
     else:
+        drive = drive @ c_mat.T
         for j in range(len(drive) - 1, -1, -1):
-            out[j] = out[j + 1] @ e_mat.T - drive[j] @ c_mat.T
+            out[j] = out[j + 1] @ e_mat.T - drive[j]
     return out
 
 
@@ -313,6 +320,13 @@ def _sweep(m, ops, u0, u, v, eta_w, xi_w):
     if len(ops) == 2:
         return u, v_new
     return _backward_recurrence(ops[2], ops[3], m.f(u + eta_w, v + xi_w)[:-1], u0), v_new
+
+
+def _linear_slow_profile(a, epsilon, u0, ts):
+    """Rows e^{eps A t} u0 along ``ts``: the sweeps' first slow profile."""
+    if len(u0) == 1:
+        return np.exp(epsilon * float(a[0, 0]) * ts)[:, None] * u0
+    return expm(epsilon * a * ts[:, None, None]) @ u0
 
 
 def _weighted_gap(weight, du, dv):
@@ -355,13 +369,10 @@ def lyapunov_perron_solve(m, epsilon, u0, gamma=None, grid_step=0.005,
     ts, eta_w, xi_w = paths.window_neg(t_neg)
 
     ops = _sweep_operators(m, epsilon, grid_step, frozen_u)
-    if not frozen_u:
-        if n == 1:
-            u = np.exp(epsilon * float(m.a[0, 0]) * ts)[:, None] * u0
-        else:
-            u = np.stack([u0 @ expm(epsilon * m.a * t).T for t in ts])
-    else:
+    if frozen_u:
         u = np.broadcast_to(u0, (len(ts), n)).copy()
+    else:
+        u = _linear_slow_profile(m.a, epsilon, u0, ts)
     v = np.zeros((len(ts), n))
     weight = np.exp(gamma * ts)
 

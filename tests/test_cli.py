@@ -66,6 +66,18 @@ def test_malformed_json_is_usage_error(tmp_path, capsys):
     assert main(["validate", "--config", str(path)]) == 1
 
 
+@pytest.mark.parametrize("component", ["(" * 199 + "y1" + ")" * 199,
+                                       "tanh(" * 210 + "y1" + ")" * 210,
+                                       "+".join(["y1"] * 3000)],
+                         ids=["parens", "calls", "flat"])
+def test_validate_too_deep_expression_is_an_error_line(tmp_path, capsys, component):
+    cfg_data = json.loads(json.dumps(LINEAR_CFG))
+    cfg_data["model"]["f"] = {"kind": "expr", "components": [component], "lip": 1.0,
+                              "growth": 1.0}
+    assert main(["validate", "--config", write_cfg(tmp_path, cfg_data)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
 

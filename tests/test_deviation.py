@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from slowfast.deviation import (DeviationModel, TruncationSpec, _corrected_run,
                                 residual_theta2, simulate_corrected,
                                 simulate_deviation, simulate_truncated_deviation,
                                 weak_limit_report)
-from slowfast.integrator import make_grid
+from slowfast.integrator import frozen_fast_batch, make_grid
 from slowfast.model import DriftFn, JumpSpec, SizeDist, SlowFastModel, parse_drift
 from slowfast.noise import ROLE_DEV, ROLE_SLOW, sample_increments, substream
 
@@ -53,6 +55,68 @@ def test_kernel_window_precondition():
     with pytest.raises(ValueError, match="window"):
         autocovariance_kernel(m, [1.0], [0.0, 1.0], 1.0, 20.0, 0.01,
                               np.random.default_rng(0))
+
+
+@st.composite
+def _kernel_cases(draw):
+    n = draw(st.integers(1, 3))
+    last = draw(st.integers(1, 20))
+    inner = draw(st.lists(st.integers(1, last), max_size=4))
+    lag_steps = sorted({0, last, *inner})
+    return n, draw(st.integers(2, 5)), lag_steps, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_kernel_cases())
+def test_kernel_matches_per_lag_reference(case):
+    n, replicas, lag_steps, seed = case
+    rng = np.random.default_rng(seed)
+    b = -2.0 * np.eye(n) + 0.3 * rng.uniform(-1.0, 1.0, (n, n))
+    m = SlowFastModel(a=-np.eye(n), b=b,
+                      f=DriftFn.saturating(np.ones(n), gy=rng.normal(size=(n, n))),
+                      g=DriftFn.zero(n), sigma1=0.0, sigma2=1.0, epsilon=0.1,
+                      x0=np.zeros(n), y0=rng.normal(size=n))
+    dt, burn_in = 0.01, 0.5
+    horizon = burn_in + 0.5 * lag_steps[-1] + 1.0     # over 50 times the last lag
+    k = autocovariance_kernel(m, m.x0, dt * np.array(lag_steps), burn_in, horizon, dt,
+                              np.random.default_rng(seed), n_replicas=replicas)
+    ys = frozen_fast_batch(m, m.x0, m.y0, int(round(horizon / dt)), dt,
+                           np.random.default_rng(seed), replicas)[int(round(burn_in / dt)):]
+    f_vals = m.f(np.broadcast_to(m.x0, ys.shape), ys)
+    centered = f_vals - f_vals.mean(axis=(0, 1))
+    t_len = len(centered)
+    for i, li in enumerate(lag_steps):
+        per_rep = np.zeros((replicas, n, n))
+        for p in range(replicas):
+            for t in range(t_len - li):
+                per_rep[p] += np.outer(centered[t + li, p], centered[t, p])
+        per_rep /= t_len - li
+        want_h = per_rep.mean(axis=0)
+        want_se = 2.0 * per_rep.std(axis=0, ddof=1) / np.sqrt(replicas)  # widened: < 8
+        assert np.max(np.abs(k.h[i] - want_h)) <= 1e-12 * np.max(np.abs(want_h))
+        assert np.max(np.abs(k.stderr[i] - want_se)) <= 1e-12 * np.max(np.abs(want_se))
+
+
+def test_kernel_memory_holds_no_extra_window_copy():
+    # the levy-tanh benchmark's kernel shape: 24 replicas, n = 2, lags to 3
+    m = SlowFastModel(a=-np.eye(2), b=-2.0 * np.eye(2),
+                      f=parse_drift(["tanh(y1)", "tanh(y2)"], 2, lip=1.0, growth=1.0),
+                      g=parse_drift(["0.2*tanh(x1+y2)", "0.2*tanh(x2-y1)"], 2, lip=0.25,
+                                    growth=1.0),
+                      sigma1=0.3, sigma2=1.0, epsilon=0.05,
+                      jump_fast=JumpSpec(2.0, SizeDist.uniform(-0.5, 0.5)),
+                      x0=[0.8, -0.4], y0=[0.4, 0.1])
+    lags = np.arange(0.0, 3.0 + 1e-12, 0.05)
+    window = 30001 * 24 * 2 * 8                      # T * P * n float64 bytes
+    tracemalloc.start()
+    try:
+        k = autocovariance_kernel(m, m.x0, lags, 3.0, 303.0, 0.01,
+                                  np.random.default_rng(0), n_replicas=24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(k.lags) == 61
+    assert peak <= 3.5 * window
 
 
 def test_diffusion_matrix_zero_kernel():

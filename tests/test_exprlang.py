@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slowfast.exprlang import (DriftArityError, DriftExprError, DriftNameError,
-                               DriftSyntaxError, compile_components,
+from slowfast.exprlang import (MAX_NESTING, DriftArityError, DriftExprError,
+                               DriftNameError, DriftSyntaxError, compile_components,
                                parse_expression)
 from slowfast.model import parse_drift
 
@@ -82,6 +82,30 @@ def test_syntax_error_carries_position():
 def test_unclosed_paren_rejected():
     with pytest.raises(DriftSyntaxError):
         parse_expression("(x1 + 1")
+
+
+# too deep for the parser's recursion, or too deep or long for Python's compiler
+TOO_DEEP = {"parens": "(" * 199 + "x1" + ")" * 199,
+            "calls": "tanh(" * 210 + "x1" + ")" * 210,
+            "flat": "+".join(["x1"] * 3000)}
+
+
+@pytest.mark.parametrize("src", list(TOO_DEEP.values()), ids=list(TOO_DEEP))
+def test_too_deep_or_long_is_a_syntax_error(src):
+    with pytest.raises(DriftSyntaxError):
+        compile_components([src], 1)
+
+
+def test_nesting_at_the_limit_compiles():
+    assert MAX_NESTING >= 150
+    assert ev("(" * 150 + "x1" + ")" * 150, 0.7, 0.0) == 0.7
+    want = 0.7
+    for _ in range(150):
+        want = np.tanh(want)
+    assert ev("tanh(" * 150 + "x1" + ")" * 150, 0.7, 0.0) == want
+    with pytest.raises(DriftSyntaxError) as err:
+        parse_expression("(" * (MAX_NESTING + 1) + "x1" + ")" * (MAX_NESTING + 1))
+    assert err.value.position == MAX_NESTING
 
 
 def test_unknown_identifier():

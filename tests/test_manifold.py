@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from slowfast.benchmarks import tanh_benchmark
-from slowfast.manifold import (StationarySolutionSpec, asymptotic_manifold_h0,
+from slowfast.manifold import (StationarySolutionSpec, _backward_recurrence,
+                               _forward_recurrence, _linear_slow_profile, _phi1,
+                               asymptotic_manifold_h0,
                                contraction_factors, default_gamma,
                                lyapunov_perron_solve, reapply_sweep,
                                sample_stationary_paths, stationary_solution,
@@ -275,3 +278,40 @@ def test_solver_u_profile_constant_f_closed_form():
     ts = sol.profile.grid
     exact = np.exp(eps * a * ts) * 0.5 + (np.exp(eps * a * ts) - 1.0) * c / a
     assert np.max(np.abs(sol.profile.u[:, 0] - exact)) < 1e-9
+
+
+# -- whole-array sweep pieces against per-step references ---------------------
+
+def _hurwitz(n, seed):
+    """Non-diagonal matrix with every eigenvalue's real part at most -1."""
+    m = np.random.default_rng(seed).normal(0.0, 0.5, (n, n))
+    return m - (1.0 + np.max(np.linalg.eigvals(m).real)) * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_recurrences_match_per_step_loops(n):
+    b = _hurwitz(n, n)
+    assert np.count_nonzero(b - np.diag(np.diag(b))) == n * (n - 1)
+    e_mat, c_mat = expm(0.005 * b), _phi1(b, 0.005)
+    rng = np.random.default_rng(10 + n)
+    drive, terminal = rng.normal(size=(400, n)), rng.normal(size=n)
+    fwd = np.zeros((401, n))
+    for k in range(400):
+        fwd[k + 1] = fwd[k] @ e_mat.T + drive[k] @ c_mat.T
+    bwd = np.zeros((401, n))
+    bwd[-1] = terminal
+    for j in range(399, -1, -1):
+        bwd[j] = bwd[j + 1] @ e_mat.T - drive[j] @ c_mat.T
+    for got, want in ((_forward_recurrence(e_mat, c_mat, drive), fwd),
+                      (_backward_recurrence(e_mat, c_mat, drive, terminal), bwd)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_linear_slow_profile_rows_are_single_expms(n):
+    a, eps = _hurwitz(n, 20 + n), 0.05
+    u0 = np.random.default_rng(n).normal(size=n)
+    ts = 0.005 * np.arange(-1600, 1)
+    got = _linear_slow_profile(a, eps, u0, ts)
+    want = np.stack([u0 @ expm(eps * a * t).T for t in ts])
+    assert np.array_equal(got, want)

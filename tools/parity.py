@@ -10,7 +10,8 @@ benchmark, no slow noise), ``n2s`` (2-D tanh model with jumps, scalar
 sigma), ``n2m`` (the same with matrix sigma) and ``n2bm`` (``n2m`` without
 jumps), plus blow-up models whose single-path runs must diverge at the same
 row.  The ``*_long`` keys step batches over more steps than one noise chunk
-(``noise.CHUNK_STEPS``), by a count that is not a multiple of it.
+(``noise.CHUNK_STEPS``), by a count that is not a multiple of it.  The
+``*/kernel/*`` keys run ``autocovariance_kernel`` on a short window.
 ``compare`` requires ``n1*`` outputs to be bit-identical (NaN equal to NaN)
 and ``n2*`` outputs to satisfy max|a - b| <= 1e-10 (1 + max|a|).
 
@@ -34,7 +35,7 @@ N2_RTOL = 1e-10
 # key pattern -> why its random numbers differ from checkouts before the change
 RESAMPLED = {}
 # key pattern -> why it moved in the last bits only
-LAST_BITS = {}
+LAST_BITS = {"*/kernel/*": "the per-lag sums run in BLAS matmul order, not einsum's"}
 
 
 def _reason(table, key):
@@ -144,6 +145,11 @@ def dump(path):
         traj(f"{name}/deviation_literal", sf.simulate_deviation(dm_lit, xa, 0.5, dt,
                                                                 rng(7)))
         traj(f"{name}/deviation_var", sf.simulate_deviation(dm_var, xa, 0.5, dt, rng(8)))
+        # lags 0 to 0.3: horizon - burn_in must be at least 50 times the last lag
+        kern = sf.autocovariance_kernel(m, m.x0, np.arange(0.0, 0.31, 0.05), 0.5, 16.0,
+                                        0.01, rng(14), n_replicas=4)
+        for field in ("h", "stderr", "fbar_used"):
+            put(f"{name}/kernel/{field}", getattr(kern, field))
         rep = sf.residual_theta2(m, eps, 0.3, dt, 6, 17)
         put(f"{name}/theta2", [rep.mean_sup_sq, rep.stderr, rep.n_diverged])
         rep = sf.residual_theta2(m, eps, 0.3, dt, 4, 17, y_on_manifold=True)
