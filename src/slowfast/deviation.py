@@ -36,8 +36,9 @@ import numpy as np
 
 from .averaging import (_averaged_run, _increment_blocks, _slow_increments,
                         coupled_error_batch)
-from .integrator import (_check_stable, _euler, _frozen_fast_run, _lin, _trajectory,
-                         _write_csv, apply_noise, frozen_fast_batch, make_grid)
+from .integrator import (_check_stable, _euler, _frozen_fast_run, _noise_map,
+                         _trajectory, _write_csv, frozen_fast_batch, make_grid)
+from .model import _lin
 from .noise import ROLE_BURN, ROLE_DEV, _path_increments, substream
 from .harness import _var_se, two_sample_compare
 
@@ -134,25 +135,25 @@ def diffusion_matrix(kernel):
 
 
 def fbar_derivative(am, x, fd_step=1e-5):
-    """Jacobian of the averaged drift at ``x``.
+    """Jacobian of the averaged drift at ``x`` (n,), or at each row of x
+    (..., n) as (..., n, n).
 
     Uses the exact matrix when the averaged drift is linear, otherwise
-    central differences column by column.
+    central differences, every column at every row in one pair of ``fbar``
+    calls.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = len(x)
+    n = x.shape[-1]
     if am.fbar.deriv_matrix is not None:
-        return np.array(am.fbar.deriv_matrix, dtype=float)
+        return np.array(np.broadcast_to(am.fbar.deriv_matrix, x.shape + (n,)), dtype=float)
     if fd_step <= 0:
         raise ValueError("fd_step must be positive")
     if fd_step < 1e3 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(x)))):
         raise ValueError("fd_step too small: central differences would cancel")
-    jac = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = fd_step
-        jac[:, j] = (am.fbar(x + e) - am.fbar(x - e)) / (2.0 * fd_step)
-    return jac
+    # row j of the last two axes is fbar at x + fd_step e_j, less at x - fd_step e_j
+    shifts, at = fd_step * np.eye(n), x[..., None, :]
+    diff = am.fbar(at + shifts) - am.fbar(at - shifts)
+    return np.swapaxes(diff, -1, -2) / (2.0 * fd_step)
 
 
 def matrix_sqrt_psd(matrix):
@@ -204,12 +205,14 @@ class DeviationModel:
     def _at(self, coef, x):
         """A coefficient at slow states x (..., n): the constant (n, n)
         matrix, or the callable evaluated once per distinct row, (..., n, n);
-        paths that share a carrier share its evaluations."""
+        paths that share a carrier share its evaluations.  A callable with a
+        true ``rows`` attribute takes all distinct rows (k, n) in one call."""
         if not callable(coef):
             return coef
         x = np.asarray(x, dtype=float)
         rows, where = np.unique(x.reshape(-1, self.n), axis=0, return_inverse=True)
-        mats = np.reshape([coef(row) for row in rows], (-1, self.n, self.n))
+        mats = coef(rows) if getattr(coef, "rows", False) else [coef(r) for r in rows]
+        mats = np.reshape(mats, (-1, self.n, self.n))
         return mats[where.reshape(-1)].reshape(x.shape[:-1] + (self.n, self.n))
 
     def drift(self, theta, x):
@@ -247,7 +250,9 @@ def build_deviation_model(am, kernel_or_htilde, x=None, fd_step=1e-5,
     elif x is not None:
         deriv = fbar_derivative(am, x, fd_step=fd_step)
     else:
-        deriv = lambda xv: fbar_derivative(am, xv, fd_step=fd_step)
+        def deriv(xv):
+            return fbar_derivative(am, xv, fd_step=fd_step)
+        deriv.rows = True
     return DeviationModel(am.a, deriv, htilde, literal_drift=literal_drift)
 
 
@@ -412,9 +417,10 @@ def _corrected_run(am, dm, epsilon, t_end, dt, pairs):
     d_slow = _path_increments(am.n, grid, count, lambda i: pairs[i][0], jump=am.jump_slow)
     dw = _path_increments(am.n, grid, count, lambda i: pairs[i][1])
     root = math.sqrt(epsilon)
+    slow = _noise_map(am.sigma1)
 
     def noise(k, s):
-        return apply_noise(am.sigma1, d_slow[k]) + root * dm.noise(dw[k], s[0])
+        return slow(d_slow[k]) + root * dm.noise(dw[k], s[0])
 
     x0 = np.broadcast_to(am.x0, (count, am.n))
     return grid, _averaged_run(am, x0, dt, noise, len(grid) - 1)

@@ -122,7 +122,12 @@ class _Parser:
         self.advance()
 
     def parse(self):
-        code = self.expr()
+        try:
+            code = self.expr()
+        except RecursionError as err:
+            # the caller's own stack depth plus five frames per nesting level
+            raise DriftSyntaxError("expression nested too deep for the parser",
+                                   self.peek()[2]) from err
         kind, text, pos = self.peek()
         if kind != "end":
             raise DriftSyntaxError(f"trailing input {text!r}", pos)
@@ -186,8 +191,9 @@ def compile_components(sources, n):
     and whether it reads ``y``.
 
     Raises DriftSyntaxError / DriftNameError / DriftArityError on bad input,
-    DriftSyntaxError also for parentheses nested deeper than ``MAX_NESTING``
-    and for expressions too long or deep for Python's compiler.
+    DriftSyntaxError also for parentheses nested deeper than ``MAX_NESTING``,
+    for nesting deeper than the caller's free stack lets the parser read, and
+    for expressions too long or deep for Python's compiler.
     """
     consts, codes, reads = [], [], []
     for src in sources:

@@ -16,9 +16,11 @@ is the right tool.  Every simulator of the coupled system enforces
 ``dt <= epsilon / 10`` (``_check_stable``) because the fast drift scales
 like 1/epsilon.
 
-Single paths draw their noise before stepping (``noise.sample_increments``);
-batches stream theirs inside the loop, a time chunk at a time, from
-``noise._path_increments``.  ``_frozen_fast_run`` steps the frozen-fast
+Single paths draw their noise before stepping (``noise.sample_increments``),
+and ``_euler`` scales such a pre-drawn block by its amplitude once, whole,
+before the loop.  Batches stream theirs inside the loop, a time chunk at a
+time, from ``noise._path_increments``, and each step's rows go through an
+amplitude map bound once per run.  ``_frozen_fast_run`` steps the frozen-fast
 equation for ``simulate_frozen_fast`` (one path), ``frozen_fast_batch`` and
 the manifold burn-in of ``deviation``.
 
@@ -36,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import _lin
+from .model import _lin_map
 from .noise import _path_increments, rescale_fast, sample_increments
 
 
@@ -78,11 +80,16 @@ def make_grid(t_end, dt):
     return grid
 
 
+def _noise_map(sigma):
+    """incr -> the scalar or matrix amplitude ``sigma`` applied to incr (..., n)."""
+    if np.ndim(sigma) == 0:
+        return lambda incr: sigma * incr
+    return _lin_map(np.asarray(sigma))
+
+
 def apply_noise(sigma, incr):
     """Apply a scalar or matrix amplitude to an increment (..., n)."""
-    if np.ndim(sigma) == 0:
-        return sigma * incr
-    return _lin(np.asarray(sigma), incr)
+    return _noise_map(sigma)(incr)
 
 
 class _Run(NamedTuple):
@@ -113,8 +120,9 @@ def _euler(state, drift, factors, noise, steps, sup=None, path=False):
     ``state`` holds one (..., n) array per component, and ``drift(k, s)``
     returns one drift per component for step k.  Component c moves by
     ``drift * factors[c]`` plus its noise term ``noise[c]``: None, a pair
-    ``(sigma, increments)`` adding ``apply_noise(sigma, increments[k])``, or
-    a function ``(k, s) -> array`` for noise scaled by the state.
+    ``(sigma, increments)`` adding ``apply_noise(sigma, increments)[k]``, or
+    a function ``(k, s) -> array`` for noise scaled by the state.  The
+    caller's increments are never written to.
     ``sup(s)`` maps a state to one value per path, whose running max
     over the grid is recorded; ``path=True`` records every state.
     """
@@ -147,7 +155,13 @@ def _euler(state, drift, factors, noise, steps, sup=None, path=False):
 
 
 def _scaled(sigma, increments):
-    return lambda k, s: apply_noise(sigma, increments[k])
+    """Step k's term of a noise pair: a pre-drawn block is scaled once, whole,
+    and a streamed one row by row through an amplitude bound once."""
+    if isinstance(increments, np.ndarray):
+        block = apply_noise(sigma, increments)
+        return lambda k, s: block[k]
+    scale = _noise_map(sigma)
+    return lambda k, s: scale(increments[k])
 
 
 def _trajectory(grid, states, diverged_at):
@@ -177,9 +191,11 @@ def simulate_slow_fast(m, t_end, dt, rng=None, slow_incr=None, fast_incr=None):
     if fast_incr is None:
         fast_incr = rescale_fast(n, m.epsilon, grid, rng, jump=m.jump_fast)
 
+    lin_a, lin_b = _lin_map(m.a), _lin_map(m.b)
+
     def drift(k, s):
         x, y = s
-        return _lin(m.a, x) + m.f(x, y), _lin(m.b, y) + m.g(x, y)
+        return lin_a(x) + m.f(x, y), lin_b(y) + m.g(x, y)
 
     noise = ((m.sigma1, slow_incr.d_brownian + slow_incr.d_jump),
              (m.sigma2, fast_incr.d_brownian + fast_incr.d_jump))
@@ -193,7 +209,8 @@ def simulate_slow_fast(m, t_end, dt, rng=None, slow_incr=None, fast_incr=None):
 def _frozen_fast_run(m, x_frozen, y0, h, d_fast, path=False):
     """Frozen-fast equation from y0 (..., n), slow argument x_frozen (same
     shape), step factor h, driven by summed fast increments (steps, ..., n)."""
-    return _euler((y0,), lambda k, s: (_lin(m.b, s[0]) + m.g(x_frozen, s[0]),), (h,),
+    lin_b = _lin_map(m.b)
+    return _euler((y0,), lambda k, s: (lin_b(s[0]) + m.g(x_frozen, s[0]),), (h,),
                   ((m.sigma2, d_fast),), len(d_fast), path=path)
 
 

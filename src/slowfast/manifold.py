@@ -29,8 +29,9 @@ come from independent realizations.
 
 Each sweep runs two one-step recurrences along the grid.  At n = 1 they are
 linear filters (``lfilter``); at n >= 2 the drive term C drive_k is one
-matmul over the whole grid per sweep, so only the E w_k product stays in the
-step loop, and the first slow profile e^{eps A t} u0 is one stacked ``expm``.
+matmul over the whole grid and the E w_k products are a doubling prefix scan
+of ceil(log2 M) whole-grid matmuls, not M per-point steps.  The first slow
+profile e^{eps A t} u0 is one stacked ``expm``.
 """
 
 from __future__ import annotations
@@ -268,6 +269,16 @@ class ManifoldSolution:
                    np.column_stack([self.profile.grid, self.profile.u, self.profile.v]))
 
 
+def _scan(out, e_mat):
+    """w_0 = out[0];  w_k = E w_{k-1} + out[k], written over ``out`` by a
+    doubling prefix scan (Blelloch, CMU-CS-90-190, 1990): after the pass at
+    span s, row k sums its last 2s terms, so ceil(log2 len) passes finish."""
+    p, s = e_mat.T.copy(), 1
+    while s < len(out):
+        out[s:] = out[s:] + out[:-s] @ p
+        p, s = p @ p, 2 * s
+
+
 def _forward_recurrence(e_mat, c_mat, drive):
     """w_0 = 0;  w_{k+1} = E w_k + C drive_k."""
     n = drive.shape[-1]
@@ -278,9 +289,8 @@ def _forward_recurrence(e_mat, c_mat, drive):
         if len(drive):
             out[1:, 0] = lfilter([g], [1.0, -d], drive[:, 0])
     else:
-        drive = drive @ c_mat.T
-        for k in range(len(drive)):
-            out[k + 1] = out[k] @ e_mat.T + drive[k]
+        out[1:] = drive @ c_mat.T
+        _scan(out, e_mat)
     return out
 
 
@@ -300,9 +310,8 @@ def _backward_recurrence(e_mat, c_mat, drive, terminal):
             w_rev = (d ** ks) * terminal[0] + z
             out[:-1, 0] = w_rev[::-1]
     else:
-        drive = drive @ c_mat.T
-        for j in range(len(drive) - 1, -1, -1):
-            out[j] = out[j + 1] @ e_mat.T - drive[j]
+        out[:-1] = -(drive @ c_mat.T)
+        _scan(out[::-1], e_mat)
     return out
 
 

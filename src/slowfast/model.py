@@ -43,6 +43,15 @@ def _lin(mat, x):
     return x * mat[0, 0] if mat.shape == (1, 1) else x @ mat.T
 
 
+def _lin_map(mat):
+    """``_lin`` with ``mat`` bound once, for a stepping loop: x -> x @ mat.T."""
+    if mat.shape == (1, 1):
+        a = mat[0, 0]
+        return lambda x: x * a
+    a_t = mat.T
+    return lambda x: x @ a_t
+
+
 def decay_rate(matrix):
     """Spectral decay rate: the negated largest real eigenvalue part.
 

@@ -177,6 +177,29 @@ def test_fbar_derivative_rejects_tiny_step():
         fbar_derivative(am, [1.0], fd_step=1e-14)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_fbar_derivative_over_rows_matches_per_row_calls(n, tanh_averaged):
+    if n == 1:
+        am = tanh_averaged[1]                    # tabulated fbar
+    else:
+        mix = np.array([[1.0, 0.4], [-0.3, 0.8]])
+        am = AveragedModel(-np.eye(2), AveragedDrift(
+            2, "custom", lambda x: np.tanh(x @ mix.T) * (1.0 + 0.1 * x)), 0.0,
+            None, np.zeros(2))
+    rows = np.random.default_rng(n).uniform(-2.5, 2.5, (3, 7, n))
+    got = fbar_derivative(am, rows)
+    want = np.array([[fbar_derivative(am, r) for r in block] for block in rows])
+    assert got.shape == (3, 7, n, n)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    # the default Jacobian of build_deviation_model differences all rows at once
+    htilde = 0.25 * np.eye(n)
+    theta = np.random.default_rng(10 + n).normal(size=rows.shape)
+    got = build_deviation_model(am, htilde).drift(theta, rows)
+    want = np.array([[build_deviation_model(am, htilde, x=r).drift(t, r)
+                      for r, t in zip(*pair)] for pair in zip(rows, theta)])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 # -- matrix square root -------------------------------------------------------
 
 def test_matrix_sqrt_identity_and_diagonal():

@@ -108,6 +108,20 @@ def test_nesting_at_the_limit_compiles():
     assert err.value.position == MAX_NESTING
 
 
+def _at_depth(frames, fn):
+    """fn() called from ``frames`` more Python frames down the stack."""
+    return fn() if frames == 0 else _at_depth(frames - 1, fn)
+
+
+def test_nesting_past_the_free_stack_is_a_syntax_error():
+    # the parser takes five frames per level: 150 levels need about 750,
+    # more than a caller 300 frames deep leaves under the default limit of 1000
+    src = "tanh(" * 150 + "x1" + ")" * 150
+    with pytest.raises(DriftSyntaxError, match="nested too deep"):
+        _at_depth(300, lambda: compile_components([src], 1))
+    assert ev(src, 0.0, 0.0) == 0.0      # at a shallow depth it compiles
+
+
 def test_unknown_identifier():
     with pytest.raises(DriftNameError):
         parse_expression("z1 + 1")

@@ -13,7 +13,7 @@ from slowfast.deviation import (DeviationModel, limit_marginal_samples,
                                 residual_theta2, simulate_corrected,
                                 simulate_deviation,
                                 simulate_truncated_deviation)
-from slowfast.integrator import (Trajectory, _euler, frozen_fast_batch,
+from slowfast.integrator import (Trajectory, _euler, apply_noise, frozen_fast_batch,
                                  make_grid, simulate_frozen_fast,
                                  simulate_slow_fast)
 from slowfast.manifold import tracking_check
@@ -70,6 +70,35 @@ def test_euler_kernel_matches_reference_loop(n, paths, matrix_sigma, steps, seed
     assert np.array_equal(run.state[0], x) and np.array_equal(run.state[1], y)
     assert np.array_equal(run.sup, best)
     assert not run.diverged.any() and np.all(run.diverged_at == -1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), matrix_sigma=st.booleans(),
+       paths=st.sampled_from([None, 1, 3]), steps=st.integers(0, 30),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_euler_prescaled_blocks_match_per_step_noise(n, matrix_sigma, paths, steps,
+                                                     seed):
+    rng = np.random.default_rng(seed)
+    a = -np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    sigma = rng.standard_normal((n, n)) if matrix_sigma else 0.7
+    shape = (n,) if paths is None else (paths, n)
+    x0, dx = rng.standard_normal(shape), 0.1 * rng.standard_normal((steps,) + shape)
+    caller = dx.copy()
+
+    def drift(k, s):
+        return (np.tanh(s[0] @ a.T),)
+
+    run = _euler((x0,), drift, (0.01,), ((sigma, dx),), steps, path=True)
+    assert np.array_equal(dx, caller)            # the caller's block is not scaled
+    x, want = x0, [x0]
+    for k in range(steps):
+        x = x + np.tanh(x @ a.T) * 0.01 + apply_noise(sigma, dx[k])
+        want.append(x)
+    if n == 1 or not matrix_sigma:
+        assert np.array_equal(run.path[0], np.array(want))
+    else:
+        assert np.max(np.abs(run.path[0] - np.array(want)), initial=0.0) <= \
+            1e-12 * np.max(np.abs(want))
 
 
 def test_euler_divergence_conventions():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from slowfast.benchmarks import tanh_benchmark
@@ -288,6 +290,19 @@ def _hurwitz(n, seed):
     return m - (1.0 + np.max(np.linalg.eigvals(m).real)) * np.eye(n)
 
 
+def _per_step_recurrences(e_mat, c_mat, drive, terminal):
+    """The sweeps' forward and backward recurrences, one grid point a step."""
+    length, n = drive.shape
+    fwd = np.zeros((length + 1, n))
+    for k in range(length):
+        fwd[k + 1] = fwd[k] @ e_mat.T + drive[k] @ c_mat.T
+    bwd = np.zeros((length + 1, n))
+    bwd[-1] = terminal
+    for j in range(length - 1, -1, -1):
+        bwd[j] = bwd[j + 1] @ e_mat.T - drive[j] @ c_mat.T
+    return fwd, bwd
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_recurrences_match_per_step_loops(n):
     b = _hurwitz(n, n)
@@ -295,16 +310,36 @@ def test_recurrences_match_per_step_loops(n):
     e_mat, c_mat = expm(0.005 * b), _phi1(b, 0.005)
     rng = np.random.default_rng(10 + n)
     drive, terminal = rng.normal(size=(400, n)), rng.normal(size=n)
-    fwd = np.zeros((401, n))
-    for k in range(400):
-        fwd[k + 1] = fwd[k] @ e_mat.T + drive[k] @ c_mat.T
-    bwd = np.zeros((401, n))
-    bwd[-1] = terminal
-    for j in range(399, -1, -1):
-        bwd[j] = bwd[j + 1] @ e_mat.T - drive[j] @ c_mat.T
+    fwd, bwd = _per_step_recurrences(e_mat, c_mat, drive, terminal)
     for got, want in ((_forward_recurrence(e_mat, c_mat, drive), fwd),
                       (_backward_recurrence(e_mat, c_mat, drive, terminal), bwd)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# lengths 0 to 2000: powers of two and their neighbours, where the doubling
+# scan's last pass changes
+SCAN_LENGTHS = sorted({0, 1600, 1601, 2000} | {2 ** p + d for p in range(11)
+                                               for d in (-1, 0, 1)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 4), length=st.one_of(st.sampled_from(SCAN_LENGTHS),
+                                             st.integers(0, 2000)),
+       rate=st.sampled_from([-2.0, -0.2, 0.0, 0.05]), seed=st.integers(0, 2 ** 16))
+def test_scan_recurrences_match_per_step_loops(n, length, rate, seed):
+    # E = e^{M dt} with top eigenvalue real part ``rate``: contracting below 0,
+    # mildly expanding above (at most e^0.5 over 2000 steps)
+    rng = np.random.default_rng(seed)
+    mat = rng.normal(0.0, 0.5, (n, n))
+    mat -= (np.max(np.linalg.eigvals(mat).real) - rate) * np.eye(n)
+    e_mat, c_mat = expm(0.005 * mat), 0.005 * rng.normal(size=(n, n))
+    drive, terminal = rng.normal(size=(length, n)), rng.normal(size=n)
+    fwd, bwd = _per_step_recurrences(e_mat, c_mat, drive, terminal)
+    for got, want in ((_forward_recurrence(e_mat, c_mat, drive), fwd),
+                      (_backward_recurrence(e_mat, c_mat, drive, terminal), bwd)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= \
+            1e-12 * np.max(np.abs(want), initial=0.0)
 
 
 @pytest.mark.parametrize("n", [2, 3])

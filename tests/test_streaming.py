@@ -26,6 +26,7 @@ from slowfast.noise import (ROLE_DEV, ROLE_FAST, ROLE_SLOW, _path_increments,
                             rescale_fast, sample_increments, substream)
 
 EPS, DT = 0.1, 0.01
+START = 3          # first path index of the coupled batches below
 
 
 def _model(n, jumps, matrix_sigma):
@@ -49,29 +50,21 @@ def _same(batch, single, n):
         np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-14)
 
 
-@settings(max_examples=16, deadline=None)
-@given(n=st.integers(1, 3), jumps=st.booleans(), matrix_sigma=st.booleans(),
-       chunk=st.sampled_from([1, 3, 7, noise.CHUNK_STEPS]),
-       steps=st.integers(1, 40), paths=st.integers(1, 4),
-       seed=st.integers(0, 2**16))
-def test_streamed_rows_equal_single_path_runs(n, jumps, matrix_sigma, chunk, steps,
-                                              paths, seed):
+def _check_rows_equal_single_path_runs(n, jumps, matrix_sigma, chunk, steps, paths,
+                                       seed):
     m = _model(n, jumps, matrix_sigma)
     am = build_averaged(m)
-    t_end, start = steps * DT, 3
+    t_end = steps * DT
     grid = make_grid(t_end, DT)
     with mock.patch.object(noise, "CHUNK_STEPS", chunk):
-        sup, diff, div = coupled_error_batch(m, am, t_end, DT, seed, start, paths)
+        sup, diff, div = coupled_error_batch(m, am, t_end, DT, seed, START, paths)
         dm = DeviationModel(am.a, 0.5 * np.eye(n), 0.25 * np.eye(n))
         theta = limit_marginal_samples(dm, am, t_end, DT, paths, seed)
-    chunk_ends = set(range(chunk - 1, steps, chunk)) | {steps - 1}
-    events = []
     for i in range(paths):
-        slow = sample_increments(n, grid, substream(seed, start + i, ROLE_SLOW),
+        slow = sample_increments(n, grid, substream(seed, START + i, ROLE_SLOW),
                                  jump=m.jump_slow)
-        fast = rescale_fast(n, EPS, grid, substream(seed, start + i, ROLE_FAST),
+        fast = rescale_fast(n, EPS, grid, substream(seed, START + i, ROLE_FAST),
                             jump=m.jump_fast)
-        events.extend(fast.jump_events["time"])
         x, _ = simulate_slow_fast(m, t_end, DT, slow_incr=slow, fast_incr=fast)
         xa = simulate_averaged(am, t_end, DT, slow)
         assert not div[i]
@@ -82,9 +75,32 @@ def test_streamed_rows_equal_single_path_runs(n, jumps, matrix_sigma, chunk, ste
             n, grid, substream(seed, i, ROLE_SLOW), jump=am.jump_slow))
         ref = simulate_deviation(dm, carrier, t_end, DT, substream(seed, i, ROLE_DEV))
         _same(theta[i], ref.states[-1], n)
-    if jumps:      # events land in the last step of some chunk
-        assert chunk_ends & set(np.minimum((np.array(events) / DT).astype(int),
-                                           steps - 1).tolist())
+
+
+@settings(max_examples=16, deadline=None)
+@given(n=st.integers(1, 3), jumps=st.booleans(), matrix_sigma=st.booleans(),
+       chunk=st.sampled_from([1, 3, 7, noise.CHUNK_STEPS]),
+       steps=st.integers(1, 40), paths=st.integers(1, 4),
+       seed=st.integers(0, 2**16))
+def test_streamed_rows_equal_single_path_runs(n, jumps, matrix_sigma, chunk, steps,
+                                              paths, seed):
+    _check_rows_equal_single_path_runs(n, jumps, matrix_sigma, chunk, steps, paths,
+                                       seed)
+
+
+def test_fast_jump_in_the_last_step_of_a_chunk_keeps_rows_equal():
+    n, chunk, steps, paths, seed = 1, 7, 22, 2, 13
+    m, grid = _model(n, True, False), make_grid(steps * DT, DT)
+    # a fast event of the coupled batch falls in the last step of a chunk
+    # that another chunk follows
+    chunk_ends = set(range(chunk - 1, steps - 1, chunk))
+    hit = set()
+    for i in range(START, START + paths):
+        times = rescale_fast(n, EPS, grid, substream(seed, i, ROLE_FAST),
+                             jump=m.jump_fast).jump_events["time"]
+        hit |= set((np.searchsorted(grid, times, side="right") - 1).tolist())
+    assert chunk_ends & hit
+    _check_rows_equal_single_path_runs(n, True, False, chunk, steps, paths, seed)
 
 
 @pytest.mark.parametrize("chunk", [1, 7])

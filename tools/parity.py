@@ -11,7 +11,8 @@ sigma), ``n2m`` (the same with matrix sigma) and ``n2bm`` (``n2m`` without
 jumps), plus blow-up models whose single-path runs must diverge at the same
 row.  The ``*_long`` keys step batches over more steps than one noise chunk
 (``noise.CHUNK_STEPS``), by a count that is not a multiple of it.  The
-``*/kernel/*`` keys run ``autocovariance_kernel`` on a short window.
+``*/kernel/*`` keys run ``autocovariance_kernel`` on a short window, and
+the ``*/manifold_long/*`` keys solve on a grid of 1601 points.
 ``compare`` requires ``n1*`` outputs to be bit-identical (NaN equal to NaN)
 and ``n2*`` outputs to satisfy max|a - b| <= 1e-10 (1 + max|a|).
 
@@ -35,7 +36,7 @@ N2_RTOL = 1e-10
 # key pattern -> why its random numbers differ from checkouts before the change
 RESAMPLED = {}
 # key pattern -> why it moved in the last bits only
-LAST_BITS = {"*/kernel/*": "the per-lag sums run in BLAS matmul order, not einsum's"}
+LAST_BITS = {}
 
 
 def _reason(table, key):
@@ -180,6 +181,12 @@ def dump(path):
         put(f"{name}/manifold/reapply", reapply_sweep(m, sol, paths))
         put(f"{name}/manifold/h0", sf.asymptotic_manifold_h0(m, m.x0, t_neg=4.0,
                                                              paths=paths))
+        # 1601 grid points, so the n >= 2 recurrences' doubling scan runs past 1024
+        paths = sf.sample_stationary_paths(m, eps, 8.0, 0.0, 0.005, rng(15))
+        sol = sf.lyapunov_perron_solve(m, eps, m.x0, t_neg=8.0, paths=paths)
+        put(f"{name}/manifold_long/u", sol.profile.u)
+        put(f"{name}/manifold_long/v", sol.profile.v)
+        put(f"{name}/manifold_long/residuals", sol.residuals)
         wl = sf.weak_limit_report(m, am, dm, 0.3, dt, 40, 29, dt_limit=0.01)
         for field in ("mean_diff", "var_diff", "cdf_distance", "theta_mean",
                       "theta_var", "theta_mean_se"):
