@@ -27,11 +27,12 @@ is exact up to tail truncation.
 One noise realization is frozen per solve; statistics over the random graph
 come from independent realizations.
 
-Each sweep runs two one-step recurrences along the grid.  At n = 1 they are
-linear filters (``lfilter``); at n >= 2 the drive term C drive_k is one
-matmul over the whole grid and the E w_k products are a doubling prefix scan
-of ceil(log2 M) whole-grid matmuls, not M per-point steps.  The first slow
-profile e^{eps A t} u0 is one stacked ``expm``.
+Each sweep runs two one-step recurrences along the grid, one code path for
+every dimension: the drive term C drive_k is one matmul over the whole grid
+and the E w_k products are a doubling prefix scan of ceil(log2 M) whole-grid
+matmuls, not M per-point steps.  The backward recurrence is the forward one
+on the reversed drive.  The first slow profile e^{eps A t} u0 is one stacked
+``expm``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.signal import lfilter
 
 from .harness import fit_exp_rate
 from .integrator import _euler, _write_csv, apply_noise
@@ -59,11 +59,11 @@ def _phi1(matrix, dt):
     return np.linalg.solve(matrix, expm(matrix * dt) - np.eye(matrix.shape[0]))
 
 
-def _gammas(m, gamma_a_rev=None):
-    ga = decay_rate(m.a)
-    gb = decay_rate(m.b)
-    ga_rev = ga if gamma_a_rev is None else float(gamma_a_rev)
-    return ga, ga_rev, gb
+def _gammas(m):
+    """A's decay rate, its backward growth rate -min Re eig(A) (the rate of
+    e^{-eps A t} in the backward sweep, exact for normal A), B's decay rate."""
+    ev_a = np.linalg.eigvals(m.a).real
+    return -float(ev_a.max()), -float(ev_a.min()), decay_rate(m.b)
 
 
 def _lipschitz_pair(m):
@@ -80,7 +80,7 @@ def default_gamma(m):
     return 0.5 * (gb - lg)
 
 
-def contraction_factors(m, epsilon, gamma, gamma_a_rev=None):
+def contraction_factors(m, epsilon, gamma):
     """Contraction factor of the fixed-point map and its tracking variant.
 
     rho_hat adds the feedback of the graph's Lipschitz constant and governs
@@ -88,7 +88,7 @@ def contraction_factors(m, epsilon, gamma, gamma_a_rev=None):
     solver, not here.
     """
     lf, lg = _lipschitz_pair(m)
-    _, ga_rev, gb = _gammas(m, gamma_a_rev)
+    _, ga_rev, gb = _gammas(m)
     if not (epsilon * ga_rev < gamma < gb - lg):
         raise ValueError(
             f"gamma={gamma} outside the admissible band "
@@ -162,8 +162,8 @@ def _convolve_path(kernel_matrix, dt, increments, sigma):
     """Stationary convolution values along the grid via the one-step recurrence
     value_{k+1} = e^{K dt} value_k + sigma * increment_k, started from 0."""
     kernel_matrix = np.atleast_2d(kernel_matrix)
-    return _forward_recurrence(expm(kernel_matrix * dt), np.eye(len(kernel_matrix)),
-                               apply_noise(sigma, increments))
+    return _recurrence(expm(kernel_matrix * dt), np.eye(len(kernel_matrix)),
+                       apply_noise(sigma, increments), 0.0)
 
 
 @dataclass(frozen=True)
@@ -275,43 +275,16 @@ def _scan(out, e_mat):
     span s, row k sums its last 2s terms, so ceil(log2 len) passes finish."""
     p, s = e_mat.T.copy(), 1
     while s < len(out):
-        out[s:] = out[s:] + out[:-s] @ p
+        out[s:] += out[:-s] @ p
         p, s = p @ p, 2 * s
 
 
-def _forward_recurrence(e_mat, c_mat, drive):
-    """w_0 = 0;  w_{k+1} = E w_k + C drive_k."""
-    n = drive.shape[-1]
-    out = np.zeros((len(drive) + 1, n))
-    if n == 1:
-        d = float(np.atleast_2d(e_mat)[0, 0])
-        g = float(np.atleast_2d(c_mat)[0, 0])
-        if len(drive):
-            out[1:, 0] = lfilter([g], [1.0, -d], drive[:, 0])
-    else:
-        out[1:] = drive @ c_mat.T
-        _scan(out, e_mat)
-    return out
-
-
-def _backward_recurrence(e_mat, c_mat, drive, terminal):
-    """w_last = terminal;  w_j = E w_{j+1} - C drive_j, j descending."""
-    n = drive.shape[-1]
-    out = np.zeros((len(drive) + 1, n))
-    out[-1] = terminal
-    if n == 1:
-        d = float(np.atleast_2d(e_mat)[0, 0])
-        g = float(np.atleast_2d(c_mat)[0, 0])
-        mlen = len(drive)
-        if mlen:
-            rev = drive[::-1, 0]
-            z = lfilter([-g], [1.0, -d], rev)
-            ks = np.arange(1, mlen + 1)
-            w_rev = (d ** ks) * terminal[0] + z
-            out[:-1, 0] = w_rev[::-1]
-    else:
-        out[:-1] = -(drive @ c_mat.T)
-        _scan(out[::-1], e_mat)
+def _recurrence(e_mat, c_mat, drive, start):
+    """w_0 = start;  w_{k+1} = E w_k + C drive_k."""
+    out = np.empty((len(drive) + 1, drive.shape[-1]))
+    out[0] = start
+    out[1:] = drive @ c_mat.T
+    _scan(out, e_mat)
     return out
 
 
@@ -325,16 +298,16 @@ def _sweep_operators(m, epsilon, step, frozen_u):
 
 def _sweep(m, ops, u0, u, v, eta_w, xi_w):
     """One application of the graph map; a frozen slow profile stays put."""
-    v_new = _forward_recurrence(ops[0], ops[1], m.g(u + eta_w, v + xi_w)[:-1])
+    v_new = _recurrence(ops[0], ops[1], m.g(u + eta_w, v + xi_w)[:-1], 0.0)
     if len(ops) == 2:
         return u, v_new
-    return _backward_recurrence(ops[2], ops[3], m.f(u + eta_w, v + xi_w)[:-1], u0), v_new
+    # w_last = u0;  w_j = E w_{j+1} - C f_j, run forward on the reversed drive
+    f_rev = m.f(u + eta_w, v + xi_w)[:-1][::-1]
+    return _recurrence(ops[2], -ops[3], f_rev, u0)[::-1], v_new
 
 
 def _linear_slow_profile(a, epsilon, u0, ts):
     """Rows e^{eps A t} u0 along ``ts``: the sweeps' first slow profile."""
-    if len(u0) == 1:
-        return np.exp(epsilon * float(a[0, 0]) * ts)[:, None] * u0
     return expm(epsilon * a * ts[:, None, None]) @ u0
 
 
@@ -346,7 +319,7 @@ def _weighted_gap(weight, du, dv):
 
 def lyapunov_perron_solve(m, epsilon, u0, gamma=None, grid_step=0.005,
                           tol=1e-9, rng=None, t_neg=None,
-                          paths=None, gamma_a_rev=None, frozen_u=False):
+                          paths=None, frozen_u=False):
     """Iterate the graph map to its fixed point for one noise realization.
 
     ``paths`` may carry pre-sampled stationary forcing (frozen across
@@ -356,11 +329,11 @@ def lyapunov_perron_solve(m, epsilon, u0, gamma=None, grid_step=0.005,
     """
     n = m.n
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
-    lf, lg = _lipschitz_pair(m)
-    ga, ga_rev, gb = _gammas(m, gamma_a_rev)
+    _, lg = _lipschitz_pair(m)
+    _, _, gb = _gammas(m)
     if gamma is None:
-        gamma = 0.5 * (gb - lg)
-    rho, rho_hat = contraction_factors(m, epsilon, gamma, gamma_a_rev=ga_rev)
+        gamma = default_gamma(m)
+    rho, rho_hat = contraction_factors(m, epsilon, gamma)
     if rho >= 1.0:
         raise ValueError(f"contraction factor rho={rho:.4g} >= 1; "
                          "the fixed-point map is not a contraction")
@@ -444,18 +417,18 @@ class TrackingReport:
 
 
 def tracking_check(m, epsilon, ic_on, ic_off, t_end, dt, rng=None, gamma=None,
-                   paths=None, gamma_a_rev=None):
+                   paths=None):
     """Gap decay between two solutions of the transformed pathwise system.
 
     Both initial conditions evolve under the same frozen stationary forcing;
     the report carries the fitted decay rate of |u-u'| + |v-v'| and the
-    envelope e^{-gamma t} |v0 - v0'| / (1 - rho).
+    envelope e^{-gamma t} |v0 - v0'| / (1 - rho).  A diverged run, whose gap
+    goes non-finite, reports a NaN rate and is not under the envelope.
     """
-    _, lg = _lipschitz_pair(m)
-    ga, ga_rev, gb = _gammas(m, gamma_a_rev)
+    ga, _, gb = _gammas(m)
     if gamma is None:
-        gamma = 0.5 * (gb - lg)
-    rho, rho_hat = contraction_factors(m, epsilon, gamma, gamma_a_rev=ga_rev)
+        gamma = default_gamma(m)
+    rho, rho_hat = contraction_factors(m, epsilon, gamma)
 
     if paths is None:
         spin = 5.0 / gb
@@ -475,12 +448,13 @@ def tracking_check(m, epsilon, ic_on, ic_off, t_end, dt, rng=None, gamma=None,
 
     us, vs = _euler((u, v), drift, (dt, dt), (None, None), len(ts) - 1,
                     path=True).path
-    gaps = (np.linalg.norm(us[:, 0] - us[:, 1], axis=-1)
-            + np.linalg.norm(vs[:, 0] - vs[:, 1], axis=-1))
+    with np.errstate(invalid="ignore", over="ignore"):
+        gaps = (np.linalg.norm(us[:, 0] - us[:, 1], axis=-1)
+                + np.linalg.norm(vs[:, 0] - vs[:, 1], axis=-1))
 
     envelope = np.exp(-gamma * ts) * dv0 / (1.0 - rho)
     positive = gaps > max(gaps[0] * 1e-12, 1e-300)
-    if positive.sum() >= 3 and gaps[0] > 0:
+    if np.all(np.isfinite(gaps)) and positive.sum() >= 3 and gaps[0] > 0:
         rate = fit_exp_rate(ts[positive], gaps[positive]).slope
     else:
         rate = float("nan")

@@ -383,7 +383,7 @@ def estimate_lipschitz(fn, box, samples, rng):
     return float(np.max(num[mask] / den[mask]))
 
 
-def validate_model(m, probe_box=None, samples=3000, rng=None, gamma_a_rev=None):
+def validate_model(m, probe_box=None, samples=3000, rng=None):
     """Audit the standing assumptions of a model.
 
     Checks: strict stability of A and B (eigenvalues in the open left half
@@ -392,8 +392,8 @@ def validate_model(m, probe_box=None, samples=3000, rng=None, gamma_a_rev=None):
     and the conditional-smoothness hypothesis which no finite procedure can
     decide and is therefore always reported unverifiable.
 
-    The backward decay rate of A defaults to its forward rate, which is exact
-    for normal matrices; pass ``gamma_a_rev`` to override.
+    The backward growth rate of A, the rate of e^{-A t}, is reported as
+    -min Re eig(A), which is exact for normal matrices.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     n = m.n
@@ -404,7 +404,7 @@ def validate_model(m, probe_box=None, samples=3000, rng=None, gamma_a_rev=None):
     ev_b = np.linalg.eigvals(m.b).real
     gamma_a = -float(ev_a.max())
     gamma_b = -float(ev_b.max())
-    gamma_a_rev = gamma_a if gamma_a_rev is None else float(gamma_a_rev)
+    gamma_a_rev = -float(ev_a.min())
 
     checks = []
     hurwitz = gamma_a > 0 and gamma_b > 0

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,16 @@ def _up_deviation():
     return DeviationModel(SLOW_UP.a, np.zeros((1, 1)), np.eye(1))
 
 
+def _tracking_blow_up():
+    # a diverged run reports a NaN rate, off the envelope, without warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = tracking_check(SLOW_UP, 1.0, ([0.5], [0.3]), ([0.6], [0.9]), 40.0,
+                             0.1, rng=_rng())
+    return (not np.isfinite(rep.gap[-1]) and np.isnan(rep.rate_fitted)
+            and not rep.under_envelope)
+
+
 BLOWUPS = {
     "simulate_slow_fast":
         lambda: simulate_slow_fast(SLOW_UP, 40.0, 0.1, _rng())[0].diverged,
@@ -180,11 +191,9 @@ BLOWUPS = {
     "limit_marginal_samples":
         lambda: not np.isfinite(limit_marginal_samples(_up_deviation(), _up_averaged(),
                                                        40.0, 0.1, 3, 5)).any(),
-    "tracking_check":
-        lambda: not np.isfinite(tracking_check(SLOW_UP, 1.0, ([0.5], [0.3]),
-                                               ([0.6], [0.9]), 40.0, 0.1,
-                                               rng=_rng()).gap[-1]),
+    "tracking_check": _tracking_blow_up,
 }
+
 
 
 @pytest.mark.parametrize("name", sorted(BLOWUPS))

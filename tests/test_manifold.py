@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,14 +10,13 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from slowfast.benchmarks import tanh_benchmark
-from slowfast.manifold import (StationarySolutionSpec, _backward_recurrence,
-                               _forward_recurrence, _linear_slow_profile, _phi1,
-                               asymptotic_manifold_h0,
+from slowfast.manifold import (StationarySolutionSpec, _linear_slow_profile,
+                               _phi1, _recurrence, asymptotic_manifold_h0,
                                contraction_factors, default_gamma,
                                lyapunov_perron_solve, reapply_sweep,
                                sample_stationary_paths, stationary_solution,
                                tracking_check)
-from slowfast.model import DriftFn, SlowFastModel
+from slowfast.model import DriftFn, SlowFastModel, validate_model
 
 
 def plain_model(f=None, g=None, sigma1=0.0, sigma2=0.0, eps=0.1,
@@ -101,6 +105,22 @@ def test_contraction_band_validation():
         contraction_factors(m, 0.1, 1.6)     # above gb - Lg = 1.5
     with pytest.raises(ValueError, match="band"):
         contraction_factors(m, 0.5, 0.4)     # below eps * ga' = 0.5
+
+
+def test_contraction_uses_backward_growth_rate_of_a():
+    # the backward sweep runs e^{-eps A t}, which grows at -min Re eig(A) = 3
+    f = DriftFn.linear(fy=np.eye(2), n=2)
+    g = DriftFn.linear(fy=0.5 * np.eye(2), n=2)
+    m = SlowFastModel(a=np.diag([-1.0, -3.0]), b=-2.0 * np.eye(2), f=f, g=g,
+                      sigma1=0.0, sigma2=0.0, epsilon=0.1, x0=[0.0, 0.0],
+                      y0=[0.0, 0.0])
+    rho, rho_hat = contraction_factors(m, 0.1, 1.0)
+    assert rho == pytest.approx(0.1 / (1.0 - 0.3) + 0.5, abs=1e-12)
+    lip = 0.5 / (1.0 - rho)
+    assert rho_hat == pytest.approx(rho + 0.1 * 0.5 * lip / 0.7, abs=1e-12)
+    with pytest.raises(ValueError, match="band"):
+        contraction_factors(m, 0.1, 0.25)    # below eps * 3
+    assert validate_model(m).gamma_a_rev == pytest.approx(3.0)
 
 
 def test_default_gamma_centers_band():
@@ -285,7 +305,8 @@ def test_solver_u_profile_constant_f_closed_form():
 # -- whole-array sweep pieces against per-step references ---------------------
 
 def _hurwitz(n, seed):
-    """Non-diagonal matrix with every eigenvalue's real part at most -1."""
+    """Matrix with every eigenvalue's real part at most -1, non-diagonal at
+    n >= 2."""
     m = np.random.default_rng(seed).normal(0.0, 0.5, (n, n))
     return m - (1.0 + np.max(np.linalg.eigvals(m).real)) * np.eye(n)
 
@@ -303,7 +324,13 @@ def _per_step_recurrences(e_mat, c_mat, drive, terminal):
     return fwd, bwd
 
 
-@pytest.mark.parametrize("n", [2, 3])
+def _sweep_recurrences(e_mat, c_mat, drive, terminal):
+    """The forward and backward recurrences as the sweeps call them."""
+    return (_recurrence(e_mat, c_mat, drive, 0.0),
+            _recurrence(e_mat, -c_mat, drive[::-1], terminal)[::-1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_recurrences_match_per_step_loops(n):
     b = _hurwitz(n, n)
     assert np.count_nonzero(b - np.diag(np.diag(b))) == n * (n - 1)
@@ -311,8 +338,8 @@ def test_recurrences_match_per_step_loops(n):
     rng = np.random.default_rng(10 + n)
     drive, terminal = rng.normal(size=(400, n)), rng.normal(size=n)
     fwd, bwd = _per_step_recurrences(e_mat, c_mat, drive, terminal)
-    for got, want in ((_forward_recurrence(e_mat, c_mat, drive), fwd),
-                      (_backward_recurrence(e_mat, c_mat, drive, terminal), bwd)):
+    for got, want in zip(_sweep_recurrences(e_mat, c_mat, drive, terminal),
+                         (fwd, bwd)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -323,7 +350,7 @@ SCAN_LENGTHS = sorted({0, 1600, 1601, 2000} | {2 ** p + d for p in range(11)
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(2, 4), length=st.one_of(st.sampled_from(SCAN_LENGTHS),
+@given(n=st.integers(1, 4), length=st.one_of(st.sampled_from(SCAN_LENGTHS),
                                              st.integers(0, 2000)),
        rate=st.sampled_from([-2.0, -0.2, 0.0, 0.05]), seed=st.integers(0, 2 ** 16))
 def test_scan_recurrences_match_per_step_loops(n, length, rate, seed):
@@ -335,14 +362,14 @@ def test_scan_recurrences_match_per_step_loops(n, length, rate, seed):
     e_mat, c_mat = expm(0.005 * mat), 0.005 * rng.normal(size=(n, n))
     drive, terminal = rng.normal(size=(length, n)), rng.normal(size=n)
     fwd, bwd = _per_step_recurrences(e_mat, c_mat, drive, terminal)
-    for got, want in ((_forward_recurrence(e_mat, c_mat, drive), fwd),
-                      (_backward_recurrence(e_mat, c_mat, drive, terminal), bwd)):
+    for got, want in zip(_sweep_recurrences(e_mat, c_mat, drive, terminal),
+                         (fwd, bwd)):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want), initial=0.0) <= \
             1e-12 * np.max(np.abs(want), initial=0.0)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_linear_slow_profile_rows_are_single_expms(n):
     a, eps = _hurwitz(n, 20 + n), 0.05
     u0 = np.random.default_rng(n).normal(size=n)
@@ -350,3 +377,14 @@ def test_linear_slow_profile_rows_are_single_expms(n):
     got = _linear_slow_profile(a, eps, u0, ts)
     want = np.stack([u0 @ expm(eps * a * t).T for t in ts])
     assert np.array_equal(got, want)
+
+
+def test_import_leaves_scipy_signal_out():
+    # one recurrence serves every dimension, so no linear filter is imported
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, slowfast; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
