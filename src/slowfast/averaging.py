@@ -31,7 +31,7 @@ from .harness import fit_exp_rate, fit_loglog_rate
 from .integrator import (DivergedError, _check_stable, _euler,
                          _nan_after_divergence, _trajectory, _write_csv,
                          frozen_fast_batch, make_grid)
-from .model import _lin, has_slow_noise
+from .model import _lin, _lin_plus, has_slow_noise
 from .noise import (ROLE_FAST, ROLE_SLOW, _path_increments, rescale_fast,
                     sample_increments, substream)
 
@@ -42,12 +42,17 @@ CURVE_STEP = 0.05
 
 
 class AveragedDrift:
-    """Averaged slow drift fbar(x), vectorized over (..., n)."""
+    """Averaged slow drift fbar(x), vectorized over (..., n).
+
+    ``_add(d, x)`` adds fbar(x) into the float buffer d in place, the
+    stepping kernel's form (``DriftFn._add`` without the fast argument).
+    """
 
     def __init__(self, n, kind, fn, deriv_matrix=None, table=None):
         self.n = n
         self.kind = kind               # zero | y-independent | linear | tabulated
         self._fn = fn
+        self._add = lambda d, x: np.add(d, fn(x), out=d)
         self.deriv_matrix = deriv_matrix   # constant Jacobian when known
         self.table = table
 
@@ -295,8 +300,12 @@ def simulate_averaged(am, t_end, dt, incr, x0=None):
 def _averaged_run(am, x0, dt, noise, steps):
     """Averaged slow equation from x0 (..., n) under one ``_euler`` noise
     term; records the full path."""
-    return _euler((x0,), lambda k, s: (_lin(am.a, s[0]) + am.fbar(s[0]),), (dt,),
-                  (noise,), steps, path=True)
+    averaged = _lin_plus(am.a, am.fbar._add)
+
+    def drift(k, s, d):
+        averaged(d[0], s[0], s[0])
+
+    return _euler((x0,), drift, (dt,), (noise,), steps, path=True)
 
 
 def simulate_auxiliary(m, delta, t_end, dt, rng, return_true=False):
@@ -321,10 +330,14 @@ def simulate_auxiliary(m, delta, t_end, dt, rng, return_true=False):
     blocks = np.floor(grid[:-1] / delta + 1e-12)
     bounds = [0] + (np.flatnonzero(np.diff(blocks)) + 1).tolist() + [steps]
 
-    def drift(k, s):
+    slow, fast = _lin_plus(m.a, m.f._add), _lin_plus(m.b, m.g._add)
+
+    def drift(k, s, d):
         x, y, xh, yh = s
-        return (_lin(m.a, x) + m.f(x, y), _lin(m.b, y) + m.g(x, y),
-                _lin(m.a, xh) + m.f(x_frozen, yh), _lin(m.b, yh) + m.g(x_frozen, yh))
+        slow(d[0], x, x, y)
+        fast(d[1], y, x, y)
+        slow(d[2], xh, x_frozen, yh)
+        fast(d[3], yh, x_frozen, yh)
 
     # each block restarts y_hat from y and freezes the slow argument at x
     path = tuple(np.empty((steps + 1, n)) for _ in range(4))
@@ -380,10 +393,14 @@ def coupled_error_batch(m, am, t_end, dt, master_seed, start, count):
     grid = make_grid(t_end, dt)
     d_fast, d_slow = _increment_blocks(m, grid, master_seed, start, count)
 
-    def drift(k, s):
+    slow, fast = _lin_plus(m.a, m.f._add), _lin_plus(m.b, m.g._add)
+    averaged = _lin_plus(am.a, am.fbar._add)
+
+    def drift(k, s, d):
         x, y, xa = s
-        return (_lin(m.a, x) + m.f(x, y), _lin(m.b, y) + m.g(x, y),
-                _lin(m.a, xa) + am.fbar(xa))
+        slow(d[0], x, x, y)
+        fast(d[1], y, x, y)
+        averaged(d[2], xa, xa)
 
     def gap_sq(s):
         diff = s[0] - s[2]

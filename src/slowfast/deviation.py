@@ -36,9 +36,9 @@ import numpy as np
 
 from .averaging import (_averaged_run, _increment_blocks, _slow_increments,
                         coupled_error_batch)
-from .integrator import (_check_stable, _euler, _frozen_fast_run, _noise_map,
+from .integrator import (_amplitude_op, _check_stable, _euler, _frozen_fast_run,
                          _trajectory, _write_csv, frozen_fast_batch, make_grid)
-from .model import _lin
+from .model import _add_value, _lin, _lin_plus, _value_into
 from .noise import ROLE_BURN, ROLE_DEV, _path_increments, substream
 from .harness import _var_se, two_sample_compare
 
@@ -184,13 +184,15 @@ class DeviationModel:
 
     ``fbar_deriv`` and ``htilde`` may be constant matrices or callables of
     one slow state.  ``drift`` and ``noise`` take slow states batched over
-    leading axes and evaluate a callable once per row; they are the only
+    leading axes and evaluate a callable once per row; with ``_drift_into``,
+    the stepping kernel's in-place form of ``drift``, they are the only
     readers of ``literal_drift`` and of the coefficient kind.
     """
 
     def __init__(self, a, fbar_deriv, htilde, literal_drift=False):
         self.a = np.atleast_2d(np.asarray(a, dtype=float))
         self.n = self.a.shape[0]
+        self._a_theta_plus = _lin_plus(self.a, _add_value)
         self.literal_drift = bool(literal_drift)
         self.deriv_const = (np.atleast_2d(np.asarray(fbar_deriv, dtype=float))
                             if not callable(fbar_deriv) else None)
@@ -218,9 +220,15 @@ class DeviationModel:
     def drift(self, theta, x):
         """A theta + J(x) theta, or A theta + J(x) 1 in the literal reading,
         for fluctuations theta (..., n) along slow states x."""
+        return _lin(self.a, theta) + self._jacobian_term(theta, x)
+
+    def _drift_into(self, d, theta, x):
+        """``drift(theta, x)`` written into the float buffer d, shaped as theta."""
+        self._a_theta_plus(d, theta, self._jacobian_term(theta, x))
+
+    def _jacobian_term(self, theta, x):
         jac = self._at(self._deriv, x)
-        lin = jac.sum(axis=-1) if self.literal_drift else _matvec(jac, theta)
-        return _lin(self.a, theta) + lin
+        return jac.sum(axis=-1) if self.literal_drift else _matvec(jac, theta)
 
     def noise(self, dw, x):
         """sqrt(Htilde(x)) dw for Brownian increments dw (..., n)."""
@@ -266,7 +274,8 @@ def simulate_deviation(dm, x_path, t_end, dt, rng):
     idx = np.clip(np.searchsorted(x_path.grid, grid[:-1] + 1e-12, side="right") - 1,
                   0, len(x_path.grid) - 1)
     x_at = x_path.states[idx, None]
-    run = _euler((np.zeros((1, dm.n)),), lambda k, s: (dm.drift(s[0], x_at[k]),), (dt,),
+    run = _euler((np.zeros((1, dm.n)),),
+                 lambda k, s, d: dm._drift_into(d[0], s[0], x_at[k]), (dt,),
                  (lambda k, s: dm.noise(dw[k], x_at[k]),), len(dw), path=True)
     return _trajectory(grid, run.path[0][:, 0], run.diverged_at[0])
 
@@ -330,13 +339,21 @@ def residual_theta2(m, epsilon, t_end, dt, n_paths, master_seed,
         me, t_end, dt, master_seed, 0, n_paths)
     n = me.n
     root = math.sqrt(epsilon)
+    # f is needed alone for theta2, so the slow drifts add a value of it
+    slow, fast = _lin_plus(me.a, _add_value), _lin_plus(me.b, me.g._add)
+    fx, fxh = np.empty((2, n_paths, n))
 
-    def drift(k, s):
+    def drift(k, s, d):
         theta2, x, xh, y, yh = s
-        fx, fxh = me.f(x, y), me.f(xh, yh)
-        return (_lin(me.a, theta2) + (fx - fxh) / root, _lin(me.a, x) + fx,
-                _lin(me.a, xh) + fxh, _lin(me.b, y) + me.g(x, y),
-                _lin(me.b, yh) + me.g(xh, yh))
+        _value_into(fx, me.f._add, x, y)
+        _value_into(fxh, me.f._add, xh, yh)
+        slow(d[1], x, fx)
+        slow(d[2], xh, fxh)
+        fast(d[3], y, x, y)
+        fast(d[4], yh, xh, yh)
+        np.subtract(fx, fxh, out=fx)
+        np.divide(fx, root, out=fx)
+        slow(d[0], theta2, fx)
 
     x0 = np.broadcast_to(me.x0, (n_paths, n))
     y0 = y_h0 if y_on_manifold else np.broadcast_to(me.y0, (n_paths, n))
@@ -376,17 +393,23 @@ def simulate_truncated_deviation(m, am, epsilon, trunc, t_end, dt, master_seed,
     drives = np.empty((steps, n))
     gates = np.empty(steps)
     root = math.sqrt(epsilon)
+    slow, fast = _lin_plus(me.a, _add_value), _lin_plus(me.b, me.g._add)
+    averaged = _lin_plus(am.a, _add_value)
+    fxh, fb = np.empty((2, n))
 
-    def drift(k, s):
+    def drift(k, s, d):
         theta1, xh, yh, xa = s
-        fxh = me.f(xh, yh)
-        fb = am.fbar(xa)
-        drive = (fxh - fb) / root
+        _value_into(fxh, me.f._add, xh, yh)
+        _value_into(fb, am.fbar._add, xa)
+        drive = drives[k]
+        np.subtract(fxh, fb, out=drive)
+        drive /= root
         gate = 1.0 if float(np.linalg.norm(theta1)) <= radius else 0.0
-        drives[k] = drive
         gates[k] = gate
-        return (_lin(me.a, theta1) + gate * drive, _lin(me.a, xh) + fxh,
-                _lin(me.b, yh) + me.g(xh, yh), _lin(me.a, xa) + fb)
+        slow(d[0], theta1, gate * drive)
+        slow(d[1], xh, fxh)
+        fast(d[2], yh, xh, yh)
+        averaged(d[3], xa, fb)
 
     ds = None if d_slow is None else (me.sigma1, d_slow[:, 0])
     run = _euler((np.zeros(n), me.x0, y_h0[0], am.x0), drift,
@@ -417,10 +440,10 @@ def _corrected_run(am, dm, epsilon, t_end, dt, pairs):
     d_slow = _path_increments(am.n, grid, count, lambda i: pairs[i][0], jump=am.jump_slow)
     dw = _path_increments(am.n, grid, count, lambda i: pairs[i][1])
     root = math.sqrt(epsilon)
-    slow = _noise_map(am.sigma1)
+    op, sigma = _amplitude_op(am.sigma1)
 
     def noise(k, s):
-        return slow(d_slow[k]) + root * dm.noise(dw[k], s[0])
+        return op(d_slow[k], sigma) + root * dm.noise(dw[k], s[0])
 
     x0 = np.broadcast_to(am.x0, (count, am.n))
     return grid, _averaged_run(am, x0, dt, noise, len(grid) - 1)
@@ -474,9 +497,12 @@ def limit_marginal_samples(dm, am, t_end, dt, n_paths, master_seed):
     d_slow = _slow_increments(am, grid, master_seed, 0, n_paths)
     dw = _path_increments(n, grid, n_paths, lambda i: substream(master_seed, i, ROLE_DEV))
 
-    def drift(k, s):
+    averaged = _lin_plus(am.a, am.fbar._add)
+
+    def drift(k, s, d):
         x, theta = s
-        return _lin(am.a, x) + am.fbar(x), dm.drift(theta, x)
+        averaged(d[0], x, x)
+        dm._drift_into(d[1], theta, x)
 
     x0 = np.broadcast_to(am.x0, (n_paths, n))
     run = _euler((x0, np.zeros((n_paths, n))), drift, (dt, dt),

@@ -17,7 +17,9 @@ source text while it reads, and ``compile_components`` turns a drift's
 component texts into one function once, so a drift call runs the numpy
 operations alone, in the order the parser read them.  Coordinates are read
 off the last axis of the ``x`` and ``y`` arrays, so one compiled drift serves
-single states ``(n,)`` and whole path batches ``(..., n)`` alike.
+single states ``(n,)`` and whole path batches ``(..., n)`` alike.  The
+stepping kernel uses a second compiled form, which adds the columns into a
+buffer the kernel owns.
 """
 
 from __future__ import annotations
@@ -88,11 +90,12 @@ class _Parser:
     ``consts`` (shared by the components of one drift): a literal such as
     ``1e999`` is inf, which has no literal form, and numpy division by a
     zero constant gives inf or NaN where Python's raises.  ``xK`` / ``yK``
-    becomes ``x[..., K-1]`` / ``y[..., K-1]`` and is listed in ``reads``, in
-    textual order.  Operators, parentheses and function calls are copied:
-    Python's precedence and left associativity are the grammar's, so the
-    operations run in the parsed order.  Only text built here from matched
-    tokens reaches the generated source.
+    becomes the name ``xK`` / ``yK`` (K without leading zeros), which the
+    compiled function binds to coordinate K-1 of ``x`` / ``y``, and is
+    listed in ``reads``, in textual order.  Operators, parentheses and
+    function calls are copied: Python's precedence and left associativity
+    are the grammar's, so the operations run in the parsed order.  Only text
+    built here from matched tokens reaches the generated source.
     """
 
     def __init__(self, source, consts):
@@ -170,7 +173,7 @@ class _Parser:
             if ident:
                 base, index = ident.group(1), int(ident.group(2))
                 self.reads.append((base, index))
-                return f"{base}[..., {index - 1}]"
+                return f"{base}{index}"
             if text in _FUNCS:
                 self.expect_op("(")
                 code = self.expr()
@@ -181,8 +184,8 @@ class _Parser:
 
 
 def parse_expression(source):
-    """Parse one component expression into numpy source text in ``x``, ``y``
-    and the constants ``c0``, ``c1``, ..."""
+    """Parse one component expression into numpy source text in the
+    coordinate names ``x1``, ``y1``, ... and the constants ``c0``, ``c1``, ..."""
     return _Parser(source, []).parse()
 
 
@@ -195,6 +198,16 @@ def compile_components(sources, n):
     for nesting deeper than the caller's free stack lets the parser read, and
     for expressions too long or deep for Python's compiler.
     """
+    evaluate, _, depends_y = _compile(sources, n)
+    return evaluate, depends_y
+
+
+def _compile(sources, n):
+    """``compile_components`` plus the in-place form ``add(d, x, y)``, which
+    adds each compiled column k into ``d[..., k]`` of a float buffer d, for
+    x and y shaped as d.  A single state (n,) is read and written element by
+    element, as numpy scalars: a ufunc on a one-element array view costs
+    several times a scalar operation, and the values are the same."""
     consts, codes, reads = [], [], []
     for src in sources:
         parser = _Parser(src, consts)
@@ -207,14 +220,30 @@ def compile_components(sources, n):
     if len(codes) != n:
         raise DriftArityError(f"{len(codes)} component expressions for dimension n={n}")
     namespace = {"__builtins__": {}, **_FUNCS, **{f"c{i}": c for i, c in enumerate(consts)}}
+
+    # each coordinate is bound once: a view of the last axis, or for a
+    # single state (n,) a numpy scalar
+    coords = sorted(set(reads))
+    batch = [f"{base}{k} = {base}[..., {k - 1}]" for base, k in coords]
+    single = [f"{base}{k} = {base}[{k - 1}]" for base, k in coords]
+    lines = (["def columns(x, y):"] + [f"    {line}" for line in batch]
+             + [f"    return [{', '.join(codes)}]", "def add(d, x, y):",
+                "    if d.ndim == 1:"] + [f"        {line}" for line in single]
+             + [f"        d[{k}] += {code}" for k, code in enumerate(codes)]
+             + ["    else:"] + [f"        {line}" for line in batch]
+             + [f"        col = d[..., {k}]\n        col += {code}"
+                for k, code in enumerate(codes)])
+    source = "\n".join(lines)
     try:
-        columns = eval(f"lambda x, y: [{', '.join(codes)}]", namespace)
+        exec(source, namespace)
     except (RecursionError, SyntaxError, MemoryError) as err:
         # Python's compiler refuses the generated source as too deep or too long
         raise DriftSyntaxError(f"expression too large to compile ({type(err).__name__})",
                                0) from err
+    columns, add = namespace["columns"], namespace["add"]
     if any("/" in code for code in codes):
-        columns = np.errstate(divide="ignore", invalid="ignore")(columns)
+        quiet = np.errstate(divide="ignore", invalid="ignore")
+        columns, add = quiet(columns), quiet(add)
 
     def evaluate(x, y):
         x = np.asarray(x, dtype=float)
@@ -223,4 +252,4 @@ def compile_components(sources, n):
             out[..., k] = col
         return out
 
-    return evaluate, any(base == "y" for base, _ in reads)
+    return evaluate, add, any(base == "y" for base, _ in reads)

@@ -16,13 +16,26 @@ is the right tool.  Every simulator of the coupled system enforces
 ``dt <= epsilon / 10`` (``_check_stable``) because the fast drift scales
 like 1/epsilon.
 
+Stepping is in place.  ``_euler`` stacks the components into one state
+array (C, ..., n) and owns a drift buffer of that shape, plus a spare state
+buffer or the rows of the recorded path.  A simulator's drift writes into
+the drift buffer, component by component, through ``model._lin_plus``: the
+linear part by one ufunc call with ``out=`` (a matmul, or a scalar multiply
+at n = 1), then the nonlinearity added in place by ``DriftFn._add``.  The
+kernel scales the drift by every component's step factor at once, writes
+``s + d * h`` straight into the next path row or the spare buffer, and adds
+the noise there, so the bits are those of ``(s + d * h) + noise``.  No step
+allocates a state or builds a list.  At one to a few dozen paths a step
+costs numpy call overhead, not arithmetic, so the number of calls per step
+is what counts: one stacked update serves all the components.
+
 Single paths draw their noise before stepping (``noise.sample_increments``),
 and ``_euler`` scales such a pre-drawn block by its amplitude once, whole,
 before the loop.  Batches stream theirs inside the loop, a time chunk at a
-time, from ``noise._path_increments``, and each step's rows go through an
-amplitude map bound once per run.  ``_frozen_fast_run`` steps the frozen-fast
-equation for ``simulate_frozen_fast`` (one path), ``frozen_fast_batch`` and
-the manifold burn-in of ``deviation``.
+time, from ``noise._path_increments``, and each step's rows are scaled into
+one buffer by an amplitude bound once per run.  ``_frozen_fast_run`` steps
+the frozen-fast equation for ``simulate_frozen_fast`` (one path),
+``frozen_fast_batch`` and the manifold burn-in of ``deviation``.
 
 A non-finite value stays non-finite under the step, so divergence is read
 once, after the loop, from every component of the final state.  Single-path
@@ -38,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import _lin_map
+from .model import _lin, _lin_op, _lin_plus
 from .noise import _path_increments, rescale_fast, sample_increments
 
 
@@ -80,23 +93,16 @@ def make_grid(t_end, dt):
     return grid
 
 
-def _noise_map(sigma):
-    """incr -> the scalar or matrix amplitude ``sigma`` applied to incr (..., n)."""
-    if np.ndim(sigma) == 0:
-        return lambda incr: sigma * incr
-    return _lin_map(np.asarray(sigma))
-
-
 def apply_noise(sigma, incr):
     """Apply a scalar or matrix amplitude to an increment (..., n)."""
-    return _noise_map(sigma)(incr)
+    return sigma * incr if np.ndim(sigma) == 0 else _lin(np.asarray(sigma), incr)
 
 
 class _Run(NamedTuple):
-    state: list                   # final components, NaN on diverged paths
+    state: np.ndarray             # final state (C, ..., n), NaN on diverged paths
     diverged: np.ndarray          # bool over the path axes
     sup: np.ndarray | None        # running max of ``sup``, NaN on diverged paths
-    path: tuple | None            # per component (steps+1, ..., n)
+    path: np.ndarray | None       # (C, steps+1, ..., n), a view of the step rows
     diverged_at: np.ndarray | None    # first non-finite path row, -1 if none
 
 
@@ -115,53 +121,85 @@ def _nan_after_divergence(path):
 
 
 def _euler(state, drift, factors, noise, steps, sup=None, path=False):
-    """Advance a stacked state by ``steps`` explicit Euler steps.
+    """Advance a stacked state by ``steps`` explicit Euler steps, in place.
 
-    ``state`` holds one (..., n) array per component, and ``drift(k, s)``
-    returns one drift per component for step k.  Component c moves by
-    ``drift * factors[c]`` plus its noise term ``noise[c]``: None, a pair
-    ``(sigma, increments)`` adding ``apply_noise(sigma, increments)[k]``, or
-    a function ``(k, s) -> array`` for noise scaled by the state.  The
-    caller's increments are never written to.
+    ``state`` holds one (..., n) array per component, broadcast to a common
+    shape and stacked as s (C, ..., n).  ``drift(k, s, d)`` writes step k's
+    drift of component c into ``d[c]`` of the buffer d shaped as s: it sets
+    every entry, reads s and keeps a reference to neither.  Component c
+    moves by ``d[c] * factors[c]`` plus its noise term ``noise[c]``: None, a
+    pair ``(sigma, increments)`` adding ``apply_noise(sigma, increments)[k]``,
+    or a function ``(k, s) -> array`` for noise scaled by the state.  The
+    caller's states and increments are never written to.
     ``sup(s)`` maps a state to one value per path, whose running max
     over the grid is recorded; ``path=True`` records every state.
     """
-    terms = [t if t is None or callable(t) else _scaled(*t) for t in noise]
-    s = [np.array(c, dtype=float) for c in state]
+    s = np.array(np.broadcast_arrays(*state), dtype=float)
+    d, spare = np.empty_like(s), np.empty_like(s)
+    h = np.reshape(np.array(factors, dtype=float), (-1,) + (1,) * (s.ndim - 1))
+    block, terms = _noise_terms(noise, s.shape, steps)
     rows = None
     if path:
-        rows = tuple(np.empty((steps + 1,) + c.shape) for c in s)
-        for r, c in zip(rows, s):
-            r[0] = c
-    best = None if sup is None else sup(s)
+        rows = np.empty((steps + 1,) + s.shape)
+        rows[0] = s
+    best = None if sup is None else np.array(sup(s), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            d = drift(k, s)
-            w = [None if t is None else t(k, s) for t in terms]
-            s = [c + dc * h if wc is None else c + dc * h + wc
-                 for c, dc, h, wc in zip(s, d, factors, w)]
-            if rows is not None:
-                for r, c in zip(rows, s):
-                    r[k + 1] = c
+            drift(k, s, d)
+            d *= h
+            # the next state goes straight into its path row, or else into
+            # the spare buffer, which then trades places with the state
+            nxt = spare if rows is None else rows[k + 1]
+            np.add(s, d, out=nxt)
+            if block is not None:
+                nxt += block[k]
+            for c, term in terms:
+                part = nxt[c]
+                part += term(k, s, d[c])
+            spare, s = s, nxt
             if sup is not None:
-                best = np.maximum(best, sup(s))
+                np.maximum(best, sup(s), out=best)
     diverged = ~_finite_rows(s)
     if np.any(diverged):
-        s = [np.where(diverged[..., None], np.nan, c) for c in s]
+        s = np.where(diverged[..., None], np.nan, s)
         if best is not None:
             best = np.where(diverged, np.nan, best)
+    if rows is not None:
+        rows = rows.swapaxes(0, 1)
     at = None if rows is None else _nan_after_divergence(rows)
     return _Run(s, diverged, best, rows, at)
 
 
-def _scaled(sigma, increments):
-    """Step k's term of a noise pair: a pre-drawn block is scaled once, whole,
-    and a streamed one row by row through an amplitude bound once."""
-    if isinstance(increments, np.ndarray):
-        block = apply_noise(sigma, increments)
-        return lambda k, s: block[k]
-    scale = _noise_map(sigma)
-    return lambda k, s: scale(increments[k])
+def _noise_terms(noise, shape, steps):
+    """``_euler``'s noise: the pre-drawn terms as one block (steps, C, ..., n),
+    scaled once, whole, with -0.0 (the additive identity) on the other
+    components, or None; and the others as ``(c, term)`` pairs, term(k, s,
+    scratch) giving component c's noise at step k.  The scratch is the
+    component's drift buffer, which the step has used by then: a streamed
+    block is scaled row by row into it, by an amplitude bound once."""
+    block, terms = None, []
+    for c, t in enumerate(noise):
+        if t is None:
+            continue
+        if callable(t):
+            terms.append((c, lambda k, s, scratch, t=t: t(k, s)))
+        elif isinstance(t[1], np.ndarray):
+            if block is None:
+                block = np.full((steps,) + shape, -0.0)
+            block[:, c] = apply_noise(*t)
+        else:
+            terms.append((c, _streamed(*t)))
+    return block, tuple(terms)
+
+
+def _streamed(sigma, increments):
+    op, operand = _amplitude_op(sigma)
+    return lambda k, s, scratch: op(increments[k], operand, out=scratch)
+
+
+def _amplitude_op(sigma):
+    """``apply_noise(sigma, .)`` as a ufunc and its bound operand, for a loop."""
+    return (np.multiply, sigma) if np.ndim(sigma) == 0 else _lin_op(np.asarray(sigma))
 
 
 def _trajectory(grid, states, diverged_at):
@@ -191,11 +229,12 @@ def simulate_slow_fast(m, t_end, dt, rng=None, slow_incr=None, fast_incr=None):
     if fast_incr is None:
         fast_incr = rescale_fast(n, m.epsilon, grid, rng, jump=m.jump_fast)
 
-    lin_a, lin_b = _lin_map(m.a), _lin_map(m.b)
+    slow, fast = _lin_plus(m.a, m.f._add), _lin_plus(m.b, m.g._add)
 
-    def drift(k, s):
+    def drift(k, s, d):
         x, y = s
-        return lin_a(x) + m.f(x, y), lin_b(y) + m.g(x, y)
+        slow(d[0], x, x, y)
+        fast(d[1], y, x, y)
 
     noise = ((m.sigma1, slow_incr.d_brownian + slow_incr.d_jump),
              (m.sigma2, fast_incr.d_brownian + fast_incr.d_jump))
@@ -209,9 +248,12 @@ def simulate_slow_fast(m, t_end, dt, rng=None, slow_incr=None, fast_incr=None):
 def _frozen_fast_run(m, x_frozen, y0, h, d_fast, path=False):
     """Frozen-fast equation from y0 (..., n), slow argument x_frozen (same
     shape), step factor h, driven by summed fast increments (steps, ..., n)."""
-    lin_b = _lin_map(m.b)
-    return _euler((y0,), lambda k, s: (lin_b(s[0]) + m.g(x_frozen, s[0]),), (h,),
-                  ((m.sigma2, d_fast),), len(d_fast), path=path)
+    fast = _lin_plus(m.b, m.g._add)
+
+    def drift(k, s, d):
+        fast(d[0], s[0], x_frozen, s[0])
+
+    return _euler((y0,), drift, (h,), ((m.sigma2, d_fast),), len(d_fast), path=path)
 
 
 def simulate_frozen_fast(m, x_frozen, y0, t_end, dt, rng=None):

@@ -32,11 +32,12 @@ every dimension: the drive term C drive_k is one matmul over the whole grid
 and the E w_k products are a doubling prefix scan of ceil(log2 M) whole-grid
 matmuls, not M per-point steps.  The backward recurrence is the forward one
 on the reversed drive.  The first slow profile e^{eps A t} u0 is one stacked
-``expm``.
+``expm``, kept for the next solve on the same A, eps and grid.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,7 @@ from scipy.linalg import expm
 
 from .harness import fit_exp_rate
 from .integrator import _euler, _write_csv, apply_noise
-from .model import _lin, decay_rate, has_slow_noise
+from .model import _lin_op, _lin_plus, _value_into, decay_rate, has_slow_noise
 from .noise import sample_two_sided
 
 # sweeps ``lyapunov_perron_solve`` makes before it gives up and raises
@@ -307,8 +308,21 @@ def _sweep(m, ops, u0, u, v, eta_w, xi_w):
 
 
 def _linear_slow_profile(a, epsilon, u0, ts):
-    """Rows e^{eps A t} u0 along ``ts``: the sweeps' first slow profile."""
-    return expm(epsilon * a * ts[:, None, None]) @ u0
+    """Rows e^{eps A t} u0 along ``ts``: the sweeps' first slow profile.
+
+    Solves at other points of the same graph share A, eps and the grid, so
+    the stacked exponentials are computed once and kept."""
+    a, ts = np.asarray(a, dtype=float), np.asarray(ts, dtype=float)
+    return _slow_exponentials(a.tobytes(), a.shape, float(epsilon), ts.tobytes()) @ u0
+
+
+@functools.lru_cache(maxsize=8)
+def _slow_exponentials(a_bytes, shape, epsilon, ts_bytes):
+    """expm(eps A t) for each t, stacked (T, n, n) and read-only."""
+    a, ts = np.frombuffer(a_bytes).reshape(shape), np.frombuffer(ts_bytes)
+    out = expm(epsilon * a * ts[:, None, None])
+    out.flags.writeable = False
+    return out
 
 
 def _weighted_gap(weight, du, dv):
@@ -441,10 +455,20 @@ def tracking_check(m, epsilon, ic_on, ic_off, t_end, dt, rng=None, gamma=None,
     v = np.vstack([ic_on[1], ic_off[1]]).astype(float)
     dv0 = float(np.linalg.norm(v[0] - v[1]))
 
-    def drift(k, s):
+    op_a, a = _lin_op(m.a)
+    fast = _lin_plus(m.b, m.g._add)
+    fu = np.empty_like(u)
+
+    def drift(k, s, d):
         u, v = s
+        du = d[0]
         arg = (u + eta_w[k], v + xi_w[k])
-        return epsilon * _lin(m.a, u) + epsilon * m.f(*arg), _lin(m.b, v) + m.g(*arg)
+        op_a(u, a, out=du)
+        du *= epsilon
+        _value_into(fu, m.f._add, *arg)
+        np.multiply(fu, epsilon, out=fu)
+        du += fu
+        fast(d[1], v, *arg)
 
     us, vs = _euler((u, v), drift, (dt, dt), (None, None), len(ts) - 1,
                     path=True).path

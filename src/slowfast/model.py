@@ -12,7 +12,8 @@ simulated exactly and the compensator is the explicit drift correction
 ``-intensity * mean_size * dt``.
 
 Everything here is immutable after construction and safe to share across
-threads; the operations are pure.
+threads; the operations are pure, except that the in-place drift forms
+write into the buffer their caller passes.
 """
 
 from __future__ import annotations
@@ -43,13 +44,37 @@ def _lin(mat, x):
     return x * mat[0, 0] if mat.shape == (1, 1) else x @ mat.T
 
 
-def _lin_map(mat):
-    """``_lin`` with ``mat`` bound once, for a stepping loop: x -> x @ mat.T."""
+def _lin_op(mat):
+    """``_lin`` as a ufunc and its bound operand, for a stepping loop that
+    writes into a buffer: ``op(x, operand, out=d)`` stores x @ mat.T in d."""
     if mat.shape == (1, 1):
-        a = mat[0, 0]
-        return lambda x: x * a
-    a_t = mat.T
-    return lambda x: x @ a_t
+        return np.multiply, mat[0, 0]
+    return np.matmul, mat.T
+
+
+def _lin_plus(mat, add):
+    """A stepping drift's linear part plus its nonlinearity, in place:
+    ``write(d, x, *args)`` stores x @ mat.T in d and then runs add(d, *args)."""
+    op, operand = _lin_op(mat)
+
+    def write(d, x, *args):
+        op(x, operand, out=d)
+        add(d, *args)
+
+    return write
+
+
+def _add_value(d, value):
+    """d += value: the nonlinearity of ``_lin_plus`` when it is already known."""
+    np.add(d, value, out=d)
+
+
+def _value_into(out, add, *args):
+    """A drift's value alone, from its in-place form ``add(d, *args)``, into
+    the buffer out: -0.0 is the additive identity of every float, signed
+    zeros and NaN included, so the bits are those of the value itself."""
+    out.fill(-0.0)
+    add(out, *args)
 
 
 def decay_rate(matrix):
@@ -147,12 +172,16 @@ class DriftFn:
     Built-in families keep analytic Lipschitz constants; parsed expressions
     carry user-declared constants (``lip``, ``growth``) that the validator
     cross-checks by sampling difference quotients.
+
+    ``_add(d, x, y)`` is the stepping kernel's form: it adds f(x, y) into the
+    float buffer d (..., n) in place, with no conversion of x and y.
     """
 
     def __init__(self, n, kind, fn, depends_on_y, lip=None, growth=None, payload=None):
         self.n = int(n)
         self.kind = kind
         self._fn = fn
+        self._add = lambda d, x, y: np.add(d, fn(x, y), out=d)
         self.depends_on_y = bool(depends_on_y)
         self.lip = None if lip is None else float(lip)
         self.growth = None if growth is None else float(growth)
@@ -218,9 +247,11 @@ class DriftFn:
 
     @classmethod
     def from_expressions(cls, sources, n, lip=None, growth=None):
-        fn, depends_y = exprlang.compile_components(list(sources), n)
-        return cls(n, "expr", fn, depends_on_y=depends_y, lip=lip, growth=growth,
-                   payload={"sources": tuple(sources)})
+        fn, add, depends_y = exprlang._compile(list(sources), n)
+        drift = cls(n, "expr", fn, depends_on_y=depends_y, lip=lip, growth=growth,
+                    payload={"sources": tuple(sources)})
+        drift._add = add
+        return drift
 
 
 def parse_drift(expr_strings, n, lip=None, growth=None):
@@ -260,7 +291,7 @@ class SlowFastModel:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "y0", y0)
-        for name in ("sigma1", "sigma2"):
+        for name, jump_name in (("sigma1", "jump_slow"), ("sigma2", "jump_fast")):
             s = getattr(self, name)
             if np.ndim(s) == 0:
                 object.__setattr__(self, name, float(s))
@@ -269,6 +300,11 @@ class SlowFastModel:
                 if m.shape != (n, n):
                     raise ValueError(f"{name} matrix must be {n}x{n}")
                 object.__setattr__(self, name, m)
+            # sigma scales dW + dJ together, so a zero amplitude drops the jumps
+            jump = getattr(self, jump_name)
+            if jump is not None and jump.intensity > 0 and not np.any(s):
+                raise ValueError(f"{jump_name} has intensity {jump.intensity:g} but "
+                                 f"{name} = 0, which scales its jumps to nothing")
         # each event draws i.i.d. coordinates, so the worst jump is a corner
         for name in ("jump_slow", "jump_fast"):
             jump = getattr(self, name)

@@ -78,6 +78,18 @@ def test_validate_too_deep_expression_is_an_error_line(tmp_path, capsys, compone
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("jump, sigma", [("jump_slow", "sigma1"),
+                                         ("jump_fast", "sigma2")])
+def test_validate_jumps_on_zero_amplitude_is_an_error_line(tmp_path, capsys, jump,
+                                                           sigma):
+    cfg_data = json.loads(json.dumps(LINEAR_CFG))
+    cfg_data["model"].update({sigma: 0.0, jump: {
+        "intensity": 2.0, "size": {"kind": "uniform", "low": -0.5, "high": 0.5}}})
+    assert main(["validate", "--config", write_cfg(tmp_path, cfg_data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and jump in err and sigma in err
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
 

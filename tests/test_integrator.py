@@ -31,38 +31,77 @@ def model(a=-1.0, b=-2.0, f=None, g=None, sigma1=0.0, sigma2=0.0, eps=1.0,
 
 # -- the Euler kernel ----------------------------------------------------------
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 3), paths=st.integers(1, 4), matrix_sigma=st.booleans(),
-       steps=st.integers(0, 25), seed=st.integers(0, 2 ** 32 - 1))
-def test_euler_kernel_matches_reference_loop(n, paths, matrix_sigma, steps, seed):
+def in_place(fn):
+    """The kernel's form of an out-of-place drift (k, s) -> one array per
+    component: each value is copied into its drift buffer."""
+    def drift(k, s, d):
+        for dc, value in zip(d, fn(k, s)):
+            dc[...] = value
+    return drift
+
+
+class Streamed:
+    """Increments that are not an ndarray, read a step at a time in order."""
+
+    def __init__(self, block):
+        self.block, self.shape, self.next = block, block.shape, 0
+
+    def __getitem__(self, k):
+        assert k == self.next
+        self.next += 1
+        return self.block[k]
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 3), paths=st.sampled_from([None, 1, 4]),
+       matrix_sigma=st.booleans(),
+       noise=st.sampled_from(["none", "blocks", "mixed", "streamed"]),
+       views=st.booleans(), steps=st.integers(0, 25), seed=st.integers(0, 2 ** 32 - 1))
+def test_euler_kernel_matches_reference_loop(n, paths, matrix_sigma, noise, views,
+                                             steps, seed):
     rng = np.random.default_rng(seed)
     a = -np.eye(n) + 0.3 * rng.standard_normal((n, n))
     b = -2.0 * np.eye(n) + 0.3 * rng.standard_normal((n, n))
     s1 = 0.3 * rng.standard_normal((n, n)) if matrix_sigma else 0.3
     s2 = rng.standard_normal((n, n)) if matrix_sigma else 1.0
-    x0, y0 = rng.standard_normal((2, paths, n))
-    dx, dy = 0.1 * rng.standard_normal((2, steps, paths, n))
+    shape = (n,) if paths is None else (paths, n)
+    x0, y0 = rng.standard_normal((2,) + shape)
+    dx, dy = 0.1 * rng.standard_normal((2, steps) + shape)
+    callers = [v.copy() for v in (x0, y0, dx, dy)]
     dt, h_fast = 0.01, 0.1
 
     def amp(sigma, d):
         return sigma * d if np.ndim(sigma) == 0 else d @ sigma.T
 
-    def drift(k, s):
+    def fn(k, s):
         x, y = s
+        if views:          # the drift of each component is the other's state
+            return y, x
         return x @ a.T + np.tanh(y), y @ b.T + 0.25 * np.sin(x)
+
+    def noise_y(k, s):     # reads the state the step starts from
+        return amp(s2, dy[k]) * (1.0 + 0.1 * np.tanh(s[0]))
 
     def gap(s):
         return np.sum((s[0] - s[1]) ** 2, axis=-1)
 
-    # one noise term as (sigma, increments), one as a function of the step
-    run = _euler((x0, y0), drift, (dt, h_fast),
-                 ((s1, dx), lambda k, s: amp(s2, dy[k])), steps, sup=gap, path=True)
+    def terms():
+        return {"none": (None, None), "blocks": ((s1, dx), (s2, dy)),
+                "mixed": ((s1, dx), noise_y),
+                "streamed": ((s1, Streamed(dx)), noise_y)}[noise]
 
+    run = _euler((x0, y0), in_place(fn), (dt, h_fast), terms(), steps, sup=gap,
+                 path=True)
+
+    # a pre-drawn block is scaled whole, a streamed one row by row
     x, y = x0, y0
     xs, ys, best = [x], [y], gap((x, y))
     for k in range(steps):
-        x, y = (x + (x @ a.T + np.tanh(y)) * dt + amp(s1, dx[k]),
-                y + (y @ b.T + 0.25 * np.sin(x)) * h_fast + amp(s2, dy[k]))
+        fx, fy = fn(k, (x, y))
+        wx = {"none": None, "streamed": amp(s1, dx[k])}.get(noise, amp(s1, dx)[k])
+        wy = {"none": None, "blocks": amp(s2, dy)[k]}.get(noise, noise_y(k, (x, y)))
+        x, y = (x + fx * dt if wx is None else x + fx * dt + wx,
+                y + fy * h_fast if wy is None else y + fy * h_fast + wy)
         xs.append(x)
         ys.append(y)
         best = np.maximum(best, gap((x, y)))
@@ -71,6 +110,13 @@ def test_euler_kernel_matches_reference_loop(n, paths, matrix_sigma, steps, seed
     assert np.array_equal(run.state[0], x) and np.array_equal(run.state[1], y)
     assert np.array_equal(run.sup, best)
     assert not run.diverged.any() and np.all(run.diverged_at == -1)
+    # the kernel wrote to none of the caller's arrays
+    assert all(np.array_equal(v, c) for v, c in zip((x0, y0, dx, dy), callers))
+
+    # without a recorded path the final state and sup are the same
+    bare = _euler((x0, y0), in_place(fn), (dt, h_fast), terms(), steps, sup=gap)
+    assert bare.path is None and bare.diverged_at is None
+    assert np.array_equal(bare.state, run.state) and np.array_equal(bare.sup, best)
 
 
 @settings(max_examples=40, deadline=None)
@@ -89,7 +135,7 @@ def test_euler_prescaled_blocks_match_per_step_noise(n, matrix_sigma, paths, ste
     def drift(k, s):
         return (np.tanh(s[0] @ a.T),)
 
-    run = _euler((x0,), drift, (0.01,), ((sigma, dx),), steps, path=True)
+    run = _euler((x0,), in_place(drift), (0.01,), ((sigma, dx),), steps, path=True)
     assert np.array_equal(dx, caller)            # the caller's block is not scaled
     x, want = x0, [x0]
     for k in range(steps):
@@ -110,7 +156,7 @@ def test_euler_divergence_conventions():
     def drift(k, s):
         return np.tanh(s[1]), 50.0 * s[1]
 
-    run = _euler((np.zeros((3, 1)), y0), drift, (0.1, 0.1), (None, None), 400,
+    run = _euler((np.zeros((3, 1)), y0), in_place(drift), (0.1, 0.1), (None, None), 400,
                  sup=lambda s: np.abs(s[0][:, 0]), path=True)
     x, y = np.zeros((3, 1)), y0
     raw = [y]

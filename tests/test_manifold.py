@@ -11,7 +11,8 @@ from scipy.linalg import expm
 
 from slowfast.benchmarks import tanh_benchmark
 from slowfast.manifold import (StationarySolutionSpec, _linear_slow_profile,
-                               _phi1, _recurrence, asymptotic_manifold_h0,
+                               _phi1, _recurrence, _slow_exponentials,
+                               asymptotic_manifold_h0,
                                contraction_factors, default_gamma,
                                lyapunov_perron_solve, reapply_sweep,
                                sample_stationary_paths, stationary_solution,
@@ -377,6 +378,11 @@ def test_linear_slow_profile_rows_are_single_expms(n):
     got = _linear_slow_profile(a, eps, u0, ts)
     want = np.stack([u0 @ expm(eps * a * t).T for t in ts])
     assert np.array_equal(got, want)
+    # a second solve on the same A, eps and grid reuses the kept stack
+    hits = _slow_exponentials.cache_info().hits
+    assert np.array_equal(_linear_slow_profile(a, eps, u0, ts), want)
+    assert _slow_exponentials.cache_info().hits == hits + 1
+    assert not _slow_exponentials(a.tobytes(), a.shape, eps, ts.tobytes()).flags.writeable
 
 
 def test_import_leaves_scipy_signal_out():

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slowfast.model import (DriftFn, JumpSpec, SizeDist, SlowFastModel,
-                            decay_rate, estimate_lipschitz, parse_drift,
-                            validate_model)
+                            _value_into, decay_rate, estimate_lipschitz,
+                            parse_drift, validate_model)
 
 
 def scalar_model(a=-1.0, b=-2.0, f=None, g=None, **kw):
@@ -127,14 +127,31 @@ def test_jump_sizes_bounded_in_vector_norm(which, size):
     # sqrt(2) * max|size| >= 1 although every coordinate is inside (-1, 1)
     def build(n):
         return SlowFastModel(a=-np.eye(n), b=-2.0 * np.eye(n), f=DriftFn.zero(n),
-                             g=DriftFn.zero(n), **{which: JumpSpec(1.0, size)})
+                             g=DriftFn.zero(n), sigma1=1.0, sigma2=1.0,
+                             **{which: JumpSpec(1.0, size)})
 
     assert build(1).n == 1
     with pytest.raises(ValueError, match="unit ball"):
         build(2)
     ok = JumpSpec(1.0, SizeDist.uniform(-0.7, 0.7))       # corner norm 0.99
     assert SlowFastModel(a=-np.eye(2), b=-2.0 * np.eye(2), f=DriftFn.zero(2),
-                         g=DriftFn.zero(2), **{which: ok}).n == 2
+                         g=DriftFn.zero(2), sigma1=1.0, sigma2=1.0,
+                         **{which: ok}).n == 2
+
+
+@pytest.mark.parametrize("zero", [0.0, [[0.0, 0.0], [0.0, 0.0]]])
+@pytest.mark.parametrize("which, sigma", [("jump_slow", "sigma1"),
+                                          ("jump_fast", "sigma2")])
+def test_jumps_on_a_zero_amplitude_component_are_refused(which, sigma, zero):
+    # sigma scales dW + dJ together, so these jumps would never be simulated
+    jump = JumpSpec(2.0, SizeDist.uniform(-0.5, 0.5))
+    common = dict(a=-np.eye(2), b=-2.0 * np.eye(2), f=DriftFn.zero(2), g=DriftFn.zero(2))
+    with pytest.raises(ValueError, match=f"{which}.*{sigma} = 0"):
+        SlowFastModel(**common, **{which: jump, sigma: zero})
+    # a nonzero amplitude, or a jump spec with no events, is accepted
+    assert SlowFastModel(**common, **{which: jump, sigma: 0.5}).n == 2
+    assert SlowFastModel(**common, **{which: JumpSpec(0.0, jump.size_dist),
+                                      sigma: zero}).n == 2
 
 
 def test_growth_check_detects_violation():
@@ -148,3 +165,45 @@ def test_growth_check_unverifiable_without_constants():
     f = parse_drift(["x1"], 1)   # no declared constants
     rep = validate_model(scalar_model(f=f), rng=np.random.default_rng(0))
     assert rep.check("linear-growth").status == "unverifiable"
+
+
+def _drift_families(n, rng):
+    def mat():
+        return rng.standard_normal((n, n))
+
+    coords = [f"x{i + 1}" for i in range(n)], [f"y{i + 1}" for i in range(n)]
+    exprs = [f"tanh({x}) * {y} - 0.5 / ({y} - {coords[0][-1 - i]}) + exp(-{x}) / 3"
+             for i, (x, y) in enumerate(zip(*coords))]
+    return [DriftFn.zero(n), DriftFn.constant(rng.standard_normal(n)),
+            DriftFn.linear(fx=mat(), fy=mat(), const=rng.standard_normal(n)),
+            DriftFn.saturating(rng.standard_normal(n), gx=mat(), gy=mat()),
+            parse_drift(exprs, n), parse_drift(["2.5"] * n, n)]
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), lead=st.sampled_from([(), (4,), (3, 5)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_in_place_drift_adds_the_value_bit_for_bit(n, lead, seed):
+    # the stepping kernel's form d += f(x, y), and the value alone from it
+    rng = np.random.default_rng(seed)
+    x, y, d = rng.standard_normal((3,) + lead + (n,))
+    # exact zeros of both signs, and a division by zero where y = x
+    x[rng.random(x.shape) < 0.2] = 0.0
+    y[rng.random(y.shape) < 0.2] = -0.0
+    first = (0,) * len(lead)
+    y[first + (0,)] = x[first + (n - 1,)]
+    d[rng.random(d.shape) < 0.3] = -0.0
+    for fn in _drift_families(n, rng):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = d + fn(x, y)
+            got = d.copy()
+            fn._add(got, x, y)
+            alone = np.full_like(d, np.nan)
+            _value_into(alone, fn._add, x, y)
+        assert _same_bits(got, want), fn
+        assert _same_bits(alone, fn(x, y)), fn

@@ -36,10 +36,7 @@ N2_RTOL = 1e-10
 # key pattern -> why its random numbers differ from checkouts before the change
 RESAMPLED = {}
 # key pattern -> why it moved in the last bits only
-LAST_BITS = {
-    "n1*/manifold*/*": "scan replaces lfilter at n = 1",
-    "n1*/tracking/*": "scan replaces lfilter at n = 1",
-}
+LAST_BITS = {}
 
 
 def _reason(table, key):
