@@ -17,9 +17,9 @@ source text while it reads, and ``compile_components`` turns a drift's
 component texts into one function once, so a drift call runs the numpy
 operations alone, in the order the parser read them.  Coordinates are read
 off the last axis of the ``x`` and ``y`` arrays, so one compiled drift serves
-single states ``(n,)`` and whole path batches ``(..., n)`` alike.  The
-stepping kernel uses a second compiled form, which adds the columns into a
-buffer the kernel owns.
+single states ``(n,)`` and whole path batches ``(..., n)`` alike.  The one
+compiled function adds the columns into a buffer: the stepping kernel's
+drift buffer, or for a drift call a fresh one filled with -0.0.
 """
 
 from __future__ import annotations
@@ -203,11 +203,12 @@ def compile_components(sources, n):
 
 
 def _compile(sources, n):
-    """``compile_components`` plus the in-place form ``add(d, x, y)``, which
-    adds each compiled column k into ``d[..., k]`` of a float buffer d, for
-    x and y shaped as d.  A single state (n,) is read and written element by
-    element, as numpy scalars: a ufunc on a one-element array view costs
-    several times a scalar operation, and the values are the same."""
+    """``compile_components`` plus the in-place form ``add(d, x, y)`` it is
+    built on, which adds each compiled column k into ``d[..., k]`` of a
+    float buffer d, for x and y shaped as d.  A single state (n,) is read
+    and written element by element, as numpy scalars: a ufunc on a
+    one-element array view costs several times a scalar operation, and the
+    values are the same."""
     consts, codes, reads = [], [], []
     for src in sources:
         parser = _Parser(src, consts)
@@ -226,9 +227,8 @@ def _compile(sources, n):
     coords = sorted(set(reads))
     batch = [f"{base}{k} = {base}[..., {k - 1}]" for base, k in coords]
     single = [f"{base}{k} = {base}[{k - 1}]" for base, k in coords]
-    lines = (["def columns(x, y):"] + [f"    {line}" for line in batch]
-             + [f"    return [{', '.join(codes)}]", "def add(d, x, y):",
-                "    if d.ndim == 1:"] + [f"        {line}" for line in single]
+    lines = (["def add(d, x, y):", "    if d.ndim == 1:"]
+             + [f"        {line}" for line in single]
              + [f"        d[{k}] += {code}" for k, code in enumerate(codes)]
              + ["    else:"] + [f"        {line}" for line in batch]
              + [f"        col = d[..., {k}]\n        col += {code}"
@@ -240,16 +240,16 @@ def _compile(sources, n):
         # Python's compiler refuses the generated source as too deep or too long
         raise DriftSyntaxError(f"expression too large to compile ({type(err).__name__})",
                                0) from err
-    columns, add = namespace["columns"], namespace["add"]
+    add = namespace["add"]
     if any("/" in code for code in codes):
-        quiet = np.errstate(divide="ignore", invalid="ignore")
-        columns, add = quiet(columns), quiet(add)
+        add = np.errstate(divide="ignore", invalid="ignore")(add)
 
     def evaluate(x, y):
+        # -0.0 is the additive identity of every float, signed zeros and NaN
+        # included, so adding into it gives each column's own bits
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape[:-1] + (n,))
-        for k, col in enumerate(columns(x, np.asarray(y, dtype=float))):
-            out[..., k] = col
+        out = np.full(x.shape[:-1] + (n,), -0.0)
+        add(out, x, np.asarray(y, dtype=float))
         return out
 
     return evaluate, add, any(base == "y" for base, _ in reads)

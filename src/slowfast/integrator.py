@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import _lin, _lin_op, _lin_plus
+from .model import _lin_op, _lin_plus
 from .noise import _path_increments, rescale_fast, sample_increments
 
 
@@ -95,7 +95,8 @@ def make_grid(t_end, dt):
 
 def apply_noise(sigma, incr):
     """Apply a scalar or matrix amplitude to an increment (..., n)."""
-    return sigma * incr if np.ndim(sigma) == 0 else _lin(np.asarray(sigma), incr)
+    op, operand = _amplitude_op(sigma)
+    return op(incr, operand)
 
 
 class _Run(NamedTuple):
