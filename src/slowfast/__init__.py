@@ -13,14 +13,12 @@ from .averaging import (AveragedModel, MixingReport, RateReport,
                         build_averaged, estimate_fbar, mixing_diagnostic,
                         simulate_auxiliary, simulate_averaged,
                         strong_error_experiment)
-from .manifold import (ManifoldSolution, StationarySolutionSpec,
-                       asymptotic_manifold_h0, contraction_factors,
-                       lyapunov_perron_solve, sample_stationary_paths,
-                       stationary_solution, tracking_check)
-from .deviation import (DeviationModel, KernelEstimate, TruncationSpec,
-                        autocovariance_kernel, build_deviation_model,
-                        diffusion_matrix, fbar_derivative, matrix_sqrt_psd,
-                        residual_theta2, simulate_corrected,
+from .manifold import (ManifoldSolution, asymptotic_manifold_h0,
+                       contraction_factors, lyapunov_perron_solve,
+                       sample_stationary_paths, tracking_check)
+from .deviation import (DeviationModel, KernelEstimate, autocovariance_kernel,
+                        build_deviation_model, diffusion_matrix, fbar_derivative,
+                        matrix_sqrt_psd, residual_theta2, simulate_corrected,
                         simulate_deviation, simulate_truncated_deviation,
                         weak_limit_report)
 from .harness import (Ensemble, TwoSampleReport, fit_loglog_rate,

@@ -29,9 +29,9 @@ from scipy.interpolate import RegularGridInterpolator
 
 from .harness import fit_exp_rate, fit_loglog_rate
 from .integrator import (DivergedError, _check_stable, _euler,
-                         _nan_after_divergence, _trajectory, _write_csv,
-                         frozen_fast_batch, make_grid)
-from .model import _lin, _lin_plus, has_slow_noise
+                         _nan_after_divergence, _stretch, _trajectory,
+                         _write_csv, frozen_fast_batch, make_grid)
+from .model import PROBE_BOX, _lin, _lin_plus, has_slow_noise
 from .noise import (ROLE_FAST, ROLE_SLOW, _path_increments, rescale_fast,
                     sample_increments, substream)
 
@@ -39,6 +39,11 @@ from .noise import (ROLE_FAST, ROLE_SLOW, _path_increments, rescale_fast,
 FBAR_BATCHES = 16
 # time between the points of the relaxation curve of ``mixing_diagnostic``
 CURVE_STEP = 0.05
+# ``check_fbar_lipschitz`` probes this many point pairs of the box
+# [-PROBE_BOX, PROBE_BOX]^n
+LIP_SAMPLES = 400
+# the one rule for the block size delta of ``strong_error_experiment``
+DELTA_RULE = "eps**(2/3)"
 
 
 class AveragedDrift:
@@ -113,18 +118,16 @@ def estimate_fbar(m, x, burn_in=None, horizon=60.0, dt=0.005, rng=None):
     return FbarEstimate(vals.mean(axis=1).reshape(x.shape), stderr.reshape(x.shape))
 
 
-def build_averaged(m, mode="auto", table_axes=None, rng=None, burn_in=None,
-                   horizon=60.0, dt=0.005):
+def build_averaged(m, table_axes=None, rng=None, horizon=60.0, dt=0.005):
     """Construct the averaged model for ``m``.
 
-    ``mode='auto'`` picks the exact shortcut when the drift ignores the fast
-    variable, the closed form when both nonlinearities are linear families,
-    and otherwise tabulates ergodic estimates on ``table_axes`` (a sequence
-    of 1-D node arrays, one per dimension).
+    Picks the exact shortcut when the drift ignores the fast variable, the
+    closed form when both nonlinearities are linear families, and otherwise
+    tabulates ergodic estimates on ``table_axes`` (a sequence of 1-D node
+    arrays, one per dimension).
     """
     n = m.n
-    if mode == "auto":
-        mode = _auto_mode(m)
+    mode = _auto_mode(m)
 
     if mode == "zero":
         fbar = AveragedDrift(n, "zero", lambda x: np.zeros(x.shape[:-1] + (n,)),
@@ -148,13 +151,12 @@ def build_averaged(m, mode="auto", table_axes=None, rng=None, burn_in=None,
             return _lin(jac, x) + shift
 
         fbar = AveragedDrift(n, "linear", fn, deriv_matrix=jac)
-    elif mode == "tabulated":
+    else:
         if table_axes is None or rng is None:
             raise ValueError("tabulated averaging needs table_axes and rng")
         axes = [np.asarray(ax, dtype=float) for ax in table_axes]
         nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        values = estimate_fbar(m, nodes, burn_in=burn_in, horizon=horizon, dt=dt,
-                               rng=rng).value
+        values = estimate_fbar(m, nodes, horizon=horizon, dt=dt, rng=rng).value
         interp = RegularGridInterpolator(axes, values, bounds_error=False,
                                          fill_value=None)
 
@@ -163,8 +165,6 @@ def build_averaged(m, mode="auto", table_axes=None, rng=None, burn_in=None,
             return interp(flat).reshape(x.shape[:-1] + (n,))
 
         fbar = AveragedDrift(n, "tabulated", fn, table=(axes, values))
-    else:
-        raise ValueError(f"unknown averaging mode {mode!r}")
 
     return AveragedModel(m.a, fbar, m.sigma1, m.jump_slow, m.x0)
 
@@ -194,17 +194,14 @@ def _linear_parts(drift):
     raise ValueError("drift is not in the linear family")
 
 
-def check_fbar_lipschitz(am, m, box=None, samples=400, rng=None):
+def check_fbar_lipschitz(am, m, rng):
     """Coarse guard: sampled Lipschitz constant of fbar against
     L_f * (1 + L_g / (gamma_b - L_g))."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    n = am.n
-    if box is None:
-        box = (np.full(n, -2.0), np.full(n, 2.0))
     if m.f.lip is None or m.g.lip is None:
         return None
-    p = rng.uniform(box[0], box[1], size=(samples, n))
-    q = rng.uniform(box[0], box[1], size=(samples, n))
+    lo, hi = np.full(am.n, -PROBE_BOX), np.full(am.n, PROBE_BOX)
+    p = rng.uniform(lo, hi, size=(LIP_SAMPLES, am.n))
+    q = rng.uniform(lo, hi, size=(LIP_SAMPLES, am.n))
     num = np.linalg.norm(am.fbar(p) - am.fbar(q), axis=-1)
     den = np.linalg.norm(p - q, axis=-1)
     mask = den > 0
@@ -283,7 +280,7 @@ def mixing_diagnostic(m, x, y_list, t_end, dt, n_paths, rng, fbar_value=None):
                         n_paths)
 
 
-def simulate_averaged(am, t_end, dt, incr, x0=None):
+def simulate_averaged(am, t_end, dt, incr):
     """Integrate the averaged slow equation against a given increment stream.
 
     Passing the slow stream of a coupled run realizes the pathwise coupling
@@ -292,20 +289,21 @@ def simulate_averaged(am, t_end, dt, incr, x0=None):
     grid = make_grid(t_end, dt)
     if len(incr.grid) != len(grid) or not np.allclose(incr.grid, grid):
         raise ValueError("increment stream grid does not match (t_end, dt)")
-    run = _averaged_run(am, am.x0 if x0 is None else x0, dt,
-                        (am.sigma1, incr.d_brownian + incr.d_jump), len(grid) - 1)
+    run = _averaged_run(am, am.x0, grid, dt,
+                        (am.sigma1, incr.d_brownian + incr.d_jump))
     return _trajectory(grid, run.path[0], run.diverged_at)
 
 
-def _averaged_run(am, x0, dt, noise, steps):
-    """Averaged slow equation from x0 (..., n) under one ``_euler`` noise
-    term; records the full path."""
+def _averaged_run(am, x0, grid, dt, noise):
+    """Averaged slow equation from x0 (..., n) along ``make_grid``'s grid
+    under one ``_euler`` noise term; records the full path."""
     averaged = _lin_plus(am.a, am.fbar._add)
 
     def drift(k, s, d):
         averaged(d[0], s[0], s[0])
 
-    return _euler((x0,), drift, (dt,), (noise,), steps, path=True)
+    return _euler((x0,), drift, (dt,), (noise,), len(grid) - 1, path=True,
+                  stretch=_stretch(grid, dt))
 
 
 def simulate_auxiliary(m, delta, t_end, dt, rng, return_true=False):
@@ -319,8 +317,8 @@ def simulate_auxiliary(m, delta, t_end, dt, rng, return_true=False):
     """
     if not 0 < delta <= t_end:
         raise ValueError("need 0 < delta <= t_end")
-    _check_stable(dt, m.epsilon)
     grid = make_grid(t_end, dt)
+    _check_stable(grid, dt, m.epsilon)
     n = m.n
     slow = sample_increments(n, grid, rng, jump=m.jump_slow)
     fast = rescale_fast(n, m.epsilon, grid, rng, jump=m.jump_fast)
@@ -346,7 +344,8 @@ def simulate_auxiliary(m, delta, t_end, dt, rng, return_true=False):
         x_frozen = x
         noise = ((m.sigma1, d_slow[start:end]), (m.sigma2, d_fast[start:end])) * 2
         run = _euler((x, y, xh, y), drift, (dt, dt / m.epsilon) * 2, noise,
-                     end - start, path=True)
+                     end - start, path=True,
+                     stretch=_stretch(grid, dt) if end == steps else 1.0)
         for full, part in zip(path, run.path):
             full[start:end + 1] = part
         x, y, xh = (part[-1] for part in run.path[:3])
@@ -389,8 +388,8 @@ def coupled_error_batch(m, am, t_end, dt, master_seed, start, count):
     |x_eps - x|^2 over the grid, x_eps(T) - x(T), diverged mask), the first
     two NaN on diverged paths.
     """
-    _check_stable(dt, m.epsilon)
     grid = make_grid(t_end, dt)
+    _check_stable(grid, dt, m.epsilon)
     d_fast, d_slow = _increment_blocks(m, grid, master_seed, start, count)
 
     slow, fast = _lin_plus(m.a, m.f._add), _lin_plus(m.b, m.g._add)
@@ -410,7 +409,7 @@ def coupled_error_batch(m, am, t_end, dt, master_seed, start, count):
     ds = None if d_slow is None else (m.sigma1, d_slow)
     run = _euler((x0, y0, x0), drift,
                  (dt, dt / m.epsilon, dt), (ds, (m.sigma2, d_fast), ds),
-                 len(grid) - 1, sup=gap_sq)
+                 len(grid) - 1, sup=gap_sq, stretch=_stretch(grid, dt))
     x, _, xa = run.state
     return run.sup, x - xa, run.diverged
 
@@ -455,23 +454,25 @@ def strong_error_experiment(m, epsilons, delta_rule, t_end, n_paths,
     For each epsilon the full and averaged slow equations share the slow
     increments path by path; the fitted log-log slope of
     E sup_{t<=T} |x_eps - x|^2 against epsilon is the reported rate.  The
-    block size delta enters only through the recorded theoretical bound
-    epsilon/delta, not the simulation itself.
+    block size delta = eps**(2/3) (``delta_rule`` names it, or is None)
+    enters only through the recorded theoretical bound epsilon/delta, not
+    the simulation itself.
     """
     epsilons = np.asarray(list(epsilons), dtype=float)
     if np.any(np.diff(epsilons) >= 0):
         raise ValueError("epsilons must be strictly decreasing")
     if n_paths < 100:
         raise ValueError("need at least 100 paths per epsilon")
+    if delta_rule not in (None, DELTA_RULE):
+        raise ValueError(f"unknown delta_rule {delta_rule!r}; the one rule is "
+                         f"{DELTA_RULE!r}")
     if am is None:
         am = build_averaged(m)
-    rule = delta_rule if callable(delta_rule) else (lambda e: e ** (2.0 / 3.0))
-    rule_name = delta_rule if isinstance(delta_rule, str) else "eps**(2/3)"
 
     errors = np.empty(len(epsilons))
     stderrs = np.empty(len(epsilons))
     diverged = np.zeros(len(epsilons), dtype=int)
-    deltas = np.array([rule(e) for e in epsilons])
+    deltas = np.array([e ** (2.0 / 3.0) for e in epsilons])
     for j, eps in enumerate(epsilons):
         sup, _, _ = coupled_error_batch(m.with_epsilon(eps), am, t_end, eps / 10.0,
                                         master_seed, 0, n_paths)
@@ -488,7 +489,7 @@ def strong_error_experiment(m, epsilons, delta_rule, t_end, n_paths,
     else:
         # degenerate coupling (errors at machine zero): no rate to fit
         slope = intercept = ci_low = ci_high = float("nan")
-    return RateReport(epsilons, rule_name, deltas, errors, stderrs,
+    return RateReport(epsilons, DELTA_RULE, deltas, errors, stderrs,
                       slope, intercept, ci_low, ci_high,
                       n_paths, diverged, flagged)
 

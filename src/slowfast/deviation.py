@@ -37,9 +37,10 @@ import numpy as np
 from .averaging import (_averaged_run, _increment_blocks, _slow_increments,
                         coupled_error_batch)
 from .integrator import (_amplitude_op, _check_stable, _euler, _frozen_fast_run,
-                         _trajectory, _write_csv, frozen_fast_batch, make_grid)
+                         _stretch, _trajectory, _write_csv, frozen_fast_batch,
+                         make_grid)
 from .model import _add_value, _lin, _lin_plus, _value_into
-from .noise import ROLE_BURN, ROLE_DEV, _path_increments, substream
+from .noise import ROLE_BURN, ROLE_DEV, _path_increments, _required, substream
 from .harness import _var_se, two_sample_compare
 
 
@@ -243,8 +244,7 @@ class DeviationModel:
         }
 
 
-def build_deviation_model(am, kernel_or_htilde, x=None, fd_step=1e-5,
-                          literal_drift=False):
+def build_deviation_model(am, kernel_or_htilde, x=None, literal_drift=False):
     """Assemble the limit-SDE coefficients from an averaged model and either
     a KernelEstimate or an explicit diffusion matrix."""
     if isinstance(kernel_or_htilde, KernelEstimate):
@@ -256,10 +256,10 @@ def build_deviation_model(am, kernel_or_htilde, x=None, fd_step=1e-5,
     if am.fbar.deriv_matrix is not None:
         deriv = np.array(am.fbar.deriv_matrix, dtype=float)
     elif x is not None:
-        deriv = fbar_derivative(am, x, fd_step=fd_step)
+        deriv = fbar_derivative(am, x)
     else:
         def deriv(xv):
-            return fbar_derivative(am, xv, fd_step=fd_step)
+            return fbar_derivative(am, xv)
         deriv.rows = True
     return DeviationModel(am.a, deriv, htilde, literal_drift=literal_drift)
 
@@ -276,19 +276,9 @@ def simulate_deviation(dm, x_path, t_end, dt, rng):
     x_at = x_path.states[idx, None]
     run = _euler((np.zeros((1, dm.n)),),
                  lambda k, s, d: dm._drift_into(d[0], s[0], x_at[k]), (dt,),
-                 (lambda k, s: dm.noise(dw[k], x_at[k]),), len(dw), path=True)
+                 (lambda k, s: dm.noise(dw[k], x_at[k]),), len(dw), path=True,
+                 stretch=_stretch(grid, dt))
     return _trajectory(grid, run.path[0][:, 0], run.diverged_at[0])
-
-
-@dataclass
-class TruncationSpec:
-    """Gating radius for the truncated fluctuation; inf disables the gate."""
-
-    k: float
-
-    def __post_init__(self):
-        if not self.k > 0:
-            raise ValueError("truncation radius must be positive")
 
 
 def _manifold_started_inputs(m, t_end, dt, master_seed, start, count):
@@ -299,6 +289,7 @@ def _manifold_started_inputs(m, t_end, dt, master_seed, start, count):
     path's own burn substream; all paths burn in as one batch.
     """
     grid = make_grid(t_end, dt)
+    _check_stable(grid, dt, m.epsilon)
     burn_steps = max(int(round(10.0 * m.epsilon / m.gamma_b / dt)), 1)
     d_fast, d_slow = _increment_blocks(m, grid, master_seed, start, count)
     scale = 1.0 / m.epsilon
@@ -334,7 +325,6 @@ def residual_theta2(m, epsilon, t_end, dt, n_paths, master_seed,
     which collapses the residual to zero exactly.
     """
     me = m.with_epsilon(epsilon)
-    _check_stable(dt, epsilon)
     grid, d_fast, d_slow, y_h0 = _manifold_started_inputs(
         me, t_end, dt, master_seed, 0, n_paths)
     n = me.n
@@ -361,7 +351,8 @@ def residual_theta2(m, epsilon, t_end, dt, n_paths, master_seed,
     df = (me.sigma2, d_fast)
     run = _euler((np.zeros((n_paths, n)), x0, x0, y0, y_h0), drift,
                  (dt, dt, dt, dt / epsilon, dt / epsilon), (None, ds, ds, df, df),
-                 len(grid) - 1, sup=lambda s: np.sum(s[0] * s[0], axis=-1))
+                 len(grid) - 1, sup=lambda s: np.sum(s[0] * s[0], axis=-1),
+                 stretch=_stretch(grid, dt))
     alive = ~run.diverged
     vals = run.sup[alive]
     if len(vals) == 0:
@@ -371,21 +362,19 @@ def residual_theta2(m, epsilon, t_end, dt, n_paths, master_seed,
                         epsilon, n_paths, int((~alive).sum()))
 
 
-def simulate_truncated_deviation(m, am, epsilon, trunc, t_end, dt, master_seed,
+def simulate_truncated_deviation(m, am, epsilon, radius, t_end, dt, master_seed,
                                  path_index=0, return_drive=False):
     """Gated fluctuation: d theta1 = A theta1 dt + q(theta1) drive dt.
 
     The drive is (f(x_h, y_h) - fbar(x_avg)) / sqrt(eps) along a manifold-
     started run coupled to the averaged path; the gate q is 1 inside the ball
-    |theta1| <= K and 0 outside, evaluated at the step's start.  ``trunc``
-    may be a TruncationSpec, a positive float (inf allowed), or None for the
-    ungated process.
+    |theta1| <= K and 0 outside, evaluated at the step's start.  The
+    ``radius`` K is a positive float; inf gives the ungated process.
     """
-    if not isinstance(trunc, TruncationSpec):
-        trunc = TruncationSpec(math.inf if trunc is None else float(trunc))
-    radius = trunc.k
+    radius = float(radius)
+    if not radius > 0:
+        raise ValueError(f"truncation radius must be positive, not {radius}")
     me = m.with_epsilon(epsilon)
-    _check_stable(dt, epsilon)
     grid, d_fast, d_slow, y_h0 = _manifold_started_inputs(
         me, t_end, dt, master_seed, path_index, 1)
     n = me.n
@@ -414,7 +403,7 @@ def simulate_truncated_deviation(m, am, epsilon, trunc, t_end, dt, master_seed,
     ds = None if d_slow is None else (me.sigma1, d_slow[:, 0])
     run = _euler((np.zeros(n), me.x0, y_h0[0], am.x0), drift,
                  (dt, dt, dt / epsilon, dt), (None, ds, (me.sigma2, d_fast[:, 0]), ds),
-                 steps, path=True)
+                 steps, path=True, stretch=_stretch(grid, dt))
     traj = _trajectory(grid, run.path[0], run.diverged_at)
     if return_drive:
         return traj, {"drive": drives, "gate": gates}
@@ -428,7 +417,7 @@ def simulate_corrected(am, dm, epsilon, t_end, dt, rng):
     streams: slow first, then the correction).  epsilon = 0 reproduces the
     plain averaged path for the same generator state.
     """
-    grid, run = _corrected_run(am, dm, epsilon, t_end, dt, [rng.spawn(2)])
+    grid, run = _corrected_run(am, dm, epsilon, t_end, dt, [_required(rng).spawn(2)])
     return _trajectory(grid, run.path[0][:, 0], run.diverged_at[0])
 
 
@@ -446,7 +435,7 @@ def _corrected_run(am, dm, epsilon, t_end, dt, pairs):
         return op(d_slow[k], sigma) + root * dm.noise(dw[k], s[0])
 
     x0 = np.broadcast_to(am.x0, (count, am.n))
-    return grid, _averaged_run(am, x0, dt, noise, len(grid) - 1)
+    return grid, _averaged_run(am, x0, grid, dt, noise)
 
 
 @dataclass
@@ -507,7 +496,8 @@ def limit_marginal_samples(dm, am, t_end, dt, n_paths, master_seed):
     x0 = np.broadcast_to(am.x0, (n_paths, n))
     run = _euler((x0, np.zeros((n_paths, n))), drift, (dt, dt),
                  (None if d_slow is None else (am.sigma1, d_slow),
-                  lambda k, s: dm.noise(dw[k], s[0])), len(grid) - 1)
+                  lambda k, s: dm.noise(dw[k], s[0])), len(grid) - 1,
+                 stretch=_stretch(grid, dt))
     return run.state[1]
 
 

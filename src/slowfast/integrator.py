@@ -5,7 +5,9 @@ Every simulator is one explicit Euler-Maruyama step on a stacked state, one
 
     s_c <- s_c + drift_c(s) * h_c + sigma_c (dW + dJ)
 
-with h_c = dt, or dt / epsilon for a fast component, and dJ compensated.  A
+with h_c = dt, or dt / epsilon for a fast component, and dJ compensated.
+When dt does not divide the horizon, ``make_grid`` stretches or shortens
+the last step to end on it, and that step's h_c follows (``_stretch``).  A
 leading path axis steps a batch of paths at once (the vectorised ensemble
 scheme of Higham, SIAM Review 43(3):525, 2001).  The private kernel
 ``_euler`` owns the time loop, the noise term and the recorders (final
@@ -121,14 +123,15 @@ def _nan_after_divergence(path):
     return np.where(bad.any(axis=0), bad.argmax(axis=0), -1)
 
 
-def _euler(state, drift, factors, noise, steps, sup=None, path=False):
+def _euler(state, drift, factors, noise, steps, sup=None, path=False, stretch=1.0):
     """Advance a stacked state by ``steps`` explicit Euler steps, in place.
 
     ``state`` holds one (..., n) array per component, broadcast to a common
     shape and stacked as s (C, ..., n).  ``drift(k, s, d)`` writes step k's
     drift of component c into ``d[c]`` of the buffer d shaped as s: it sets
     every entry, reads s and keeps a reference to neither.  Component c
-    moves by ``d[c] * factors[c]`` plus its noise term ``noise[c]``: None, a
+    moves by ``d[c] * factors[c]``, and by ``d[c] * factors[c] * stretch`` at
+    the last step (``_stretch``), plus its noise term ``noise[c]``: None, a
     pair ``(sigma, increments)`` adding ``apply_noise(sigma, increments)[k]``,
     or a function ``(k, s) -> array`` for noise scaled by the state.  The
     caller's states and increments are never written to.
@@ -144,9 +147,12 @@ def _euler(state, drift, factors, noise, steps, sup=None, path=False):
         rows = np.empty((steps + 1,) + s.shape)
         rows[0] = s
     best = None if sup is None else np.array(sup(s), dtype=float)
+    last = steps - 1
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             drift(k, s, d)
+            if k == last:
+                h = h * stretch
             d *= h
             # the next state goes straight into its path row, or else into
             # the spare buffer, which then trades places with the state
@@ -209,11 +215,24 @@ def _trajectory(grid, states, diverged_at):
     return Trajectory(grid, states, at >= 0, at if at >= 0 else None)
 
 
-def _check_stable(dt, epsilon):
-    """Refuse steps the fast drift, scaled by 1/epsilon, cannot take."""
-    if dt > epsilon / 10 + 1e-15:
+def _stretch(grid, dt):
+    """The last step of a ``make_grid`` grid over dt: 1.0 when dt divides the
+    horizon (within 1e-6, to absorb rounding), else the remainder's ratio,
+    which round-half-even in ``make_grid`` puts in (0.5, 1.5]."""
+    if len(grid) < 2:
+        return 1.0
+    ratio = (grid[-1] - grid[-2]) / dt
+    return 1.0 if abs(ratio - 1.0) <= 1e-6 else ratio
+
+
+def _check_stable(grid, dt, epsilon):
+    """Refuse steps the fast drift, scaled by 1/epsilon, cannot take; the
+    longest step of the grid counts, which may be its stretched last one."""
+    longest = dt * max(_stretch(grid, dt), 1.0)
+    if longest > epsilon / 10 + 1e-15:
         raise ValueError(
-            f"dt={dt} violates the stability guard dt <= epsilon/10 = {epsilon / 10}")
+            f"step {longest} violates the stability guard dt <= epsilon/10 = "
+            f"{epsilon / 10}")
 
 
 def simulate_slow_fast(m, t_end, dt, rng=None, slow_incr=None, fast_incr=None):
@@ -222,8 +241,8 @@ def simulate_slow_fast(m, t_end, dt, rng=None, slow_incr=None, fast_incr=None):
     Increments may be injected (for coupling experiments); otherwise the slow
     stream is drawn first and the fast stream second from ``rng``.
     """
-    _check_stable(dt, m.epsilon)
     grid = make_grid(t_end, dt)
+    _check_stable(grid, dt, m.epsilon)
     n = m.n
     if slow_incr is None:
         slow_incr = sample_increments(n, grid, rng, jump=m.jump_slow)
@@ -240,21 +259,23 @@ def simulate_slow_fast(m, t_end, dt, rng=None, slow_incr=None, fast_incr=None):
     noise = ((m.sigma1, slow_incr.d_brownian + slow_incr.d_jump),
              (m.sigma2, fast_incr.d_brownian + fast_incr.d_jump))
     run = _euler((m.x0, m.y0), drift, (dt, dt / m.epsilon), noise, len(grid) - 1,
-                 path=True)
+                 path=True, stretch=_stretch(grid, dt))
     xs, ys = run.path
     return (_trajectory(grid, xs, run.diverged_at),
             _trajectory(grid, ys, run.diverged_at))
 
 
-def _frozen_fast_run(m, x_frozen, y0, h, d_fast, path=False):
+def _frozen_fast_run(m, x_frozen, y0, h, d_fast, path=False, stretch=1.0):
     """Frozen-fast equation from y0 (..., n), slow argument x_frozen (same
-    shape), step factor h, driven by summed fast increments (steps, ..., n)."""
+    shape), step factor h (h * stretch at the last step), driven by summed
+    fast increments (steps, ..., n)."""
     fast = _lin_plus(m.b, m.g._add)
 
     def drift(k, s, d):
         fast(d[0], s[0], x_frozen, s[0])
 
-    return _euler((y0,), drift, (h,), ((m.sigma2, d_fast),), len(d_fast), path=path)
+    return _euler((y0,), drift, (h,), ((m.sigma2, d_fast),), len(d_fast), path=path,
+                  stretch=stretch)
 
 
 def simulate_frozen_fast(m, x_frozen, y0, t_end, dt, rng=None):
@@ -264,23 +285,19 @@ def simulate_frozen_fast(m, x_frozen, y0, t_end, dt, rng=None):
     x_frozen = np.asarray(x_frozen, dtype=float)
     incr = sample_increments(m.n, grid, rng, jump=m.jump_fast)
     run = _frozen_fast_run(m, x_frozen, y0, dt, incr.d_brownian + incr.d_jump,
-                           path=True)
+                           path=True, stretch=_stretch(grid, dt))
     return _trajectory(grid, run.path[0], run.diverged_at)
 
 
-def frozen_fast_batch(m, x_frozen, y0, steps, dt, rng, n_paths, fast_rate=False):
+def frozen_fast_batch(m, x_frozen, y0, steps, dt, rng, n_paths):
     """Batched frozen-fast stepping; returns states (steps+1, n_paths, n).
 
     The paths draw their increments from ``rng`` in turn, path 0 first, each
     as one ``sample_increments`` stream, so path i equals the i-th of
     ``n_paths`` successive ``simulate_frozen_fast`` runs on that generator.
-    ``fast_rate=True`` runs at the rescaled timescale (drift / epsilon, noise
-    variance dt/epsilon, jump rate / epsilon), which is the regime the
-    coupled system's fast component lives in.
     """
-    scale = 1.0 / m.epsilon if fast_rate else 1.0
     d_fast = _path_increments(m.n, dt * np.arange(steps + 1), n_paths, lambda i: rng,
-                              jump=m.jump_fast, var_scale=scale, rate_scale=scale)
+                              jump=m.jump_fast)
     x_frozen, y0 = (np.broadcast_to(np.asarray(v, dtype=float), d_fast.shape[1:])
                     for v in (x_frozen, y0))
-    return _frozen_fast_run(m, x_frozen, y0, dt * scale, d_fast, path=True).path[0]
+    return _frozen_fast_run(m, x_frozen, y0, dt, d_fast, path=True).path[0]

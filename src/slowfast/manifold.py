@@ -46,7 +46,7 @@ from scipy.linalg import expm
 from .harness import fit_exp_rate
 from .integrator import _euler, _write_csv, apply_noise
 from .model import _lin_op, _lin_plus, _value_into, decay_rate, has_slow_noise
-from .noise import sample_two_sided
+from .noise import _required, sample_two_sided
 
 # sweeps ``lyapunov_perron_solve`` makes before it gives up and raises
 MAX_SWEEPS = 200
@@ -141,7 +141,7 @@ def sample_stationary_paths(m, epsilon, t_neg, t_pos, grid_step, rng):
     t_neg a multiple of 5 over the decay rate.
     """
     n = m.n
-    c_xi, c_eta = rng.spawn(2)
+    c_xi, c_eta = _required(rng).spawn(2)
     steps_neg = int(round(t_neg / grid_step))
     steps_pos = int(round(t_pos / grid_step))
     grid = grid_step * np.arange(-steps_neg, steps_pos + 1)
@@ -165,62 +165,6 @@ def _convolve_path(kernel_matrix, dt, increments, sigma):
     kernel_matrix = np.atleast_2d(kernel_matrix)
     return _recurrence(expm(kernel_matrix * dt), np.eye(len(kernel_matrix)),
                        apply_noise(sigma, increments), 0.0)
-
-
-@dataclass(frozen=True)
-class StationarySolutionSpec:
-    """Which linear stationary convolution to evaluate, and how far back.
-
-    ``which``: 'slow_scaled' (kernel eps*A against the eps-scaled slow noise),
-    'fast' (kernel B against the unscaled fast noise), or 'fast_rescaled'
-    (kernel B/eps against noise at rate 1/eps, the fast stationary state of
-    the original timescale; its marginal matches 'fast').
-    """
-
-    which: str
-    matrix: np.ndarray
-    sigma: object
-    jump: object
-    epsilon: float
-    t_neg: float
-    grid_step: float
-
-
-def stationary_solution(spec, rng):
-    """Evaluate the truncated stationary convolution along a sampled path.
-
-    Returns (grid on [-t_neg, 0], path values, value at 0).  A kernel whose
-    integrand grows backward in time means the sign convention is wrong and
-    is rejected.
-    """
-    matrix = np.atleast_2d(np.asarray(spec.matrix, dtype=float))
-    n = matrix.shape[0]
-    if spec.which == "slow_scaled":
-        kernel = spec.epsilon * matrix
-        var_scale = rate_scale = spec.epsilon
-    elif spec.which == "fast":
-        kernel = matrix
-        var_scale = rate_scale = 1.0
-    elif spec.which == "fast_rescaled":
-        if not spec.epsilon > 0:
-            raise ValueError("fast_rescaled needs epsilon > 0")
-        kernel = matrix / spec.epsilon
-        var_scale = rate_scale = 1.0 / spec.epsilon
-    else:
-        raise ValueError(f"unknown stationary solution kind {spec.which!r}")
-
-    rate = decay_rate(kernel)
-    if rate <= 0:
-        raise ValueError("stationary convolution diverges: kernel is not "
-                         "Hurwitz under the decaying sign convention")
-    if spec.t_neg < 5.0 / rate:
-        raise ValueError(f"t_neg={spec.t_neg} too short; need >= {5.0 / rate}")
-
-    path = sample_two_sided(n, spec.t_neg, 0.0, spec.grid_step, rng,
-                            jump=spec.jump, var_scale=var_scale,
-                            rate_scale=rate_scale)
-    values = _convolve_path(kernel, spec.grid_step, path.increments(), spec.sigma)
-    return path.negative.grid, values, values[-1]
 
 
 @dataclass
@@ -393,21 +337,20 @@ def lyapunov_perron_solve(m, epsilon, u0, gamma=None, grid_step=0.005,
                             t_neg, converged)
 
 
-def reapply_sweep(m, sol, paths, frozen_u=False):
+def reapply_sweep(m, sol, paths):
     """Residual of one extra sweep applied to a converged solution."""
     ts, eta_w, xi_w = paths.window_neg(sol.t_neg)
     u, v = sol.profile.u, sol.profile.v
-    ops = _sweep_operators(m, sol.epsilon, paths.step, frozen_u)
+    ops = _sweep_operators(m, sol.epsilon, paths.step, False)
     u_new, v_new = _sweep(m, ops, sol.u0, u, v, eta_w, xi_w)
     return _weighted_gap(np.exp(sol.gamma * ts), u_new - u, v_new - v)
 
 
 def asymptotic_manifold_h0(m, u0, grid_step=0.005, t_neg=None, rng=None,
-                           paths=None, gamma=None, tol=1e-9):
+                           paths=None, tol=1e-9):
     """Graph value of the frozen-slow (epsilon = 0) manifold at ``u0``."""
-    sol = lyapunov_perron_solve(m, 0.0, u0, gamma=gamma, grid_step=grid_step,
-                                tol=tol, rng=rng, t_neg=t_neg, paths=paths,
-                                frozen_u=True)
+    sol = lyapunov_perron_solve(m, 0.0, u0, grid_step=grid_step, tol=tol, rng=rng,
+                                t_neg=t_neg, paths=paths, frozen_u=True)
     return sol.h_value
 
 
@@ -430,25 +373,23 @@ class TrackingReport:
                           for t, d, e in zip(self.times, self.gap, self.envelope)]}
 
 
-def tracking_check(m, epsilon, ic_on, ic_off, t_end, dt, rng=None, gamma=None,
-                   paths=None):
+def tracking_check(m, epsilon, ic_on, ic_off, t_end, dt, rng):
     """Gap decay between two solutions of the transformed pathwise system.
 
-    Both initial conditions evolve under the same frozen stationary forcing;
-    the report carries the fitted decay rate of |u-u'| + |v-v'| and the
-    envelope e^{-gamma t} |v0 - v0'| / (1 - rho).  A diverged run, whose gap
+    Both initial conditions evolve under the same stationary forcing, sampled
+    from ``rng``; at the weight ``default_gamma(m)`` the report carries the
+    fitted decay rate of |u-u'| + |v-v'| and the envelope
+    e^{-gamma t} |v0 - v0'| / (1 - rho).  A diverged run, whose gap
     goes non-finite, reports a NaN rate and is not under the envelope.
     """
     ga, _, gb = _gammas(m)
-    if gamma is None:
-        gamma = default_gamma(m)
+    gamma = default_gamma(m)
     rho, rho_hat = contraction_factors(m, epsilon, gamma)
 
-    if paths is None:
-        spin = 5.0 / gb
-        if has_slow_noise(m) and epsilon > 0:
-            spin = max(spin, 5.0 / (epsilon * ga))
-        paths = sample_stationary_paths(m, epsilon, spin, t_end, dt, rng)
+    spin = 5.0 / gb
+    if has_slow_noise(m) and epsilon > 0:
+        spin = max(spin, 5.0 / (epsilon * ga))
+    paths = sample_stationary_paths(m, epsilon, spin, t_end, dt, rng)
     ts, eta_w, xi_w = paths.window_pos(t_end)
 
     u = np.vstack([ic_on[0], ic_off[0]]).astype(float)

@@ -24,6 +24,11 @@ import numpy as np
 
 from . import exprlang
 
+# ``validate_model`` probes the drifts at this many points of the box
+# [-PROBE_BOX, PROBE_BOX] over the stacked (x, y)
+PROBE_BOX = 2.0
+PROBE_SAMPLES = 3000
+
 
 def _as_matrix(m):
     arr = np.atleast_2d(np.asarray(m, dtype=float))
@@ -419,7 +424,7 @@ def estimate_lipschitz(fn, box, samples, rng):
     return float(np.max(num[mask] / den[mask]))
 
 
-def validate_model(m, probe_box=None, samples=3000, rng=None):
+def validate_model(m, rng):
     """Audit the standing assumptions of a model.
 
     Checks: strict stability of A and B (eigenvalues in the open left half
@@ -431,10 +436,8 @@ def validate_model(m, probe_box=None, samples=3000, rng=None):
     The backward growth rate of A, the rate of e^{-A t}, is reported as
     -min Re eig(A), which is exact for normal matrices.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     n = m.n
-    if probe_box is None:
-        probe_box = (np.full(2 * n, -2.0), np.full(2 * n, 2.0))
+    probe_box = (np.full(2 * n, -PROBE_BOX), np.full(2 * n, PROBE_BOX))
 
     ev_a = np.linalg.eigvals(m.a).real
     ev_b = np.linalg.eigvals(m.b).real
@@ -450,8 +453,8 @@ def validate_model(m, probe_box=None, samples=3000, rng=None):
         f"max Re eig(A) = {ev_a.max():.6g}, max Re eig(B) = {ev_b.max():.6g}",
     ))
 
-    lip_f = estimate_lipschitz(m.f, probe_box, samples, rng)
-    lip_g = estimate_lipschitz(m.g, probe_box, samples, rng)
+    lip_f = estimate_lipschitz(m.f, probe_box, PROBE_SAMPLES, rng)
+    lip_g = estimate_lipschitz(m.g, probe_box, PROBE_SAMPLES, rng)
 
     declared_g = m.g.lip if m.g.lip is not None else lip_g
     if hurwitz:
@@ -466,7 +469,7 @@ def validate_model(m, probe_box=None, samples=3000, rng=None):
         status, detail = "fail", "fast decay rate not positive; bound undefined"
     checks.append(CheckResult("lipschitz-bound", status, detail))
 
-    growth_status, growth_detail = _growth_check(m, probe_box, samples, rng)
+    growth_status, growth_detail = _growth_check(m, probe_box, PROBE_SAMPLES, rng)
     checks.append(CheckResult("linear-growth", growth_status, growth_detail))
 
     checks.append(CheckResult(

@@ -31,7 +31,6 @@ ROLE_SLOW = 0
 ROLE_FAST = 1
 ROLE_DEV = 2
 ROLE_BURN = 3
-ROLE_AUX = 4
 ROLE_TASK = 5
 
 
@@ -89,6 +88,13 @@ def _check_grid(grid):
     return grid
 
 
+def _required(rng):
+    """``rng``, or the error every sampler gives when no generator is passed."""
+    if rng is None:
+        raise ValueError("an rng is required to sample increments")
+    return rng
+
+
 def _draw_jumps(n, grid, rng, jump, rate):
     """One path's events in time order: times (E,), sizes (E, n), steps (E,)."""
     count = rng.poisson(rate * (grid[-1] - grid[0]))
@@ -106,8 +112,7 @@ def sample_increments(n, grid, rng, jump=None, var_scale=1.0, rate_scale=1.0):
     sizes and are compensated at the same rate.
     """
     grid = _check_grid(grid)
-    if rng is None:
-        raise ValueError("an rng is required to sample increments")
+    _required(rng)
     m = len(grid) - 1
     dts = np.diff(grid)
     rate = 0.0 if jump is None or m == 0 else jump.intensity * rate_scale
@@ -131,7 +136,7 @@ class _path_increments:    # lower case, as it is called like a function
                  rate_scale=1.0):
         self._grid, self._jump, self._var = _check_grid(grid), jump, var_scale
         self.shape = (len(self._grid) - 1, count, n)
-        self._gens = [rng_at(i) for i in range(count)]
+        self._gens = [_required(rng_at(i)) for i in range(count)]
         whole = len({id(g) for g in self._gens}) < count
         self._buf = np.empty((len(self) if whole else min(CHUNK_STEPS, len(self)), count, n))
         self._rate = 0.0 if jump is None or len(self) == 0 else jump.intensity * rate_scale

@@ -222,8 +222,8 @@ def test_simulate_averaged_gaussian_variance():
     grid = make_grid(1.0, 0.005)
     # 3000 successive streams of one generator, stepped as one batch
     incr = _path_increments(1, grid, 3000, lambda i: rng)
-    run = _averaged_run(am, np.broadcast_to(am.x0, (3000, 1)), 0.005,
-                        (am.sigma1, incr), len(grid) - 1)
+    run = _averaged_run(am, np.broadcast_to(am.x0, (3000, 1)), grid, 0.005,
+                        (am.sigma1, incr))
     finals = run.path[0][-1, :, 0]
     var = finals.var(ddof=1)
     target = 0.5 * (1.0 - np.exp(-2.0))
@@ -306,6 +306,15 @@ def test_strong_error_validates_input():
         strong_error_experiment(m, [0.1, 0.2], None, 1.0, 120, 0)
     with pytest.raises(ValueError):
         strong_error_experiment(m, [0.2, 0.1], None, 1.0, 10, 0)
+
+
+@pytest.mark.parametrize("rule", ["eps**(1/2)", lambda e: e ** 0.5])
+def test_strong_error_rejects_other_delta_rules(rule):
+    # the recorded deltas are eps**(2/3) whatever the rule, so no other rule
+    # may be reported under its own name
+    with pytest.raises(ValueError, match="delta_rule"):
+        strong_error_experiment(linear_benchmark(), [0.2, 0.1, 0.05], rule, 1.0,
+                                120, 0)
 
 
 def test_reports_serialize(tmp_path):

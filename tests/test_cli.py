@@ -150,6 +150,15 @@ def test_average_reports_fbar_and_mixing(tmp_path, capsys):
     assert out["mixing"]["eta_declared"] == pytest.approx(4.0)
 
 
+def test_average_rejects_unknown_delta_rule(tmp_path, capsys):
+    cfg_data = json.loads(json.dumps(LINEAR_CFG))
+    cfg_data["average"] = {"x": [1.0], "horizon": 10.0, "t_mix": 0.5, "n_paths": 100,
+                           "epsilons": [0.2, 0.1, 0.05], "delta_rule": "eps**(1/2)"}
+    cfg = write_cfg(tmp_path, cfg_data)
+    assert main(["average", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "error: unknown delta_rule 'eps**(1/2)'" in capsys.readouterr().err
+
+
 def test_manifold_command_writes_solution(tmp_path, capsys):
     cfg_data = {
         "model": {
@@ -183,7 +192,7 @@ def test_deviate_with_htilde_override_zero(tmp_path, capsys):
 
 
 def test_deviate_grid_step_not_dividing_horizon(tmp_path, capsys):
-    # 1.0 / 0.3 is not an integer: the last step is shortened to end at t_end
+    # 1.0 / 0.3 is not an integer: the last step is stretched to 0.4 to end at t_end
     cfg_data = json.loads(json.dumps(LINEAR_CFG))
     cfg_data["deviate"] = {"htilde_override": [[0.25]], "t_end": 1.0,
                            "dt_theta": 0.3}

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from slowfast.averaging import (AveragedDrift, AveragedModel, build_averaged,
                                 simulate_averaged)
 from slowfast.benchmarks import linear_benchmark, tanh_benchmark
-from slowfast.deviation import (DeviationModel, TruncationSpec, _corrected_run,
+from slowfast.deviation import (DeviationModel, _corrected_run,
                                 _manifold_started_inputs, autocovariance_kernel,
                                 build_deviation_model, diffusion_matrix,
                                 fbar_derivative,
@@ -342,17 +342,20 @@ def tanh_averaged():
     return m, am
 
 
-def test_truncation_spec_validation():
-    with pytest.raises(ValueError):
-        TruncationSpec(0.0)
-    assert TruncationSpec(float("inf")).k == np.inf
+def test_truncation_radius_validation(tanh_averaged):
+    m, am = tanh_averaged
+    for radius in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="truncation radius"):
+            simulate_truncated_deviation(m, am, 0.1, radius, 1.0, 0.005, 99)
 
 
 def test_truncated_infinite_radius_matches_ungated(tanh_averaged):
+    # inf never gates: the run equals one whose gate stays open on every step
     m, am = tanh_averaged
-    a = simulate_truncated_deviation(m, am, 0.1, None, 1.0, 0.005, 99)
-    b = simulate_truncated_deviation(m, am, 0.1, TruncationSpec(np.inf), 1.0,
-                                     0.005, 99)
+    a, aux = simulate_truncated_deviation(m, am, 0.1, np.inf, 1.0, 0.005, 99,
+                                          return_drive=True)
+    b = simulate_truncated_deviation(m, am, 0.1, 1e300, 1.0, 0.005, 99)
+    assert np.all(aux["gate"] == 1.0)
     assert np.array_equal(a.states, b.states)
 
 

@@ -229,7 +229,7 @@ BLOWUPS = {
         lambda: pytest.raises(RuntimeError, residual_theta2, SLOW_UP, 1.0, 40.0,
                               0.1, 3, 5) is not None,
     "simulate_truncated_deviation":
-        lambda: simulate_truncated_deviation(SLOW_UP, _up_averaged(), 1.0, None,
+        lambda: simulate_truncated_deviation(SLOW_UP, _up_averaged(), 1.0, np.inf,
                                              40.0, 0.1, 5).diverged,
     "simulate_corrected":
         lambda: simulate_corrected(_up_averaged(), _up_deviation(), 0.5, 40.0, 0.1,
@@ -256,7 +256,7 @@ COUPLED = {
     "residual_theta2": lambda m, dt: residual_theta2(m, m.epsilon, 0.2, dt, 3, 5),
     "simulate_truncated_deviation":
         lambda m, dt: simulate_truncated_deviation(m, build_averaged(m), m.epsilon,
-                                                   None, 0.2, dt, 5),
+                                                   np.inf, 0.2, dt, 5),
 }
 
 
@@ -268,34 +268,29 @@ def test_stability_guard(name):
     COUPLED[name](m, 0.001)                     # dt = epsilon / 10 is allowed
 
 
-def _frozen_model(n, rng, jumps, matrix_sigma, eps):
+def _frozen_model(n, rng, jumps, matrix_sigma):
     g = parse_drift([f"0.2*tanh(x{i + 1} - y{(i + 1) % n + 1})" for i in range(n)],
                     n, lip=0.2, growth=0.2)
     b = -2.0 * np.eye(n) + 0.3 * rng.standard_normal((n, n))
     sigma2 = rng.standard_normal((n, n)) if matrix_sigma else 0.7
     jump = JumpSpec(3.0, SizeDist.uniform(-0.2, 0.4)) if jumps else None
     return SlowFastModel(a=-np.eye(n), b=b, f=DriftFn.zero(n), g=g, sigma2=sigma2,
-                         jump_fast=jump, epsilon=eps, x0=np.zeros(n), y0=np.zeros(n))
+                         jump_fast=jump, x0=np.zeros(n), y0=np.zeros(n))
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 3), paths=st.integers(1, 3), jumps=st.booleans(),
-       matrix_sigma=st.booleans(), fast_rate=st.booleans(),
-       eps=st.sampled_from([1.0, 0.5, 0.25]), steps=st.integers(0, 30),
+       matrix_sigma=st.booleans(), steps=st.integers(0, 30),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_frozen_fast_batch_equals_successive_single_runs(n, paths, jumps, matrix_sigma,
-                                                        fast_rate, eps, steps, seed):
+                                                        steps, seed):
     rng = np.random.default_rng(seed)
-    m = _frozen_model(n, rng, jumps, matrix_sigma, eps)
+    m = _frozen_model(n, rng, jumps, matrix_sigma)
     x, y0 = rng.standard_normal((2, n))
     dt = 0.01
-    ys = frozen_fast_batch(m, x, y0, steps, dt, np.random.default_rng(seed + 1), paths,
-                           fast_rate=fast_rate)
-    # at the fast rate a path is a frozen-fast run at step dt / epsilon; epsilon
-    # is a power of two, so that rescaling is exact
-    h = dt / eps if fast_rate else dt
+    ys = frozen_fast_batch(m, x, y0, steps, dt, np.random.default_rng(seed + 1), paths)
     one = np.random.default_rng(seed + 1)
-    ref = np.stack([simulate_frozen_fast(m, x, y0, steps * h, h, one).states
+    ref = np.stack([simulate_frozen_fast(m, x, y0, steps * dt, dt, one).states
                     for _ in range(paths)], axis=1)
     assert ys.shape == (steps + 1, paths, n)
     if n == 1:
@@ -307,6 +302,21 @@ def test_frozen_fast_batch_equals_successive_single_runs(n, paths, jumps, matrix
 def test_linear_decay_matches_exponential():
     x, _ = simulate_slow_fast(model(), 1.0, 0.001, np.random.default_rng(0))
     assert abs(x.states[-1, 0] - np.exp(-1.0)) < 2e-3
+
+
+def test_last_drift_step_is_the_grids_last_step():
+    # make_grid(1.0, 0.3) is [0, 0.3, 0.6, 1.0]: the drift of dx = -x steps
+    # by 0.3, 0.3 and then 0.4, so x(1) = 0.7 * 0.7 * 0.6
+    m = SlowFastModel(a=[[-1.0]], b=[[-1.0]], f=DriftFn.zero(1), g=DriftFn.zero(1),
+                      epsilon=10.0, x0=[1.0], y0=[1.0])
+    x, y = simulate_slow_fast(m, 1.0, 0.3, np.random.default_rng(0))
+    assert x.grid.tolist() == [0.0, 0.3, 0.6, 1.0]
+    assert x.states[-1, 0] == pytest.approx(0.7 * 0.7 * 0.6, rel=1e-12)
+    # the fast drift steps by 0.03, 0.03 and then 0.04
+    assert y.states[-1, 0] == pytest.approx(0.97 * 0.97 * 0.96, rel=1e-12)
+    # the stability guard holds the stretched step 0.4, not dt, to epsilon / 10
+    with pytest.raises(ValueError, match="stability guard"):
+        simulate_slow_fast(m.with_epsilon(3.5), 1.0, 0.3, np.random.default_rng(0))
 
 
 def test_constant_drift_variation_of_constants():

@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from slowfast.benchmarks import tanh_benchmark
-from slowfast.manifold import (StationarySolutionSpec, _linear_slow_profile,
-                               _phi1, _recurrence, _slow_exponentials,
-                               asymptotic_manifold_h0,
+from slowfast.manifold import (_linear_slow_profile, _phi1, _recurrence,
+                               _slow_exponentials, asymptotic_manifold_h0,
                                contraction_factors, default_gamma,
                                lyapunov_perron_solve, reapply_sweep,
-                               sample_stationary_paths, stationary_solution,
-                               tracking_check)
+                               sample_stationary_paths, tracking_check)
 from slowfast.model import DriftFn, SlowFastModel, validate_model
 
 
@@ -29,17 +27,23 @@ def plain_model(f=None, g=None, sigma1=0.0, sigma2=0.0, eps=0.1,
 
 # -- stationary solutions ---------------------------------------------------
 
+def _at_zero(m, eps, t_neg, grid_step, rng, count):
+    """eta(0) and xi(0) of ``count`` independent stationary-path samples."""
+    paths = [sample_stationary_paths(m, eps, t_neg, 0.0, grid_step, rng)
+             for _ in range(count)]
+    return (np.array([p.eta[p.index0, 0] for p in paths]),
+            np.array([p.xi[p.index0, 0] for p in paths]))
+
+
 def test_stationary_solution_zero_noise():
-    spec = StationarySolutionSpec("fast", [[-2.0]], 0.0, None, 0.1, 5.0, 0.01)
-    _, _, value = stationary_solution(spec, np.random.default_rng(0))
-    assert value[0] == 0.0
+    eta0, xi0 = _at_zero(plain_model(), 0.1, 5.0, 0.01, np.random.default_rng(0), 1)
+    assert eta0[0] == 0.0 and xi0[0] == 0.0
 
 
 def test_stationary_fast_variance():
-    # OU stationary variance sigma^2 / (2 b) = 0.25
-    spec = StationarySolutionSpec("fast", [[-2.0]], 1.0, None, 0.1, 5.0, 0.005)
-    rng = np.random.default_rng(5)
-    vals = np.array([stationary_solution(spec, rng)[2][0] for _ in range(4000)])
+    # OU stationary variance sigma2^2 / (2 b) = 0.25
+    _, vals = _at_zero(plain_model(sigma2=1.0), 0.1, 5.0, 0.005,
+                       np.random.default_rng(5), 4000)
     var = vals.var(ddof=1)
     se = var * np.sqrt(2.0 / len(vals))
     assert abs(var - 0.25) <= 3 * se
@@ -48,36 +52,12 @@ def test_stationary_fast_variance():
 @pytest.mark.parametrize("eps", [0.5, 0.05])
 def test_stationary_slow_variance_epsilon_free(eps):
     # the epsilon in the kernel and the sqrt(eps) noise scale cancel:
-    # variance sigma^2 / (2 a) = 0.5 for any epsilon
-    spec = StationarySolutionSpec("slow_scaled", [[-1.0]], 1.0, None, eps,
-                                  5.0 / eps, 0.01 / eps)
-    rng = np.random.default_rng(2)
-    vals = np.array([stationary_solution(spec, rng)[2][0] for _ in range(2500)])
+    # variance sigma1^2 / (2 a) = 0.5 for any epsilon
+    vals, _ = _at_zero(plain_model(sigma1=1.0, eps=eps), eps, 5.0 / eps, 0.01 / eps,
+                       np.random.default_rng(2), 2500)
     var = vals.var(ddof=1)
     se = var * np.sqrt(2.0 / len(vals))
     assert abs(var - 0.5) <= 3 * se
-
-
-def test_stationary_fast_rescaled_marginal():
-    spec = StationarySolutionSpec("fast_rescaled", [[-2.0]], 1.0, None, 0.1,
-                                  1.0, 0.002)
-    rng = np.random.default_rng(3)
-    vals = np.array([stationary_solution(spec, rng)[2][0] for _ in range(2500)])
-    var = vals.var(ddof=1)
-    se = var * np.sqrt(2.0 / len(vals))
-    assert abs(var - 0.25) <= 3 * se
-
-
-def test_stationary_rejects_wrong_sign():
-    spec = StationarySolutionSpec("fast", [[2.0]], 1.0, None, 0.1, 5.0, 0.01)
-    with pytest.raises(ValueError, match="Hurwitz"):
-        stationary_solution(spec, np.random.default_rng(0))
-
-
-def test_stationary_rejects_short_tail():
-    spec = StationarySolutionSpec("fast", [[-2.0]], 1.0, None, 0.1, 1.0, 0.01)
-    with pytest.raises(ValueError, match="t_neg"):
-        stationary_solution(spec, np.random.default_rng(0))
 
 
 # -- contraction factors ----------------------------------------------------
@@ -121,7 +101,7 @@ def test_contraction_uses_backward_growth_rate_of_a():
     assert rho_hat == pytest.approx(rho + 0.1 * 0.5 * lip / 0.7, abs=1e-12)
     with pytest.raises(ValueError, match="band"):
         contraction_factors(m, 0.1, 0.25)    # below eps * 3
-    assert validate_model(m).gamma_a_rev == pytest.approx(3.0)
+    assert validate_model(m, np.random.default_rng(0)).gamma_a_rev == pytest.approx(3.0)
 
 
 def test_default_gamma_centers_band():

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
 
+from slowfast.averaging import build_averaged, estimate_fbar, mixing_diagnostic
+from slowfast.benchmarks import linear_benchmark
+from slowfast.deviation import (DeviationModel, autocovariance_kernel,
+                                simulate_corrected, simulate_deviation)
+from slowfast.integrator import Trajectory, frozen_fast_batch, make_grid
+from slowfast.manifold import sample_stationary_paths, tracking_check
 from slowfast.model import JumpSpec, SizeDist
 from slowfast.noise import (rescale_fast, sample_increments, sample_two_sided,
                             substream)
@@ -138,3 +144,36 @@ def test_stream_bit_identical_for_fixed_seed():
     two = sample_increments(2, g, substream(1234, 0, 0), jump=ATOMS)
     assert np.array_equal(one.d_brownian, two.d_brownian)
     assert np.array_equal(one.d_jump, two.d_jump)
+
+
+
+# every public sampler that draws from a generator it is given
+_LIN = linear_benchmark(epsilon=0.1)
+_AM = build_averaged(_LIN)
+_GRID = make_grid(1.0, 0.1)
+NO_RNG = {
+    "estimate_fbar": lambda: estimate_fbar(_LIN, [1.0], horizon=20.0, rng=None),
+    "mixing_diagnostic":
+        lambda: mixing_diagnostic(_LIN, [1.0], [[2.0]], 1.0, 0.01, 100, None),
+    "autocovariance_kernel":
+        lambda: autocovariance_kernel(_LIN, [1.0], [0.0, 0.1], 1.0, 10.0, 0.01, None),
+    "frozen_fast_batch": lambda: frozen_fast_batch(_LIN, [1.0], [0.0], 10, 0.01, None, 2),
+    "simulate_deviation":
+        lambda: simulate_deviation(DeviationModel(_AM.a, 0.0, 1.0),
+                                   Trajectory(_GRID, np.zeros((len(_GRID), 1))),
+                                   1.0, 0.1, None),
+    "sample_stationary_paths":
+        lambda: sample_stationary_paths(_LIN, 0.1, 5.0, 0.0, 0.01, None),
+    "tracking_check":
+        lambda: tracking_check(_LIN, 0.1, ([0.5], [0.3]), ([0.5], [0.9]), 1.0, 0.01,
+                               None),
+    "simulate_corrected":
+        lambda: simulate_corrected(_AM, DeviationModel(_AM.a, 0.0, 1.0), 0.1, 1.0, 0.1,
+                                   None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_RNG))
+def test_missing_generator_is_a_clear_error(name):
+    with pytest.raises(ValueError, match="an rng is required"):
+        NO_RNG[name]()

@@ -105,8 +105,6 @@ def dump(path):
                                                             rng(1)))
         put(f"{name}/frozen_fast_batch", frozen_fast_batch(m, m.x0, m.y0, 200, 0.005,
                                                            rng(2), 6))
-        put(f"{name}/frozen_fast_batch_rate",
-            frozen_fast_batch(m, m.x0, m.y0, 100, dt, rng(3), 5, fast_rate=True))
         if name == "n1lin":
             am = sf.build_averaged(m)
         else:
