@@ -29,8 +29,8 @@ from scipy.interpolate import RegularGridInterpolator
 
 from .harness import fit_exp_rate, fit_loglog_rate
 from .integrator import (DivergedError, _check_stable, _euler,
-                         _nan_after_divergence, _stretch, _trajectory,
-                         _write_csv, frozen_fast_batch, make_grid)
+                         _nan_after_divergence, _trajectory, _write_csv,
+                         default_step, frozen_fast_batch, make_grid)
 from .model import PROBE_BOX, _lin, _lin_plus, has_slow_noise
 from .noise import (ROLE_FAST, ROLE_SLOW, _path_increments, rescale_fast,
                     sample_increments, substream)
@@ -302,8 +302,7 @@ def _averaged_run(am, x0, grid, dt, noise):
     def drift(k, s, d):
         averaged(d[0], s[0], s[0])
 
-    return _euler((x0,), drift, (dt,), (noise,), len(grid) - 1, path=True,
-                  stretch=_stretch(grid, dt))
+    return _euler((x0,), drift, (dt,), (noise,), grid, dt, path=True)
 
 
 def simulate_auxiliary(m, delta, t_end, dt, rng, return_true=False):
@@ -344,8 +343,7 @@ def simulate_auxiliary(m, delta, t_end, dt, rng, return_true=False):
         x_frozen = x
         noise = ((m.sigma1, d_slow[start:end]), (m.sigma2, d_fast[start:end])) * 2
         run = _euler((x, y, xh, y), drift, (dt, dt / m.epsilon) * 2, noise,
-                     end - start, path=True,
-                     stretch=_stretch(grid, dt) if end == steps else 1.0)
+                     grid[start:end + 1], dt, path=True)
         for full, part in zip(path, run.path):
             full[start:end + 1] = part
         x, y, xh = (part[-1] for part in run.path[:3])
@@ -409,7 +407,7 @@ def coupled_error_batch(m, am, t_end, dt, master_seed, start, count):
     ds = None if d_slow is None else (m.sigma1, d_slow)
     run = _euler((x0, y0, x0), drift,
                  (dt, dt / m.epsilon, dt), (ds, (m.sigma2, d_fast), ds),
-                 len(grid) - 1, sup=gap_sq, stretch=_stretch(grid, dt))
+                 grid, dt, sup=gap_sq)
     x, _, xa = run.state
     return run.sup, x - xa, run.diverged
 
@@ -452,7 +450,8 @@ def strong_error_experiment(m, epsilons, delta_rule, t_end, n_paths,
     """Monte-Carlo strong error of the averaged approximation across epsilons.
 
     For each epsilon the full and averaged slow equations share the slow
-    increments path by path; the fitted log-log slope of
+    increments path by path, stepped at ``default_step(t_end, eps)``; the
+    fitted log-log slope of
     E sup_{t<=T} |x_eps - x|^2 against epsilon is the reported rate.  The
     block size delta = eps**(2/3) (``delta_rule`` names it, or is None)
     enters only through the recorded theoretical bound epsilon/delta, not
@@ -474,8 +473,9 @@ def strong_error_experiment(m, epsilons, delta_rule, t_end, n_paths,
     diverged = np.zeros(len(epsilons), dtype=int)
     deltas = np.array([e ** (2.0 / 3.0) for e in epsilons])
     for j, eps in enumerate(epsilons):
-        sup, _, _ = coupled_error_batch(m.with_epsilon(eps), am, t_end, eps / 10.0,
-                                        master_seed, 0, n_paths)
+        sup, _, _ = coupled_error_batch(m.with_epsilon(eps), am, t_end,
+                                        default_step(t_end, eps), master_seed, 0,
+                                        n_paths)
         vals = sup[np.isfinite(sup)]                 # diverged paths are NaN
         errors[j] = vals.mean()
         stderrs[j] = vals.std(ddof=1) / np.sqrt(len(vals))

@@ -25,7 +25,7 @@ from .averaging import (build_averaged, estimate_fbar, mixing_diagnostic,
 from .deviation import (autocovariance_kernel, build_deviation_model,
                         diffusion_matrix, matrix_sqrt_psd, simulate_deviation,
                         weak_limit_report)
-from .integrator import make_grid, simulate_slow_fast
+from .integrator import default_step, make_grid, simulate_slow_fast
 from .manifold import lyapunov_perron_solve, tracking_check
 from .model import DriftFn, JumpSpec, SizeDist, SlowFastModel, validate_model
 from .noise import ROLE_DEV, ROLE_SLOW, sample_increments, substream
@@ -132,7 +132,7 @@ def cmd_simulate(cfg, seed, out_dir):
         return 2
     blk = cfg.get("simulate", {})
     t_end = float(blk.get("t_end", 1.0))
-    dt = float(blk.get("dt", m.epsilon / 10.0))
+    dt = float(blk.get("dt", default_step(t_end, m.epsilon)))
     x, y = simulate_slow_fast(m, t_end, dt, substream(seed, 0, 0))
     px = _artifact(out_dir, "simulate", seed, "-x.csv")
     py = _artifact(out_dir, "simulate", seed, "-y.csv")
@@ -148,6 +148,15 @@ def cmd_average(cfg, seed, out_dir):
         return 2
     blk = cfg.get("average", {})
     rng = np.random.default_rng(seed)
+    # the strong-error run goes first, so that its argument checks refuse a
+    # bad config before the fbar and mixing work; it draws from its own
+    # substreams, not from rng
+    report = None
+    if blk.get("epsilons"):
+        report = strong_error_experiment(
+            m, blk["epsilons"], blk.get("delta_rule", "eps**(2/3)"),
+            t_end=float(blk.get("t_end", 1.0)),
+            n_paths=int(blk.get("n_paths_rate", 200)), master_seed=seed)
     x_point = np.asarray(blk.get("x", m.x0.tolist()), dtype=float)
     est = estimate_fbar(m, x_point, burn_in=blk.get("burn_in"),
                         horizon=float(blk.get("horizon", 60.0)),
@@ -158,11 +167,7 @@ def cmd_average(cfg, seed, out_dir):
                             n_paths=int(blk.get("n_paths", 1000)), rng=rng)
     out = {"fbar": est.value.tolist(), "fbar_stderr": est.stderr.tolist(),
            "mixing": mix.to_json()}
-    if blk.get("epsilons"):
-        report = strong_error_experiment(
-            m, blk["epsilons"], blk.get("delta_rule", "eps**(2/3)"),
-            t_end=float(blk.get("t_end", 1.0)),
-            n_paths=int(blk.get("n_paths_rate", 200)), master_seed=seed)
+    if report is not None:
         out["rate"] = report.to_json()
         report.curve_to_csv(_artifact(out_dir, "average", seed, "-rate.csv"))
     mix.curve_to_csv(_artifact(out_dir, "average", seed, "-mixing.csv"))

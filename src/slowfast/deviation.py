@@ -37,8 +37,7 @@ import numpy as np
 from .averaging import (_averaged_run, _increment_blocks, _slow_increments,
                         coupled_error_batch)
 from .integrator import (_amplitude_op, _check_stable, _euler, _frozen_fast_run,
-                         _stretch, _trajectory, _write_csv, frozen_fast_batch,
-                         make_grid)
+                         _trajectory, _write_csv, frozen_fast_batch, make_grid)
 from .model import _add_value, _lin, _lin_plus, _value_into
 from .noise import ROLE_BURN, ROLE_DEV, _path_increments, _required, substream
 from .harness import _var_se, two_sample_compare
@@ -276,8 +275,7 @@ def simulate_deviation(dm, x_path, t_end, dt, rng):
     x_at = x_path.states[idx, None]
     run = _euler((np.zeros((1, dm.n)),),
                  lambda k, s, d: dm._drift_into(d[0], s[0], x_at[k]), (dt,),
-                 (lambda k, s: dm.noise(dw[k], x_at[k]),), len(dw), path=True,
-                 stretch=_stretch(grid, dt))
+                 (lambda k, s: dm.noise(dw[k], x_at[k]),), grid, dt, path=True)
     return _trajectory(grid, run.path[0][:, 0], run.diverged_at[0])
 
 
@@ -297,7 +295,10 @@ def _manifold_started_inputs(m, t_end, dt, master_seed, start, count):
                               lambda i: substream(master_seed, start + i, ROLE_BURN),
                               jump=m.jump_fast, var_scale=scale, rate_scale=scale)
     x0, y0 = (np.broadcast_to(v, d_burn.shape[1:]) for v in (m.x0, m.y0))
-    y_h0 = _frozen_fast_run(m, x0, y0, dt * scale, d_burn).state[0]
+    # the burn-in steps the frozen-fast equation at the fast rate dt / epsilon
+    h = dt * scale
+    y_h0 = _frozen_fast_run(m, x0, y0, h * np.arange(burn_steps + 1), h,
+                            d_burn).state[0]
     return grid, d_fast, d_slow, y_h0
 
 
@@ -351,8 +352,7 @@ def residual_theta2(m, epsilon, t_end, dt, n_paths, master_seed,
     df = (me.sigma2, d_fast)
     run = _euler((np.zeros((n_paths, n)), x0, x0, y0, y_h0), drift,
                  (dt, dt, dt, dt / epsilon, dt / epsilon), (None, ds, ds, df, df),
-                 len(grid) - 1, sup=lambda s: np.sum(s[0] * s[0], axis=-1),
-                 stretch=_stretch(grid, dt))
+                 grid, dt, sup=lambda s: np.sum(s[0] * s[0], axis=-1))
     alive = ~run.diverged
     vals = run.sup[alive]
     if len(vals) == 0:
@@ -403,7 +403,7 @@ def simulate_truncated_deviation(m, am, epsilon, radius, t_end, dt, master_seed,
     ds = None if d_slow is None else (me.sigma1, d_slow[:, 0])
     run = _euler((np.zeros(n), me.x0, y_h0[0], am.x0), drift,
                  (dt, dt, dt / epsilon, dt), (None, ds, (me.sigma2, d_fast[:, 0]), ds),
-                 steps, path=True, stretch=_stretch(grid, dt))
+                 grid, dt, path=True)
     traj = _trajectory(grid, run.path[0], run.diverged_at)
     if return_drive:
         return traj, {"drive": drives, "gate": gates}
@@ -496,8 +496,7 @@ def limit_marginal_samples(dm, am, t_end, dt, n_paths, master_seed):
     x0 = np.broadcast_to(am.x0, (n_paths, n))
     run = _euler((x0, np.zeros((n_paths, n))), drift, (dt, dt),
                  (None if d_slow is None else (am.sigma1, d_slow),
-                  lambda k, s: dm.noise(dw[k], s[0])), len(grid) - 1,
-                 stretch=_stretch(grid, dt))
+                  lambda k, s: dm.noise(dw[k], s[0])), grid, dt)
     return run.state[1]
 
 

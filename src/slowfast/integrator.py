@@ -7,9 +7,10 @@ Every simulator is one explicit Euler-Maruyama step on a stacked state, one
 
 with h_c = dt, or dt / epsilon for a fast component, and dJ compensated.
 When dt does not divide the horizon, ``make_grid`` stretches or shortens
-the last step to end on it, and that step's h_c follows (``_stretch``).  A
-leading path axis steps a batch of paths at once (the vectorised ensemble
-scheme of Higham, SIAM Review 43(3):525, 2001).  The private kernel
+the last step to end on it, and that step's h_c follows (``_stretch``);
+``default_step`` picks a step under the guard below whose grid divides the
+horizon.  A leading path axis steps a batch of paths at once (the vectorised
+ensemble scheme of Higham, SIAM Review 43(3):525, 2001).  The private kernel
 ``_euler`` owns the time loop, the noise term and the recorders (final
 state, running sup, full path); a simulator supplies its drift, step factors
 and noise.  Jumps break the smoothness higher-order schemes need, and every
@@ -48,6 +49,7 @@ ensemble statistics exclude and count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -123,22 +125,24 @@ def _nan_after_divergence(path):
     return np.where(bad.any(axis=0), bad.argmax(axis=0), -1)
 
 
-def _euler(state, drift, factors, noise, steps, sup=None, path=False, stretch=1.0):
-    """Advance a stacked state by ``steps`` explicit Euler steps, in place.
+def _euler(state, drift, factors, noise, grid, dt, sup=None, path=False):
+    """Advance a stacked state along ``grid``, a ``make_grid`` grid over dt
+    or any stretch of it, by explicit Euler steps, in place.
 
     ``state`` holds one (..., n) array per component, broadcast to a common
     shape and stacked as s (C, ..., n).  ``drift(k, s, d)`` writes step k's
     drift of component c into ``d[c]`` of the buffer d shaped as s: it sets
     every entry, reads s and keeps a reference to neither.  Component c
-    moves by ``d[c] * factors[c]``, and by ``d[c] * factors[c] * stretch`` at
-    the last step (``_stretch``), plus its noise term ``noise[c]``: None, a
-    pair ``(sigma, increments)`` adding ``apply_noise(sigma, increments)[k]``,
+    moves by ``d[c] * factors[c]``, times ``_stretch(grid, dt)`` at the last
+    step, plus its noise term ``noise[c]``: None, a pair
+    ``(sigma, increments)`` adding ``apply_noise(sigma, increments)[k]``,
     or a function ``(k, s) -> array`` for noise scaled by the state.  The
     caller's states and increments are never written to.
     ``sup(s)`` maps a state to one value per path, whose running max
     over the grid is recorded; ``path=True`` records every state.
     """
     s = np.array(np.broadcast_arrays(*state), dtype=float)
+    steps, stretch = len(grid) - 1, _stretch(grid, dt)
     d, spare = np.empty_like(s), np.empty_like(s)
     h = np.reshape(np.array(factors, dtype=float), (-1,) + (1,) * (s.ndim - 1))
     block, terms = _noise_terms(noise, s.shape, steps)
@@ -225,6 +229,17 @@ def _stretch(grid, dt):
     return 1.0 if abs(ratio - 1.0) <= 1e-6 else ratio
 
 
+def default_step(t_end, epsilon):
+    """The step a run at ``epsilon`` takes when none is given: epsilon / 10
+    when it divides t_end, else the longest shorter step that does, so that
+    no step of the grid exceeds the guard of ``_check_stable``."""
+    dt = epsilon / 10
+    grid = make_grid(t_end, dt)
+    if t_end == 0 or (len(grid) > 1 and _stretch(grid, dt) == 1.0):
+        return dt
+    return t_end / math.ceil(t_end / dt)
+
+
 def _check_stable(grid, dt, epsilon):
     """Refuse steps the fast drift, scaled by 1/epsilon, cannot take; the
     longest step of the grid counts, which may be its stretched last one."""
@@ -258,24 +273,23 @@ def simulate_slow_fast(m, t_end, dt, rng=None, slow_incr=None, fast_incr=None):
 
     noise = ((m.sigma1, slow_incr.d_brownian + slow_incr.d_jump),
              (m.sigma2, fast_incr.d_brownian + fast_incr.d_jump))
-    run = _euler((m.x0, m.y0), drift, (dt, dt / m.epsilon), noise, len(grid) - 1,
-                 path=True, stretch=_stretch(grid, dt))
+    run = _euler((m.x0, m.y0), drift, (dt, dt / m.epsilon), noise, grid, dt,
+                 path=True)
     xs, ys = run.path
     return (_trajectory(grid, xs, run.diverged_at),
             _trajectory(grid, ys, run.diverged_at))
 
 
-def _frozen_fast_run(m, x_frozen, y0, h, d_fast, path=False, stretch=1.0):
+def _frozen_fast_run(m, x_frozen, y0, grid, dt, d_fast, path=False):
     """Frozen-fast equation from y0 (..., n), slow argument x_frozen (same
-    shape), step factor h (h * stretch at the last step), driven by summed
-    fast increments (steps, ..., n)."""
+    shape), along a grid over dt with step factor dt, driven by summed fast
+    increments (steps, ..., n)."""
     fast = _lin_plus(m.b, m.g._add)
 
     def drift(k, s, d):
         fast(d[0], s[0], x_frozen, s[0])
 
-    return _euler((y0,), drift, (h,), ((m.sigma2, d_fast),), len(d_fast), path=path,
-                  stretch=stretch)
+    return _euler((y0,), drift, (dt,), ((m.sigma2, d_fast),), grid, dt, path=path)
 
 
 def simulate_frozen_fast(m, x_frozen, y0, t_end, dt, rng=None):
@@ -284,8 +298,8 @@ def simulate_frozen_fast(m, x_frozen, y0, t_end, dt, rng=None):
     grid = make_grid(t_end, dt)
     x_frozen = np.asarray(x_frozen, dtype=float)
     incr = sample_increments(m.n, grid, rng, jump=m.jump_fast)
-    run = _frozen_fast_run(m, x_frozen, y0, dt, incr.d_brownian + incr.d_jump,
-                           path=True, stretch=_stretch(grid, dt))
+    run = _frozen_fast_run(m, x_frozen, y0, grid, dt, incr.d_brownian + incr.d_jump,
+                           path=True)
     return _trajectory(grid, run.path[0], run.diverged_at)
 
 
@@ -296,8 +310,8 @@ def frozen_fast_batch(m, x_frozen, y0, steps, dt, rng, n_paths):
     as one ``sample_increments`` stream, so path i equals the i-th of
     ``n_paths`` successive ``simulate_frozen_fast`` runs on that generator.
     """
-    d_fast = _path_increments(m.n, dt * np.arange(steps + 1), n_paths, lambda i: rng,
-                              jump=m.jump_fast)
+    grid = dt * np.arange(steps + 1)
+    d_fast = _path_increments(m.n, grid, n_paths, lambda i: rng, jump=m.jump_fast)
     x_frozen, y0 = (np.broadcast_to(np.asarray(v, dtype=float), d_fast.shape[1:])
                     for v in (x_frozen, y0))
-    return _frozen_fast_run(m, x_frozen, y0, dt, d_fast, path=True).path[0]
+    return _frozen_fast_run(m, x_frozen, y0, grid, dt, d_fast, path=True).path[0]

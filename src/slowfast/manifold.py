@@ -411,8 +411,7 @@ def tracking_check(m, epsilon, ic_on, ic_off, t_end, dt, rng):
         du += fu
         fast(d[1], v, *arg)
 
-    us, vs = _euler((u, v), drift, (dt, dt), (None, None), len(ts) - 1,
-                    path=True).path
+    us, vs = _euler((u, v), drift, (dt, dt), (None, None), ts, dt, path=True).path
     with np.errstate(invalid="ignore", over="ignore"):
         gaps = (np.linalg.norm(us[:, 0] - us[:, 1], axis=-1)
                 + np.linalg.norm(vs[:, 0] - vs[:, 1], axis=-1))

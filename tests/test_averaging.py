@@ -317,6 +317,13 @@ def test_strong_error_rejects_other_delta_rules(rule):
                                 120, 0)
 
 
+def test_strong_error_steps_within_the_guard_when_eps_over_10_does_not_divide():
+    # eps / 10 = 0.003 does not divide t_end 1; the run steps at 1 / 334
+    rep = strong_error_experiment(linear_benchmark(), [0.05, 0.03, 0.02], None, 1.0,
+                                  100, 0)
+    assert np.all(np.isfinite(rep.errors)) and not rep.diverged.any()
+
+
 def test_reports_serialize(tmp_path):
     import json
     m = linear_benchmark()

@@ -121,6 +121,20 @@ def test_simulate_zero_horizon_single_row(tmp_path, capsys):
     assert rows[1].split(",")[1] == "1"
 
 
+@pytest.mark.parametrize("epsilon", [0.3, 0.7])
+def test_simulate_default_step_keeps_the_guard(tmp_path, capsys, epsilon):
+    # epsilon / 10 does not divide t_end 1: the default step is the longest
+    # one under the guard that does, so the run ends on t_end and is not refused
+    cfg_data = json.loads(json.dumps(LINEAR_CFG))
+    cfg_data["model"]["epsilon"] = epsilon
+    cfg_data["simulate"] = {"t_end": 1.0}
+    cfg = write_cfg(tmp_path, cfg_data)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    info = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    t = np.loadtxt(info["x_csv"], delimiter=",", skiprows=1)[:, 0]
+    assert t[-1] == 1.0 and np.max(np.diff(t)) <= epsilon / 10 + 1e-15
+
+
 def test_seed_precedence_flag_env_config(tmp_path, capsys, monkeypatch):
     cfg_data = json.loads(json.dumps(LINEAR_CFG))
     cfg_data["simulate"] = {"t_end": 0.1, "dt": 0.001}

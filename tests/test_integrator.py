@@ -14,7 +14,8 @@ from slowfast.deviation import (DeviationModel, limit_marginal_samples,
                                 residual_theta2, simulate_corrected,
                                 simulate_deviation,
                                 simulate_truncated_deviation)
-from slowfast.integrator import (Trajectory, _euler, apply_noise, frozen_fast_batch,
+from slowfast.integrator import (Trajectory, _check_stable, _euler, _stretch,
+                                 apply_noise, default_step, frozen_fast_batch,
                                  make_grid, simulate_frozen_fast,
                                  simulate_slow_fast)
 from slowfast.manifold import tracking_check
@@ -56,9 +57,10 @@ class Streamed:
 @given(n=st.integers(1, 3), paths=st.sampled_from([None, 1, 4]),
        matrix_sigma=st.booleans(),
        noise=st.sampled_from(["none", "blocks", "mixed", "streamed"]),
-       views=st.booleans(), steps=st.integers(0, 25), seed=st.integers(0, 2 ** 32 - 1))
+       views=st.booleans(), steps=st.integers(0, 25),
+       last=st.sampled_from([1.0, 0.6, 1.4]), seed=st.integers(0, 2 ** 32 - 1))
 def test_euler_kernel_matches_reference_loop(n, paths, matrix_sigma, noise, views,
-                                             steps, seed):
+                                             steps, last, seed):
     rng = np.random.default_rng(seed)
     a = -np.eye(n) + 0.3 * rng.standard_normal((n, n))
     b = -2.0 * np.eye(n) + 0.3 * rng.standard_normal((n, n))
@@ -69,6 +71,11 @@ def test_euler_kernel_matches_reference_loop(n, paths, matrix_sigma, noise, view
     dx, dy = 0.1 * rng.standard_normal((2, steps) + shape)
     callers = [v.copy() for v in (x0, y0, dx, dy)]
     dt, h_fast = 0.01, 0.1
+    # a grid over dt whose last step is ``last`` times dt
+    grid = dt * np.arange(steps + 1)
+    if steps:
+        grid[-1] = grid[-2] + last * dt
+    stretch = (grid[-1] - grid[-2]) / dt if steps and last != 1.0 else 1.0
 
     def amp(sigma, d):
         return sigma * d if np.ndim(sigma) == 0 else d @ sigma.T
@@ -90,7 +97,7 @@ def test_euler_kernel_matches_reference_loop(n, paths, matrix_sigma, noise, view
                 "mixed": ((s1, dx), noise_y),
                 "streamed": ((s1, Streamed(dx)), noise_y)}[noise]
 
-    run = _euler((x0, y0), in_place(fn), (dt, h_fast), terms(), steps, sup=gap,
+    run = _euler((x0, y0), in_place(fn), (dt, h_fast), terms(), grid, dt, sup=gap,
                  path=True)
 
     # a pre-drawn block is scaled whole, a streamed one row by row
@@ -100,8 +107,9 @@ def test_euler_kernel_matches_reference_loop(n, paths, matrix_sigma, noise, view
         fx, fy = fn(k, (x, y))
         wx = {"none": None, "streamed": amp(s1, dx[k])}.get(noise, amp(s1, dx)[k])
         wy = {"none": None, "blocks": amp(s2, dy)[k]}.get(noise, noise_y(k, (x, y)))
-        x, y = (x + fx * dt if wx is None else x + fx * dt + wx,
-                y + fy * h_fast if wy is None else y + fy * h_fast + wy)
+        hx, hy = (dt * stretch, h_fast * stretch) if k == steps - 1 else (dt, h_fast)
+        x, y = (x + fx * hx if wx is None else x + fx * hx + wx,
+                y + fy * hy if wy is None else y + fy * hy + wy)
         xs.append(x)
         ys.append(y)
         best = np.maximum(best, gap((x, y)))
@@ -114,7 +122,7 @@ def test_euler_kernel_matches_reference_loop(n, paths, matrix_sigma, noise, view
     assert all(np.array_equal(v, c) for v, c in zip((x0, y0, dx, dy), callers))
 
     # without a recorded path the final state and sup are the same
-    bare = _euler((x0, y0), in_place(fn), (dt, h_fast), terms(), steps, sup=gap)
+    bare = _euler((x0, y0), in_place(fn), (dt, h_fast), terms(), grid, dt, sup=gap)
     assert bare.path is None and bare.diverged_at is None
     assert np.array_equal(bare.state, run.state) and np.array_equal(bare.sup, best)
 
@@ -135,7 +143,8 @@ def test_euler_prescaled_blocks_match_per_step_noise(n, matrix_sigma, paths, ste
     def drift(k, s):
         return (np.tanh(s[0] @ a.T),)
 
-    run = _euler((x0,), in_place(drift), (0.01,), ((sigma, dx),), steps, path=True)
+    run = _euler((x0,), in_place(drift), (0.01,), ((sigma, dx),),
+                 0.01 * np.arange(steps + 1), 0.01, path=True)
     assert np.array_equal(dx, caller)            # the caller's block is not scaled
     x, want = x0, [x0]
     for k in range(steps):
@@ -156,8 +165,8 @@ def test_euler_divergence_conventions():
     def drift(k, s):
         return np.tanh(s[1]), 50.0 * s[1]
 
-    run = _euler((np.zeros((3, 1)), y0), in_place(drift), (0.1, 0.1), (None, None), 400,
-                 sup=lambda s: np.abs(s[0][:, 0]), path=True)
+    run = _euler((np.zeros((3, 1)), y0), in_place(drift), (0.1, 0.1), (None, None),
+                 0.1 * np.arange(401), 0.1, sup=lambda s: np.abs(s[0][:, 0]), path=True)
     x, y = np.zeros((3, 1)), y0
     raw = [y]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -317,6 +326,18 @@ def test_last_drift_step_is_the_grids_last_step():
     # the stability guard holds the stretched step 0.4, not dt, to epsilon / 10
     with pytest.raises(ValueError, match="stability guard"):
         simulate_slow_fast(m.with_epsilon(3.5), 1.0, 0.3, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("t_end", [0.0, 0.002, 1.0, 2.5])
+@pytest.mark.parametrize("epsilon", [0.01, 0.03, 0.08, 0.3, 0.7])
+def test_default_step_grid_ends_on_t_end_within_the_guard(t_end, epsilon):
+    dt = default_step(t_end, epsilon)
+    grid = make_grid(t_end, dt)
+    _check_stable(grid, dt, epsilon)
+    assert grid[-1] == t_end and np.all(np.diff(grid) <= epsilon / 10 + 1e-15)
+    assert dt <= epsilon / 10 and _stretch(grid, dt) == 1.0
+    if abs(t_end * 10 / epsilon - round(t_end * 10 / epsilon)) < 1e-9:
+        assert dt == epsilon / 10        # a dividing step is kept bit for bit
 
 
 def test_constant_drift_variation_of_constants():
