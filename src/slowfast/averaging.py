@@ -360,8 +360,7 @@ def _increment_blocks(m, grid, master_seed, start, count):
     each from its own substreams; the slow block is None without slow noise."""
     d_fast = _path_increments(m.n, grid, count,
                               lambda i: substream(master_seed, start + i, ROLE_FAST),
-                              jump=m.jump_fast, var_scale=1.0 / m.epsilon,
-                              rate_scale=1.0 / m.epsilon)
+                              jump=m.jump_fast, speed=1.0 / m.epsilon)
     return d_fast, _slow_increments(m, grid, master_seed, start, count)
 
 

@@ -293,7 +293,7 @@ def _manifold_started_inputs(m, t_end, dt, master_seed, start, count):
     scale = 1.0 / m.epsilon
     d_burn = _path_increments(m.n, dt * np.arange(burn_steps + 1), count,
                               lambda i: substream(master_seed, start + i, ROLE_BURN),
-                              jump=m.jump_fast, var_scale=scale, rate_scale=scale)
+                              jump=m.jump_fast, speed=scale)
     x0, y0 = (np.broadcast_to(v, d_burn.shape[1:]) for v in (m.x0, m.y0))
     # the burn-in steps the frozen-fast equation at the fast rate dt / epsilon
     h = dt * scale

@@ -12,8 +12,10 @@ Numbers are decimals with an optional exponent.  The grammar is kept small on
 purpose: every production is Lipschitz-auditable, which is what the model
 validation layer relies on.
 
-Evaluation is compiled, as SymPy's ``lambdify`` does: the parser emits numpy
-source text while it reads, and ``compile_components`` turns a drift's
+Evaluation is compiled, as SymPy's ``lambdify`` does.  Each component's
+tokens become numpy source text, which Python's own parser reads under a
+whitelist of the nodes the grammar produces (the grammar's precedence and
+associativity are Python's), and ``compile_components`` turns a drift's
 component texts into one function once, so a drift call runs the numpy
 operations alone, in the order the parser read them.  Coordinates are read
 off the last axis of the ``x`` and ``y`` arrays, so one compiled drift serves
@@ -24,6 +26,9 @@ drift buffer, or for a drift call a fresh one filled with -0.0.
 
 from __future__ import annotations
 
+import ast
+import bisect
+import itertools
 import re
 
 import numpy as np
@@ -49,8 +54,7 @@ class DriftArityError(DriftExprError):
     """Coordinate index outside 1..n."""
 
 
-# deepest parenthesis nesting the parser reads: each level costs five Python
-# frames of its recursion, and Python's own compiler refuses 200 nested
+# deepest parenthesis nesting read: Python's tokenizer refuses 200 nested
 # brackets in the generated source
 MAX_NESTING = 150
 
@@ -62,131 +66,98 @@ _TOKEN_RE = re.compile(
   | (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>[-+*/()])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 _IDENT_RE = re.compile(r"^([xy])(\d+)$")
 
+# the nodes of the grammar's trees besides calls, unary operations and names
+_NODES = (ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.USub, ast.Load)
+
 
 def _tokenize(source):
     tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise DriftSyntaxError(f"unexpected character {source[pos]!r}", pos)
+    for m in _TOKEN_RE.finditer(source):
+        if m.lastgroup == "bad":
+            raise DriftSyntaxError(f"unexpected character {m.group()!r}", m.start())
         if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(source)))
-    return tokens
+            tokens.append((m.lastgroup, m.group(), m.start()))
+    return tokens + [("end", "", len(source))]
 
 
-class _Parser:
-    """Recursive-descent parser that emits numpy source text as it reads.
+def _translate(source, consts):
+    """Numpy source text of one component expression, and the coordinates
+    it reads as (base, index) pairs in textual order.
 
     A number becomes a name bound to its value as a numpy float in
     ``consts`` (shared by the components of one drift): a literal such as
     ``1e999`` is inf, which has no literal form, and numpy division by a
     zero constant gives inf or NaN where Python's raises.  ``xK`` / ``yK``
     becomes the name ``xK`` / ``yK`` (K without leading zeros), which the
-    compiled function binds to coordinate K-1 of ``x`` / ``y``, and is
-    listed in ``reads``, in textual order.  Operators, parentheses and
-    function calls are copied: Python's precedence and left associativity
-    are the grammar's, so the operations run in the parsed order.  Only text
-    built here from matched tokens reaches the generated source.
+    compiled function binds to coordinate K-1 of ``x`` / ``y``.  Python's
+    parser reads the words joined with spaces (its precedence and left
+    associativity are the grammar's) and every node the grammar cannot
+    produce is refused, so only matched tokens reach the generated source.
     """
-
-    def __init__(self, source, consts):
-        self.tokens = _tokenize(source)
-        depth = 0
-        for _, text, pos in self.tokens:
-            depth += (text == "(") - (text == ")")
-            if depth > MAX_NESTING:
-                raise DriftSyntaxError(
-                    f"parentheses nested deeper than {MAX_NESTING} levels", pos)
-        self.i = 0
-        self.consts = consts
-        self.reads = []
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, text, pos = self.peek()
-        if kind != "op" or text != op:
-            raise DriftSyntaxError(f"expected {op!r}", pos)
-        self.advance()
-
-    def parse(self):
-        try:
-            code = self.expr()
-        except RecursionError as err:
-            # the caller's own stack depth plus five frames per nesting level
-            raise DriftSyntaxError("expression nested too deep for the parser",
-                                   self.peek()[2]) from err
-        kind, text, pos = self.peek()
-        if kind != "end":
-            raise DriftSyntaxError(f"trailing input {text!r}", pos)
-        return code
-
-    def expr(self):
-        return self.chain("+-", self.term)
-
-    def term(self):
-        return self.chain("*/", self.factor)
-
-    def chain(self, ops, operand):
-        """Operands joined by left-associative operators in ``ops``."""
-        code = operand()
-        while True:
-            kind, op, _ = self.peek()
-            if kind != "op" or op not in ops:
-                return code
-            self.advance()
-            code = f"{code} {op} {operand()}"
-
-    def factor(self):
-        kind, text, pos = self.advance()
+    tokens = _tokenize(source)
+    depth = 0
+    for _, text, pos in tokens:
+        depth += (text == "(") - (text == ")")
+        if depth > MAX_NESTING:
+            raise DriftSyntaxError(f"parentheses nested deeper than {MAX_NESTING} levels", pos)
+    words, reads = [], []
+    for kind, text, pos in tokens[:-1]:
         if kind == "num":
-            self.consts.append(np.float64(text))
-            return f"c{len(self.consts) - 1}"
-        if kind == "op" and text == "-":
-            # a run of signs is read in a loop, so it does not deepen the recursion
-            signs = "-"
-            while self.peek()[:2] == ("op", "-"):
-                self.advance()
-                signs += "-"
-            return signs + self.factor()
-        if kind == "op" and text == "(":
-            code = self.expr()
-            self.expect_op(")")
-            return f"({code})"
-        if kind == "name":
-            ident = _IDENT_RE.match(text)
-            if ident:
-                base, index = ident.group(1), int(ident.group(2))
-                self.reads.append((base, index))
-                return f"{base}{index}"
-            if text in _FUNCS:
-                self.expect_op("(")
-                code = self.expr()
-                self.expect_op(")")
-                return f"{text}({code})"
+            consts.append(np.float64(text))
+            text = f"c{len(consts) - 1}"
+        elif kind == "name" and _IDENT_RE.match(text):
+            reads.append((text[0], int(text[1:])))
+            text = "%s%d" % reads[-1]
+        elif kind == "name" and text not in _FUNCS:
             raise DriftNameError(f"unknown identifier {text!r} (at position {pos})")
-        raise DriftSyntaxError(f"unexpected token {text!r}" if text else "unexpected end of input", pos)
+        words.append(text)
+    code = " ".join(words)
+    # column in ``code`` at which each token starts, the end at len(code) + 1
+    starts = list(itertools.accumulate((len(w) + 1 for w in words), initial=0))
+
+    def token_at(column):
+        return tokens[bisect.bisect_right(starts, column) - 1]
+
+    try:
+        tree = ast.parse(code, mode="eval")
+    except SyntaxError as err:
+        # Python gives offset 0 for a fault at the end of the input, and
+        # column -1 then maps to the end token
+        raise DriftSyntaxError(err.msg, token_at((err.offset or 0) - 1)[2]) from None
+    except (RecursionError, MemoryError) as err:
+        raise DriftSyntaxError("expression nested too deep for Python's parser", 0) from err
+    callees = set()
+    for node in ast.walk(tree.body):
+        column = getattr(node, "col_offset", 0)
+        if isinstance(node, ast.Call):
+            # a function name on one argument; other arguments are refused below
+            ok = (isinstance(node.func, ast.Name) and node.func.id in _FUNCS
+                  and len(node.args) == 1)
+            callees.add(node.func)
+            column = node.func.end_col_offset + 1
+        elif isinstance(node, ast.UnaryOp):
+            ok = isinstance(node.op, ast.USub)
+        elif isinstance(node, ast.Name):
+            ok = node.id not in _FUNCS or node in callees
+        else:
+            ok = isinstance(node, _NODES)
+        if not ok:
+            _, text, pos = token_at(column)
+            raise DriftSyntaxError(f"unexpected {text!r}", pos)
+    return code, reads
 
 
 def parse_expression(source):
     """Parse one component expression into numpy source text in the
     coordinate names ``x1``, ``y1``, ... and the constants ``c0``, ``c1``, ..."""
-    return _Parser(source, []).parse()
+    return _translate(source, [])[0]
 
 
 def compile_components(sources, n):
@@ -195,8 +166,8 @@ def compile_components(sources, n):
 
     Raises DriftSyntaxError / DriftNameError / DriftArityError on bad input,
     DriftSyntaxError also for parentheses nested deeper than ``MAX_NESTING``,
-    for nesting deeper than the caller's free stack lets the parser read, and
-    for expressions too long or deep for Python's compiler.
+    for nesting deeper than the caller's free stack lets Python's parser
+    read, and for expressions too long or deep for Python's compiler.
     """
     evaluate, _, depends_y = _compile(sources, n)
     return evaluate, depends_y
@@ -211,13 +182,13 @@ def _compile(sources, n):
     values are the same."""
     consts, codes, reads = [], [], []
     for src in sources:
-        parser = _Parser(src, consts)
-        codes.append(parser.parse())
-        for base, index in parser.reads:
+        code, src_reads = _translate(src, consts)
+        codes.append(code)
+        for base, index in src_reads:
             if not 1 <= index <= n:
                 raise DriftArityError(
                     f"coordinate {base}{index} out of range for dimension n={n}")
-        reads += parser.reads
+        reads += src_reads
     if len(codes) != n:
         raise DriftArityError(f"{len(codes)} component expressions for dimension n={n}")
     namespace = {"__builtins__": {}, **_FUNCS, **{f"c{i}": c for i, c in enumerate(consts)}}

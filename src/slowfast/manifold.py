@@ -138,23 +138,31 @@ def sample_stationary_paths(m, epsilon, t_neg, t_pos, grid_step, rng):
     The fast path xi draws from its own child stream first, so it is
     invariant under changes of epsilon with a fixed seed.  Both paths start
     from 0 at -t_neg, which truncates the stationary convolution tail; choose
-    t_neg a multiple of 5 over the decay rate.
+    t_neg a multiple of 5 over the decay rate.  The horizons are rounded to
+    whole steps, and the noise is drawn on the grid returned.  A kernel that
+    does not decay is refused: B always, A when slow noise is drawn at a
+    positive epsilon (at epsilon 0 the slow kernel is the identity).
     """
     n = m.n
+    if decay_rate(m.b) <= 0:
+        raise ValueError("fast matrix B is not Hurwitz: the stationary xi diverges")
+    slow_noise = has_slow_noise(m)
+    if slow_noise and epsilon > 0 and decay_rate(m.a) <= 0:
+        raise ValueError("slow matrix A is not Hurwitz: the stationary eta diverges")
     c_xi, c_eta = _required(rng).spawn(2)
     steps_neg = int(round(t_neg / grid_step))
     steps_pos = int(round(t_pos / grid_step))
     grid = grid_step * np.arange(-steps_neg, steps_pos + 1)
+    t_neg, t_pos = steps_neg * grid_step, steps_pos * grid_step
 
     fast = sample_two_sided(n, t_neg, t_pos, grid_step, c_xi, jump=m.jump_fast)
     xi = _convolve_path(m.b, grid_step, fast.increments(), m.sigma2)
 
-    if not has_slow_noise(m):
+    if not slow_noise:
         eta = np.zeros((len(grid), n))
     else:
         slow = sample_two_sided(n, t_neg, t_pos, grid_step, c_eta,
-                                jump=m.jump_slow, var_scale=epsilon,
-                                rate_scale=epsilon)
+                                jump=m.jump_slow, speed=epsilon)
         eta = _convolve_path(epsilon * m.a, grid_step, slow.increments(), m.sigma1)
     return FrozenStationaryPaths(grid, eta, xi, grid_step, steps_neg)
 

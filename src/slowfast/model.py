@@ -158,13 +158,10 @@ class JumpSpec:
 
     intensity: float
     size_dist: SizeDist
-    compensated: bool = True
 
     def __post_init__(self):
         if not np.isfinite(self.intensity) or self.intensity < 0:
             raise ValueError("jump intensity must be finite and >= 0")
-        if not self.compensated:
-            raise ValueError("only compensated jump components are supported")
 
     @property
     def mean_size(self):

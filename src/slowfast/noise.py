@@ -6,7 +6,8 @@ statistics, and events are binned to grid steps; the compensator enters as
 the deterministic per-step correction ``-rate * mean_size * dt`` so every
 jump increment is a martingale difference.
 
-Fast-time rescaling multiplies the Brownian variance and the jump rate by
+A time change runs the process at a ``speed`` c: Brownian variance c dt
+and jump rate c times the intensity.  Fast-time rescaling is speed
 ``1/epsilon``.  Two-sided paths glue an independent negative-time segment to
 a positive-time segment with the path anchored at 0 at time 0, which is what
 stationary stochastic convolutions integrate against.
@@ -104,18 +105,19 @@ def _draw_jumps(n, grid, rng, jump, rate):
     return times, sizes, idx
 
 
-def sample_increments(n, grid, rng, jump=None, var_scale=1.0, rate_scale=1.0):
-    """Sample one increment stream on ``grid``.
+def sample_increments(n, grid, rng, jump=None, speed=1.0):
+    """Sample one increment stream on ``grid`` of the Levy process run at
+    ``speed`` c.
 
-    Brownian increments are N(0, var_scale * dt) per coordinate; jump events
-    arrive at rate ``jump.intensity * rate_scale`` with i.i.d. per-coordinate
-    sizes and are compensated at the same rate.
+    Brownian increments are N(0, c * dt) per coordinate; jump events arrive
+    at rate ``c * jump.intensity`` with i.i.d. per-coordinate sizes and are
+    compensated at the same rate.
     """
     grid = _check_grid(grid)
     _required(rng)
     m = len(grid) - 1
     dts = np.diff(grid)
-    rate = 0.0 if jump is None or m == 0 else jump.intensity * rate_scale
+    rate = 0.0 if jump is None or m == 0 else jump.intensity * speed
     d_jump = np.zeros((m, n))
     times, sizes = np.empty(0), np.empty((0, n))
     if rate > 0:
@@ -123,7 +125,7 @@ def sample_increments(n, grid, rng, jump=None, var_scale=1.0, rate_scale=1.0):
         np.add.at(d_jump, idx, sizes)
         d_jump -= rate * jump.mean_size * dts[:, None]
     events = np.rec.fromarrays([times, sizes], dtype=[("time", float), ("size", float, (n,))])
-    d_brownian = rng.standard_normal((m, n)) * np.sqrt(var_scale * dts)[:, None]
+    d_brownian = rng.standard_normal((m, n)) * np.sqrt(speed * dts)[:, None]
     return IncrementStream(grid, d_brownian, d_jump, events)
 
 
@@ -132,14 +134,13 @@ class _path_increments:    # lower case, as it is called like a function
     stream of ``rng_at(i)``, drawn ``CHUNK_STEPS`` steps at a time as the
     kernel reads the steps in order, or whole when paths share a generator."""
 
-    def __init__(self, n, grid, count, rng_at, jump=None, var_scale=1.0,
-                 rate_scale=1.0):
-        self._grid, self._jump, self._var = _check_grid(grid), jump, var_scale
+    def __init__(self, n, grid, count, rng_at, jump=None, speed=1.0):
+        self._grid, self._jump, self._speed = _check_grid(grid), jump, speed
         self.shape = (len(self._grid) - 1, count, n)
         self._gens = [_required(rng_at(i)) for i in range(count)]
         whole = len({id(g) for g in self._gens}) < count
         self._buf = np.empty((len(self) if whole else min(CHUNK_STEPS, len(self)), count, n))
-        self._rate = 0.0 if jump is None or len(self) == 0 else jump.intensity * rate_scale
+        self._rate = 0.0 if jump is None or len(self) == 0 else jump.intensity * speed
         # the drawn chunk's steps, and sizes, steps and paths of all events
         self._start, self._end, self._events = 0, 0, None
 
@@ -170,7 +171,7 @@ class _path_increments:    # lower case, as it is called like a function
                 drawn.append(_draw_jumps(n, self._grid, rng, self._jump, self._rate)[1:])
             rng.standard_normal(out=tmp)
             buf[:, i] = tmp
-        buf *= np.sqrt(self._var * dts)
+        buf *= np.sqrt(self._speed * dts)
         if drawn:
             self._events = [np.concatenate(part) for part in zip(*drawn)] + [
                 np.repeat(np.arange(len(drawn)), [len(steps) for _, steps in drawn])]
@@ -190,8 +191,7 @@ def rescale_fast(n, epsilon, grid, rng, jump=None):
     """Increment stream of the fast-time driving noise at timescale 1/epsilon."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    return sample_increments(n, grid, rng, jump=jump,
-                             var_scale=1.0 / epsilon, rate_scale=1.0 / epsilon)
+    return sample_increments(n, grid, rng, jump=jump, speed=1.0 / epsilon)
 
 
 @dataclass
@@ -207,8 +207,7 @@ class TwoSidedPath:
                                self.positive.d_brownian + self.positive.d_jump])
 
 
-def sample_two_sided(n, t_neg, t_pos, grid_step, rng, jump=None,
-                     var_scale=1.0, rate_scale=1.0):
+def sample_two_sided(n, t_neg, t_pos, grid_step, rng, jump=None, speed=1.0):
     """Sample a two-sided path: negative segment first, then positive."""
     if t_neg < 0 or t_pos < 0:
         raise ValueError("horizons must be nonnegative")
@@ -217,8 +216,7 @@ def sample_two_sided(n, t_neg, t_pos, grid_step, rng, jump=None,
         steps = max(int(round((t1 - t0) / grid_step)), 0)
         grid = t0 + grid_step * np.arange(steps + 1)
         grid[-1] = t1
-        return sample_increments(n, grid, rng, jump=jump,
-                                 var_scale=var_scale, rate_scale=rate_scale)
+        return sample_increments(n, grid, rng, jump=jump, speed=speed)
 
     negative = segment(-t_neg, 0.0)
     positive = segment(0.0, t_pos)

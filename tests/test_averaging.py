@@ -205,8 +205,7 @@ def test_averaged_coincides_with_full_when_f_ignores_y():
                       sigma1=1.0, sigma2=1.0, epsilon=0.05, x0=[1.0], y0=[0.5])
     grid = make_grid(1.0, 0.005)
     slow = sample_increments(1, grid, np.random.default_rng(11))
-    fast = sample_increments(1, grid, np.random.default_rng(12),
-                             var_scale=20.0, rate_scale=20.0)
+    fast = sample_increments(1, grid, np.random.default_rng(12), speed=20.0)
     x_full, _ = simulate_slow_fast(m, 1.0, 0.005, slow_incr=slow, fast_incr=fast)
     am = build_averaged(m)
     x_avg = simulate_averaged(am, 1.0, 0.005, slow)
@@ -240,8 +239,7 @@ def test_auxiliary_single_block_is_frozen_fast_at_x0():
     rng = np.random.default_rng(3)
     grid = make_grid(t_end, dt)
     slow = sample_increments(1, grid, rng, jump=m.jump_slow)
-    fast = sample_increments(1, grid, rng, jump=m.jump_fast,
-                             var_scale=10.0, rate_scale=10.0)
+    fast = sample_increments(1, grid, rng, jump=m.jump_fast, speed=10.0)
     y = np.array([m.y0.copy()])[0]
     manual = [y.copy()]
     for k in range(len(grid) - 1):

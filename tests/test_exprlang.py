@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,9 @@ def test_syntax_error_carries_position():
     with pytest.raises(DriftSyntaxError) as err:
         parse_expression("x1 + * 2")
     assert err.value.position == 5
+    with pytest.raises(DriftSyntaxError) as err:
+        parse_expression("x1 +")
+    assert err.value.position == 4      # the end of the input
 
 
 def test_unclosed_paren_rejected():
@@ -113,12 +118,30 @@ def _at_depth(frames, fn):
     return fn() if frames == 0 else _at_depth(frames - 1, fn)
 
 
-def test_nesting_past_the_free_stack_is_a_syntax_error():
-    # the parser takes five frames per level: 150 levels need about 750,
-    # more than a caller 300 frames deep leaves under the default limit of 1000
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_nesting_costs_no_python_frames():
+    # a caller 300 frames deep still leaves room for 150 nested calls
     src = "tanh(" * 150 + "x1" + ")" * 150
+    fn, _ = _at_depth(300, lambda: compile_components([src], 1))
+    want = 0.7
+    for _ in range(150):
+        want = np.tanh(want)
+    assert fn(np.array([0.7]), np.array([0.0]))[0] == want
+
+
+def test_nesting_past_the_free_stack_is_a_syntax_error():
+    # Python's parser builds the tree within the caller's free stack: 150
+    # levels do not fit in the last 30 frames under the recursion limit
+    src = "tanh(" * 150 + "x1" + ")" * 150
+    frames = sys.getrecursionlimit() - _stack_depth() - 30
     with pytest.raises(DriftSyntaxError, match="nested too deep"):
-        _at_depth(300, lambda: compile_components([src], 1))
+        _at_depth(frames, lambda: compile_components([src], 1))
     assert ev(src, 0.0, 0.0) == 0.0      # at a shallow depth it compiles
 
 
@@ -224,6 +247,8 @@ def test_compiled_drift_is_bit_identical_to_numpy_reference(drift):
 @pytest.mark.parametrize("src", [
     "__import__('os')", "__import__", "x1.real", "x1[0]", "'x1'", "x1; x1",
     "x1 ** 2", "lambda: x1", "np.tanh(x1)", "tanh.__class__", "exp(x1)(x1)",
+    # Python's parser reads these, the grammar does not
+    "+x1", "tanh", "x1(2)", "2(x1)", "tanh(x1)(y1)", "()", "tanh(*x1)", "tanh()",
 ])
 def test_only_grammar_text_compiles(src):
     with pytest.raises(DriftExprError):

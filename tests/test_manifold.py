@@ -60,6 +60,39 @@ def test_stationary_slow_variance_epsilon_free(eps):
     assert abs(var - 0.5) <= 3 * se
 
 
+def test_stationary_noise_is_drawn_on_the_returned_grid(monkeypatch):
+    import slowfast.manifold as manifold
+    drawn, draw = [], manifold.sample_two_sided
+    monkeypatch.setattr(manifold, "sample_two_sided",
+                        lambda *a, **k: drawn.append(draw(*a, **k)) or drawn[-1])
+    # 5 / 1.125 = 4.44..., the solver's default t_neg for the tanh benchmark,
+    # is not a whole number of steps of 0.005
+    paths = sample_stationary_paths(plain_model(sigma1=1.0, sigma2=1.0), 0.1,
+                                    5.0 / 1.125, 0.0213, 0.005, np.random.default_rng(0))
+    assert len(drawn) == 2        # xi, then eta
+    for two in drawn:
+        grid = np.concatenate([two.negative.grid, two.positive.grid[1:]])
+        assert len(grid) == len(paths.grid)
+        assert np.max(np.abs(grid - paths.grid)) <= 1e-12
+        assert np.max(np.abs(np.diff(grid) - 0.005)) <= 1e-12
+
+
+@pytest.mark.parametrize("a,b,eps", [([[-1.0]], [[2.0]], 0.1), ([[0.5]], [[-2.0]], 0.1)])
+def test_stationary_paths_refuse_a_kernel_that_does_not_decay(a, b, eps):
+    m = SlowFastModel(a=a, b=b, f=DriftFn.zero(1), g=DriftFn.zero(1), sigma1=1.0,
+                      sigma2=1.0, epsilon=eps, x0=[0.0], y0=[0.0])
+    with pytest.raises(ValueError, match="fast matrix B" if b[0][0] > 0 else "slow matrix A"):
+        sample_stationary_paths(m, eps, 20.0, 0.0, 0.01, np.random.default_rng(0))
+
+
+def test_stationary_paths_at_epsilon_zero_ignore_a():
+    # the asymptotic solve draws no slow forcing at epsilon 0, whatever A is
+    m = SlowFastModel(a=[[0.5]], b=[[-2.0]], f=DriftFn.zero(1), g=DriftFn.zero(1),
+                      sigma1=1.0, sigma2=1.0, epsilon=0.1, x0=[0.0], y0=[0.0])
+    paths = sample_stationary_paths(m, 0.0, 5.0, 0.0, 0.01, np.random.default_rng(0))
+    assert np.all(paths.eta == 0.0) and np.all(np.isfinite(paths.xi))
+
+
 # -- contraction factors ----------------------------------------------------
 
 def test_contraction_zero_case():

@@ -9,7 +9,11 @@
 benchmark, no slow noise), ``n2s`` (2-D tanh model with jumps, scalar
 sigma), ``n2m`` (the same with matrix sigma) and ``n2bm`` (``n2m`` without
 jumps), plus blow-up models whose single-path runs must diverge at the same
-row.  The ``*_long`` keys step batches over more steps than one noise chunk
+row.  The ``*/drift/*`` keys evaluate each model's f and g, and one
+expression drift that uses every function and operator (``n2expr``), in
+value and in-place form, at fixed points of shape (n,) and (4, n) with
+signed zeros, infinities and NaN, and record the sign bits of the results.
+The ``*_long`` keys step batches over more steps than one noise chunk
 (``noise.CHUNK_STEPS``), by a count that is not a multiple of it.  The
 ``*/kernel/*`` keys run ``autocovariance_kernel`` on a short window, and
 the ``*/manifold_long/*`` keys solve on a grid of 1601 points.
@@ -77,12 +81,21 @@ def _blowups():
     return {"n1up": one, "n1fastup": fast}
 
 
+def _drift_points(n):
+    """Fixed points x, y of shape (4, n): signed zeros, infinities, NaN and
+    ordinary values, in a different order for x and y."""
+    values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 0.7, -1.3, 2.5, -0.2])
+    cycle = np.resize(values, 8 * n)
+    return cycle[:4 * n].reshape(4, n), cycle[::-1][:4 * n].reshape(4, n)
+
+
 def dump(path):
     import slowfast as sf
     from slowfast.averaging import coupled_error_batch
     from slowfast.deviation import limit_marginal_samples
     from slowfast.integrator import frozen_fast_batch, make_grid
     from slowfast.manifold import reapply_sweep
+    from slowfast.model import parse_drift
     from slowfast.noise import sample_increments, substream
 
     out = {}
@@ -94,8 +107,26 @@ def dump(path):
         put(key + "/states", t.states)
         put(key + "/diverged_at", -1 if t.diverged_at is None else t.diverged_at)
 
+    def put_drift(name, part, drift):
+        # the drift alone, in value and in-place form, at fixed points
+        x4, y4 = _drift_points(drift.n)
+        for x, y, shape in ((x4[0], y4[0], "single"), (x4, y4, "batch")):
+            d = np.full(x.shape, -0.0)
+            with np.errstate(all="ignore"):
+                value = drift(x, y)
+                drift._add(d, x, y)
+            for form, got in (("value", value), ("inplace", d)):
+                put(f"{name}/drift/{part}/{shape}/{form}", got)
+                put(f"{name}/drift/{part}/{shape}/{form}_signbit", np.signbit(got))
+
+    # every function and operator of the expression language
+    put_drift("n2expr", "f", parse_drift(["-x1/y1 + exp(-y2)*cos(x2)",
+                                          "sin(x1) - -y1*0.5 + x2/1e999 - 2/(y2 - 2.5)"], 2))
+
     for name, m in _models().items():
         n, eps = m.n, m.epsilon
+        put_drift(name, "f", m.f)
+        put_drift(name, "g", m.g)
         dt = eps / 10.0
         rng = lambda i: substream(11, i, 9)
         x, y = sf.simulate_slow_fast(m, 0.5, dt, rng(0))
