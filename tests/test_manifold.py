@@ -77,12 +77,13 @@ def test_stationary_noise_is_drawn_on_the_returned_grid(monkeypatch):
         assert np.max(np.abs(np.diff(grid) - 0.005)) <= 1e-12
 
 
-@pytest.mark.parametrize("a,b,eps", [([[-1.0]], [[2.0]], 0.1), ([[0.5]], [[-2.0]], 0.1)])
-def test_stationary_paths_refuse_a_kernel_that_does_not_decay(a, b, eps):
-    m = SlowFastModel(a=a, b=b, f=DriftFn.zero(1), g=DriftFn.zero(1), sigma1=1.0,
-                      sigma2=1.0, epsilon=eps, x0=[0.0], y0=[0.0])
-    with pytest.raises(ValueError, match="fast matrix B" if b[0][0] > 0 else "slow matrix A"):
-        sample_stationary_paths(m, eps, 20.0, 0.0, 0.01, np.random.default_rng(0))
+@pytest.mark.parametrize("a,b,matrix", [(-1.0, 2.0, "fast matrix B"),
+                                         (0.5, -2.0, "slow matrix A")])
+def test_stationary_paths_refuse_a_kernel_that_does_not_decay(a, b, matrix):
+    m = SlowFastModel(a=[[a]], b=[[b]], f=DriftFn.zero(1), g=DriftFn.zero(1), sigma1=1.0,
+                      sigma2=1.0, epsilon=0.1, x0=[0.0], y0=[0.0])
+    with pytest.raises(ValueError, match=matrix):
+        sample_stationary_paths(m, 0.1, 20.0, 0.0, 0.01, np.random.default_rng(0))
 
 
 def test_stationary_paths_at_epsilon_zero_ignore_a():
