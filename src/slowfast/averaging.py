@@ -400,7 +400,9 @@ def coupled_error_batch(m, am, t_end, dt, master_seed, start, count):
 
     def gap_sq(s):
         diff = s[0] - s[2]
-        return np.sum(diff * diff, axis=-1)
+        diff *= diff
+        # a sum over one coordinate is that coordinate
+        return diff[:, 0] if m.n == 1 else np.sum(diff, axis=-1)
 
     x0, y0 = (np.broadcast_to(v, (count, m.n)) for v in (m.x0, m.y0))
     ds = None if d_slow is None else (m.sigma1, d_slow)

@@ -200,7 +200,9 @@ class DriftFn:
         def fn(x, y):
             return np.zeros(x.shape[:-1] + (n,))
 
-        return cls(n, "zero", fn, depends_on_y=False, lip=0.0, growth=0.0)
+        drift = cls(n, "zero", fn, depends_on_y=False, lip=0.0, growth=0.0)
+        drift._add = lambda d, x, y: np.add(d, 0.0, out=d)
+        return drift
 
     @classmethod
     def constant(cls, value):

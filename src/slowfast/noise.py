@@ -19,6 +19,13 @@ draws one path; ``_path_increments`` streams a batch in time chunks, one
 generator per path, to the same numbers.  A generator serving several
 paths draws them whole, path 0 first.  Ensembles are therefore
 bit-identical regardless of worker count, batch size or chunk length.
+
+A chunk is filled a block of paths at a time: each path draws its rows in
+one contiguous call into a small path-major scratch, the block is scaled
+there by sqrt(c dt) and copied transposed into the (steps, paths, n)
+chunk, so every element is ``z * sqrt(c dt)`` as in ``sample_increments``.
+A batch's jump events are drawn with its first chunk and sorted by step
+once; each chunk adds the events of its steps, in each path's time order.
 """
 
 from __future__ import annotations
@@ -43,8 +50,13 @@ def substream(master_seed, path_index=0, role=0):
 
 
 # steps per time chunk of a streamed batch; it sets the buffer size only,
-# since chunks draw the same numbers as whole paths
-CHUNK_STEPS = 512
+# since chunks draw the same numbers as whole paths.  At 1e4 paths and n = 1
+# a chunk takes 20 MB; shorter chunks pay more per-path draw calls.
+CHUNK_STEPS = 256
+# paths drawn per block into a path-major scratch, which holds at most
+# _SCRATCH numbers (512 KB): fewer paths when a path's rows are longer
+_PATH_BLOCK = 256
+_SCRATCH = 1 << 16
 
 
 @dataclass
@@ -124,7 +136,8 @@ def sample_increments(n, grid, rng, jump=None, speed=1.0):
         times, sizes, idx = _draw_jumps(n, grid, rng, jump, rate)
         np.add.at(d_jump, idx, sizes)
         d_jump -= rate * jump.mean_size * dts[:, None]
-    events = np.rec.fromarrays([times, sizes], dtype=[("time", float), ("size", float, (n,))])
+    events = np.empty(len(times), [("time", float), ("size", float, (n,))])
+    events["time"], events["size"] = times, sizes
     d_brownian = rng.standard_normal((m, n)) * np.sqrt(speed * dts)[:, None]
     return IncrementStream(grid, d_brownian, d_jump, events)
 
@@ -141,8 +154,10 @@ class _path_increments:    # lower case, as it is called like a function
         whole = len({id(g) for g in self._gens}) < count
         self._buf = np.empty((len(self) if whole else min(CHUNK_STEPS, len(self)), count, n))
         self._rate = 0.0 if jump is None or len(self) == 0 else jump.intensity * speed
-        # the drawn chunk's steps, and sizes, steps and paths of all events
-        self._start, self._end, self._events = 0, 0, None
+        # the drawn chunk's steps; sizes, steps and paths of all events, in
+        # step order, and their per-chunk sum buffer, both freed after the
+        # last chunk
+        self._start, self._end, self._events, self._jumps = 0, 0, None, None
 
     def __len__(self):
         return self.shape[0]
@@ -163,28 +178,43 @@ class _path_increments:    # lower case, as it is called like a function
 
     def _fill(self):
         lo, hi = self._end, min(self._end + len(self._buf), len(self))
-        n, dts = self.shape[2], np.diff(self._grid)[lo:hi, None, None]
-        buf, tmp = self._buf[:hi - lo], np.empty((hi - lo, n))
+        count, n = self.shape[1:]
+        dts = np.diff(self._grid)[lo:hi, None, None]
+        buf = self._buf[:hi - lo]
+        # sqrt(c dt) per element of a path's (steps, n) rows, so that one
+        # multiply runs over them contiguously
+        scale = np.repeat(np.sqrt(self._speed * dts[:, 0]), n, axis=1)
+        # a block of paths at a time, drawn and scaled path-major
+        block = max(1, min(_PATH_BLOCK, _SCRATCH // max((hi - lo) * n, 1)))
+        scratch = np.empty((min(block, count), hi - lo, n))
         drawn = []
-        for i, rng in enumerate(self._gens):
-            if lo == 0 and self._rate > 0:
-                drawn.append(_draw_jumps(n, self._grid, rng, self._jump, self._rate)[1:])
-            rng.standard_normal(out=tmp)
-            buf[:, i] = tmp
-        buf *= np.sqrt(self._speed * dts)
+        for j in range(0, count, block):
+            part = scratch[:min(block, count - j)]
+            for r, rng in enumerate(self._gens[j:j + len(part)]):
+                if lo == 0 and self._rate > 0:
+                    drawn.append(_draw_jumps(n, self._grid, rng, self._jump, self._rate)[1:])
+                rng.standard_normal(out=part[r])
+            part *= scale
+            buf[:, j:j + len(part)] = part.swapaxes(0, 1)
         if drawn:
-            self._events = [np.concatenate(part) for part in zip(*drawn)] + [
-                np.repeat(np.arange(len(drawn)), [len(steps) for _, steps in drawn])]
+            # events sorted by step once; the stable sort keeps one path's
+            # events in a step in their time order, as in its stream
+            size, step = (np.concatenate(cols) for cols in zip(*drawn))
+            path = np.repeat(np.arange(count), [len(steps) for _, steps in drawn])
+            order = np.argsort(step, kind="stable")
+            self._events = size[order], step[order], path[order]
+            self._jumps = np.empty_like(self._buf)
         if self._events is not None:
-            # one path's events in a step keep their time order, as in its stream
             size, step, path = self._events
-            now = (step >= lo) & (step < hi)
-            d_jump = np.zeros_like(buf)
+            now = slice(*np.searchsorted(step, (lo, hi)))
+            d_jump = self._jumps[:hi - lo]
+            d_jump.fill(0.0)
             np.add.at(d_jump, (step[now] - lo, path[now]), size[now])
             d_jump -= self._rate * self._jump.mean_size * dts
             buf += d_jump
+            if hi == len(self):
+                self._events = self._jumps = None
         self._start, self._end = lo, hi
-
 
 
 def rescale_fast(n, epsilon, grid, rng, jump=None):

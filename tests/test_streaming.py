@@ -1,10 +1,12 @@
 """Streamed batch increments: every row of a batch equals its standalone run.
 
 Batches draw their noise in time chunks of ``noise.CHUNK_STEPS`` steps, one
-generator per path.  The chunk length must not change a single bit of any
-path, so the checks below run at several chunk lengths, step counts that
-are not multiples of them, and jump rates high enough that events land in
-the last step of a chunk.
+generator per path, and fill each chunk a block of ``noise._PATH_BLOCK``
+paths at a time.  Neither the chunk length nor the block must change a
+single bit of any path, so the checks below run at several chunk lengths,
+step counts that are not multiples of them, path counts around and past a
+block's end, and jump rates high enough that events land in the last step
+of a chunk and several events of one path share a step.
 """
 
 import dataclasses
@@ -157,3 +159,58 @@ def test_streamed_steps_are_read_in_order():
         stepped[0]                 # its chunk has been overwritten
     with pytest.raises(IndexError):
         stepped[:, 0]              # no whole block once stepping has begun
+
+
+def _check_rows_equal_streams(grid, paths, jump, chunk, seed):
+    with mock.patch.object(noise, "CHUNK_STEPS", chunk):
+        incr = _path_increments(1, grid, paths, lambda i: substream(seed, i, ROLE_FAST),
+                                jump=jump, speed=1.0 / EPS)
+    rows = np.stack([incr[k].copy() for k in range(len(incr))])    # read in step order
+    for i in range(paths):
+        ref = rescale_fast(1, EPS, grid, substream(seed, i, ROLE_FAST), jump=jump)
+        assert np.array_equal(rows[:, i], ref.d_brownian + ref.d_jump)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, noise.CHUNK_STEPS])
+@pytest.mark.parametrize("jumps", [False, True])
+@pytest.mark.parametrize("extra", [-1, 0, 1, noise._PATH_BLOCK + 3])
+def test_rows_across_path_blocks_equal_their_streams(chunk, jumps, extra):
+    # paths drawn a block at a time, around and past a block's end, over two
+    # chunks and a shortened last step
+    paths, steps = noise._PATH_BLOCK + extra, 2 * chunk + 5
+    grid = make_grid((steps - 0.3) * DT, DT)
+    assert len(grid) == steps + 1
+    jump = JumpSpec(50.0, SizeDist.uniform(-0.4, 0.2)) if jumps else None
+    _check_rows_equal_streams(grid, paths, jump, chunk, 7)
+
+
+@pytest.mark.parametrize("extra", [-1, 1, noise._PATH_BLOCK + 3])
+def test_shared_generator_rows_across_path_blocks_equal_successive_streams(extra):
+    # a generator serving every path draws them whole; 300 steps make a
+    # path's rows long enough that a block holds fewer than _PATH_BLOCK paths
+    paths, steps = noise._PATH_BLOCK + extra, 300
+    assert noise._SCRATCH // steps < noise._PATH_BLOCK
+    grid = make_grid(steps * DT, DT)
+    jump = JumpSpec(50.0, SizeDist.uniform(-0.4, 0.2))
+    rng, one = np.random.default_rng(5), np.random.default_rng(5)
+    rows = _path_increments(1, grid, paths, lambda i: rng, jump=jump, speed=1.0 / EPS)[:]
+    for i in range(paths):
+        ref = rescale_fast(1, EPS, grid, one, jump=jump)
+        assert np.array_equal(rows[:, i], ref.d_brownian + ref.d_jump)
+
+
+def test_several_events_of_a_path_in_one_step_keep_their_order():
+    # atoms whose sum depends on the order they are added in; at about 30
+    # events per step, many steps hold several events of one path
+    jump = JumpSpec(300.0, SizeDist.atoms([0.75, -0.75, 3e-17]))
+    paths, steps, seed = noise._PATH_BLOCK + 1, 20, 3
+    grid = make_grid(steps * DT, DT)
+    sensitive = 0
+    for i in range(paths):
+        ref = rescale_fast(1, EPS, grid, substream(seed, i, ROLE_FAST), jump=jump)
+        step = np.searchsorted(grid, ref.jump_events["time"], side="right") - 1
+        for k in np.unique(step):
+            sizes = ref.jump_events["size"][step == k, 0]
+            sensitive += sum(sizes) != sum(sizes[::-1])
+    assert sensitive > 0
+    _check_rows_equal_streams(grid, paths, jump, 7, seed)

@@ -14,7 +14,9 @@ expression drift that uses every function and operator (``n2expr``), in
 value and in-place form, at fixed points of shape (n,) and (4, n) with
 signed zeros, infinities and NaN, and record the sign bits of the results.
 The ``*_long`` keys step batches over more steps than one noise chunk
-(``noise.CHUNK_STEPS``), by a count that is not a multiple of it.  The
+(``noise.CHUNK_STEPS``), by a count that is not a multiple of it; the
+``*_wide`` keys (``n1`` and ``n2m``) step 300 paths, more than one block of
+paths drawn together (``noise._PATH_BLOCK``), over 40 steps.  The
 ``*/kernel/*`` keys run ``autocovariance_kernel`` on a short window, and
 the ``*/manifold_long/*`` keys solve on a grid of 1601 points.
 ``compare`` requires ``n1*`` outputs to be bit-identical (NaN equal to NaN)
@@ -198,6 +200,11 @@ def dump(path):
                                                             23))
         put(f"{name}/limit_var", limit_marginal_samples(dm_var, am, 0.3, 0.01, 5, 23))
         put(f"{name}/limit_long", limit_marginal_samples(dm, am, 7.0, 0.01, 3, 23))
+        if name in ("n1", "n2m"):
+            for field, value in zip(("sup", "diff", "div"),
+                                    coupled_error_batch(m, am, 40 * dt, dt, 13, 0, 300)):
+                put(f"{name}/coupled_wide/{field}", value)
+            put(f"{name}/limit_wide", limit_marginal_samples(dm, am, 0.4, 0.01, 300, 23))
         tr = sf.tracking_check(m, eps, (m.x0, m.y0), (m.x0, m.y0 + 0.5), 1.0, 0.005,
                                rng=rng(10))
         put(f"{name}/tracking/gap", tr.gap)
