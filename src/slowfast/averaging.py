@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .harness import fit_exp_rate, fit_loglog_rate
+from .harness import _split_paths, fit_exp_rate, fit_loglog_rate
 from .integrator import (DivergedError, _check_stable, _euler,
                          _nan_after_divergence, _trajectory, _write_csv,
                          default_step, frozen_fast_batch, make_grid)
@@ -375,7 +375,7 @@ def _slow_increments(m, grid, master_seed, start, count):
                             jump=m.jump_slow)
 
 
-def coupled_error_batch(m, am, t_end, dt, master_seed, start, count):
+def coupled_error_batch(m, am, t_end, dt, master_seed, start, count, *, _sup=True):
     """Vectorized coupled full/averaged runs for paths [start, start+count).
 
     Per path the slow and fast streams come from the path's own substreams,
@@ -383,10 +383,20 @@ def coupled_error_batch(m, am, t_end, dt, master_seed, start, count):
     coordinates; at n = 1 it is bit-identical to that run, while for n > 1
     the block matmuls may round differently in the last bits.  Returns (sup
     |x_eps - x|^2 over the grid, x_eps(T) - x(T), diverged mask), the first
-    two NaN on diverged paths.
+    two NaN on diverged paths.  With ``_sup=False`` the sup is not recorded
+    and reads NaN.  A large batch runs in forked worker processes, a
+    contiguous range of paths each, to the same rows (``_split_paths``).
     """
     grid = make_grid(t_end, dt)
     _check_stable(grid, dt, m.epsilon)
+    return _split_paths(
+        lambda lo, k: _coupled_range(m, am, grid, dt, master_seed, lo, k, _sup),
+        start, count, len(grid) - 1)
+
+
+def _coupled_range(m, am, grid, dt, master_seed, start, count, sup):
+    """``coupled_error_batch`` of paths [start, start+count) on its checked
+    grid, in this process; without ``sup`` the sup reads NaN."""
     d_fast, d_slow = _increment_blocks(m, grid, master_seed, start, count)
 
     slow, fast = _lin_plus(m.a, m.f._add), _lin_plus(m.b, m.g._add)
@@ -408,9 +418,9 @@ def coupled_error_batch(m, am, t_end, dt, master_seed, start, count):
     ds = None if d_slow is None else (m.sigma1, d_slow)
     run = _euler((x0, y0, x0), drift,
                  (dt, dt / m.epsilon, dt), (ds, (m.sigma2, d_fast), ds),
-                 grid, dt, sup=gap_sq)
+                 grid, dt, sup=gap_sq if sup else None)
     x, _, xa = run.state
-    return run.sup, x - xa, run.diverged
+    return run.sup if sup else np.full(count, np.nan), x - xa, run.diverged
 
 
 @dataclass

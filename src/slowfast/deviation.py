@@ -36,11 +36,12 @@ import numpy as np
 
 from .averaging import (_averaged_run, _increment_blocks, _slow_increments,
                         coupled_error_batch)
-from .integrator import (_amplitude_op, _check_stable, _euler, _frozen_fast_run,
-                         _trajectory, _write_csv, frozen_fast_batch, make_grid)
+from .integrator import (DivergedError, _amplitude_op, _check_stable, _euler,
+                         _frozen_fast_run, _trajectory, _write_csv,
+                         frozen_fast_batch, make_grid)
 from .model import _add_value, _lin, _lin_plus, _value_into
 from .noise import ROLE_BURN, ROLE_DEV, _path_increments, _required, substream
-from .harness import _var_se, two_sample_compare
+from .harness import _split_paths, _var_se, two_sample_compare
 
 
 @dataclass
@@ -450,6 +451,8 @@ class WeakLimitReport:
     theta_var: np.ndarray
     theta_mean_se: np.ndarray
     theta_var_se: np.ndarray
+    diverged_eps: int             # coupled paths left out
+    diverged_limit: int           # limit SDE paths left out
     passed: bool
 
     def to_json(self):
@@ -460,15 +463,23 @@ class WeakLimitReport:
                 "critical_value": self.critical_value,
                 "theta_mean": self.theta_mean.tolist(),
                 "theta_var": self.theta_var.tolist(),
+                "diverged_eps": self.diverged_eps,
+                "diverged_limit": self.diverged_limit,
                 "pass": bool(self.passed)}
 
 
+def _drop_diverged(samples):
+    """Finite rows of (paths, n) samples, and how many rows were dropped."""
+    alive = np.all(np.isfinite(samples), axis=1)     # diverged paths are NaN
+    return samples[alive], int((~alive).sum())
+
+
 def rescaled_fluctuation_samples(m, am, t_end, dt, n_paths, master_seed):
-    """Samples of (x_eps(T) - x(T)) / sqrt(eps) over coupled path pairs."""
-    _, diff_t, _ = coupled_error_batch(m, am, t_end, dt, master_seed, 0, n_paths)
-    out = diff_t / math.sqrt(m.epsilon)
-    alive = np.all(np.isfinite(out), axis=1)         # diverged paths are NaN
-    return out[alive], int((~alive).sum())
+    """Samples of (x_eps(T) - x(T)) / sqrt(eps) over coupled path pairs,
+    without the diverged ones, and their count."""
+    _, diff_t, _ = coupled_error_batch(m, am, t_end, dt, master_seed, 0, n_paths,
+                                       _sup=False)
+    return _drop_diverged(diff_t / math.sqrt(m.epsilon))
 
 
 def limit_marginal_samples(dm, am, t_end, dt, n_paths, master_seed):
@@ -478,13 +489,23 @@ def limit_marginal_samples(dm, am, t_end, dt, n_paths, master_seed):
     path's carrier starts at the averaged start and moves on the path's slow
     substream, and theta rides it on the path's deviation substream.  So row
     i equals ``simulate_deviation`` along path i's carrier with
-    ``substream(master_seed, i, ROLE_DEV)``, in either drift reading.
-    Diverged paths are NaN.
+    ``substream(master_seed, i, ROLE_DEV)``, in either drift reading.  A
+    large batch runs in forked worker processes, a contiguous range of paths
+    each, to the same rows (``_split_paths``).  Diverged paths are NaN.
     """
-    n = dm.n
     grid = make_grid(t_end, dt)
-    d_slow = _slow_increments(am, grid, master_seed, 0, n_paths)
-    dw = _path_increments(n, grid, n_paths, lambda i: substream(master_seed, i, ROLE_DEV))
+    return _split_paths(
+        lambda lo, k: _limit_range(dm, am, grid, dt, master_seed, lo, k),
+        0, n_paths, len(grid) - 1)
+
+
+def _limit_range(dm, am, grid, dt, master_seed, start, count):
+    """``limit_marginal_samples`` rows of paths [start, start+count), in this
+    process."""
+    n = dm.n
+    d_slow = _slow_increments(am, grid, master_seed, start, count)
+    dw = _path_increments(n, grid, count,
+                          lambda i: substream(master_seed, start + i, ROLE_DEV))
 
     averaged = _lin_plus(am.a, am.fbar._add)
 
@@ -493,8 +514,8 @@ def limit_marginal_samples(dm, am, t_end, dt, n_paths, master_seed):
         averaged(d[0], x, x)
         dm._drift_into(d[1], theta, x)
 
-    x0 = np.broadcast_to(am.x0, (n_paths, n))
-    run = _euler((x0, np.zeros((n_paths, n))), drift, (dt, dt),
+    x0 = np.broadcast_to(am.x0, (count, n))
+    run = _euler((x0, np.zeros((count, n))), drift, (dt, dt),
                  (None if d_slow is None else (am.sigma1, d_slow),
                   lambda k, s: dm.noise(dw[k], s[0])), grid, dt)
     return run.state[1]
@@ -506,13 +527,19 @@ def weak_limit_report(m, am, dm, t_end, dt, n_paths, master_seed,
 
     Compares the empirical law of (x_eps(T) - x(T)) / sqrt(eps) against
     samples of the limit SDE marginal: CDF distance at level alpha plus
-    moment gates.
+    moment gates.  Diverged paths of either side are left out and counted,
+    and any of them fails the check; fewer than 2 finite samples on a side
+    raise DivergedError.
     """
-    theta_eps, n_div = rescaled_fluctuation_samples(m, am, t_end, dt, n_paths,
-                                                    master_seed)
+    theta_eps, div_eps = rescaled_fluctuation_samples(m, am, t_end, dt, n_paths,
+                                                      master_seed)
     dt_limit = dt_limit if dt_limit is not None else min(10 * dt, 1e-3)
-    theta_lim = limit_marginal_samples(dm, am, t_end, dt_limit, n_paths,
-                                       master_seed + 1)
+    theta_lim, div_lim = _drop_diverged(limit_marginal_samples(
+        dm, am, t_end, dt_limit, n_paths, master_seed + 1))
+    if min(len(theta_eps), len(theta_lim)) < 2:
+        raise DivergedError(
+            f"{div_eps} of {n_paths} coupled paths and {div_lim} of {n_paths} "
+            f"limit paths diverged, leaving fewer than 2 finite samples on a side")
     cmp = two_sample_compare(theta_eps, theta_lim, alpha=alpha)
     var = theta_eps.var(axis=0, ddof=1)
     var_se = np.array([_var_se(col) for col in theta_eps.T])
@@ -520,4 +547,4 @@ def weak_limit_report(m, am, dm, t_end, dt, n_paths, master_seed,
         m.epsilon, n_paths, cmp.mean_diff, cmp.var_diff, cmp.cdf_distance,
         cmp.critical_value, theta_eps.mean(axis=0), var,
         theta_eps.std(axis=0, ddof=1) / np.sqrt(len(theta_eps)), var_se,
-        cmp.passed)
+        div_eps, div_lim, cmp.passed and div_eps == 0 and div_lim == 0)

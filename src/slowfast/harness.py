@@ -2,6 +2,10 @@
 
 Tasks run one per path with a substream derived from (master_seed, index,
 role), so results are independent of the worker count by construction.
+The same holds for batched simulators: ``_split_paths`` cuts a large batch
+of paths into one contiguous range per usable CPU, runs all but the first
+in forked worker processes, and joins the rows in path order, which are the
+rows of one run bit for bit.
 Distribution comparison is the per-coordinate two-sample sup-CDF distance
 with the asymptotic critical value c(alpha) * sqrt((n+m)/(n*m)) plus 3-SE
 moment gates; rate fitting is least squares on log-log points with a
@@ -61,6 +65,102 @@ def run_ensemble(task, n_paths, master_seed, workers=1, task_id="task"):
     flat = outputs.reshape(n_paths, -1)
     diverged = int(np.sum(~np.all(np.isfinite(flat), axis=1)))
     return Ensemble(task_id, n_paths, outputs, diverged, master_seed)
+
+
+# path-steps (paths x steps) from which a batch is split across worker
+# processes: forking and pickling the rows take about 10 ms, under 1% of a
+# batch this size
+SPLIT_PATH_STEPS = 10**7
+
+
+def _split_paths(run, start, count, steps):
+    """``run(start, count)``, the arrays (or tuple of arrays) of paths
+    [start, start+count) stepped ``steps`` times, one row per path.
+
+    A batch of at least ``SPLIT_PATH_STEPS`` path-steps is cut into one
+    contiguous range per usable CPU.  This process runs the first range and
+    a forked child each other one, which sends its rows back pickled down a
+    pipe; the rows are joined in path order.  Each path draws from its own
+    substreams and is stepped on its own, so the rows are those of one run.
+    A process with other threads never forks, since the child could wait
+    forever on a lock one of them held.  A worker's exception is raised
+    here, a worker killed by a signal raises RuntimeError, and no worker
+    outlives the call.
+    """
+    # needed only where a batch may split
+    import os
+    import pickle
+    import threading
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, count)
+    if (count * steps < SPLIT_PATH_STEPS or workers < 2 or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return run(start, count)
+    edges = [start + count * w // workers for w in range(workers + 1)]
+    (lo0, hi0), *others = zip(edges[:-1], edges[1:])
+    children, payloads = [], []          # (pid, read end), sent bytes
+    try:
+        for lo, hi in others:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                for fd in [read] + [r for _, r in children]:
+                    os.close(fd)
+                _worker(run, lo, hi - lo, write)
+            children.append((pid, read))
+            os.close(write)
+        parts = [run(lo0, hi0 - lo0)]
+        for _, read in children:
+            with open(read, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+    finally:
+        for _, read in children:
+            os.close(read)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for (lo, hi), status, data in zip(others, statuses, payloads):
+        if os.WIFSIGNALED(status):
+            raise RuntimeError(f"the worker for paths [{lo}, {hi}) was killed by "
+                               f"signal {os.WTERMSIG(status)}")
+        value = pickle.loads(data)
+        if os.WEXITSTATUS(status) != 0:
+            if isinstance(value, BaseException):
+                raise value
+            raise RuntimeError(f"the worker for paths [{lo}, {hi}) failed: {value}")
+        parts.append(value)
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(cols) for cols in zip(*parts))
+    return np.concatenate(parts)
+
+
+def _worker(run, start, count, fd):
+    """A forked worker's whole life: send ``run(start, count)`` pickled down
+    the pipe ``fd``, or the exception it raised (its repr when that does not
+    pickle), and exit, 0 on success, without returning into the caller."""
+    import os
+    import pickle
+
+    code = 1
+    try:
+        try:
+            result, code = run(start, count), 0
+        except BaseException as exc:     # the caller raises it
+            result = exc
+        try:
+            data = pickle.dumps(result)
+            if code:
+                pickle.loads(data)       # an exception the caller cannot rebuild
+        except Exception:
+            data, code = pickle.dumps(repr(result)), 1
+        with open(fd, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(code)
 
 
 def ks_critical_value(alpha, n, m):

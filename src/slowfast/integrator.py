@@ -10,7 +10,11 @@ When dt does not divide the horizon, ``make_grid`` stretches or shortens
 the last step to end on it, and that step's h_c follows (``_stretch``);
 ``default_step`` picks a step under the guard below whose grid divides the
 horizon.  A leading path axis steps a batch of paths at once (the vectorised
-ensemble scheme of Higham, SIAM Review 43(3):525, 2001).  The private kernel
+ensemble scheme of Higham, SIAM Review 43(3):525, 2001); a batch of many
+path-steps may be cut into contiguous ranges of paths, each stepped by its
+own kernel run in a forked worker process (``harness._split_paths``), and
+since every row is stepped on its own the rows do not depend on the range
+that holds them.  The private kernel
 ``_euler`` owns the time loop, the noise term and the recorders (final
 state, running sup, full path); a simulator supplies its drift, step factors
 and noise.  Jumps break the smoothness higher-order schemes need, and every

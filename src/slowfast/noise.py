@@ -17,8 +17,15 @@ derives an independent substream.  A path draws its jump count, times and
 sizes first, then its Brownian block in step order.  ``sample_increments``
 draws one path; ``_path_increments`` streams a batch in time chunks, one
 generator per path, to the same numbers.  A generator serving several
-paths draws them whole, path 0 first.  Ensembles are therefore
+paths draws them whole, path 0 first.  A batch of paths [start, start+count)
+may be cut into contiguous ranges run in forked worker processes
+(``harness._split_paths``); path i still draws from its own
+``substream(master_seed, i, role)``.  Ensembles are therefore
 bit-identical regardless of worker count, batch size or chunk length.
+
+A chunk holds as many steps as fit in ``CHUNK_BYTES`` at the batch's width,
+at least ``CHUNK_STEPS`` and at most the whole batch, so a narrow batch is
+drawn in few chunks and a wide one within a fixed buffer.
 
 A chunk is filled a block of paths at a time: each path draws its rows in
 one contiguous call into a small path-major scratch, the block is scaled
@@ -49,14 +56,21 @@ def substream(master_seed, path_index=0, role=0):
     return np.random.Generator(np.random.PCG64(ss))
 
 
-# steps per time chunk of a streamed batch; it sets the buffer size only,
-# since chunks draw the same numbers as whole paths.  At 1e4 paths and n = 1
-# a chunk takes 20 MB; shorter chunks pay more per-path draw calls.
+# bytes of the chunk buffer of a streamed batch, and the fewest steps a
+# chunk holds; they set the buffer size only, since chunks draw the same
+# numbers as whole paths.  20 MB is 256 steps at 1e4 paths and n = 1;
+# shorter chunks pay more per-path draw calls.
+CHUNK_BYTES = 256 * 10**4 * 8
 CHUNK_STEPS = 256
 # paths drawn per block into a path-major scratch, which holds at most
 # _SCRATCH numbers (512 KB): fewer paths when a path's rows are longer
 _PATH_BLOCK = 256
 _SCRATCH = 1 << 16
+
+
+def _chunk_steps(count, n, steps):
+    """Steps per time chunk of a streamed (steps, count, n) batch."""
+    return min(max(CHUNK_STEPS, CHUNK_BYTES // max(count * n * 8, 1)), steps)
 
 
 @dataclass
@@ -144,15 +158,17 @@ def sample_increments(n, grid, rng, jump=None, speed=1.0):
 
 class _path_increments:    # lower case, as it is called like a function
     """Summed increments (steps, count, n): path i is the ``sample_increments``
-    stream of ``rng_at(i)``, drawn ``CHUNK_STEPS`` steps at a time as the
-    kernel reads the steps in order, or whole when paths share a generator."""
+    stream of ``rng_at(i)``, drawn a chunk of ``_chunk_steps`` steps at a time
+    as the kernel reads the steps in order, or whole when paths share a
+    generator."""
 
     def __init__(self, n, grid, count, rng_at, jump=None, speed=1.0):
         self._grid, self._jump, self._speed = _check_grid(grid), jump, speed
         self.shape = (len(self._grid) - 1, count, n)
         self._gens = [_required(rng_at(i)) for i in range(count)]
         whole = len({id(g) for g in self._gens}) < count
-        self._buf = np.empty((len(self) if whole else min(CHUNK_STEPS, len(self)), count, n))
+        chunk = len(self) if whole else _chunk_steps(count, n, len(self))
+        self._buf = np.empty((chunk, count, n))
         self._rate = 0.0 if jump is None or len(self) == 0 else jump.intensity * speed
         # the drawn chunk's steps; sizes, steps and paths of all events, in
         # step order, and their per-chunk sum buffer, both freed after the

@@ -1,10 +1,12 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slowfast import deviation
 from slowfast.averaging import (AveragedDrift, AveragedModel, build_averaged,
                                 simulate_averaged)
 from slowfast.benchmarks import linear_benchmark, tanh_benchmark
@@ -16,7 +18,7 @@ from slowfast.deviation import (DeviationModel, _corrected_run,
                                 residual_theta2, simulate_corrected,
                                 simulate_deviation, simulate_truncated_deviation,
                                 weak_limit_report)
-from slowfast.integrator import frozen_fast_batch, make_grid
+from slowfast.integrator import DivergedError, frozen_fast_batch, make_grid
 from slowfast.model import DriftFn, JumpSpec, SizeDist, SlowFastModel, parse_drift
 from slowfast.noise import ROLE_DEV, ROLE_SLOW, sample_increments, substream
 
@@ -474,6 +476,57 @@ def test_weak_limit_report_small_scale():
     assert rep.passed
     assert abs(rep.theta_mean[0]) <= 3 * rep.theta_mean_se[0]
     assert abs(rep.theta_var[0] - OU_VAR_AT_1) <= 3 * rep.theta_var_se[0]
+
+
+@pytest.mark.parametrize("side", ["eps", "limit"])
+def test_weak_limit_report_leaves_out_and_counts_diverged_paths(side):
+    m = linear_benchmark(epsilon=1e-2)
+    am = build_averaged(m)
+    dm = build_deviation_model(am, np.array([[0.25]]))
+    args = (m, am, dm, 1.0, 1e-3, 400, 515)
+    clean = weak_limit_report(*args)
+    assert clean.passed and clean.diverged_eps == clean.diverged_limit == 0
+    # two rows of one side NaN, as diverged paths are
+    name = "coupled_error_batch" if side == "eps" else "limit_marginal_samples"
+    real = getattr(deviation, name)
+
+    def with_diverged_rows(*a, **k):
+        out = real(*a, **k)
+        (out[1] if side == "eps" else out)[[0, 5]] = np.nan
+        return out
+
+    with mock.patch.object(deviation, name, with_diverged_rows):
+        rep = weak_limit_report(*args)
+    counts = (2, 0) if side == "eps" else (0, 2)
+    assert (rep.diverged_eps, rep.diverged_limit) == counts
+    out = rep.to_json()
+    assert (out["diverged_eps"], out["diverged_limit"]) == counts
+    assert not rep.passed and not out["pass"]
+    for field in ("mean_diff", "var_diff", "cdf_distance", "theta_mean", "theta_var"):
+        assert np.isfinite(getattr(rep, field)).all()
+
+
+def _slow_up():
+    """Slow drift A = +50: every path of either side blows up."""
+    m = SlowFastModel(a=[[50.0]], b=[[-2.0]], f=DriftFn.zero(1), g=DriftFn.zero(1),
+                      sigma2=1.0, epsilon=1.0, x0=[1.0], y0=[1.0])
+    return m, DeviationModel(m.a, np.zeros((1, 1)), np.eye(1)), 40.0, 0.1, 3
+
+
+def _limit_up():
+    """A stable coupled system whose limit SDE has drift +50."""
+    return (linear_benchmark(epsilon=1e-2), DeviationModel([[50.0]], 0, 0.25), 20.0,
+            1e-3, 50)
+
+
+@pytest.mark.parametrize("probe, match", [
+    (_slow_up, "3 of 3 coupled paths and 3 of 3 limit paths"),
+    (_limit_up, "0 of 50 coupled paths and 50 of 50 limit paths"),
+], ids=["slow_up", "limit_up"])
+def test_weak_limit_report_refuses_fewer_than_two_finite_samples(probe, match):
+    m, dm, t_end, dt, paths = probe()
+    with pytest.raises(DivergedError, match=match):
+        weak_limit_report(m, build_averaged(m), dm, t_end, dt, paths, 5)
 
 
 def test_kernel_csv_export(tmp_path):

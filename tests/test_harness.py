@@ -1,8 +1,14 @@
+import os
+import signal
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slowfast import harness
 from slowfast.harness import (fit_exp_rate, fit_loglog_rate, ks_critical_value,
                               run_ensemble, two_sample_compare)
 
@@ -169,3 +175,106 @@ def test_two_sample_report_json_round_trip():
     blob = json.loads(json.dumps(rep.to_json()))
     assert blob["n_a"] == 200 and blob["n_b"] == 300
     assert isinstance(blob["passed"], bool)
+
+
+# --- batches split across forked worker processes -------------------------
+
+class WorkerError(Exception):
+    pass
+
+
+class TwoArgError(Exception):
+    """Pickles, but cannot be rebuilt from its pickled args."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
+def _rows(start, count):
+    """Rows of paths [start, start+count): a (count, 2) array and a (count,) one."""
+    index = np.arange(start, start + count)
+    return np.column_stack([index, -index]).astype(float), index
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 10])
+def test_split_ranges_are_joined_in_path_order(forks, count):
+    got = harness._split_paths(_rows, 5, count, 1)
+    assert forks.call_count == min(4, count) - 1
+    for g, r in zip(got, _rows(5, count)):
+        assert np.array_equal(g, r)
+    assert np.array_equal(harness._split_paths(lambda s, c: _rows(s, c)[0], 0, 7, 1),
+                          _rows(0, 7)[0])
+    _no_children_left()
+
+
+def _unpicklable():
+    exc = WorkerError("holds a lambda")
+    exc.hook = lambda: None
+    return exc
+
+
+@pytest.mark.parametrize("make, expected, match", [
+    (lambda: WorkerError("path 6 failed"), WorkerError, "path 6 failed"),
+    (lambda: ValueError("bad range"), ValueError, "bad range"),
+    (_unpicklable, RuntimeError, r"paths \[\d+, \d+\) failed: WorkerError"),
+    (lambda: TwoArgError(1, 2), RuntimeError, r"failed: TwoArgError"),
+], ids=["own-type", "builtin-type", "unpicklable", "not-rebuildable"])
+def test_worker_exception_reaches_the_caller(forks, make, expected, match):
+    def run(start, count):
+        if start != 0:
+            raise make()
+        return _rows(start, count)
+
+    with pytest.raises(expected, match=match):
+        harness._split_paths(run, 0, 8, 1)
+    assert forks.call_count == 3
+    _no_children_left()
+
+
+def test_failing_caller_range_still_reaps_every_worker(forks):
+    def run(start, count):
+        if start == 0:
+            raise WorkerError("the caller's own range")
+        return _rows(start, count)
+
+    with pytest.raises(WorkerError, match="own range"):
+        harness._split_paths(run, 0, 8, 1)
+    _no_children_left()
+
+
+def test_killed_worker_is_a_runtime_error(forks):
+    def run(start, count):
+        if start == 6:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return _rows(start, count)
+
+    with pytest.raises(RuntimeError, match=rf"paths \[6, 8\) was killed by signal "
+                                           rf"{int(signal.SIGKILL)}"):
+        harness._split_paths(run, 0, 8, 1)
+    _no_children_left()
+
+
+def test_no_fork_below_the_floor_or_beside_another_thread():
+    def run(start, count):
+        return _rows(start, count)
+
+    with mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+        # 2 paths x 1000 steps are far below the default floor
+        got = harness._split_paths(run, 0, 2, 1000)
+        assert np.array_equal(got[0], _rows(0, 2)[0])
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(10.0,))
+        other.start()
+        try:
+            with mock.patch.object(harness, "SPLIT_PATH_STEPS", 0):
+                got = harness._split_paths(run, 3, 9, 1000)
+        finally:
+            release.set()
+            other.join(10.0)
+        assert not other.is_alive()
+    assert np.array_equal(got[1], _rows(3, 9)[1])

@@ -1,12 +1,13 @@
 """Streamed batch increments: every row of a batch equals its standalone run.
 
-Batches draw their noise in time chunks of ``noise.CHUNK_STEPS`` steps, one
-generator per path, and fill each chunk a block of ``noise._PATH_BLOCK``
-paths at a time.  Neither the chunk length nor the block must change a
-single bit of any path, so the checks below run at several chunk lengths,
-step counts that are not multiples of them, path counts around and past a
-block's end, and jump rates high enough that events land in the last step
-of a chunk and several events of one path share a step.
+Batches draw their noise in time chunks, as many steps as fit in
+``noise.CHUNK_BYTES`` and at least ``noise.CHUNK_STEPS``, one generator per
+path, and fill each chunk a block of ``noise._PATH_BLOCK`` paths at a time.
+Neither the chunk length nor the block must change a single bit of any
+path, so the checks below run at several chunk lengths (``_chunks`` sets
+one), step counts that are not multiples of them, path counts around and
+past a block's end, and jump rates high enough that events land in the last
+step of a chunk and several events of one path share a step.
 """
 
 import dataclasses
@@ -18,12 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slowfast import noise
+from slowfast import harness, noise
 from slowfast.averaging import build_averaged, coupled_error_batch, simulate_averaged
 from slowfast.benchmarks import linear_benchmark
 from slowfast.deviation import DeviationModel, limit_marginal_samples, simulate_deviation
 from slowfast.integrator import make_grid, simulate_slow_fast
-from slowfast.model import DriftFn, JumpSpec, SizeDist, SlowFastModel
+from slowfast.model import DriftFn, JumpSpec, SizeDist, SlowFastModel, parse_drift
 from slowfast.noise import (ROLE_DEV, ROLE_FAST, ROLE_SLOW, _path_increments,
                             rescale_fast, sample_increments, substream)
 
@@ -45,6 +46,11 @@ def _model(n, jumps, matrix_sigma):
         epsilon=EPS, x0=np.linspace(0.8, -0.4, n), y0=np.linspace(0.4, -0.2, n))
 
 
+def _chunks(steps):
+    """Streamed batches drawn ``steps`` steps at a time, whatever their width."""
+    return mock.patch.multiple(noise, CHUNK_STEPS=steps, CHUNK_BYTES=0)
+
+
 def _same(batch, single, n):
     if n == 1:
         assert np.array_equal(batch, single)
@@ -58,7 +64,7 @@ def _check_rows_equal_single_path_runs(n, jumps, matrix_sigma, chunk, steps, pat
     am = build_averaged(m)
     t_end = steps * DT
     grid = make_grid(t_end, DT)
-    with mock.patch.object(noise, "CHUNK_STEPS", chunk):
+    with _chunks(chunk):
         sup, diff, div = coupled_error_batch(m, am, t_end, DT, seed, START, paths)
         dm = DeviationModel(am.a, 0.5 * np.eye(n), 0.25 * np.eye(n))
         theta = limit_marginal_samples(dm, am, t_end, DT, paths, seed)
@@ -110,24 +116,42 @@ def test_coupled_batch_does_not_depend_on_chunk_length(chunk):
     m = _model(1, True, False)
     am = build_averaged(m)
     ref = coupled_error_batch(m, am, 0.6, DT, 21, 0, 12)
-    with mock.patch.object(noise, "CHUNK_STEPS", chunk):
+    with _chunks(chunk):
         got = coupled_error_batch(m, am, 0.6, DT, 21, 0, 12)
     for r, g in zip(ref, got):
         assert np.array_equal(r, g)
+
+
+def _chunk_bytes(paths, n, steps):
+    """Bytes of one chunk buffer of a streamed (steps, paths, n) batch."""
+    return noise._chunk_steps(paths, n, steps) * paths * n * 8
+
+
+def _unsplit():
+    """The whole batch in this process, where tracemalloc sees it."""
+    return mock.patch.object(harness, "SPLIT_PATH_STEPS", np.inf)
+
+
+def _quarter_budget():
+    """A quarter of the byte budget: the whole batches below are then more
+    than three chunk buffers."""
+    return mock.patch.object(noise, "CHUNK_BYTES", noise.CHUNK_BYTES // 4)
 
 
 def test_coupled_batch_memory_stays_within_a_few_chunk_buffers():
     # 4000 paths x 4000 steps: a whole increment block would take 128 MB
     m = linear_benchmark(epsilon=1e-3)
     am = build_averaged(m)
-    paths = 4000
-    buffer = noise.CHUNK_STEPS * paths * m.n * 8
-    tracemalloc.start()
-    try:
-        coupled_error_batch(m, am, 0.4, 1e-4, 5, 0, paths)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    paths, steps = 4000, 4000
+    with _quarter_budget(), _unsplit():
+        buffer = _chunk_bytes(paths, m.n, steps)
+        assert steps * paths * m.n * 8 > 3 * buffer
+        tracemalloc.start()
+        try:
+            coupled_error_batch(m, am, steps * 1e-4, 1e-4, 5, 0, paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert peak < 3 * buffer
 
 
@@ -137,21 +161,23 @@ def test_limit_samples_memory_stays_within_a_few_chunk_buffers():
     m = dataclasses.replace(linear_benchmark(epsilon=1e-3), sigma1=0.3)
     am = build_averaged(m)
     dm = DeviationModel(am.a, np.zeros((1, 1)), 0.25 * np.eye(1))
-    paths = 4000
-    buffer = noise.CHUNK_STEPS * paths * m.n * 8
-    tracemalloc.start()
-    try:
-        limit_marginal_samples(dm, am, 1.0, 1e-3, paths, 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    paths, steps = 4000, 1000
+    with _quarter_budget(), _unsplit():
+        buffer = _chunk_bytes(paths, m.n, steps)
+        assert steps * paths * m.n * 8 > 3 * buffer
+        tracemalloc.start()
+        try:
+            limit_marginal_samples(dm, am, steps * 1e-3, 1e-3, paths, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert peak <= 3 * buffer
 
 
 def test_streamed_steps_are_read_in_order():
     grid = make_grid(1.0, 0.1)
     incr = _path_increments(1, grid, 2, lambda i: substream(1, i, ROLE_FAST))
-    with mock.patch.object(noise, "CHUNK_STEPS", 4):
+    with _chunks(4):
         stepped = _path_increments(1, grid, 2, lambda i: substream(1, i, ROLE_FAST))
     rows = [stepped[k].copy() for k in range(len(stepped))]
     assert np.array_equal(np.stack(rows), incr[:])     # whole block, drawn at once
@@ -162,7 +188,7 @@ def test_streamed_steps_are_read_in_order():
 
 
 def _check_rows_equal_streams(grid, paths, jump, chunk, seed):
-    with mock.patch.object(noise, "CHUNK_STEPS", chunk):
+    with _chunks(chunk):
         incr = _path_increments(1, grid, paths, lambda i: substream(seed, i, ROLE_FAST),
                                 jump=jump, speed=1.0 / EPS)
     rows = np.stack([incr[k].copy() for k in range(len(incr))])    # read in step order
@@ -214,3 +240,41 @@ def test_several_events_of_a_path_in_one_step_keep_their_order():
             sensitive += sum(sizes) != sum(sizes[::-1])
     assert sensitive > 0
     _check_rows_equal_streams(grid, paths, jump, 7, seed)
+
+
+def _cubic_model():
+    """x' = -x + x^3 with strong slow noise: some paths escape past 1 and
+    blow up, the others stay finite."""
+    return SlowFastModel(a=[[-1.0]], b=[[-2.0]],
+                         f=parse_drift(["x1*x1*x1"], 1, lip=1.0, growth=1.0),
+                         g=DriftFn.zero(1), sigma1=1.0, sigma2=1.0, epsilon=EPS,
+                         x0=[0.8], y0=[0.0])
+
+
+@pytest.mark.parametrize("make, paths", [
+    (lambda: dataclasses.replace(_model(1, False, False), sigma1=0.5), 8),
+    (lambda: _model(2, True, True), 7),          # jumps, matrix sigma, odd count
+    (lambda: _model(1, True, False), 3),         # fewer paths than CPUs
+    (_cubic_model, 9),                           # diverging paths
+], ids=["n1-slow-noise", "n2-jumps-matrix-sigma", "fewer-paths-than-cpus",
+        "diverging"])
+def test_split_rows_equal_the_rows_of_one_run(forks, make, paths):
+    m = make()
+    am = build_averaged(m)
+    dm = DeviationModel(am.a, 0.5 * np.eye(m.n), 0.25 * np.eye(m.n))
+
+    def rows():
+        return (*coupled_error_batch(m, am, 2.0, DT, 17, START, paths),
+                limit_marginal_samples(dm, am, 2.0, DT, paths, 17))
+
+    with _unsplit():
+        ref = rows()
+    assert forks.call_count == 0
+    got = rows()
+    assert forks.call_count == 2 * (min(4, paths) - 1)
+    for r, g in zip(ref, got):
+        assert np.array_equal(r, g, equal_nan=True)
+    div = ref[2]
+    if make is _cubic_model:
+        assert div.any() and not div.all()
+        assert np.isnan(ref[3][:, 0]).any()

@@ -13,12 +13,16 @@ row.  The ``*/drift/*`` keys evaluate each model's f and g, and one
 expression drift that uses every function and operator (``n2expr``), in
 value and in-place form, at fixed points of shape (n,) and (4, n) with
 signed zeros, infinities and NaN, and record the sign bits of the results.
-The ``*_long`` keys step batches over more steps than one noise chunk
-(``noise.CHUNK_STEPS``), by a count that is not a multiple of it; the
-``*_wide`` keys (``n1`` and ``n2m``) step 300 paths, more than one block of
-paths drawn together (``noise._PATH_BLOCK``), over 40 steps.  The
-``*/kernel/*`` keys run ``autocovariance_kernel`` on a short window, and
-the ``*/manifold_long/*`` keys solve on a grid of 1601 points.
+The ``*_long`` keys step batches over more steps than one noise chunk of
+``noise.CHUNK_STEPS`` steps, by a count that is not a multiple of it (the
+byte budget ``noise.CHUNK_BYTES`` is set to 0 for them, where it exists);
+the ``*_wide`` keys (``n1`` and ``n2m``) step 300 paths, more than one block
+of paths drawn together (``noise._PATH_BLOCK``), over 40 steps, split across
+forked worker processes (``harness.SPLIT_PATH_STEPS`` is set to 0 for them,
+where it exists, and the machine has two or more usable CPUs), so comparing
+against a checkout without the split checks split rows against one run.
+The ``*/kernel/*`` keys run ``autocovariance_kernel`` on a short window,
+and the ``*/manifold_long/*`` keys solve on a grid of 1601 points.
 ``compare`` requires ``n1*`` outputs to be bit-identical (NaN equal to NaN)
 and ``n2*`` outputs to satisfy max|a - b| <= 1e-10 (1 + max|a|).
 
@@ -33,8 +37,10 @@ and not compared.  Exits 1 when any compared key fails.
 
 from __future__ import annotations
 
+import contextlib
 import fnmatch
 import sys
+from unittest import mock
 
 import numpy as np
 
@@ -83,6 +89,14 @@ def _blowups():
     return {"n1up": one, "n1fastup": fast}
 
 
+def _set_if_present(module, name, value):
+    """``module.name`` set to ``value`` inside the block, if the module has
+    it; older checkouts may not."""
+    if hasattr(module, name):
+        return mock.patch.object(module, name, value)
+    return contextlib.nullcontext()
+
+
 def _drift_points(n):
     """Fixed points x, y of shape (4, n): signed zeros, infinities, NaN and
     ordinary values, in a different order for x and y."""
@@ -93,6 +107,7 @@ def _drift_points(n):
 
 def dump(path):
     import slowfast as sf
+    from slowfast import harness, noise
     from slowfast.averaging import coupled_error_batch
     from slowfast.deviation import limit_marginal_samples
     from slowfast.integrator import frozen_fast_batch, make_grid
@@ -166,8 +181,9 @@ def dump(path):
         put(f"{name}/coupled/diff", diff)
         put(f"{name}/coupled/div", div)
         # 1300 steps: more than one noise chunk, and not a multiple of one
-        for field, value in zip(("sup", "diff", "div"),
-                                coupled_error_batch(m, am, 1300 * dt, dt, 13, 0, 3)):
+        with _set_if_present(noise, "CHUNK_BYTES", 0):
+            batch = coupled_error_batch(m, am, 1300 * dt, dt, 13, 0, 3)
+        for field, value in zip(("sup", "diff", "div"), batch):
             put(f"{name}/coupled_long/{field}", value)
         htilde = 0.25 * np.eye(n) + 0.05 * (np.ones((n, n)) - np.eye(n))
         dm = sf.build_deviation_model(am, htilde, x=m.x0)
@@ -199,12 +215,15 @@ def dump(path):
         put(f"{name}/limit_literal", limit_marginal_samples(dm_lit_j, am, 0.3, 0.01, 5,
                                                             23))
         put(f"{name}/limit_var", limit_marginal_samples(dm_var, am, 0.3, 0.01, 5, 23))
-        put(f"{name}/limit_long", limit_marginal_samples(dm, am, 7.0, 0.01, 3, 23))
+        with _set_if_present(noise, "CHUNK_BYTES", 0):
+            put(f"{name}/limit_long", limit_marginal_samples(dm, am, 7.0, 0.01, 3, 23))
         if name in ("n1", "n2m"):
-            for field, value in zip(("sup", "diff", "div"),
-                                    coupled_error_batch(m, am, 40 * dt, dt, 13, 0, 300)):
+            with _set_if_present(harness, "SPLIT_PATH_STEPS", 0):
+                wide = coupled_error_batch(m, am, 40 * dt, dt, 13, 0, 300)
+                put(f"{name}/limit_wide", limit_marginal_samples(dm, am, 0.4, 0.01,
+                                                                 300, 23))
+            for field, value in zip(("sup", "diff", "div"), wide):
                 put(f"{name}/coupled_wide/{field}", value)
-            put(f"{name}/limit_wide", limit_marginal_samples(dm, am, 0.4, 0.01, 300, 23))
         tr = sf.tracking_check(m, eps, (m.x0, m.y0), (m.x0, m.y0 + 0.5), 1.0, 0.005,
                                rng=rng(10))
         put(f"{name}/tracking/gap", tr.gap)
