@@ -16,8 +16,7 @@ noise relaxes at gamma_b), so it is reported, never asserted.
 
 The strong-error experiment couples the full and averaged slow equations on
 identical slow increments and fits the log-log rate of the mean square sup
-error as epsilon shrinks; block-averaging auxiliaries support the same
-construction at fixed block size delta.
+error as epsilon shrinks.
 """
 
 from __future__ import annotations
@@ -28,20 +27,15 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from .harness import _split_paths, fit_exp_rate, fit_loglog_rate
-from .integrator import (DivergedError, _check_stable, _euler,
-                         _nan_after_divergence, _trajectory, _write_csv,
-                         default_step, frozen_fast_batch, make_grid)
-from .model import PROBE_BOX, _lin, _lin_plus, has_slow_noise
-from .noise import (ROLE_FAST, ROLE_SLOW, _path_increments, rescale_fast,
-                    sample_increments, substream)
+from .integrator import (DivergedError, _check_stable, _euler, _trajectory,
+                         _write_csv, default_step, frozen_fast_batch, make_grid)
+from .model import _lin, _lin_plus, has_slow_noise
+from .noise import ROLE_FAST, ROLE_SLOW, _path_increments, substream
 
 # batch means behind the standard error of ``estimate_fbar``
 FBAR_BATCHES = 16
 # time between the points of the relaxation curve of ``mixing_diagnostic``
 CURVE_STEP = 0.05
-# ``check_fbar_lipschitz`` probes this many point pairs of the box
-# [-PROBE_BOX, PROBE_BOX]^n
-LIP_SAMPLES = 400
 # the one rule for the block size delta of ``strong_error_experiment``
 DELTA_RULE = "eps**(2/3)"
 
@@ -194,22 +188,6 @@ def _linear_parts(drift):
     raise ValueError("drift is not in the linear family")
 
 
-def check_fbar_lipschitz(am, m, rng):
-    """Coarse guard: sampled Lipschitz constant of fbar against
-    L_f * (1 + L_g / (gamma_b - L_g))."""
-    if m.f.lip is None or m.g.lip is None:
-        return None
-    lo, hi = np.full(am.n, -PROBE_BOX), np.full(am.n, PROBE_BOX)
-    p = rng.uniform(lo, hi, size=(LIP_SAMPLES, am.n))
-    q = rng.uniform(lo, hi, size=(LIP_SAMPLES, am.n))
-    num = np.linalg.norm(am.fbar(p) - am.fbar(q), axis=-1)
-    den = np.linalg.norm(p - q, axis=-1)
-    mask = den > 0
-    estimate = float(np.max(num[mask] / den[mask])) if np.any(mask) else 0.0
-    guard = m.f.lip * (1.0 + m.g.lip / (m.gamma_b - m.g.lip))
-    return estimate, guard, estimate <= guard * 1.05 + 1e-12
-
-
 @dataclass
 class MixingReport:
     eta_declared: float           # 2*(gamma_b - 6 L_g^2) from declared constants
@@ -303,56 +281,6 @@ def _averaged_run(am, x0, grid, dt, noise):
         averaged(d[0], s[0], s[0])
 
     return _euler((x0,), drift, (dt,), (noise,), grid, dt, path=True)
-
-
-def simulate_auxiliary(m, delta, t_end, dt, rng, return_true=False):
-    """Block-frozen auxiliary pair (x_hat, y_hat) on blocks of length delta.
-
-    Within block [k*delta, (k+1)*delta) the auxiliary fast state restarts
-    from the true fast state at the block boundary and evolves with the slow
-    argument frozen at x(k*delta); the auxiliary slow state integrates the
-    drift evaluated on the frozen argument and the auxiliary fast state.
-    All four states share one noise realization.
-    """
-    if not 0 < delta <= t_end:
-        raise ValueError("need 0 < delta <= t_end")
-    grid = make_grid(t_end, dt)
-    _check_stable(grid, dt, m.epsilon)
-    n = m.n
-    slow = sample_increments(n, grid, rng, jump=m.jump_slow)
-    fast = rescale_fast(n, m.epsilon, grid, rng, jump=m.jump_fast)
-    d_slow = slow.d_brownian + slow.d_jump
-    d_fast = fast.d_brownian + fast.d_jump
-    steps = len(grid) - 1
-    blocks = np.floor(grid[:-1] / delta + 1e-12)
-    bounds = [0] + (np.flatnonzero(np.diff(blocks)) + 1).tolist() + [steps]
-
-    slow, fast = _lin_plus(m.a, m.f._add), _lin_plus(m.b, m.g._add)
-
-    def drift(k, s, d):
-        x, y, xh, yh = s
-        slow(d[0], x, x, y)
-        fast(d[1], y, x, y)
-        slow(d[2], xh, x_frozen, yh)
-        fast(d[3], yh, x_frozen, yh)
-
-    # each block restarts y_hat from y and freezes the slow argument at x
-    path = tuple(np.empty((steps + 1, n)) for _ in range(4))
-    x, y, xh = m.x0, m.y0, m.x0
-    for start, end in zip(bounds[:-1], bounds[1:]):
-        x_frozen = x
-        noise = ((m.sigma1, d_slow[start:end]), (m.sigma2, d_fast[start:end])) * 2
-        run = _euler((x, y, xh, y), drift, (dt, dt / m.epsilon) * 2, noise,
-                     grid[start:end + 1], dt, path=True)
-        for full, part in zip(path, run.path):
-            full[start:end + 1] = part
-        x, y, xh = (part[-1] for part in run.path[:3])
-    at = _nan_after_divergence(path)
-    xs, ys, xh, yh = path
-    out = (_trajectory(grid, xh, at), _trajectory(grid, yh, at))
-    if return_true:
-        return out + (_trajectory(grid, xs, at), _trajectory(grid, ys, at))
-    return out
 
 
 def _increment_blocks(m, grid, master_seed, start, count):

@@ -34,13 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import (_averaged_run, _increment_blocks, _slow_increments,
-                        coupled_error_batch)
-from .integrator import (DivergedError, _amplitude_op, _check_stable, _euler,
-                         _frozen_fast_run, _trajectory, _write_csv,
-                         frozen_fast_batch, make_grid)
+from .averaging import _increment_blocks, _slow_increments, coupled_error_batch
+from .integrator import (DivergedError, _check_stable, _euler, _frozen_fast_run,
+                         _trajectory, _write_csv, frozen_fast_batch, make_grid)
 from .model import _add_value, _lin, _lin_plus, _value_into
-from .noise import ROLE_BURN, ROLE_DEV, _path_increments, _required, substream
+from .noise import ROLE_BURN, ROLE_DEV, _path_increments, substream
 from .harness import _split_paths, _var_se, two_sample_compare
 
 
@@ -409,34 +407,6 @@ def simulate_truncated_deviation(m, am, epsilon, radius, t_end, dt, master_seed,
     if return_drive:
         return traj, {"drive": drives, "gate": gates}
     return traj
-
-
-def simulate_corrected(am, dm, epsilon, t_end, dt, rng):
-    """Averaged slow equation plus the sqrt(eps)-scaled fluctuation noise.
-
-    The correction's Brownian motion is independent of the slow noise (child
-    streams: slow first, then the correction).  epsilon = 0 reproduces the
-    plain averaged path for the same generator state.
-    """
-    grid, run = _corrected_run(am, dm, epsilon, t_end, dt, [_required(rng).spawn(2)])
-    return _trajectory(grid, run.path[0][:, 0], run.diverged_at[0])
-
-
-def _corrected_run(am, dm, epsilon, t_end, dt, pairs):
-    """``simulate_corrected`` for one path per (slow, correction) generator
-    pair, as one batch; returns the grid and the recorded run."""
-    grid = make_grid(t_end, dt)
-    count = len(pairs)
-    d_slow = _path_increments(am.n, grid, count, lambda i: pairs[i][0], jump=am.jump_slow)
-    dw = _path_increments(am.n, grid, count, lambda i: pairs[i][1])
-    root = math.sqrt(epsilon)
-    op, sigma = _amplitude_op(am.sigma1)
-
-    def noise(k, s):
-        return op(d_slow[k], sigma) + root * dm.noise(dw[k], s[0])
-
-    x0 = np.broadcast_to(am.x0, (count, am.n))
-    return grid, _averaged_run(am, x0, grid, dt, noise)
 
 
 @dataclass

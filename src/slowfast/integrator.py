@@ -41,8 +41,8 @@ and ``_euler`` scales such a pre-drawn block by its amplitude once, whole,
 before the loop.  Batches stream theirs inside the loop, a time chunk at a
 time, from ``noise._path_increments``, and each step's rows are scaled into
 one buffer by an amplitude bound once per run.  ``_frozen_fast_run`` steps
-the frozen-fast equation for ``simulate_frozen_fast`` (one path),
-``frozen_fast_batch`` and the manifold burn-in of ``deviation``.
+the frozen-fast equation for ``frozen_fast_batch`` and the manifold burn-in
+of ``deviation``.
 
 A non-finite value stays non-finite under the step, so divergence is read
 once, after the loop, from every component of the final state.  Single-path
@@ -94,7 +94,7 @@ def _write_csv(path_or_buf, header, rows):
 def make_grid(t_end, dt):
     if t_end < 0 or dt <= 0:
         raise ValueError("need t_end >= 0 and dt > 0")
-    m = int(round(t_end / dt)) if t_end > 0 else 0
+    m = max(int(round(t_end / dt)), 1) if t_end > 0 else 0
     grid = dt * np.arange(m + 1)
     if m > 0:
         grid[-1] = t_end
@@ -226,7 +226,8 @@ def _trajectory(grid, states, diverged_at):
 def _stretch(grid, dt):
     """The last step of a ``make_grid`` grid over dt: 1.0 when dt divides the
     horizon (within 1e-6, to absorb rounding), else the remainder's ratio,
-    which round-half-even in ``make_grid`` puts in (0.5, 1.5]."""
+    which ``make_grid`` puts in (0, 1.5]: round-half-even, and one step for
+    any positive horizon."""
     if len(grid) < 2:
         return 1.0
     ratio = (grid[-1] - grid[-2]) / dt
@@ -296,23 +297,12 @@ def _frozen_fast_run(m, x_frozen, y0, grid, dt, d_fast, path=False):
     return _euler((y0,), drift, (dt,), ((m.sigma2, d_fast),), grid, dt, path=path)
 
 
-def simulate_frozen_fast(m, x_frozen, y0, t_end, dt, rng=None):
-    """Fast equation with the slow state frozen, at the fast equation's own
-    timescale (no 1/epsilon)."""
-    grid = make_grid(t_end, dt)
-    x_frozen = np.asarray(x_frozen, dtype=float)
-    incr = sample_increments(m.n, grid, rng, jump=m.jump_fast)
-    run = _frozen_fast_run(m, x_frozen, y0, grid, dt, incr.d_brownian + incr.d_jump,
-                           path=True)
-    return _trajectory(grid, run.path[0], run.diverged_at)
-
-
 def frozen_fast_batch(m, x_frozen, y0, steps, dt, rng, n_paths):
     """Batched frozen-fast stepping; returns states (steps+1, n_paths, n).
 
     The paths draw their increments from ``rng`` in turn, path 0 first, each
     as one ``sample_increments`` stream, so path i equals the i-th of
-    ``n_paths`` successive ``simulate_frozen_fast`` runs on that generator.
+    ``n_paths`` successive one-path runs on that generator.
     """
     grid = dt * np.arange(steps + 1)
     d_fast = _path_increments(m.n, grid, n_paths, lambda i: rng, jump=m.jump_fast)

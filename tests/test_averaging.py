@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slowfast.averaging import (_averaged_run, build_averaged,
-                                check_fbar_lipschitz, estimate_fbar,
-                                mixing_diagnostic, simulate_auxiliary,
-                                simulate_averaged, strong_error_experiment)
+from slowfast.averaging import (_averaged_run, build_averaged, estimate_fbar,
+                                mixing_diagnostic, simulate_averaged,
+                                strong_error_experiment)
 from slowfast.benchmarks import linear_benchmark, tanh_benchmark
 from slowfast.integrator import make_grid, simulate_slow_fast
 from slowfast.model import DriftFn, JumpSpec, SizeDist, SlowFastModel, parse_drift
@@ -132,8 +131,6 @@ def test_build_averaged_tabulated_interpolates():
     nodes, values = am.fbar.table
     mid = am.fbar(np.array([nodes[0][3]]))
     assert mid[0] == pytest.approx(values[3], abs=1e-12)
-    check = check_fbar_lipschitz(am, m, rng=np.random.default_rng(0))
-    assert check is not None and check[2]
 
 
 def test_mixing_rate_linear_benchmark():
@@ -228,54 +225,6 @@ def test_simulate_averaged_gaussian_variance():
     target = 0.5 * (1.0 - np.exp(-2.0))
     se = var * np.sqrt(2.0 / len(finals))
     assert abs(var - target) <= 3 * se
-
-
-def test_auxiliary_single_block_is_frozen_fast_at_x0():
-    # delta = T degenerates to one block: y_hat is exactly the frozen-fast
-    # process at x0 (rescaled timescale), driven by the shared increments
-    m = tanh_benchmark(epsilon=0.1)
-    dt, t_end = 0.005, 1.0
-    xh, yh = simulate_auxiliary(m, t_end, t_end, dt, np.random.default_rng(3))
-    rng = np.random.default_rng(3)
-    grid = make_grid(t_end, dt)
-    slow = sample_increments(1, grid, rng, jump=m.jump_slow)
-    fast = sample_increments(1, grid, rng, jump=m.jump_fast, speed=10.0)
-    y = np.array([m.y0.copy()])[0]
-    manual = [y.copy()]
-    for k in range(len(grid) - 1):
-        y = y + (y @ m.b.T + m.g(m.x0, y)) * (dt / 0.1) \
-            + fast.d_brownian[k] + fast.d_jump[k]
-        manual.append(y.copy())
-    assert np.array_equal(yh.states, np.array(manual))
-
-
-def test_auxiliary_equals_true_fast_when_g_zero():
-    m = linear_benchmark(epsilon=0.05)
-    xh, yh, xt, yt = simulate_auxiliary(m, 0.25, 1.0, 0.005,
-                                        np.random.default_rng(6),
-                                        return_true=True)
-    assert np.array_equal(yh.states, yt.states)
-
-
-def test_auxiliary_gap_shrinks_with_delta():
-    mt = tanh_benchmark(epsilon=0.05)
-    # g depends on x, so freezing x per block leaves a delta-dependent gap
-    gaps = []
-    for delta in (0.5, 0.125):
-        sup2 = []
-        for k in range(40):
-            xh, yh, xt, yt = simulate_auxiliary(mt, delta, 1.0, 0.004,
-                                                np.random.default_rng(100 + k),
-                                                return_true=True)
-            sup2.append(np.max(np.sum((yh.states - yt.states) ** 2, axis=-1)))
-        gaps.append(np.mean(sup2))
-    assert gaps[1] <= gaps[0]
-
-
-def test_auxiliary_validates_delta():
-    with pytest.raises(ValueError):
-        simulate_auxiliary(linear_benchmark(epsilon=0.1), 0.0, 1.0, 0.005,
-                           np.random.default_rng(0))
 
 
 def test_strong_error_small_scale():

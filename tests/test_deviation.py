@@ -10,14 +10,12 @@ from slowfast import deviation
 from slowfast.averaging import (AveragedDrift, AveragedModel, build_averaged,
                                 simulate_averaged)
 from slowfast.benchmarks import linear_benchmark, tanh_benchmark
-from slowfast.deviation import (DeviationModel, _corrected_run,
-                                _manifold_started_inputs, autocovariance_kernel,
-                                build_deviation_model, diffusion_matrix,
-                                fbar_derivative,
+from slowfast.deviation import (DeviationModel, _manifold_started_inputs,
+                                autocovariance_kernel, build_deviation_model,
+                                diffusion_matrix, fbar_derivative,
                                 limit_marginal_samples, matrix_sqrt_psd,
-                                residual_theta2, simulate_corrected,
-                                simulate_deviation, simulate_truncated_deviation,
-                                weak_limit_report)
+                                residual_theta2, simulate_deviation,
+                                simulate_truncated_deviation, weak_limit_report)
 from slowfast.integrator import DivergedError, frozen_fast_batch, make_grid
 from slowfast.model import DriftFn, JumpSpec, SizeDist, SlowFastModel, parse_drift
 from slowfast.noise import ROLE_DEV, ROLE_SLOW, sample_increments, substream
@@ -428,42 +426,6 @@ def test_residual_decreases_with_epsilon():
     r1 = residual_theta2(m, 0.1, 1.0, 0.005, 300, 13)
     r2 = residual_theta2(m, 0.05, 1.0, 0.0025, 300, 13)
     assert r2.mean_sup_sq <= r1.mean_sup_sq + 2 * np.hypot(r1.stderr, r2.stderr)
-
-
-# -- corrected slow equation --------------------------------------------------
-
-def test_corrected_reduces_to_averaged_at_zero_epsilon():
-    _, am, dm = averaged_and_deviation()
-    traj = simulate_corrected(am, dm, 0.0, 1.0, 0.005,
-                              np.random.default_rng(21))
-    rng = np.random.default_rng(21)
-    c_slow, _ = rng.spawn(2)
-    incr = sample_increments(1, make_grid(1.0, 0.005), c_slow, jump=am.jump_slow)
-    ref = simulate_averaged(am, 1.0, 0.005, incr)
-    assert np.array_equal(traj.states, ref.states)
-
-
-def test_corrected_deterministic_when_all_noise_off():
-    m, am, _ = averaged_and_deviation()
-    dm = DeviationModel(m.a, np.zeros((1, 1)), np.zeros((1, 1)))
-    traj = simulate_corrected(am, dm, 0.25, 1.0, 0.001,
-                              np.random.default_rng(22))
-    assert abs(traj.states[-1, 0] - np.exp(-1.0)) < 2e-3
-
-
-def test_corrected_variance_additivity():
-    # sigma1 = 0: Var x_hat(1) = eps * Var theta(1)
-    _, am, dm = averaged_and_deviation()
-    eps = 0.2
-    # 2000 successive simulate_corrected calls on default_rng(23), as one batch
-    children = np.random.default_rng(23).spawn(4000)
-    _, run = _corrected_run(am, dm, eps, 1.0, 2.5e-3, list(zip(children[::2],
-                                                                children[1::2])))
-    finals = run.state[0][:, 0]
-    var = finals.var(ddof=1)
-    target = eps * OU_VAR_AT_1
-    se = var * np.sqrt(2.0 / len(finals))
-    assert abs(var - target) <= 3 * se
 
 
 # -- weak limit at reduced scale ----------------------------------------------

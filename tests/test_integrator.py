@@ -7,17 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from slowfast.averaging import (build_averaged, coupled_error_batch,
-                                simulate_auxiliary, simulate_averaged)
+from slowfast.averaging import build_averaged, coupled_error_batch, simulate_averaged
 from slowfast.benchmarks import linear_benchmark
 from slowfast.deviation import (DeviationModel, limit_marginal_samples,
-                                residual_theta2, simulate_corrected,
-                                simulate_deviation,
+                                residual_theta2, simulate_deviation,
                                 simulate_truncated_deviation)
 from slowfast.integrator import (Trajectory, _check_stable, _euler, _stretch,
                                  apply_noise, default_step, frozen_fast_batch,
-                                 make_grid, simulate_frozen_fast,
-                                 simulate_slow_fast)
+                                 make_grid, simulate_slow_fast)
 from slowfast.manifold import tracking_check
 from slowfast.model import DriftFn, JumpSpec, SizeDist, SlowFastModel, parse_drift
 from slowfast.noise import sample_increments
@@ -217,17 +214,12 @@ def _tracking_blow_up():
 BLOWUPS = {
     "simulate_slow_fast":
         lambda: simulate_slow_fast(SLOW_UP, 40.0, 0.1, _rng())[0].diverged,
-    "simulate_frozen_fast":
-        lambda: simulate_frozen_fast(FAST_UP, [0.0], [1.0], 40.0, 0.1, _rng()).diverged,
     "frozen_fast_batch":
         lambda: not np.isfinite(frozen_fast_batch(FAST_UP, [0.0], [1.0], 400, 0.1,
                                                   _rng(), 3)[-1]).any(),
     "simulate_averaged":
         lambda: simulate_averaged(_up_averaged(), 40.0, 0.1,
                                   sample_increments(1, GRID, _rng())).diverged,
-    "simulate_auxiliary":
-        lambda: all(t.diverged for t in simulate_auxiliary(SLOW_UP, 10.0, 40.0, 0.1,
-                                                           _rng(), return_true=True)),
     "coupled_error_batch":
         lambda: coupled_error_batch(SLOW_UP, _up_averaged(), 40.0, 0.1, 5, 0, 3)[2].all(),
     "simulate_deviation":
@@ -240,9 +232,6 @@ BLOWUPS = {
     "simulate_truncated_deviation":
         lambda: simulate_truncated_deviation(SLOW_UP, _up_averaged(), 1.0, np.inf,
                                              40.0, 0.1, 5).diverged,
-    "simulate_corrected":
-        lambda: simulate_corrected(_up_averaged(), _up_deviation(), 0.5, 40.0, 0.1,
-                                   _rng()).diverged,
     "limit_marginal_samples":
         lambda: not np.isfinite(limit_marginal_samples(_up_deviation(), _up_averaged(),
                                                        40.0, 0.1, 3, 5)).any(),
@@ -259,7 +248,6 @@ def test_blow_up_is_flagged_by_every_simulator(name):
 # every simulator of the coupled system, at step dt on model m
 COUPLED = {
     "simulate_slow_fast": lambda m, dt: simulate_slow_fast(m, 0.2, dt, _rng()),
-    "simulate_auxiliary": lambda m, dt: simulate_auxiliary(m, 0.1, 0.2, dt, _rng()),
     "coupled_error_batch":
         lambda m, dt: coupled_error_batch(m, build_averaged(m), 0.2, dt, 5, 0, 5),
     "residual_theta2": lambda m, dt: residual_theta2(m, m.epsilon, 0.2, dt, 3, 5),
@@ -299,8 +287,8 @@ def test_frozen_fast_batch_equals_successive_single_runs(n, paths, jumps, matrix
     dt = 0.01
     ys = frozen_fast_batch(m, x, y0, steps, dt, np.random.default_rng(seed + 1), paths)
     one = np.random.default_rng(seed + 1)
-    ref = np.stack([simulate_frozen_fast(m, x, y0, steps * dt, dt, one).states
-                    for _ in range(paths)], axis=1)
+    ref = np.concatenate([frozen_fast_batch(m, x, y0, steps, dt, one, 1)
+                          for _ in range(paths)], axis=1)
     assert ys.shape == (steps + 1, paths, n)
     if n == 1:
         assert np.array_equal(ys, ref)
@@ -418,11 +406,16 @@ def test_grid_refinement_consistency_fixed_path():
     assert sup_diffs[0] > sup_diffs[1] > sup_diffs[2]
 
 
+def _one_frozen_path(m, y0, steps, dt, seed):
+    """One frozen-fast path at x = 0 on ``steps`` steps of dt, with its times."""
+    ys = frozen_fast_batch(m, [0.0], y0, steps, dt, np.random.default_rng(seed), 1)
+    return dt * np.arange(steps + 1), ys[:, 0, 0]
+
+
 def test_frozen_fast_ou_stationary_variance():
     m = model(sigma2=1.0)
-    traj = simulate_frozen_fast(m, [0.0], [0.0], 400.0, 0.005,
-                                np.random.default_rng(21))
-    vals = traj.states[traj.grid >= 5.0, 0]
+    t, y = _one_frozen_path(m, [0.0], 80000, 0.005, 21)
+    vals = y[t >= 5.0]
     var = vals.var()
     # correlated samples: effective count ~ T / (2 tau), tau = 1/b
     n_eff = 395.0 / 1.0
@@ -431,20 +424,28 @@ def test_frozen_fast_ou_stationary_variance():
 
 
 def test_frozen_fast_deterministic_decay():
-    m = model()
-    traj = simulate_frozen_fast(m, [0.0], [1.0], 1.0, 0.0005,
-                                np.random.default_rng(0))
-    assert abs(traj.states[-1, 0] - np.exp(-2.0)) < 2e-3
+    _, y = _one_frozen_path(model(), [1.0], 2000, 0.0005, 0)
+    assert abs(y[-1] - np.exp(-2.0)) < 2e-3
 
 
 def test_frozen_fast_constant_drift_mean():
     m = model(g=DriftFn.constant([1.0]), sigma2=1.0)
-    traj = simulate_frozen_fast(m, [0.0], [0.0], 400.0, 0.005,
-                                np.random.default_rng(4))
-    vals = traj.states[traj.grid >= 5.0, 0]
+    t, y = _one_frozen_path(m, [0.0], 80000, 0.005, 4)
+    vals = y[t >= 5.0]
     n_eff = 395.0
     se = vals.std() * np.sqrt(2.0 / n_eff)
     assert abs(vals.mean() - 0.5) <= 3 * se
+
+
+def test_short_horizon_takes_one_step_to_it():
+    # a horizon under half a step still ends the grid on it
+    for t_end in (0.004, 0.005):
+        assert np.array_equal(make_grid(t_end, 0.01), [0.0, t_end])
+    x, _ = simulate_slow_fast(linear_benchmark(0.1), 0.004, 0.01,
+                              np.random.default_rng(0))
+    assert np.array_equal(x.grid, [0.0, 0.004])
+    # dx = (-x + y) dt from x0 = 1, y0 = 0, over the one step of 0.004
+    assert x.states[-1, 0] == pytest.approx(0.996, abs=1e-15)
 
 
 def test_zero_horizon_single_row():

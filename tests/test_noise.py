@@ -4,7 +4,7 @@ import pytest
 from slowfast.averaging import build_averaged, estimate_fbar, mixing_diagnostic
 from slowfast.benchmarks import linear_benchmark
 from slowfast.deviation import (DeviationModel, autocovariance_kernel,
-                                simulate_corrected, simulate_deviation)
+                                simulate_deviation)
 from slowfast.integrator import Trajectory, frozen_fast_batch, make_grid
 from slowfast.manifold import sample_stationary_paths, tracking_check
 from slowfast.model import JumpSpec, SizeDist
@@ -167,9 +167,6 @@ NO_RNG = {
     "tracking_check":
         lambda: tracking_check(_LIN, 0.1, ([0.5], [0.3]), ([0.5], [0.9]), 1.0, 0.01,
                                None),
-    "simulate_corrected":
-        lambda: simulate_corrected(_AM, DeviationModel(_AM.a, 0.0, 1.0), 0.1, 1.0, 0.1,
-                                   None),
 }
 
 

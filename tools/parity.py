@@ -9,10 +9,12 @@
 benchmark, no slow noise), ``n2s`` (2-D tanh model with jumps, scalar
 sigma), ``n2m`` (the same with matrix sigma) and ``n2bm`` (``n2m`` without
 jumps), plus blow-up models whose single-path runs must diverge at the same
-row.  The ``*/drift/*`` keys evaluate each model's f and g, and one
-expression drift that uses every function and operator (``n2expr``), in
-value and in-place form, at fixed points of shape (n,) and (4, n) with
-signed zeros, infinities and NaN, and record the sign bits of the results.
+row.  The ``*/frozen_fast`` keys are one-path ``frozen_fast_batch`` runs,
+their ``diverged_at`` the first non-finite row.  The ``*/drift/*`` keys
+evaluate each model's f and g, and one expression drift that uses every
+function and operator (``n2expr``), in value and in-place form, at fixed
+points of shape (n,) and (4, n) with signed zeros, infinities and NaN, and
+record the sign bits of the results.
 The ``*_long`` keys step batches over more steps than one noise chunk of
 ``noise.CHUNK_STEPS`` steps, by a count that is not a multiple of it (the
 byte budget ``noise.CHUNK_BYTES`` is set to 0 for them, where it exists);
@@ -124,6 +126,13 @@ def dump(path):
         put(key + "/states", t.states)
         put(key + "/diverged_at", -1 if t.diverged_at is None else t.diverged_at)
 
+    def frozen(key, m, steps, dt, gen):
+        # one frozen-fast path, flagged at its first non-finite row
+        states = frozen_fast_batch(m, m.x0, m.y0, steps, dt, gen, 1)[:, 0]
+        bad = ~np.all(np.isfinite(states), axis=-1)
+        put(key + "/states", states)
+        put(key + "/diverged_at", bad.argmax() if bad.any() else -1)
+
     def put_drift(name, part, drift):
         # the drift alone, in value and in-place form, at fixed points
         x4, y4 = _drift_points(drift.n)
@@ -149,8 +158,7 @@ def dump(path):
         x, y = sf.simulate_slow_fast(m, 0.5, dt, rng(0))
         traj(f"{name}/slow_fast/x", x)
         traj(f"{name}/slow_fast/y", y)
-        traj(f"{name}/frozen_fast", sf.simulate_frozen_fast(m, m.x0, m.y0, 3.0, 0.005,
-                                                            rng(1)))
+        frozen(f"{name}/frozen_fast", m, 600, 0.005, rng(1))
         put(f"{name}/frozen_fast_batch", frozen_fast_batch(m, m.x0, m.y0, 200, 0.005,
                                                            rng(2), 6))
         if name == "n1lin":
@@ -173,9 +181,6 @@ def dump(path):
         incr = sample_increments(n, grid, rng(5), jump=m.jump_slow)
         xa = sf.simulate_averaged(am, 0.5, dt, incr)
         traj(f"{name}/averaged", xa)
-        for i, t in enumerate(sf.simulate_auxiliary(m, 0.1, 0.5, dt, rng(6),
-                                                    return_true=True)):
-            traj(f"{name}/auxiliary/{i}", t)
         sup, diff, div = coupled_error_batch(m, am, 0.5, dt, 13, 2, 7)
         put(f"{name}/coupled/sup", sup)
         put(f"{name}/coupled/diff", diff)
@@ -208,7 +213,6 @@ def dump(path):
             put(f"{name}/truncated/{radius}/states", t.states)
             put(f"{name}/truncated/{radius}/drive", drive["drive"])
             put(f"{name}/truncated/{radius}/gate", drive["gate"])
-        traj(f"{name}/corrected", sf.simulate_corrected(am, dm, eps, 0.5, dt, rng(9)))
         put(f"{name}/limit", limit_marginal_samples(dm, am, 0.3, 0.01, 5, 23))
         # a nonzero Jacobian, so that the literal reading is visible
         dm_lit_j = sf.DeviationModel(am.a, 0.5 * np.eye(n), htilde, literal_drift=True)
@@ -252,15 +256,13 @@ def dump(path):
         x, y = sf.simulate_slow_fast(m, 40.0, 0.1, rng(0))
         traj(f"{name}/slow_fast/x", x)
         traj(f"{name}/slow_fast/y", y)
-        traj(f"{name}/frozen_fast", sf.simulate_frozen_fast(m, m.x0, m.y0, 40.0, 0.1,
-                                                            rng(1)))
+        frozen(f"{name}/frozen_fast", m, 400, 0.1, rng(1))
         am = sf.AveragedModel(m.a, sf.build_averaged(m).fbar, m.sigma1, None, m.x0)
         incr = sample_increments(1, make_grid(40.0, 0.1), rng(2))
         xa = sf.simulate_averaged(am, 40.0, 0.1, incr)
         traj(f"{name}/averaged", xa)
         dm = sf.DeviationModel(m.a, np.zeros((1, 1)), np.eye(1))
         traj(f"{name}/deviation", sf.simulate_deviation(dm, xa, 40.0, 0.1, rng(3)))
-        traj(f"{name}/corrected", sf.simulate_corrected(am, dm, 0.5, 40.0, 0.1, rng(4)))
     np.savez(path, **out)
     print(f"wrote {len(out)} arrays to {path}")
 
