@@ -38,7 +38,7 @@ from .averaging import _increment_blocks, _slow_increments, coupled_error_batch
 from .integrator import (DivergedError, _check_stable, _euler, _frozen_fast_run,
                          _trajectory, _write_csv, frozen_fast_batch, make_grid)
 from .model import _add_value, _lin, _lin_plus, _value_into
-from .noise import ROLE_BURN, ROLE_DEV, _path_increments, substream
+from .noise import ROLE_BURN, ROLE_DEV, _chunk_steps, _path_increments, substream
 from .harness import _split_paths, _var_se, two_sample_compare
 
 
@@ -73,10 +73,12 @@ def autocovariance_kernel(m, x, lags, burn_in, horizon, dt, rng, n_replicas=24):
     error.  Requires horizon - burn_in >= 50 * max(lags) so each replica
     holds enough decorrelated windows.
 
-    The centered values of f are held coordinate-major, (P, n, T) for P
-    replicas and T window steps, contiguous along time.  Each lag l is then
-    one stacked matmul, a (n, T - l) by (T - l, n) product per replica:
-    2 P n^2 (T - l) flops in BLAS, with no copy of the window.
+    The values of f are written over the window rows of the frozen-fast
+    paths, (T, P, n) for T window steps and P replicas, a noise chunk at a
+    time, and centred there.  Each replica is then copied coordinate-major,
+    (n, T), contiguous along time, and each lag l is one (n, T - l) by
+    (T - l, n) product in BLAS: 2 n^2 (T - l) flops, with no copy of the
+    window beyond one replica's.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     lags = np.asarray(sorted(lags), dtype=float)
@@ -87,21 +89,26 @@ def autocovariance_kernel(m, x, lags, burn_in, horizon, dt, rng, n_replicas=24):
     n = m.n
     steps = int(round(horizon / dt))
     first = int(round(burn_in / dt))
-    ys = frozen_fast_batch(m, x, m.y0, steps, dt, rng, n_replicas)[first:]
-    f_vals = m.f(np.broadcast_to(x, ys.shape), ys)               # (T, P, n)
-    fbar = f_vals.mean(axis=(0, 1))
-    f_vals -= fbar
-    centered = np.ascontiguousarray(f_vals.transpose(1, 2, 0))   # (P, n, T)
-    del ys, f_vals
+    window = frozen_fast_batch(m, x, m.y0, steps, dt, rng, n_replicas)[first:]
+    t_len = len(window)
+    chunk = _chunk_steps(n_replicas, n, t_len)
+    for lo in range(0, t_len, chunk):
+        rows = window[lo:lo + chunk]
+        rows[...] = m.f(np.broadcast_to(x, rows.shape), rows)
+    fbar = window.mean(axis=(0, 1))
+    window -= fbar
 
     lag_idx = np.round(lags / dt).astype(int)
+    # f(x, y(t+s)) against f(x, y(t)), summed over t within each replica
+    sums = np.empty((len(lags), n_replicas, n, n))
+    for p in range(n_replicas):
+        cp = np.ascontiguousarray(window[:, p].T)                # (n, T)
+        for k, li in enumerate(lag_idx):
+            np.matmul(cp[:, li:], cp[:, :t_len - li].T, out=sums[k, p])
     h = np.empty((len(lags), n, n))
     se = np.empty((len(lags), n, n))
-    t_len = centered.shape[-1]
     for k, li in enumerate(lag_idx):
-        # f(x, y(t+s)) against f(x, y(t)), summed over t within each replica
-        per_rep = (centered[..., li:] @ centered[..., :t_len - li].swapaxes(1, 2)
-                   / (t_len - li))
+        per_rep = sums[k] / (t_len - li)
         h[k] = per_rep.mean(axis=0)
         se[k] = per_rep.std(axis=0, ddof=1) / np.sqrt(n_replicas)
 

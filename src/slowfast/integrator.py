@@ -175,13 +175,17 @@ def _euler(state, drift, factors, noise, grid, dt, sup=None, path=False):
             if sup is not None:
                 np.maximum(best, sup(s), out=best)
     diverged = ~_finite_rows(s)
+    if rows is not None:
+        rows = rows.swapaxes(0, 1)
+    # a path with a non-finite row ends non-finite, so only then are its
+    # rows searched
+    at = None if rows is None else np.full(diverged.shape, -1)
     if np.any(diverged):
         s = np.where(diverged[..., None], np.nan, s)
         if best is not None:
             best = np.where(diverged, np.nan, best)
-    if rows is not None:
-        rows = rows.swapaxes(0, 1)
-    at = None if rows is None else _nan_after_divergence(rows)
+        if rows is not None:
+            at = _nan_after_divergence(rows)
     return _Run(s, diverged, best, rows, at)
 
 

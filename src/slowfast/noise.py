@@ -15,24 +15,30 @@ stationary stochastic convolutions integrate against.
 Reproducibility contract: each (master_seed, path_index, role) triple
 derives an independent substream.  A path draws its jump count, times and
 sizes first, then its Brownian block in step order.  ``sample_increments``
-draws one path; ``_path_increments`` streams a batch in time chunks, one
-generator per path, to the same numbers.  A generator serving several
-paths draws them whole, path 0 first.  A batch of paths [start, start+count)
+draws one path; ``_path_increments`` streams a batch in time chunks to the
+same numbers.  A generator serving several paths gives them its stream in
+turn, path 0 first: each path's stream position is taken in one pass, with
+the first chunk, which draws the path's events and first rows, records the
+generator's state at its next rows and draws past them; each later chunk
+resumes each path from its recorded state, and the generator is left where
+the whole draw leaves it.  A batch of paths [start, start+count)
 may be cut into contiguous ranges run in forked worker processes
 (``harness._split_paths``); path i still draws from its own
 ``substream(master_seed, i, role)``.  Ensembles are therefore
 bit-identical regardless of worker count, batch size or chunk length.
 
-A chunk holds as many steps as fit in ``CHUNK_BYTES`` at the batch's width,
-at least ``CHUNK_STEPS`` and at most the whole batch, so a narrow batch is
-drawn in few chunks and a wide one within a fixed buffer.
+A chunk holds ``CHUNK_STEPS`` steps, or as many as fit in ``CHUNK_BYTES`` at
+the batch's width where that is up to twice as many (``_chunk_steps``), so
+a wide batch is drawn within a fixed buffer and a narrow one holds a chunk
+small beside its own rows.
 
 A chunk is filled a block of paths at a time: each path draws its rows in
 one contiguous call into a small path-major scratch, the block is scaled
 there by sqrt(c dt) and copied transposed into the (steps, paths, n)
 chunk, so every element is ``z * sqrt(c dt)`` as in ``sample_increments``.
 A batch's jump events are drawn with its first chunk and sorted by step
-once; each chunk adds the events of its steps, in each path's time order.
+once; each chunk adds, to each cell (step, path) with events, their sum in
+the path's time order, and the compensator to every cell.
 """
 
 from __future__ import annotations
@@ -56,10 +62,10 @@ def substream(master_seed, path_index=0, role=0):
     return np.random.Generator(np.random.PCG64(ss))
 
 
-# bytes of the chunk buffer of a streamed batch, and the fewest steps a
-# chunk holds; they set the buffer size only, since chunks draw the same
-# numbers as whole paths.  20 MB is 256 steps at 1e4 paths and n = 1;
-# shorter chunks pay more per-path draw calls.
+# bytes of the chunk buffer of a wide streamed batch, and the steps of any
+# other chunk (``_chunk_steps``); they set the buffer size only, since
+# chunks draw the same numbers as whole paths.  20 MB is 256 steps at 1e4
+# paths and n = 1; shorter chunks pay more per-path draw calls.
 CHUNK_BYTES = 256 * 10**4 * 8
 CHUNK_STEPS = 256
 # paths drawn per block into a path-major scratch, which holds at most
@@ -69,8 +75,14 @@ _SCRATCH = 1 << 16
 
 
 def _chunk_steps(count, n, steps):
-    """Steps per time chunk of a streamed (steps, count, n) batch."""
-    return min(max(CHUNK_STEPS, CHUNK_BYTES // max(count * n * 8, 1)), steps)
+    """Steps per time chunk of a streamed (steps, count, n) batch: as many as
+    fill ``CHUNK_BYTES`` where that is from ``CHUNK_STEPS`` to twice as many,
+    else ``CHUNK_STEPS``; at most the whole batch.  So only batches at least
+    half as wide as the budget's (5000 to 1e4 numbers a step) take longer
+    chunks, which save them per-path draw calls; a narrower batch would gain
+    few calls and hold the longer chunk beside its own rows."""
+    fit = CHUNK_BYTES // max(count * n * 8, 1)
+    return min(fit if CHUNK_STEPS <= fit <= 2 * CHUNK_STEPS else CHUNK_STEPS, steps)
 
 
 @dataclass
@@ -159,21 +171,22 @@ def sample_increments(n, grid, rng, jump=None, speed=1.0):
 class _path_increments:    # lower case, as it is called like a function
     """Summed increments (steps, count, n): path i is the ``sample_increments``
     stream of ``rng_at(i)``, drawn a chunk of ``_chunk_steps`` steps at a time
-    as the kernel reads the steps in order, or whole when paths share a
-    generator."""
+    as the kernel reads the steps in order.  Paths that share a generator take
+    its stream in turn, path 0 first, each from its recorded position."""
 
     def __init__(self, n, grid, count, rng_at, jump=None, speed=1.0):
         self._grid, self._jump, self._speed = _check_grid(grid), jump, speed
         self.shape = (len(self._grid) - 1, count, n)
         self._gens = [_required(rng_at(i)) for i in range(count)]
-        whole = len({id(g) for g in self._gens}) < count
-        chunk = len(self) if whole else _chunk_steps(count, n, len(self))
-        self._buf = np.empty((chunk, count, n))
+        self._buf = np.empty((_chunk_steps(count, n, len(self)), count, n))
         self._rate = 0.0 if jump is None or len(self) == 0 else jump.intensity * speed
         # the drawn chunk's steps; sizes, steps and paths of all events, in
-        # step order, and their per-chunk sum buffer, both freed after the
-        # last chunk
-        self._start, self._end, self._events, self._jumps = 0, 0, None, None
+        # step order, freed after the last chunk; with shared generators,
+        # each path's generator state at its next normals, and each
+        # generator's state after the whole draw
+        self._start, self._end, self._events = 0, 0, None
+        shared = len({id(g) for g in self._gens}) < count
+        self._states, self._ends = [None] * count if shared else None, None
 
     def __len__(self):
         return self.shape[0]
@@ -195,7 +208,7 @@ class _path_increments:    # lower case, as it is called like a function
     def _fill(self):
         lo, hi = self._end, min(self._end + len(self._buf), len(self))
         count, n = self.shape[1:]
-        dts = np.diff(self._grid)[lo:hi, None, None]
+        dts = np.diff(self._grid[lo:hi + 1])[:, None, None]
         buf = self._buf[:hi - lo]
         # sqrt(c dt) per element of a path's (steps, n) rows, so that one
         # multiply runs over them contiguously
@@ -203,15 +216,44 @@ class _path_increments:    # lower case, as it is called like a function
         # a block of paths at a time, drawn and scaled path-major
         block = max(1, min(_PATH_BLOCK, _SCRATCH // max((hi - lo) * n, 1)))
         scratch = np.empty((min(block, count), hi - lo, n))
-        drawn = []
+        states, jumps, drawn = self._states, lo == 0 and self._rate > 0, []
+        if states is not None and lo == 0:
+            # the numbers of a path's later chunks, and a scratch to draw
+            # past them in
+            rest, skip = (len(self) - hi) * n, np.empty(max((hi - lo) * n, 1))
         for j in range(0, count, block):
             part = scratch[:min(block, count - j)]
-            for r, rng in enumerate(self._gens[j:j + len(part)]):
-                if lo == 0 and self._rate > 0:
-                    drawn.append(_draw_jumps(n, self._grid, rng, self._jump, self._rate)[1:])
-                rng.standard_normal(out=part[r])
+            if states is None:
+                for r, rng in enumerate(self._gens[j:j + len(part)]):
+                    if jumps:
+                        drawn.append(_draw_jumps(n, self._grid, rng, self._jump,
+                                                 self._rate)[1:])
+                    rng.standard_normal(out=part[r])
+            else:
+                # a shared generator: the first chunk takes each path's
+                # events and rows in turn, records the state at its next
+                # rows and draws past them; later chunks resume there
+                for r, i in enumerate(range(j, j + len(part))):
+                    rng = self._gens[i]
+                    if lo:
+                        rng.bit_generator.state = states[i]
+                    elif jumps:
+                        drawn.append(_draw_jumps(n, self._grid, rng, self._jump,
+                                                 self._rate)[1:])
+                    rng.standard_normal(out=part[r])
+                    states[i] = rng.bit_generator.state
+                    if not lo:
+                        for k in range(0, rest, len(skip)):
+                            rng.standard_normal(out=skip[:rest - k])
             part *= scale
             buf[:, j:j + len(part)] = part.swapaxes(0, 1)
+        if states is not None:
+            # callers draw on from where the whole draw leaves the generators
+            if lo == 0:
+                self._ends = [(g.bit_generator, g.bit_generator.state)
+                              for g in {id(g): g for g in self._gens}.values()]
+            for bits, state in self._ends:
+                bits.state = state
         if drawn:
             # events sorted by step once; the stable sort keeps one path's
             # events in a step in their time order, as in its stream
@@ -219,17 +261,23 @@ class _path_increments:    # lower case, as it is called like a function
             path = np.repeat(np.arange(count), [len(steps) for _, steps in drawn])
             order = np.argsort(step, kind="stable")
             self._events = size[order], step[order], path[order]
-            self._jumps = np.empty_like(self._buf)
         if self._events is not None:
+            # buf + (sum - comp) where events fall, the sum taken from 0.0 in
+            # event order, and buf + (0.0 - comp) elsewhere, as if adding a
+            # whole (steps, count, n) block of compensated jump sums
             size, step, path = self._events
             now = slice(*np.searchsorted(step, (lo, hi)))
-            d_jump = self._jumps[:hi - lo]
-            d_jump.fill(0.0)
-            np.add.at(d_jump, (step[now] - lo, path[now]), size[now])
-            d_jump -= self._rate * self._jump.mean_size * dts
-            buf += d_jump
+            comp = self._rate * self._jump.mean_size * dts
+            cells, at = np.unique((step[now] - lo) * count + path[now],
+                                  return_inverse=True)
+            sums = np.zeros((len(cells), n))
+            np.add.at(sums, at, size[now])
+            cells = np.divmod(cells, count)
+            hit = buf[cells] + (sums - comp[cells[0], 0])
+            buf += 0.0 - comp
+            buf[cells] = hit
             if hi == len(self):
-                self._events = self._jumps = None
+                self._events = None
         self._start, self._end = lo, hi
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slowfast import deviation
+from slowfast import deviation, noise
 from slowfast.averaging import (AveragedDrift, AveragedModel, build_averaged,
                                 simulate_averaged)
 from slowfast.benchmarks import linear_benchmark, tanh_benchmark
@@ -117,6 +117,30 @@ def test_kernel_memory_holds_no_extra_window_copy():
         tracemalloc.stop()
     assert len(k.lags) == 61
     assert peak <= 3.5 * window
+
+
+def test_kernel_memory_stays_within_its_path_rows():
+    # f is evaluated and centred over the frozen-fast rows themselves, whose
+    # noise is streamed in chunks; 6000 window steps are many chunks
+    m = SlowFastModel(a=-np.eye(2), b=-2.0 * np.eye(2),
+                      f=parse_drift(["tanh(y1)", "tanh(y2)"], 2, lip=1.0, growth=1.0),
+                      g=parse_drift(["0.2*tanh(x1+y2)", "0.2*tanh(x2-y1)"], 2, lip=0.25,
+                                    growth=1.0),
+                      sigma2=1.0, epsilon=0.05,
+                      jump_fast=JumpSpec(2.0, SizeDist.uniform(-0.4, 0.2)),
+                      x0=[0.8, -0.4], y0=[0.4, 0.1])
+    replicas, steps, first = 24, 6100, 100
+    assert steps - first >= 8 * noise._chunk_steps(replicas, m.n, steps)
+    rows = (steps + 1) * replicas * m.n * 8          # the recorded paths' bytes
+    tracemalloc.start()
+    try:
+        autocovariance_kernel(m, m.x0, np.arange(0.0, 1.0 + 1e-12, 0.05), first * 0.01,
+                              steps * 0.01, 0.01, np.random.default_rng(0),
+                              n_replicas=replicas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * rows
 
 
 def test_diffusion_matrix_zero_kernel():

@@ -2,7 +2,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slowfast.exprlang import (MAX_NESTING, DriftArityError, DriftExprError,
@@ -194,19 +194,28 @@ def _chain(items, ops, level):
     return text, ref, level
 
 
+def _number(text):
+    return text, lambda x, y, v=float(text): v, 2
+
+
+def _negated(item):
+    return "-" + _operand(item, 2)[0], lambda x, y, r=item[1]: -r(x, y), 2
+
+
+def _called(name, item):
+    return f"{name}({item[0]})", lambda x, y: FUNCS[name](item[1](x, y)), 2
+
+
 def _expressions(n):
-    number = st.sampled_from(LITERALS).map(
-        lambda t: (t, lambda x, y, v=float(t): v, 2))
+    number = st.sampled_from(LITERALS).map(_number)
     coord = st.tuples(st.sampled_from("xy"), st.integers(1, n)).map(
         lambda c: (f"{c[0]}{c[1]}",
                    lambda x, y: (x if c[0] == "x" else y)[..., c[1] - 1], 2))
 
     def extend(inner):
-        neg = inner.map(lambda e: ("-" + _operand(e, 2)[0],
-                                   lambda x, y, r=e[1]: -r(x, y), 2))
+        neg = inner.map(_negated)
         call = st.tuples(st.sampled_from(sorted(FUNCS)), inner).map(
-            lambda c: (f"{c[0]}({c[1][0]})",
-                       lambda x, y: FUNCS[c[0]](c[1][1](x, y)), 2))
+            lambda c: _called(*c))
         chains = [
             st.integers(2, 3).flatmap(lambda k, ops=ops, level=level: st.tuples(
                 st.lists(inner, min_size=k, max_size=k),
@@ -229,8 +238,17 @@ def _drifts(draw):
     return n, exprs, x, y
 
 
+# cos(1e999) + -(5. + 1e999 - 1e999): NaN + -NaN, whose sign IEEE 754
+# leaves open; the compiled drift and the reference differ in it
+_NAN_SIGN = (1, [_chain([_called("cos", _number("1e999")),
+                         _negated(_chain([_number(t) for t in ("5.", "1e999", "1e999")],
+                                         "+-", 0))], "+", 0)],
+             np.array([-0.26420973]), np.array([0.0]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_drifts())
+@example(_NAN_SIGN)
 def test_compiled_drift_is_bit_identical_to_numpy_reference(drift):
     n, exprs, x, y = drift
     fn, depends_y = compile_components([text for text, _, _ in exprs], n)
@@ -240,7 +258,9 @@ def test_compiled_drift_is_bit_identical_to_numpy_reference(drift):
                                          x.shape[:-1]) for _, ref, _ in exprs], axis=-1)
     assert got.shape == x.shape
     assert np.array_equal(got, want, equal_nan=True)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
+    # signed zeros must match; a NaN's sign is not defined by IEEE 754 (6.3)
+    number = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got)[number], np.signbit(want)[number])
     assert depends_y == any("y" in text for text, _, _ in exprs)
 
 

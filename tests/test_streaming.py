@@ -1,8 +1,8 @@
 """Streamed batch increments: every row of a batch equals its standalone run.
 
-Batches draw their noise in time chunks, as many steps as fit in
-``noise.CHUNK_BYTES`` and at least ``noise.CHUNK_STEPS``, one generator per
-path, and fill each chunk a block of ``noise._PATH_BLOCK`` paths at a time.
+Batches draw their noise in time chunks of ``noise._chunk_steps`` steps,
+from one generator per path or one shared by all of them, and fill each
+chunk a block of ``noise._PATH_BLOCK`` paths at a time.
 Neither the chunk length nor the block must change a single bit of any
 path, so the checks below run at several chunk lengths (``_chunks`` sets
 one), step counts that are not multiples of them, path counts around and
@@ -223,6 +223,35 @@ def test_shared_generator_rows_across_path_blocks_equal_successive_streams(extra
     for i in range(paths):
         ref = rescale_fast(1, EPS, grid, one, jump=jump)
         assert np.array_equal(rows[:, i], ref.d_brownian + ref.d_jump)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_shared_generator_streams_in_chunks_as_successive_streams(n):
+    # one generator serving more paths than a block, read a chunk at a time;
+    # a nonzero mean size makes the compensator nonzero
+    paths, chunk, steps = noise._PATH_BLOCK + 3, 7, 40
+    grid = make_grid(steps * DT, DT)
+    jump = JumpSpec(50.0, SizeDist.uniform(-0.4, 0.2))
+    assert jump.mean_size != 0.0
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    refs = [rescale_fast(n, EPS, grid, twin, jump=jump) for _ in range(paths)]
+    rows = []
+    with _chunks(chunk):
+        incr = _path_increments(n, grid, paths, lambda i: rng, jump=jump,
+                                speed=1.0 / EPS)
+        for k in range(len(incr)):
+            rows.append(incr[k].copy())
+            # from the first chunk on, the generator stands where the
+            # successive streams leave it
+            assert rng.bit_generator.state == twin.bit_generator.state
+    rows, hit = np.stack(rows), set()
+    for i, ref in enumerate(refs):
+        assert np.array_equal(rows[:, i], ref.d_brownian + ref.d_jump)
+        hit |= set((np.searchsorted(grid, ref.jump_events["time"], side="right")
+                    - 1).tolist())
+    # an event in the last step of a chunk that another chunk follows
+    assert set(range(chunk - 1, steps - 1, chunk)) & hit
+    assert np.array_equal(rng.random(4), twin.random(4))
 
 
 def test_several_events_of_a_path_in_one_step_keep_their_order():

@@ -23,6 +23,9 @@ of paths drawn together (``noise._PATH_BLOCK``), over 40 steps, split across
 forked worker processes (``harness.SPLIT_PATH_STEPS`` is set to 0 for them,
 where it exists, and the machine has two or more usable CPUs), so comparing
 against a checkout without the split checks split rows against one run.
+The ``*/frozen_fast_batch_long`` keys (``n1`` and ``n2m``) draw 300 paths
+with fast jumps from one generator over 600 steps, so that paths sharing a
+generator cover several noise chunks and blocks of paths.
 The ``*/kernel/*`` keys run ``autocovariance_kernel`` on a short window,
 and the ``*/manifold_long/*`` keys solve on a grid of 1601 points.
 ``compare`` requires ``n1*`` outputs to be bit-identical (NaN equal to NaN)
@@ -228,6 +231,9 @@ def dump(path):
                                                                  300, 23))
             for field, value in zip(("sup", "diff", "div"), wide):
                 put(f"{name}/coupled_wide/{field}", value)
+            with _set_if_present(noise, "CHUNK_BYTES", 0):
+                put(f"{name}/frozen_fast_batch_long",
+                    frozen_fast_batch(m, m.x0, m.y0, 600, 0.005, rng(16), 300))
         tr = sf.tracking_check(m, eps, (m.x0, m.y0), (m.x0, m.y0 + 0.5), 1.0, 0.005,
                                rng=rng(10))
         put(f"{name}/tracking/gap", tr.gap)
