@@ -291,6 +291,12 @@ _COMMANDS = {
 }
 
 
+def _fail(prefix, message):
+    """Exit status 1, after one ``<prefix>: <message>`` line on stderr."""
+    print(f"{prefix}: {message}", file=sys.stderr)
+    return 1
+
+
 def main(argv=None):
     parser = _Parser(prog="slowfast", description=__doc__)
     parser.add_argument("command", choices=sorted(_COMMANDS))
@@ -300,8 +306,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        return _fail("usage error", exc)
 
     cfg = {}
     if args.config is not None:
@@ -309,28 +314,32 @@ def main(argv=None):
             with open(args.config) as fh:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
+            return _fail("config error", exc)
     elif args.command != "verify":
-        print("usage error: --config is required for this command", file=sys.stderr)
-        return 1
+        return _fail("usage error", "--config is required for this command")
+    if not isinstance(cfg, dict):
+        return _fail("config error", "the config must be a JSON object")
 
     if args.seed is not None:
         seed = args.seed
     elif "SEED" in os.environ:
-        seed = int(os.environ["SEED"])
+        try:
+            seed = int(os.environ["SEED"])
+        except ValueError:
+            return _fail("usage error",
+                         f"SEED must be an integer, not {os.environ['SEED']!r}")
     else:
-        seed = int(cfg.get("seed", 0))
+        seed = cfg.get("seed", 0)
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            return _fail("config error", f"seed must be an integer, not {seed!r}")
     out_dir = args.out if args.out != "artifacts" else cfg.get("out", "artifacts")
 
     try:
         return _COMMANDS[args.command](cfg, seed, out_dir)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        return _fail("usage error", exc)
     except (KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail("error", exc)
 
 
 if __name__ == "__main__":

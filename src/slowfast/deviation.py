@@ -9,16 +9,13 @@ where J is the Jacobian of the averaged drift and Htilde integrates the
 stationary autocovariance of f(x, .) along the fast invariant state:
 Htilde_ij = int_0^inf (H_ij(s) + H_ji(s)) ds, symmetrized so the square root
 exists.  The driving W' is taken independent of the slow noise: the limit
-fluctuation originates in the fast noise.  The matrix-valued drift reading
-(adding J(x) itself rather than J(x) theta) is the ``literal_drift`` field
-of ``DeviationModel`` and applies in every sampler; both readings coincide
-whenever the averaged drift is constant.
+fluctuation originates in the fast noise.
 
 The limit SDE is stepped along carrier states of the averaged equation:
 ``simulate_deviation`` along a given carrier path, and
 ``limit_marginal_samples`` steps carrier and theta together, one batch for
-all its paths.  ``DeviationModel.drift`` and ``.noise`` hold the
-coefficients, batched over the carrier's rows.
+all its paths.  ``DeviationModel`` holds the coefficients, evaluated
+batched over the carrier's rows.
 
 The stationary fast state inside the kernel is realized by the long-run
 frozen-fast process, estimated over independent replicas.  Residual
@@ -86,6 +83,8 @@ def autocovariance_kernel(m, x, lags, burn_in, horizon, dt, rng, n_replicas=24):
         raise ValueError("lags must be nonnegative")
     if horizon - burn_in < 50.0 * max(lags[-1], dt):
         raise ValueError("window too short: need horizon - burn_in >= 50*max(lags)")
+    if n_replicas < 2:
+        raise ValueError(f"need n_replicas >= 2 for a standard error, not {n_replicas}")
     n = m.n
     steps = int(round(horizon / dt))
     first = int(round(burn_in / dt))
@@ -189,17 +188,15 @@ class DeviationModel:
     """Coefficients of the limit SDE: drift Jacobian and diffusion matrix.
 
     ``fbar_deriv`` and ``htilde`` may be constant matrices or callables of
-    one slow state.  ``drift`` and ``noise`` take slow states batched over
-    leading axes and evaluate a callable once per row; with ``_drift_into``,
-    the stepping kernel's in-place form of ``drift``, they are the only
-    readers of ``literal_drift`` and of the coefficient kind.
+    one slow state.  ``_drift_into`` and ``noise`` take slow states batched
+    over leading axes and evaluate a callable once per row; they are the
+    only readers of the coefficient kind.
     """
 
-    def __init__(self, a, fbar_deriv, htilde, literal_drift=False):
+    def __init__(self, a, fbar_deriv, htilde):
         self.a = np.atleast_2d(np.asarray(a, dtype=float))
         self.n = self.a.shape[0]
         self._a_theta_plus = _lin_plus(self.a, _add_value)
-        self.literal_drift = bool(literal_drift)
         self.deriv_const = (np.atleast_2d(np.asarray(fbar_deriv, dtype=float))
                             if not callable(fbar_deriv) else None)
         self.htilde_const = (np.atleast_2d(np.asarray(htilde, dtype=float))
@@ -223,18 +220,10 @@ class DeviationModel:
         mats = np.reshape(mats, (-1, self.n, self.n))
         return mats[where.reshape(-1)].reshape(x.shape[:-1] + (self.n, self.n))
 
-    def drift(self, theta, x):
-        """A theta + J(x) theta, or A theta + J(x) 1 in the literal reading,
-        for fluctuations theta (..., n) along slow states x."""
-        return _lin(self.a, theta) + self._jacobian_term(theta, x)
-
     def _drift_into(self, d, theta, x):
-        """``drift(theta, x)`` written into the float buffer d, shaped as theta."""
-        self._a_theta_plus(d, theta, self._jacobian_term(theta, x))
-
-    def _jacobian_term(self, theta, x):
-        jac = self._at(self._deriv, x)
-        return jac.sum(axis=-1) if self.literal_drift else _matvec(jac, theta)
+        """A theta + J(x) theta, for fluctuations theta (..., n) along slow
+        states x, written into the float buffer d shaped as theta."""
+        self._a_theta_plus(d, theta, _matvec(self._at(self._deriv, x), theta))
 
     def noise(self, dw, x):
         """sqrt(Htilde(x)) dw for Brownian increments dw (..., n)."""
@@ -245,11 +234,10 @@ class DeviationModel:
             "a": self.a.tolist(),
             "fbar_deriv": self.deriv_const.tolist() if self.deriv_const is not None else "callable",
             "htilde": self.htilde_const.tolist() if self.htilde_const is not None else "callable",
-            "literal_drift": self.literal_drift,
         }
 
 
-def build_deviation_model(am, kernel_or_htilde, x=None, literal_drift=False):
+def build_deviation_model(am, kernel_or_htilde, x=None):
     """Assemble the limit-SDE coefficients from an averaged model and either
     a KernelEstimate or an explicit diffusion matrix."""
     if isinstance(kernel_or_htilde, KernelEstimate):
@@ -266,7 +254,7 @@ def build_deviation_model(am, kernel_or_htilde, x=None, literal_drift=False):
         def deriv(xv):
             return fbar_derivative(am, xv)
         deriv.rows = True
-    return DeviationModel(am.a, deriv, htilde, literal_drift=literal_drift)
+    return DeviationModel(am.a, deriv, htilde)
 
 
 def simulate_deviation(dm, x_path, t_end, dt, rng):
@@ -315,11 +303,6 @@ class Theta2Report:
     epsilon: float
     n_paths: int
     n_diverged: int
-
-    def to_json(self):
-        return {"mean_sup_sq": self.mean_sup_sq, "stderr": self.stderr,
-                "epsilon": self.epsilon, "n_paths": self.n_paths,
-                "n_diverged": self.n_diverged}
 
 
 def residual_theta2(m, epsilon, t_end, dt, n_paths, master_seed,
@@ -385,12 +368,12 @@ def simulate_truncated_deviation(m, am, epsilon, radius, t_end, dt, master_seed,
         me, t_end, dt, master_seed, path_index, 1)
     n = me.n
     steps = len(grid) - 1
-    drives = np.empty((steps, n))
+    drives = np.empty((steps, 1, n))
     gates = np.empty(steps)
     root = math.sqrt(epsilon)
     slow, fast = _lin_plus(me.a, _add_value), _lin_plus(me.b, me.g._add)
     averaged = _lin_plus(am.a, _add_value)
-    fxh, fb = np.empty((2, n))
+    fxh, fb = np.empty((2, 1, n))
 
     def drift(k, s, d):
         theta1, xh, yh, xa = s
@@ -406,13 +389,13 @@ def simulate_truncated_deviation(m, am, epsilon, radius, t_end, dt, master_seed,
         fast(d[2], yh, xh, yh)
         averaged(d[3], xa, fb)
 
-    ds = None if d_slow is None else (me.sigma1, d_slow[:, 0])
-    run = _euler((np.zeros(n), me.x0, y_h0[0], am.x0), drift,
-                 (dt, dt, dt / epsilon, dt), (None, ds, (me.sigma2, d_fast[:, 0]), ds),
+    ds = None if d_slow is None else (me.sigma1, d_slow)
+    run = _euler((np.zeros((1, n)), me.x0, y_h0, am.x0), drift,
+                 (dt, dt, dt / epsilon, dt), (None, ds, (me.sigma2, d_fast), ds),
                  grid, dt, path=True)
-    traj = _trajectory(grid, run.path[0], run.diverged_at)
+    traj = _trajectory(grid, run.path[0][:, 0], run.diverged_at[0])
     if return_drive:
-        return traj, {"drive": drives, "gate": gates}
+        return traj, {"drive": drives[:, 0], "gate": gates}
     return traj
 
 
@@ -431,18 +414,6 @@ class WeakLimitReport:
     diverged_eps: int             # coupled paths left out
     diverged_limit: int           # limit SDE paths left out
     passed: bool
-
-    def to_json(self):
-        return {"epsilon": self.epsilon, "n_paths": self.n_paths,
-                "mean_diff": self.mean_diff.tolist(),
-                "var_diff": self.var_diff.tolist(),
-                "cdf_distance": self.cdf_distance.tolist(),
-                "critical_value": self.critical_value,
-                "theta_mean": self.theta_mean.tolist(),
-                "theta_var": self.theta_var.tolist(),
-                "diverged_eps": self.diverged_eps,
-                "diverged_limit": self.diverged_limit,
-                "pass": bool(self.passed)}
 
 
 def _drop_diverged(samples):
@@ -466,9 +437,9 @@ def limit_marginal_samples(dm, am, t_end, dt, n_paths, master_seed):
     path's carrier starts at the averaged start and moves on the path's slow
     substream, and theta rides it on the path's deviation substream.  So row
     i equals ``simulate_deviation`` along path i's carrier with
-    ``substream(master_seed, i, ROLE_DEV)``, in either drift reading.  A
-    large batch runs in forked worker processes, a contiguous range of paths
-    each, to the same rows (``_split_paths``).  Diverged paths are NaN.
+    ``substream(master_seed, i, ROLE_DEV)``.  A large batch runs in forked
+    worker processes, a contiguous range of paths each, to the same rows
+    (``_split_paths``).  Diverged paths are NaN.
     """
     grid = make_grid(t_end, dt)
     return _split_paths(

@@ -15,8 +15,8 @@ validation layer relies on.
 Evaluation is compiled, as SymPy's ``lambdify`` does.  Each component's
 tokens become numpy source text, which Python's own parser reads under a
 whitelist of the nodes the grammar produces (the grammar's precedence and
-associativity are Python's), and ``compile_components`` turns a drift's
-component texts into one function once, so a drift call runs the numpy
+associativity are Python's), and a drift's component texts compile into
+one function once (``_compile``), so a drift call runs the numpy
 operations alone, in the order the parser read them.  Coordinates are read
 off the last axis of the ``x`` and ``y`` arrays, so one compiled drift serves
 single states ``(n,)`` and whole path batches ``(..., n)`` alike.  The one
@@ -154,32 +154,18 @@ def _translate(source, consts):
     return code, reads
 
 
-def parse_expression(source):
-    """Parse one component expression into numpy source text in the
-    coordinate names ``x1``, ``y1``, ... and the constants ``c0``, ``c1``, ..."""
-    return _translate(source, [])[0]
-
-
-def compile_components(sources, n):
-    """Parse component expressions and return a vectorized (x, y) -> (..., n) map
-    and whether it reads ``y``.
-
-    Raises DriftSyntaxError / DriftNameError / DriftArityError on bad input,
-    DriftSyntaxError also for parentheses nested deeper than ``MAX_NESTING``,
-    for nesting deeper than the caller's free stack lets Python's parser
-    read, and for expressions too long or deep for Python's compiler.
-    """
-    evaluate, _, depends_y = _compile(sources, n)
-    return evaluate, depends_y
-
-
 def _compile(sources, n):
-    """``compile_components`` plus the in-place form ``add(d, x, y)`` it is
-    built on, which adds each compiled column k into ``d[..., k]`` of a
-    float buffer d, for x and y shaped as d.  A single state (n,) is read
-    and written element by element, as numpy scalars: a ufunc on a
-    one-element array view costs several times a scalar operation, and the
-    values are the same."""
+    """A vectorized map (x, y) -> (..., n) of component expressions, the
+    in-place form ``add(d, x, y)`` it is built on, which adds column k into
+    ``d[..., k]`` of a float buffer d shaped as x and y, and whether they
+    read ``y``.  A single state (n,) is read and written element by element,
+    as numpy scalars: a ufunc on a one-element view costs several times a
+    scalar operation, and the values are the same.
+
+    Raises DriftSyntaxError, DriftNameError or DriftArityError on bad input;
+    DriftSyntaxError also for nesting deeper than ``MAX_NESTING`` or than
+    Python's parser can read, and for code too large for its compiler.
+    """
     consts, codes, reads = [], [], []
     for src in sources:
         code, src_reads = _translate(src, consts)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .integrator import _write_csv
 from .noise import ROLE_TASK, substream
 
 
@@ -31,21 +30,6 @@ class Ensemble:
     outputs: np.ndarray          # (N, ...) per-path outputs, diverged rows NaN
     diverged: int
     master_seed: int
-
-    @property
-    def warning(self):
-        return self.diverged > 0.05 * self.n_paths
-
-    def clean(self):
-        """Outputs with diverged paths excluded."""
-        flat = self.outputs.reshape(self.n_paths, -1)
-        mask = np.all(np.isfinite(flat), axis=1)
-        return self.outputs[mask]
-
-    def to_csv(self, path):
-        flat = self.outputs.reshape(self.n_paths, -1)
-        header = "path," + ",".join(f"out{i + 1}" for i in range(flat.shape[1]))
-        _write_csv(path, header, np.column_stack([np.arange(self.n_paths), flat]))
 
 
 def run_ensemble(task, n_paths, master_seed, workers=1, task_id="task"):
@@ -192,21 +176,6 @@ class TwoSampleReport:
     degenerate: bool
     passed: bool
 
-    def to_json(self):
-        return {
-            "n_a": self.n_a,
-            "n_b": self.n_b,
-            "mean_diff": self.mean_diff.tolist(),
-            "mean_se": self.mean_se.tolist(),
-            "var_diff": self.var_diff.tolist(),
-            "var_se": self.var_se.tolist(),
-            "cdf_distance": self.cdf_distance.tolist(),
-            "critical_value": self.critical_value,
-            "alpha": self.alpha,
-            "degenerate": self.degenerate,
-            "passed": bool(self.passed),
-        }
-
 
 def two_sample_compare(a, b, alpha=0.01):
     """Compare two samples coordinate-wise: sup-CDF distance + moment gates.
@@ -257,10 +226,6 @@ class RateFit:
     stderr: float
     ci_low: float
     ci_high: float
-
-    def to_json(self):
-        return {"slope": self.slope, "intercept": self.intercept,
-                "stderr": self.stderr, "ci": [self.ci_low, self.ci_high]}
 
 
 def _linreg(x, y):

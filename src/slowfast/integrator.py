@@ -40,7 +40,8 @@ Single paths draw their noise before stepping (``noise.sample_increments``),
 and ``_euler`` scales such a pre-drawn block by its amplitude once, whole,
 before the loop.  Batches stream theirs inside the loop, a time chunk at a
 time, from ``noise._path_increments``, and each step's rows are scaled into
-one buffer by an amplitude bound once per run.  ``_frozen_fast_run`` steps
+one buffer by an amplitude bound once per run; so does
+``deviation.simulate_truncated_deviation``, a batch of one path.  ``_frozen_fast_run`` steps
 the frozen-fast equation for ``frozen_fast_batch`` and the manifold burn-in
 of ``deviation``.
 

@@ -373,13 +373,6 @@ class TrackingReport:
     rho_hat: float
     under_envelope: bool
 
-    def to_json(self):
-        return {"rate_fitted": self.rate_fitted, "gamma": self.gamma,
-                "rho": self.rho, "rho_hat": self.rho_hat,
-                "under_envelope": bool(self.under_envelope),
-                "curve": [{"t": float(t), "gap": float(d), "envelope": float(e)}
-                          for t, d, e in zip(self.times, self.gap, self.envelope)]}
-
 
 def tracking_check(m, epsilon, ic_on, ic_off, t_end, dt, rng):
     """Gap decay between two solutions of the transformed pathwise system.

@@ -259,7 +259,8 @@ class DriftFn:
 
 
 def parse_drift(expr_strings, n, lip=None, growth=None):
-    """Parse per-component expressions into an evaluable drift."""
+    """Parse per-component expressions into an evaluable drift; bad input
+    raises an ``exprlang.DriftExprError``."""
     return DriftFn.from_expressions(expr_strings, n, lip=lip, growth=growth)
 
 
@@ -322,10 +323,6 @@ class SlowFastModel:
         return self.a.shape[0]
 
     @property
-    def gamma_a(self):
-        return decay_rate(self.a)
-
-    @property
     def gamma_b(self):
         return decay_rate(self.b)
 
@@ -362,12 +359,6 @@ class ValidationReport:
     @property
     def passed(self):
         return all(c.status != "fail" for c in self.checks)
-
-    def check(self, check_id):
-        for c in self.checks:
-            if c.check_id == check_id:
-                return c
-        raise KeyError(check_id)
 
     def to_json(self):
         return {

@@ -105,18 +105,6 @@ class IncrementStream:
     def n(self):
         return self.d_brownian.shape[-1]
 
-    @property
-    def n_steps(self):
-        return len(self.grid) - 1
-
-    @property
-    def dt(self):
-        return np.diff(self.grid)
-
-    def total(self):
-        """Sum of all increments (Brownian + compensated jumps)."""
-        return self.d_brownian.sum(axis=0) + self.d_jump.sum(axis=0)
-
 
 def _check_grid(grid):
     grid = np.asarray(grid, dtype=float)
@@ -192,17 +180,11 @@ class _path_increments:    # lower case, as it is called like a function
         return self.shape[0]
 
     def __getitem__(self, k):
-        """Step k (count, n); other keys index the whole block, if unstepped."""
-        if isinstance(k, (int, np.integer)):
-            if k == self._end:
-                self._fill()
-            if self._start <= k < self._end:
-                return self._buf[k - self._start]
-        elif self._start == 0 and self._end in (0, len(self)):
-            if self._end < len(self):
-                self._buf = np.empty(self.shape)
-                self._fill()
-            return self._buf[k]
+        """Step k (count, n), read in step order."""
+        if k == self._end:
+            self._fill()
+        if self._start <= k < self._end:
+            return self._buf[k - self._start]
         raise IndexError(f"{k!r}: streamed increments are read in step order")
 
     def _fill(self):
@@ -223,25 +205,18 @@ class _path_increments:    # lower case, as it is called like a function
             rest, skip = (len(self) - hi) * n, np.empty(max((hi - lo) * n, 1))
         for j in range(0, count, block):
             part = scratch[:min(block, count - j)]
-            if states is None:
-                for r, rng in enumerate(self._gens[j:j + len(part)]):
-                    if jumps:
-                        drawn.append(_draw_jumps(n, self._grid, rng, self._jump,
-                                                 self._rate)[1:])
-                    rng.standard_normal(out=part[r])
-            else:
-                # a shared generator: the first chunk takes each path's
-                # events and rows in turn, records the state at its next
-                # rows and draws past them; later chunks resume there
-                for r, i in enumerate(range(j, j + len(part))):
-                    rng = self._gens[i]
-                    if lo:
-                        rng.bit_generator.state = states[i]
-                    elif jumps:
-                        drawn.append(_draw_jumps(n, self._grid, rng, self._jump,
-                                                 self._rate)[1:])
-                    rng.standard_normal(out=part[r])
-                    states[i] = rng.bit_generator.state
+            # with a shared generator, the first chunk takes each path's
+            # events and rows in turn, records the state at its next rows
+            # and draws past them; later chunks resume there
+            for r, rng in enumerate(self._gens[j:j + len(part)]):
+                if states is not None and lo:
+                    rng.bit_generator.state = states[j + r]
+                elif jumps:
+                    drawn.append(_draw_jumps(n, self._grid, rng, self._jump,
+                                             self._rate)[1:])
+                rng.standard_normal(out=part[r])
+                if states is not None:
+                    states[j + r] = rng.bit_generator.state
                     if not lo:
                         for k in range(0, rest, len(skip)):
                             rng.standard_normal(out=skip[:rest - k])

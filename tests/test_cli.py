@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from slowfast.averaging import build_averaged, simulate_averaged
 from slowfast.cli import main, model_from_config
 from slowfast.deviation import build_deviation_model, simulate_deviation
-from slowfast.exprlang import DriftExprError, compile_components
+from slowfast.exprlang import DriftExprError
 from slowfast.integrator import make_grid
+from slowfast.model import parse_drift
 from slowfast.noise import ROLE_DEV, ROLE_SLOW, sample_increments, substream
 
 LINEAR_CFG = {
@@ -64,6 +65,33 @@ def test_malformed_json_is_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["validate", "--config", str(path)]) == 1
+
+
+def _error_line(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err.strip()
+
+
+def test_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["validate", "--config", str(path)]) == 1
+    assert _error_line(capsys).startswith("config error:")
+
+
+@pytest.mark.parametrize("seed", ["abc", 1.5, True])
+def test_non_integer_config_seed_is_a_config_error(tmp_path, capsys, seed):
+    cfg = write_cfg(tmp_path, dict(LINEAR_CFG, seed=seed))
+    assert main(["validate", "--config", cfg]) == 1
+    assert _error_line(capsys).startswith("config error: seed")
+
+
+def test_non_integer_seed_variable_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SEED", "abc")
+    cfg = write_cfg(tmp_path, LINEAR_CFG)
+    assert main(["validate", "--config", cfg]) == 1
+    assert _error_line(capsys).startswith("usage error: SEED")
 
 
 @pytest.mark.parametrize("component", ["(" * 199 + "y1" + ")" * 199,
@@ -205,6 +233,15 @@ def test_deviate_with_htilde_override_zero(tmp_path, capsys):
     assert all(float(r.split(",")[1]) == 0.0 for r in rows)
 
 
+def test_deviate_refuses_a_single_kernel_replica(tmp_path, capsys):
+    # one replica has no spread, so no standard error and no decay test
+    cfg_data = json.loads(json.dumps(LINEAR_CFG))
+    cfg_data["deviate"] = {"n_replicas": 1}
+    cfg = write_cfg(tmp_path, cfg_data)
+    assert main(["deviate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "n_replicas" in _error_line(capsys)
+
+
 def test_deviate_grid_step_not_dividing_horizon(tmp_path, capsys):
     # 1.0 / 0.3 is not an integer: the last step is stretched to 0.4 to end at t_end
     cfg_data = json.loads(json.dumps(LINEAR_CFG))
@@ -276,7 +313,7 @@ SOURCE_PIECES = ["x1", "y1", "x2", "y2", "x0", "z1", "tanh", "exp", "log", "(", 
                            .map("".join), min_size=1, max_size=3))
 def test_validate_exit_code_matches_the_error_class(n, components):
     try:
-        compile_components(components, n)
+        parse_drift(components, n)
         rejected = False
     except DriftExprError:
         rejected = True

@@ -6,13 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slowfast.exprlang import (MAX_NESTING, DriftArityError, DriftExprError,
-                               DriftNameError, DriftSyntaxError, compile_components,
-                               parse_expression)
+                               DriftNameError, DriftSyntaxError)
 from slowfast.model import parse_drift
 
 
 def ev(src, x, y, n=1):
-    fn, _ = compile_components([src] * n, n)
+    fn = parse_drift([src] * n, n)
     return fn(np.atleast_1d(np.asarray(x, float)),
               np.atleast_1d(np.asarray(y, float)))[0]
 
@@ -52,7 +51,7 @@ def test_precedence_and_associativity():
 
 
 def test_vectorized_evaluation_matches_scalar():
-    fn, _ = compile_components(["tanh(x1) + 0.5*y1"], 1)
+    fn = parse_drift(["tanh(x1) + 0.5*y1"], 1)
     xs = np.linspace(-2, 2, 7).reshape(-1, 1)
     ys = np.linspace(1, 3, 7).reshape(-1, 1)
     batch = fn(xs, ys)
@@ -61,32 +60,32 @@ def test_vectorized_evaluation_matches_scalar():
 
 
 def test_multi_component_dimensions():
-    fn, depends_y = compile_components(["y2", "x1"], 2)
+    fn = parse_drift(["y2", "x1"], 2)
     out = fn(np.array([3.0, 4.0]), np.array([5.0, 6.0]))
     assert out.tolist() == [6.0, 3.0]
-    assert depends_y
+    assert fn.depends_on_y
 
 
 def test_constant_component_broadcasts():
-    fn, depends_y = compile_components(["2.5"], 1)
+    fn = parse_drift(["2.5"], 1)
     out = fn(np.zeros((4, 1)), np.zeros((4, 1)))
     assert out.shape == (4, 1)
     assert np.all(out == 2.5)
-    assert not depends_y
+    assert not fn.depends_on_y
 
 
 def test_syntax_error_carries_position():
     with pytest.raises(DriftSyntaxError) as err:
-        parse_expression("x1 + * 2")
+        parse_drift(["x1 + * 2"], 1)
     assert err.value.position == 5
     with pytest.raises(DriftSyntaxError) as err:
-        parse_expression("x1 +")
+        parse_drift(["x1 +"], 1)
     assert err.value.position == 4      # the end of the input
 
 
 def test_unclosed_paren_rejected():
     with pytest.raises(DriftSyntaxError):
-        parse_expression("(x1 + 1")
+        parse_drift(["(x1 + 1"], 1)
 
 
 # too deep for the parser's recursion, or too deep or long for Python's compiler
@@ -98,7 +97,7 @@ TOO_DEEP = {"parens": "(" * 199 + "x1" + ")" * 199,
 @pytest.mark.parametrize("src", list(TOO_DEEP.values()), ids=list(TOO_DEEP))
 def test_too_deep_or_long_is_a_syntax_error(src):
     with pytest.raises(DriftSyntaxError):
-        compile_components([src], 1)
+        parse_drift([src], 1)
 
 
 def test_nesting_at_the_limit_compiles():
@@ -109,7 +108,7 @@ def test_nesting_at_the_limit_compiles():
         want = np.tanh(want)
     assert ev("tanh(" * 150 + "x1" + ")" * 150, 0.7, 0.0) == want
     with pytest.raises(DriftSyntaxError) as err:
-        parse_expression("(" * (MAX_NESTING + 1) + "x1" + ")" * (MAX_NESTING + 1))
+        parse_drift(["(" * (MAX_NESTING + 1) + "x1" + ")" * (MAX_NESTING + 1)], 1)
     assert err.value.position == MAX_NESTING
 
 
@@ -128,7 +127,7 @@ def _stack_depth():
 def test_nesting_costs_no_python_frames():
     # a caller 300 frames deep still leaves room for 150 nested calls
     src = "tanh(" * 150 + "x1" + ")" * 150
-    fn, _ = _at_depth(300, lambda: compile_components([src], 1))
+    fn = _at_depth(300, lambda: parse_drift([src], 1))
     want = 0.7
     for _ in range(150):
         want = np.tanh(want)
@@ -141,24 +140,24 @@ def test_nesting_past_the_free_stack_is_a_syntax_error():
     src = "tanh(" * 150 + "x1" + ")" * 150
     frames = sys.getrecursionlimit() - _stack_depth() - 30
     with pytest.raises(DriftSyntaxError, match="nested too deep"):
-        _at_depth(frames, lambda: compile_components([src], 1))
+        _at_depth(frames, lambda: parse_drift([src], 1))
     assert ev(src, 0.0, 0.0) == 0.0      # at a shallow depth it compiles
 
 
 def test_unknown_identifier():
     with pytest.raises(DriftNameError):
-        parse_expression("z1 + 1")
+        parse_drift(["z1 + 1"], 1)
     with pytest.raises(DriftNameError):
-        parse_expression("log(x1)")
+        parse_drift(["log(x1)"], 1)
 
 
 def test_arity_mismatch():
     with pytest.raises(DriftArityError):
-        compile_components(["y2"], 1)
+        parse_drift(["y2"], 1)
     with pytest.raises(DriftArityError):
-        compile_components(["x0"], 1)
+        parse_drift(["x0"], 1)
     with pytest.raises(DriftArityError):
-        compile_components(["x1"], 2)
+        parse_drift(["x1"], 2)
 
 
 def test_parse_drift_wraps_exprs():
@@ -251,7 +250,7 @@ _NAN_SIGN = (1, [_chain([_called("cos", _number("1e999")),
 @example(_NAN_SIGN)
 def test_compiled_drift_is_bit_identical_to_numpy_reference(drift):
     n, exprs, x, y = drift
-    fn, depends_y = compile_components([text for text, _, _ in exprs], n)
+    fn = parse_drift([text for text, _, _ in exprs], n)
     with np.errstate(all="ignore"):
         got = fn(x, y)
         want = np.stack([np.broadcast_to(np.asarray(ref(x, y), dtype=float),
@@ -261,7 +260,7 @@ def test_compiled_drift_is_bit_identical_to_numpy_reference(drift):
     # signed zeros must match; a NaN's sign is not defined by IEEE 754 (6.3)
     number = ~np.isnan(want)
     assert np.array_equal(np.signbit(got)[number], np.signbit(want)[number])
-    assert depends_y == any("y" in text for text, _, _ in exprs)
+    assert fn.depends_on_y == any("y" in text for text, _, _ in exprs)
 
 
 @pytest.mark.parametrize("src", [
@@ -272,4 +271,4 @@ def test_compiled_drift_is_bit_identical_to_numpy_reference(drift):
 ])
 def test_only_grammar_text_compiles(src):
     with pytest.raises(DriftExprError):
-        compile_components([src], 1)
+        parse_drift([src], 1)

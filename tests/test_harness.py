@@ -51,8 +51,7 @@ def test_diverged_paths_counted_and_excluded():
 
     ens = run_ensemble(task, 100, master_seed=0)
     assert ens.diverged == 25
-    assert ens.warning
-    assert len(ens.clean()) == 75
+    assert np.array_equal(np.isnan(ens.outputs), np.arange(100) % 4 == 0)
 
 
 def test_two_sample_identical_passes():
@@ -156,25 +155,6 @@ def test_fit_exp_rate():
     ts = np.linspace(0.0, 3.0, 40)
     fit = fit_exp_rate(ts, 5.0 * np.exp(-1.7 * ts))
     assert fit.slope == pytest.approx(1.7, abs=1e-10)
-
-
-def test_ensemble_csv_export(tmp_path):
-    ens = run_ensemble(lambda rng, i: rng.normal(size=2), 5, master_seed=1)
-    path = tmp_path / "ens.csv"
-    ens.to_csv(path)
-    rows = path.read_text().strip().split("\n")
-    assert rows[0] == "path,out1,out2"
-    assert len(rows) == 6
-    assert float(rows[1].split(",")[1]) == ens.outputs[0, 0]
-
-
-def test_two_sample_report_json_round_trip():
-    import json
-    rng = np.random.default_rng(4)
-    rep = two_sample_compare(rng.normal(size=200), rng.normal(size=300))
-    blob = json.loads(json.dumps(rep.to_json()))
-    assert blob["n_a"] == 200 and blob["n_b"] == 300
-    assert isinstance(blob["passed"], bool)
 
 
 # --- batches split across forked worker processes -------------------------

@@ -13,33 +13,37 @@ def scalar_model(a=-1.0, b=-2.0, f=None, g=None, **kw):
                          f=f or DriftFn.zero(1), g=g or DriftFn.zero(1), **kw)
 
 
+def _check(report, check_id):
+    return next(c for c in report.checks if c.check_id == check_id)
+
+
 def test_validate_stable_scalar_model():
     rep = validate_model(scalar_model(), rng=np.random.default_rng(0))
     assert rep.passed
     assert rep.gamma_a == pytest.approx(1.0)
     assert rep.gamma_b == pytest.approx(2.0)
-    assert rep.check("hurwitz-drift").status == "pass"
+    assert _check(rep, "hurwitz-drift").status == "pass"
 
 
 def test_validate_rejects_positive_eigenvalue():
     rep = validate_model(scalar_model(a=1.0), rng=np.random.default_rng(0))
     assert not rep.passed
-    assert rep.check("hurwitz-drift").status == "fail"
+    assert _check(rep, "hurwitz-drift").status == "fail"
 
 
 def test_lipschitz_bound_uses_declared_constant():
     # bound is min(sqrt(gamma_b/6), gamma_b) = sqrt(2/6) ~ 0.5774 > 0.5
     g = DriftFn.linear(fy=[[0.5]], n=1)
     rep = validate_model(scalar_model(g=g), rng=np.random.default_rng(0))
-    assert rep.check("lipschitz-bound").status == "pass"
+    assert _check(rep, "lipschitz-bound").status == "pass"
     g_bad = DriftFn.linear(fy=[[0.6]], n=1)
     rep = validate_model(scalar_model(g=g_bad), rng=np.random.default_rng(0))
-    assert rep.check("lipschitz-bound").status == "fail"
+    assert _check(rep, "lipschitz-bound").status == "fail"
 
 
 def test_conditional_smoothness_always_unverifiable():
     rep = validate_model(scalar_model(), rng=np.random.default_rng(0))
-    assert rep.check("conditional-smoothness").status == "unverifiable"
+    assert _check(rep, "conditional-smoothness").status == "unverifiable"
 
 
 def test_degenerate_probe_box_rejected():
@@ -158,13 +162,13 @@ def test_growth_check_detects_violation():
     # declared growth far below the actual magnitude of f
     f = DriftFn.from_expressions(["10*x1"], 1, lip=0.1, growth=0.0)
     rep = validate_model(scalar_model(f=f), rng=np.random.default_rng(0))
-    assert rep.check("linear-growth").status == "fail"
+    assert _check(rep, "linear-growth").status == "fail"
 
 
 def test_growth_check_unverifiable_without_constants():
     f = parse_drift(["x1"], 1)   # no declared constants
     rep = validate_model(scalar_model(f=f), rng=np.random.default_rng(0))
-    assert rep.check("linear-growth").status == "unverifiable"
+    assert _check(rep, "linear-growth").status == "unverifiable"
 
 
 def _drift_families(n, rng):

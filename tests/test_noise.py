@@ -31,7 +31,7 @@ def test_gaussian_increment_variance():
     # sample variance of N(0, dt) increments, dt = 0.01, 1e5 steps
     incr = sample_increments(1, grid_of(1000.0, 0.01), np.random.default_rng(1))
     var = incr.d_brownian.var()
-    se = var * np.sqrt(2.0 / incr.n_steps)
+    se = var * np.sqrt(2.0 / len(incr.d_brownian))
     assert abs(var - 0.01) <= 3 * se
 
 
@@ -50,10 +50,10 @@ def test_jump_events_recorded_and_binned():
     rng = np.random.default_rng(3)
     incr = sample_increments(1, grid_of(1.0, 0.1), rng, jump=UNIF)
     # events rebuild the uncompensated sums step by step
-    raw = incr.d_jump + UNIF.intensity * UNIF.mean_size * incr.dt[:, None]
+    raw = incr.d_jump + UNIF.intensity * UNIF.mean_size * np.diff(incr.grid)[:, None]
     rebuilt = np.zeros_like(raw)
     for t, size in incr.jump_events:
-        k = min(int(t / 0.1), incr.n_steps - 1)
+        k = min(int(t / 0.1), len(raw) - 1)
         rebuilt[k] += size
     assert np.allclose(raw, rebuilt, atol=1e-12)
 
@@ -71,7 +71,7 @@ def test_rescale_fast_variance_scaling():
     g = grid_of(100.0, 0.001)
     incr = rescale_fast(1, 0.01, g, np.random.default_rng(6))
     var = incr.d_brownian.var()
-    se = var * np.sqrt(2.0 / incr.n_steps)
+    se = var * np.sqrt(2.0 / len(incr.d_brownian))
     assert abs(var - 0.1) <= 3 * se
 
 
@@ -108,15 +108,16 @@ def test_two_sided_increments_span_both_segments():
 
 def test_two_sided_empty_negative_segment():
     path = sample_two_sided(1, 0.0, 1.0, 0.01, np.random.default_rng(9))
-    assert path.negative.n_steps == 0
-    assert path.positive.n_steps == 100
+    assert len(path.negative.d_brownian) == 0
+    assert len(path.positive.d_brownian) == 100
 
 
 def test_two_sided_segments_independent():
     # empirical covariance between the summed increments on [-1,0] and [0,1]
+    # (no jumps, so the Brownian parts)
     rng = np.random.default_rng(10)
     pairs = np.array([
-        [p.negative.total()[0], p.positive.total()[0]]
+        [p.negative.d_brownian.sum(), p.positive.d_brownian.sum()]
         for p in (sample_two_sided(1, 1.0, 1.0, 0.05, rng) for _ in range(8000))])
     cov = np.cov(pairs.T)[0, 1]
     se = np.sqrt(pairs[:, 0].var() * pairs[:, 1].var() / len(pairs))

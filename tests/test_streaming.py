@@ -174,24 +174,29 @@ def test_limit_samples_memory_stays_within_a_few_chunk_buffers():
     assert peak <= 3 * buffer
 
 
+def _rows(incr):
+    """A streamed batch's rows (steps, count, n), read in step order."""
+    return np.stack([incr[k].copy() for k in range(len(incr))])
+
+
 def test_streamed_steps_are_read_in_order():
     grid = make_grid(1.0, 0.1)
     incr = _path_increments(1, grid, 2, lambda i: substream(1, i, ROLE_FAST))
     with _chunks(4):
         stepped = _path_increments(1, grid, 2, lambda i: substream(1, i, ROLE_FAST))
-    rows = [stepped[k].copy() for k in range(len(stepped))]
-    assert np.array_equal(np.stack(rows), incr[:])     # whole block, drawn at once
+    assert np.array_equal(_rows(stepped), _rows(incr))     # chunks of 4, and one
     with pytest.raises(IndexError):
         stepped[0]                 # its chunk has been overwritten
+    fresh = _path_increments(1, grid, 2, lambda i: substream(1, i, ROLE_FAST))
     with pytest.raises(IndexError):
-        stepped[:, 0]              # no whole block once stepping has begun
+        fresh[3]                   # steps 0-2 are not drawn yet
 
 
 def _check_rows_equal_streams(grid, paths, jump, chunk, seed):
     with _chunks(chunk):
         incr = _path_increments(1, grid, paths, lambda i: substream(seed, i, ROLE_FAST),
                                 jump=jump, speed=1.0 / EPS)
-    rows = np.stack([incr[k].copy() for k in range(len(incr))])    # read in step order
+    rows = _rows(incr)
     for i in range(paths):
         ref = rescale_fast(1, EPS, grid, substream(seed, i, ROLE_FAST), jump=jump)
         assert np.array_equal(rows[:, i], ref.d_brownian + ref.d_jump)
@@ -212,14 +217,16 @@ def test_rows_across_path_blocks_equal_their_streams(chunk, jumps, extra):
 
 @pytest.mark.parametrize("extra", [-1, 1, noise._PATH_BLOCK + 3])
 def test_shared_generator_rows_across_path_blocks_equal_successive_streams(extra):
-    # a generator serving every path draws them whole; 300 steps make a
-    # path's rows long enough that a block holds fewer than _PATH_BLOCK paths
+    # a generator serving every path, in one chunk; 300 steps make a path's
+    # rows long enough that a block holds fewer than _PATH_BLOCK paths
     paths, steps = noise._PATH_BLOCK + extra, 300
     assert noise._SCRATCH // steps < noise._PATH_BLOCK
     grid = make_grid(steps * DT, DT)
     jump = JumpSpec(50.0, SizeDist.uniform(-0.4, 0.2))
     rng, one = np.random.default_rng(5), np.random.default_rng(5)
-    rows = _path_increments(1, grid, paths, lambda i: rng, jump=jump, speed=1.0 / EPS)[:]
+    with _chunks(steps):
+        rows = _rows(_path_increments(1, grid, paths, lambda i: rng, jump=jump,
+                                      speed=1.0 / EPS))
     for i in range(paths):
         ref = rescale_fast(1, EPS, grid, one, jump=jump)
         assert np.array_equal(rows[:, i], ref.d_brownian + ref.d_jump)

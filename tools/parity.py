@@ -195,11 +195,8 @@ def dump(path):
             put(f"{name}/coupled_long/{field}", value)
         htilde = 0.25 * np.eye(n) + 0.05 * (np.ones((n, n)) - np.eye(n))
         dm = sf.build_deviation_model(am, htilde, x=m.x0)
-        dm_lit = sf.build_deviation_model(am, htilde, x=m.x0, literal_drift=True)
         dm_var = sf.build_deviation_model(am, htilde)
         traj(f"{name}/deviation", sf.simulate_deviation(dm, xa, 0.5, dt, rng(7)))
-        traj(f"{name}/deviation_literal", sf.simulate_deviation(dm_lit, xa, 0.5, dt,
-                                                                rng(7)))
         traj(f"{name}/deviation_var", sf.simulate_deviation(dm_var, xa, 0.5, dt, rng(8)))
         # lags 0 to 0.3: horizon - burn_in must be at least 50 times the last lag
         kern = sf.autocovariance_kernel(m, m.x0, np.arange(0.0, 0.31, 0.05), 0.5, 16.0,
@@ -217,10 +214,6 @@ def dump(path):
             put(f"{name}/truncated/{radius}/drive", drive["drive"])
             put(f"{name}/truncated/{radius}/gate", drive["gate"])
         put(f"{name}/limit", limit_marginal_samples(dm, am, 0.3, 0.01, 5, 23))
-        # a nonzero Jacobian, so that the literal reading is visible
-        dm_lit_j = sf.DeviationModel(am.a, 0.5 * np.eye(n), htilde, literal_drift=True)
-        put(f"{name}/limit_literal", limit_marginal_samples(dm_lit_j, am, 0.3, 0.01, 5,
-                                                            23))
         put(f"{name}/limit_var", limit_marginal_samples(dm_var, am, 0.3, 0.01, 5, 23))
         with _set_if_present(noise, "CHUNK_BYTES", 0):
             put(f"{name}/limit_long", limit_marginal_samples(dm, am, 7.0, 0.01, 3, 23))
