@@ -28,7 +28,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 from .harness import _split_paths, fit_exp_rate, fit_loglog_rate
 from .integrator import (DivergedError, _check_stable, _euler, _trajectory,
-                         _write_csv, default_step, frozen_fast_batch, make_grid)
+                         default_step, frozen_fast_batch, make_grid)
 from .model import _lin, _lin_plus, has_slow_noise
 from .noise import ROLE_FAST, ROLE_SLOW, _path_increments, substream
 
@@ -197,16 +197,6 @@ class MixingReport:
     noise_floor: np.ndarray
     n_paths: int
 
-    def to_json(self):
-        return {"eta_declared": self.eta_declared,
-                "eta_empirical": self.eta_empirical,
-                "n_paths": self.n_paths,
-                "curve": [{"t": float(t), "deviation": float(d)}
-                          for t, d in zip(self.times, self.deviations)]}
-
-    def curve_to_csv(self, path):
-        _write_csv(path, "t,deviation", np.column_stack([self.times, self.deviations]))
-
 
 def mixing_diagnostic(m, x, y_list, t_end, dt, n_paths, rng, fbar_value=None):
     """Estimate the relaxation of E f(x, y_x(t)) toward fbar(x).
@@ -365,23 +355,6 @@ class RateReport:
     n_paths: int
     diverged: np.ndarray
     flagged: list = field(default_factory=list)
-
-    def to_json(self):
-        return {"epsilons": self.epsilons.tolist(),
-                "delta_rule": self.delta_rule,
-                "deltas": self.deltas.tolist(),
-                "errors": self.errors.tolist(),
-                "stderrs": self.stderrs.tolist(),
-                "slope": self.slope,
-                "intercept": self.intercept,
-                "ci": [self.ci_low, self.ci_high],
-                "n_paths": self.n_paths,
-                "diverged": self.diverged.tolist(),
-                "flagged": self.flagged}
-
-    def curve_to_csv(self, path):
-        _write_csv(path, "epsilon,error,stderr",
-                   np.column_stack([self.epsilons, self.errors, self.stderrs]))
 
 
 def strong_error_experiment(m, epsilons, delta_rule, t_end, n_paths,

@@ -1,8 +1,13 @@
 """Command-line entry point: wire JSON configs to experiments and reports.
 
+This is the one module that knows the config format and the artifact
+formats; the library returns results and this module writes their fields.
 Subcommands: validate | simulate | average | manifold | deviate | verify.
-Exit codes: 0 ok, 1 usage or I/O error, 2 assumption-validation failure,
-3 verification failure.  Artifacts land in the output directory as
+Every command but ``verify`` builds the model from the config's ``model``
+block and validates it first, then runs on its own block.  Config blocks
+are JSON objects.
+Exit codes: 0 ok, 1 usage, config or I/O error (one line on stderr),
+2 assumption-validation failure, 3 verification failure.  Artifacts land in the output directory as
 ``<command>-<timestamp>-<seed>.{csv,json}``; identical config and seed give
 byte-identical file contents.  Every verification line is printed as
 ``PASS|FAIL <criterion> <value> <tolerance>`` with the claim named in the
@@ -35,15 +40,28 @@ class UsageError(Exception):
     pass
 
 
+class _ConfigError(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
 
+def _block(parent, key, default=None):
+    """``parent[key]``, which must be a JSON object; ``default`` when the key
+    is absent and a default is given."""
+    if default is not None and key not in parent:
+        return default
+    value = parent[key]
+    if not isinstance(value, dict):
+        raise _ConfigError(f"{key} must be a JSON object, not {value!r}")
+    return value
+
+
 def _drift_from_config(block, n):
     kind = block.get("kind", "expr")
-    lip = block.get("lip")
-    growth = block.get("growth")
     if kind == "zero":
         return DriftFn.zero(n)
     if kind == "constant":
@@ -55,34 +73,35 @@ def _drift_from_config(block, n):
         return DriftFn.saturating(block["amp"], gx=block.get("gx"),
                                   gy=block.get("gy"))
     if kind == "expr":
-        return DriftFn.from_expressions(block["components"], n, lip=lip,
-                                        growth=growth)
-    raise UsageError(f"unknown drift kind {kind!r}")
+        return DriftFn.from_expressions(block["components"], n, lip=block.get("lip"),
+                                        growth=block.get("growth"))
+    raise _ConfigError(f"unknown drift kind {kind!r}")
 
 
-def _jump_from_config(block):
-    if block is None:
+def _jump_from_config(blk, key):
+    if blk.get(key) is None:
         return None
-    size = block["size"]
+    block = _block(blk, key)
+    size = _block(block, "size")
     if size["kind"] == "uniform":
         dist = SizeDist.uniform(size["low"], size["high"])
     elif size["kind"] == "atoms":
         dist = SizeDist.atoms(size["values"], size.get("probs"))
     else:
-        raise UsageError(f"unknown jump size kind {size['kind']!r}")
+        raise _ConfigError(f"unknown jump size kind {size['kind']!r}")
     return JumpSpec(block["intensity"], dist)
 
 
 def model_from_config(cfg):
-    blk = cfg["model"]
+    blk = _block(cfg, "model")
     n = int(blk.get("dim", len(np.atleast_2d(blk["a"]))))
     return SlowFastModel(
         a=blk["a"], b=blk["b"],
-        f=_drift_from_config(blk["f"], n),
-        g=_drift_from_config(blk["g"], n),
+        f=_drift_from_config(_block(blk, "f"), n),
+        g=_drift_from_config(_block(blk, "g"), n),
         sigma1=blk.get("sigma1", 0.0), sigma2=blk.get("sigma2", 0.0),
-        jump_slow=_jump_from_config(blk.get("jump_slow")),
-        jump_fast=_jump_from_config(blk.get("jump_fast")),
+        jump_slow=_jump_from_config(blk, "jump_slow"),
+        jump_fast=_jump_from_config(blk, "jump_fast"),
         epsilon=blk.get("epsilon", 1.0),
         x0=blk.get("x0"), y0=blk.get("y0"))
 
@@ -100,60 +119,43 @@ def _report(obj, out_dir, command, seed):
     print(json.dumps(obj))
 
 
-class _Checks:
-    def __init__(self):
-        self.failures = 0
-
-    def line(self, ok, criterion, value, tol):
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            self.failures += 1
-        print(f"{status} {criterion} {value:.6g} {tol:.6g}")
+def _write_csv(path_or_buf, header, rows):
+    """Comma-separated rows at full double precision under one header line."""
+    np.savetxt(path_or_buf, rows, fmt="%.17g", delimiter=",", header=header,
+               comments="")
 
 
-def cmd_validate(cfg, seed, out_dir):
-    m = model_from_config(cfg)
-    report = validate_model(m, rng=np.random.default_rng(seed))
-    print(json.dumps(report.to_json(), indent=2))
-    return 0 if report.passed else 2
+def _trajectory_csv(path_or_buf, traj, label):
+    header = "t," + ",".join(f"{label}{i + 1}" for i in range(traj.n))
+    _write_csv(path_or_buf, header, np.column_stack([traj.grid, traj.states]))
 
 
-def _require_valid(m, seed):
-    report = validate_model(m, rng=np.random.default_rng(seed))
-    if not report.passed:
-        print(json.dumps(report.to_json(), indent=2))
-        return False
-    return True
+def _fields(result, names):
+    """The named fields of a result in the order named, arrays as lists."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k in names.split() for v in [getattr(result, k)]}
 
 
-def cmd_simulate(cfg, seed, out_dir):
-    m = model_from_config(cfg)
-    if not _require_valid(m, seed):
-        return 2
-    blk = cfg.get("simulate", {})
+def _simulate(m, blk, seed, out_dir):
     t_end = float(blk.get("t_end", 1.0))
     dt = float(blk.get("dt", default_step(t_end, m.epsilon)))
     x, y = simulate_slow_fast(m, t_end, dt, substream(seed, 0, 0))
     px = _artifact(out_dir, "simulate", seed, "-x.csv")
     py = _artifact(out_dir, "simulate", seed, "-y.csv")
-    x.to_csv(px, label="x")
-    y.to_csv(py, label="y")
+    _trajectory_csv(px, x, "x")
+    _trajectory_csv(py, y, "y")
     print(json.dumps({"x_csv": px, "y_csv": py, "diverged": x.diverged}))
     return 0
 
 
-def cmd_average(cfg, seed, out_dir):
-    m = model_from_config(cfg)
-    if not _require_valid(m, seed):
-        return 2
-    blk = cfg.get("average", {})
+def _average(m, blk, seed, out_dir):
     rng = np.random.default_rng(seed)
     # the strong-error run goes first, so that its argument checks refuse a
     # bad config before the fbar and mixing work; it draws from its own
     # substreams, not from rng
-    report = None
+    rate = None
     if blk.get("epsilons"):
-        report = strong_error_experiment(
+        rate = strong_error_experiment(
             m, blk["epsilons"], blk.get("delta_rule", "eps**(2/3)"),
             t_end=float(blk.get("t_end", 1.0)),
             n_paths=int(blk.get("n_paths_rate", 200)), master_seed=seed)
@@ -166,51 +168,63 @@ def cmd_average(cfg, seed, out_dir):
                             dt=float(blk.get("dt_mix", 0.005)),
                             n_paths=int(blk.get("n_paths", 1000)), rng=rng)
     out = {"fbar": est.value.tolist(), "fbar_stderr": est.stderr.tolist(),
-           "mixing": mix.to_json()}
-    if report is not None:
-        out["rate"] = report.to_json()
-        report.curve_to_csv(_artifact(out_dir, "average", seed, "-rate.csv"))
-    mix.curve_to_csv(_artifact(out_dir, "average", seed, "-mixing.csv"))
+           "mixing": {**_fields(mix, "eta_declared eta_empirical n_paths"),
+                      "curve": [{"t": float(t), "deviation": float(d)}
+                                for t, d in zip(mix.times, mix.deviations)]}}
+    if rate is not None:
+        out["rate"] = {**_fields(rate, "epsilons delta_rule deltas errors stderrs "
+                                       "slope intercept"),
+                       "ci": [rate.ci_low, rate.ci_high],
+                       **_fields(rate, "n_paths diverged flagged")}
+        _write_csv(_artifact(out_dir, "average", seed, "-rate.csv"),
+                   "epsilon,error,stderr",
+                   np.column_stack([rate.epsilons, rate.errors, rate.stderrs]))
+    _write_csv(_artifact(out_dir, "average", seed, "-mixing.csv"), "t,deviation",
+               np.column_stack([mix.times, mix.deviations]))
     _report(out, out_dir, "average", seed)
     return 0
 
 
-def cmd_manifold(cfg, seed, out_dir):
-    m = model_from_config(cfg)
-    if not _require_valid(m, seed):
-        return 2
-    blk = cfg.get("manifold", {})
+def _manifold(m, blk, seed, out_dir):
     sol = lyapunov_perron_solve(
         m, m.epsilon, blk.get("u0", m.x0.tolist()),
         gamma=blk.get("gamma"), grid_step=float(blk.get("grid_step", 0.005)),
         tol=float(blk.get("tol", 1e-9)), t_neg=blk.get("t_neg"),
         rng=np.random.default_rng(seed))
-    sol.profile_to_csv(_artifact(out_dir, "manifold", seed, "-profile.csv"))
-    _report(sol.to_json(), out_dir, "manifold", seed)
+    prof = sol.profile
+    n = prof.u.shape[-1]
+    header = ("t," + ",".join(f"u{i+1}" for i in range(n)) + ","
+              + ",".join(f"v{i+1}" for i in range(n)))
+    _write_csv(_artifact(out_dir, "manifold", seed, "-profile.csv"), header,
+               np.column_stack([prof.grid, prof.u, prof.v]))
+    _report(_fields(sol, "u0 epsilon gamma h_value rho rho_hat lip_bound "
+                         "iterations residuals t_neg converged"),
+            out_dir, "manifold", seed)
     return 0
 
 
-def cmd_deviate(cfg, seed, out_dir):
-    m = model_from_config(cfg)
-    if not _require_valid(m, seed):
-        return 2
-    blk = cfg.get("deviate", {})
+def _deviate(m, blk, seed, out_dir):
     rng = np.random.default_rng(seed)
     am = build_averaged(m, table_axes=blk.get("table_axes"), rng=rng)
     x_point = np.asarray(blk.get("x", m.x0.tolist()), dtype=float)
     if "htilde_override" in blk:
         htilde = np.atleast_2d(np.asarray(blk["htilde_override"], dtype=float))
-        kernel = None
     else:
         lags = np.arange(0.0, float(blk.get("s_max", 5.0)) + 1e-12,
                          float(blk.get("lag_step", 0.05)))
-        kernel = autocovariance_kernel(
+        k = autocovariance_kernel(
             m, x_point, lags, burn_in=float(blk.get("burn_in", 5.0)),
             horizon=float(blk.get("horizon", 505.0)),
             dt=float(blk.get("dt", 0.01)), rng=rng,
             n_replicas=int(blk.get("n_replicas", 24)))
-        kernel.to_csv(_artifact(out_dir, "deviate", seed, "-kernel.csv"))
-        htilde = diffusion_matrix(kernel)
+        n = k.h.shape[-1]
+        names = [f"H_{i+1}{j+1}" for i in range(n) for j in range(n)]
+        errs = [f"stderr_{i+1}{j+1}" for i in range(n) for j in range(n)]
+        _write_csv(_artifact(out_dir, "deviate", seed, "-kernel.csv"),
+                   ",".join(["s"] + names + errs),
+                   np.column_stack([k.lags, k.h.reshape(-1, n * n),
+                                    k.stderr.reshape(-1, n * n)]))
+        htilde = diffusion_matrix(k)
     dm = build_deviation_model(am, htilde, x=x_point)
     t_end = float(blk.get("t_end", 1.0))
     dt = float(blk.get("dt_theta", 1e-3))
@@ -218,77 +232,83 @@ def cmd_deviate(cfg, seed, out_dir):
                              jump=m.jump_slow)
     x_path = simulate_averaged(am, t_end, dt, slow)
     theta = simulate_deviation(dm, x_path, t_end, dt, substream(seed, 0, ROLE_DEV))
-    theta.to_csv(_artifact(out_dir, "deviate", seed, "-theta.csv"), label="theta")
-    _report(dm.to_json(), out_dir, "deviate", seed)
+    _trajectory_csv(_artifact(out_dir, "deviate", seed, "-theta.csv"), theta, "theta")
+    _report({"a": dm.a.tolist(),
+             "fbar_deriv": (dm.deriv_const.tolist() if dm.deriv_const is not None
+                            else "callable"),
+             "htilde": (dm.htilde_const.tolist() if dm.htilde_const is not None
+                        else "callable")}, out_dir, "deviate", seed)
     return 0
 
 
-def cmd_verify(cfg, seed, out_dir):
+def _verify(seed):
     """Desk-scale reproduction of the convergence and deviation claims."""
-    checks = _Checks()
+    failures = []
+
+    def line(ok, criterion, value, tol):
+        print(f"{'PASS' if ok else 'FAIL'} {criterion} {value:.6g} {tol:.6g}")
+        if not ok:
+            failures.append(criterion)
+
     rng = np.random.default_rng(seed)
 
     mb = benchmarks.linear_benchmark()
     est = estimate_fbar(mb, [1.0], horizon=150.0, dt=0.005, rng=rng)
     tol = 3.0 * max(float(est.stderr[0]), 1e-12)
-    checks.line(abs(float(est.value[0])) <= tol,
-                "averaging.fbar-linear-zero", float(est.value[0]), tol)
+    line(abs(float(est.value[0])) <= tol,
+         "averaging.fbar-linear-zero", float(est.value[0]), tol)
 
     mix = mixing_diagnostic(mb, [1.0], [np.array([2.0])], 2.5, 0.005, 2000, rng)
-    checks.line(abs(mix.eta_empirical - 2.0) <= 0.3,
-                "averaging.mixing-rate", mix.eta_empirical, 0.3)
+    line(abs(mix.eta_empirical - 2.0) <= 0.3,
+         "averaging.mixing-rate", mix.eta_empirical, 0.3)
 
     lags = np.arange(0.0, 5.0 + 1e-12, 0.05)
     kernel = autocovariance_kernel(mb, [1.0], lags, 5.0, 1005.0, 0.01, rng)
     # the Euler-stepped OU state y <- (1 - 2 dt) y + dW has stationary
     # variance 1 / (4 - 4 dt), not the continuous-time 1/4
     euler_var = 1.0 / (4.0 - 4.0 * 0.01)
-    checks.line(abs(kernel.h[0, 0, 0] - euler_var) <= 3 * kernel.stderr[0, 0, 0],
-                "deviation.kernel-variance", float(kernel.h[0, 0, 0]),
-                3 * float(kernel.stderr[0, 0, 0]))
+    line(abs(kernel.h[0, 0, 0] - euler_var) <= 3 * kernel.stderr[0, 0, 0],
+         "deviation.kernel-variance", float(kernel.h[0, 0, 0]),
+         3 * float(kernel.stderr[0, 0, 0]))
     htilde = diffusion_matrix(kernel)
-    checks.line(abs(htilde[0, 0] - 0.25) <= 0.05 * 0.25,
-                "deviation.diffusion-matrix", float(htilde[0, 0]), 0.0125)
+    line(abs(htilde[0, 0] - 0.25) <= 0.05 * 0.25,
+         "deviation.diffusion-matrix", float(htilde[0, 0]), 0.0125)
 
     mg = SlowFastModel(a=[[-1.0]], b=[[-2.0]], f=DriftFn.zero(1),
                        g=DriftFn.constant([1.0]), sigma1=0.0, sigma2=0.0,
                        epsilon=0.05, x0=[0.0], y0=[0.0])
     sol = lyapunov_perron_solve(mg, 0.05, [0.3], grid_step=0.005, t_neg=8.0,
                                 tol=1e-10, rng=np.random.default_rng(seed))
-    checks.line(abs(float(sol.h_value[0]) - 0.5) <= 1e-6,
-                "manifold.constant-graph", float(sol.h_value[0]) - 0.5, 1e-6)
+    line(abs(float(sol.h_value[0]) - 0.5) <= 1e-6,
+         "manifold.constant-graph", float(sol.h_value[0]) - 0.5, 1e-6)
 
     ml = SlowFastModel(a=[[-1.0]], b=[[-2.0]], f=DriftFn.zero(1),
                        g=DriftFn.zero(1), sigma1=0.0, sigma2=0.0,
                        epsilon=0.1, x0=[0.0], y0=[0.0])
     tr = tracking_check(ml, 0.1, ([0.5], [0.3]), ([0.5], [0.9]), 2.0, 0.005,
                         rng=np.random.default_rng(seed))
-    checks.line(abs(tr.rate_fitted - 2.0) <= 0.2,
-                "manifold.tracking-rate", tr.rate_fitted, 0.2)
+    line(abs(tr.rate_fitted - 2.0) <= 0.2,
+         "manifold.tracking-rate", tr.rate_fitted, 0.2)
 
     spd = np.array([[2.0, 0.3], [0.3, 1.0]])
     s = matrix_sqrt_psd(spd)
     err = float(np.max(np.abs(s @ s.T - spd)))
-    checks.line(err < 1e-10, "infra.sqrt-reconstruction", err, 1e-10)
+    line(err < 1e-10, "infra.sqrt-reconstruction", err, 1e-10)
 
     mw = benchmarks.linear_benchmark(epsilon=1e-2)
     am = build_averaged(mw)
     dm = build_deviation_model(am, np.array([[0.25]]))
     rep = weak_limit_report(mw, am, dm, 1.0, 1e-3, 2000, seed)
-    checks.line(bool(rep.passed), "deviation.weak-limit-marginal",
-                float(rep.cdf_distance[0]), rep.critical_value)
+    line(bool(rep.passed), "deviation.weak-limit-marginal",
+         float(rep.cdf_distance[0]), rep.critical_value)
 
-    return 0 if checks.failures == 0 else 3
+    return 3 if failures else 0
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "simulate": cmd_simulate,
-    "average": cmd_average,
-    "manifold": cmd_manifold,
-    "deviate": cmd_deviate,
-    "verify": cmd_verify,
-}
+# the commands past validation: each runs on the validated model and its
+# config block
+_RUNNERS = {"simulate": _simulate, "average": _average, "manifold": _manifold,
+            "deviate": _deviate}
 
 
 def _fail(prefix, message):
@@ -299,10 +319,10 @@ def _fail(prefix, message):
 
 def main(argv=None):
     parser = _Parser(prog="slowfast", description=__doc__)
-    parser.add_argument("command", choices=sorted(_COMMANDS))
+    parser.add_argument("command", choices=sorted(["validate", "verify", *_RUNNERS]))
     parser.add_argument("--config", required=False, help="path to a JSON config")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", default="artifacts")
+    parser.add_argument("--out", default=None)
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:
@@ -332,13 +352,24 @@ def main(argv=None):
         seed = cfg.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
             return _fail("config error", f"seed must be an integer, not {seed!r}")
-    out_dir = args.out if args.out != "artifacts" else cfg.get("out", "artifacts")
+    out_dir = args.out if args.out is not None else cfg.get("out", "artifacts")
 
     try:
-        return _COMMANDS[args.command](cfg, seed, out_dir)
-    except UsageError as exc:
-        return _fail("usage error", exc)
-    except (KeyError, ValueError, OSError) as exc:
+        if args.command == "verify":
+            return _verify(seed)
+        m = model_from_config(cfg)
+        report = validate_model(m, rng=np.random.default_rng(seed))
+        if args.command == "validate" or not report.passed:
+            out = _fields(report, "gamma_a gamma_a_rev gamma_b lip_f_probe "
+                                  "lip_g_probe passed")
+            out["checks"] = [{"id": c.check_id, "status": c.status,
+                              "detail": c.detail} for c in report.checks]
+            print(json.dumps(out, indent=2))
+            return 0 if report.passed else 2
+        return _RUNNERS[args.command](m, _block(cfg, args.command, {}), seed, out_dir)
+    except _ConfigError as exc:
+        return _fail("config error", exc)
+    except (KeyError, TypeError, ValueError, OSError) as exc:
         return _fail("error", exc)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .averaging import _increment_blocks, _slow_increments, coupled_error_batch
 from .integrator import (DivergedError, _check_stable, _euler, _frozen_fast_run,
-                         _trajectory, _write_csv, frozen_fast_batch, make_grid)
+                         _trajectory, frozen_fast_batch, make_grid)
 from .model import _add_value, _lin, _lin_plus, _value_into
 from .noise import ROLE_BURN, ROLE_DEV, _chunk_steps, _path_increments, substream
 from .harness import _split_paths, _var_se, two_sample_compare
@@ -52,14 +52,6 @@ class KernelEstimate:
     stderr_widened: bool
     fbar_used: np.ndarray
     n_replicas: int
-
-    def to_csv(self, path):
-        n = self.h.shape[-1]
-        names = [f"H_{i+1}{j+1}" for i in range(n) for j in range(n)]
-        errs = [f"stderr_{i+1}{j+1}" for i in range(n) for j in range(n)]
-        rows = np.column_stack([self.lags, self.h.reshape(-1, n * n),
-                                self.stderr.reshape(-1, n * n)])
-        _write_csv(path, ",".join(["s"] + names + errs), rows)
 
 
 def autocovariance_kernel(m, x, lags, burn_in, horizon, dt, rng, n_replicas=24):
@@ -228,13 +220,6 @@ class DeviationModel:
     def noise(self, dw, x):
         """sqrt(Htilde(x)) dw for Brownian increments dw (..., n)."""
         return _matvec(self._at(self._sqrt, x), dw)
-
-    def to_json(self):
-        return {
-            "a": self.a.tolist(),
-            "fbar_deriv": self.deriv_const.tolist() if self.deriv_const is not None else "callable",
-            "htilde": self.htilde_const.tolist() if self.htilde_const is not None else "callable",
-        }
 
 
 def build_deviation_model(am, kernel_or_htilde, x=None):

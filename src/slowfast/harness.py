@@ -1,11 +1,10 @@
 """Ensemble execution and the statistics backing every verification claim.
 
-Tasks run one per path with a substream derived from (master_seed, index,
-role), so results are independent of the worker count by construction.
-The same holds for batched simulators: ``_split_paths`` cuts a large batch
-of paths into one contiguous range per usable CPU, runs all but the first
-in forked worker processes, and joins the rows in path order, which are the
-rows of one run bit for bit.
+Tasks run one per path, in path order, each on a substream derived from
+(master_seed, index, role).  Batched simulators split by path too:
+``_split_paths`` cuts a large batch of paths into one contiguous range per
+usable CPU, runs all but the first in forked worker processes, and joins
+the rows in path order, which are the rows of one run bit for bit.
 Distribution comparison is the per-coordinate two-sample sup-CDF distance
 with the asymptotic critical value c(alpha) * sqrt((n+m)/(n*m)) plus 3-SE
 moment gates; rate fitting is least squares on log-log points with a
@@ -14,7 +13,6 @@ t-based confidence interval on the slope.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,20 +30,12 @@ class Ensemble:
     master_seed: int
 
 
-def run_ensemble(task, n_paths, master_seed, workers=1, task_id="task"):
+def run_ensemble(task, n_paths, master_seed, task_id="task"):
     """Run ``task(rng, index)`` once per path on its ``ROLE_TASK`` substream."""
     if n_paths < 1:
         raise ValueError("need at least one path")
-
-    def one(i):
-        return np.asarray(task(substream(master_seed, i, ROLE_TASK), i), dtype=float)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(n_paths)))
-    else:
-        results = [one(i) for i in range(n_paths)]
-    outputs = np.stack(results)
+    outputs = np.stack([np.asarray(task(substream(master_seed, i, ROLE_TASK), i),
+                                   dtype=float) for i in range(n_paths)])
     flat = outputs.reshape(n_paths, -1)
     diverged = int(np.sum(~np.all(np.isfinite(flat), axis=1)))
     return Ensemble(task_id, n_paths, outputs, diverged, master_seed)

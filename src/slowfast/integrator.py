@@ -81,16 +81,6 @@ class Trajectory:
     def n(self):
         return self.states.shape[-1]
 
-    def to_csv(self, path_or_buf, label="x"):
-        header = "t," + ",".join(f"{label}{i + 1}" for i in range(self.n))
-        _write_csv(path_or_buf, header, np.column_stack([self.grid, self.states]))
-
-
-def _write_csv(path_or_buf, header, rows):
-    """Comma-separated rows at full double precision under one header line."""
-    np.savetxt(path_or_buf, rows, fmt="%.17g", delimiter=",", header=header,
-               comments="")
-
 
 def make_grid(t_end, dt):
     if t_end < 0 or dt <= 0:

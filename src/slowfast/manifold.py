@@ -44,7 +44,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .harness import fit_exp_rate
-from .integrator import _euler, _write_csv, apply_noise
+from .integrator import _euler, apply_noise
 from .model import _lin_op, _lin_plus, _value_into, decay_rate, has_slow_noise
 from .noise import _required, sample_two_sided
 
@@ -205,21 +205,6 @@ class ManifoldSolution:
     def residual_ratios(self, floor=1e-13):
         rs = [r for r in self.residuals if r > floor]
         return [rs[i + 1] / rs[i] for i in range(len(rs) - 1)]
-
-    def to_json(self):
-        return {"u0": self.u0.tolist(), "epsilon": self.epsilon,
-                "gamma": self.gamma, "h_value": self.h_value.tolist(),
-                "rho": self.rho, "rho_hat": self.rho_hat,
-                "lip_bound": self.lip_bound, "iterations": self.iterations,
-                "residuals": self.residuals, "t_neg": self.t_neg,
-                "converged": self.converged}
-
-    def profile_to_csv(self, path):
-        n = self.profile.u.shape[-1]
-        header = ("t," + ",".join(f"u{i+1}" for i in range(n)) + ","
-                  + ",".join(f"v{i+1}" for i in range(n)))
-        _write_csv(path, header,
-                   np.column_stack([self.profile.grid, self.profile.u, self.profile.v]))
 
 
 def _scan(out, e_mat):

@@ -360,20 +360,6 @@ class ValidationReport:
     def passed(self):
         return all(c.status != "fail" for c in self.checks)
 
-    def to_json(self):
-        return {
-            "gamma_a": self.gamma_a,
-            "gamma_a_rev": self.gamma_a_rev,
-            "gamma_b": self.gamma_b,
-            "lip_f_probe": self.lip_f_probe,
-            "lip_g_probe": self.lip_g_probe,
-            "passed": self.passed,
-            "checks": [
-                {"id": c.check_id, "status": c.status, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
-
 
 def estimate_lipschitz(fn, box, samples, rng):
     """Sampled lower bound on the Lipschitz constant of ``fn``.

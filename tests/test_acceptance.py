@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from slowfast.averaging import (build_averaged, estimate_fbar,
+from slowfast.averaging import (build_averaged, coupled_error_batch, estimate_fbar,
                                 mixing_diagnostic, strong_error_experiment)
 from slowfast.benchmarks import linear_benchmark, tanh_benchmark
 from slowfast.deviation import (autocovariance_kernel, build_deviation_model,
@@ -237,12 +237,15 @@ def test_criterion_9_residual_theta2():
 def test_criterion_10_infrastructure():
     done = stopwatch(120.0, "infra")
 
-    def task(rng, i):
-        return rng.normal(size=2)
-
-    seq = run_ensemble(task, 128, master_seed=114, workers=1)
-    par = run_ensemble(task, 128, master_seed=114, workers=8)
-    identical = np.array_equal(seq.outputs, par.outputs)
+    # a large batch runs one contiguous range of paths per forked worker and
+    # joins their rows: the join of two ranges must be the one-range rows
+    mb = linear_benchmark(epsilon=1e-2)
+    am = build_averaged(mb)
+    whole = coupled_error_batch(mb, am, 1.0, 1e-3, 114, 0, 128)
+    parts = [coupled_error_batch(mb, am, 1.0, 1e-3, 114, lo, hi - lo)
+             for lo, hi in ((0, 50), (50, 128))]
+    identical = all(np.array_equal(w, np.concatenate(cols))
+                    for w, cols in zip(whole, zip(*parts)))
     check("infra.worker-determinism", 0.0 if identical else 1.0, 0.0,
           ok=identical)
 

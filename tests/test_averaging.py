@@ -271,22 +271,31 @@ def test_strong_error_steps_within_the_guard_when_eps_over_10_does_not_divide():
     assert np.all(np.isfinite(rep.errors)) and not rep.diverged.any()
 
 
-def test_reports_serialize(tmp_path):
+def test_reports_serialize(tmp_path, capsys):
+    # the mixing and rate reports as `slowfast average` writes them
     import json
-    m = linear_benchmark()
-    rep = mixing_diagnostic(m, [1.0], [np.array([1.0])], 1.0, 0.01, 200,
-                            np.random.default_rng(0))
-    blob = json.loads(json.dumps(rep.to_json()))
-    assert "eta_declared" in blob and blob["curve"]
-    rep.curve_to_csv(tmp_path / "mix.csv")
-    assert (tmp_path / "mix.csv").read_text().startswith("t,deviation\n")
-
-    rate = strong_error_experiment(m, [2.0 ** -4, 2.0 ** -5, 2.0 ** -6],
-                                   "eps**(2/3)", 0.5, 100, master_seed=3)
-    blob = json.loads(json.dumps(rate.to_json()))
-    assert blob["delta_rule"] == "eps**(2/3)"
-    rate.curve_to_csv(tmp_path / "rate.csv")
-    lines = (tmp_path / "rate.csv").read_text().strip().split("\n")
+    from slowfast.cli import main
+    cfg = {"model": {"a": [[-1.0]], "b": [[-2.0]], "f": {"kind": "linear", "fy": [[1.0]]},
+                     "g": {"kind": "zero"}, "sigma2": 1.0, "epsilon": 1e-3,
+                     "x0": [1.0], "y0": [0.0]},
+           "average": {"horizon": 10.0, "y_list": [[1.0]], "t_mix": 1.0, "dt_mix": 0.01,
+                       "n_paths": 200, "epsilons": [2.0 ** -4, 2.0 ** -5, 2.0 ** -6],
+                       "t_end": 0.5, "n_paths_rate": 100}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["average", "--config", str(path), "--out", str(tmp_path)]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert list(blob) == ["fbar", "fbar_stderr", "mixing", "rate"]
+    assert list(blob["mixing"]) == ["eta_declared", "eta_empirical", "n_paths", "curve"]
+    assert blob["mixing"]["curve"] and list(blob["mixing"]["curve"][0]) == ["t", "deviation"]
+    assert list(blob["rate"]) == ["epsilons", "delta_rule", "deltas", "errors", "stderrs",
+                                  "slope", "intercept", "ci", "n_paths", "diverged",
+                                  "flagged"]
+    assert blob["rate"]["delta_rule"] == "eps**(2/3)"
+    (mix_csv,) = tmp_path.glob("*-mixing.csv")
+    assert mix_csv.read_text().startswith("t,deviation\n")
+    (rate_csv,) = tmp_path.glob("*-rate.csv")
+    lines = rate_csv.read_text().strip().split("\n")
     assert lines[0] == "epsilon,error,stderr"
     assert len(lines) == 4
 

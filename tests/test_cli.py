@@ -94,6 +94,48 @@ def test_non_integer_seed_variable_is_a_usage_error(tmp_path, capsys, monkeypatc
     assert _error_line(capsys).startswith("usage error: SEED")
 
 
+@pytest.mark.parametrize("path, value, prefix", [
+    (("model",), [], "config error: model"),
+    (("model", "f"), 3, "config error: f"),
+    (("model", "jump_fast"), 5, "config error: jump_fast"),
+    (("model", "jump_fast"), {"intensity": 2.0, "size": 3}, "config error: size"),
+    (("model", "dim"), [1], "error: "),
+    (("model", "epsilon"), None, "error: "),
+    (("model", "f"), {"kind": "expr", "components": 5}, "error: "),
+    (("model", "f"), {"kind": "lineer"}, "config error: unknown drift kind"),
+    (("model", "jump_fast"), {"intensity": 2.0, "size": {"kind": "normal"}},
+     "config error: unknown jump size kind"),
+    (("simulate",), [], "config error: simulate"),
+    (("simulate",), {"t_end": None}, "error: "),
+], ids=["model", "f", "jump", "jump-size", "dim", "epsilon", "components",
+        "drift-kind", "size-kind", "block", "t_end"])
+def test_malformed_config_is_one_error_line(tmp_path, capsys, path, value, prefix):
+    # a block that is not an object, or an unknown kind, is a config error
+    # naming it; a value of the wrong JSON type is an error line
+    cfg_data = json.loads(json.dumps(LINEAR_CFG))
+    *parents, key = path
+    target = cfg_data
+    for p in parents:
+        target = target[p]
+    target[key] = value
+    cfg = write_cfg(tmp_path, cfg_data)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = _error_line(capsys)
+    assert "\n" not in err and err.startswith(prefix)
+
+
+def test_out_flag_takes_precedence_over_the_config(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg_data = dict(LINEAR_CFG, simulate={"t_end": 0.01, "dt": 0.001},
+                    out=str(tmp_path / "from_config"))
+    cfg = write_cfg(tmp_path, cfg_data)
+    assert main(["simulate", "--config", cfg]) == 0
+    assert main(["simulate", "--config", cfg, "--out", "artifacts"]) == 0
+    capsys.readouterr()
+    assert len(os.listdir(tmp_path / "from_config")) == 2
+    assert len(os.listdir(tmp_path / "artifacts")) == 2
+
+
 @pytest.mark.parametrize("component", ["(" * 199 + "y1" + ")" * 199,
                                        "tanh(" * 210 + "y1" + ")" * 210,
                                        "+".join(["y1"] * 3000)],

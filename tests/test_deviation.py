@@ -490,14 +490,25 @@ def test_weak_limit_report_refuses_fewer_than_two_finite_samples(probe, match):
         weak_limit_report(m, build_averaged(m), dm, t_end, dt, paths, 5)
 
 
-def test_kernel_csv_export(tmp_path):
-    m = linear_benchmark()
-    k = autocovariance_kernel(m, [1.0], np.arange(0, 2.01, 0.25), 2.0, 110.0,
-                              0.01, np.random.default_rng(6), n_replicas=8)
-    k.to_csv(tmp_path / "kernel.csv")
-    lines = (tmp_path / "kernel.csv").read_text().strip().split("\n")
+def test_kernel_csv_export(tmp_path, capsys):
+    # the kernel and limit-model reports as `slowfast deviate` writes them
+    import json
+    from slowfast.cli import main
+    cfg = {"model": {"a": [[-1.0]], "b": [[-2.0]], "f": {"kind": "linear", "fy": [[1.0]]},
+                     "g": {"kind": "zero"}, "sigma2": 1.0, "epsilon": 1e-3,
+                     "x0": [1.0], "y0": [0.0]},
+           "deviate": {"s_max": 2.0, "lag_step": 0.25, "burn_in": 2.0, "horizon": 110.0,
+                       "n_replicas": 8, "t_end": 0.1, "dt_theta": 0.01}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["deviate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == ["a", "fbar_deriv", "htilde"]
+    (kernel_csv,) = tmp_path.glob("*-kernel.csv")
+    lines = kernel_csv.read_text().strip().split("\n")
     assert lines[0] == "s,H_11,stderr_11"
-    assert len(lines) == len(k.lags) + 1
+    assert len(lines) == len(np.arange(0, 2.01, 0.25)) + 1
+    (theta_csv,) = tmp_path.glob("*-theta.csv")
+    assert theta_csv.read_text().startswith("t,theta1\n")
 
 
 def test_kernel_symmetry_two_dimensional():

@@ -19,26 +19,6 @@ def test_constant_task_all_equal():
     assert ens.diverged == 0
 
 
-def test_worker_count_invariance():
-    def task(rng, i):
-        return rng.normal(size=3)
-
-    a = run_ensemble(task, 64, master_seed=5, workers=1)
-    b = run_ensemble(task, 64, master_seed=5, workers=8)
-    assert np.array_equal(a.outputs, b.outputs)
-
-
-@settings(max_examples=30, deadline=None)
-@given(n_paths=st.integers(1, 40), workers=st.integers(1, 4))
-def test_worker_count_invariance_any_size(n_paths, workers):
-    def task(rng, i):
-        return rng.normal(size=2) + i
-
-    serial = run_ensemble(task, n_paths, master_seed=3, workers=1)
-    threaded = run_ensemble(task, n_paths, master_seed=3, workers=workers)
-    assert np.array_equal(serial.outputs, threaded.outputs)
-
-
 def test_normal_sampler_mean():
     ens = run_ensemble(lambda rng, i: rng.normal(), 10000, master_seed=11)
     se = ens.outputs.std(ddof=1) / 100.0

@@ -455,9 +455,10 @@ def test_zero_horizon_single_row():
 
 
 def test_csv_serialization_17_digits():
+    from slowfast.cli import _trajectory_csv
     t = Trajectory(np.array([0.0, 0.1]), np.array([[1.0 / 3.0], [2.0 / 3.0]]))
     buf = io.StringIO()
-    t.to_csv(buf, label="x")
+    _trajectory_csv(buf, t, "x")
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "t,x1"
     assert lines[1].split(",")[1] == "0.33333333333333331"

@@ -28,8 +28,15 @@ with fast jumps from one generator over 600 steps, so that paths sharing a
 generator cover several noise chunks and blocks of paths.
 The ``*/kernel/*`` keys run ``autocovariance_kernel`` on a short window,
 and the ``*/manifold_long/*`` keys solve on a grid of 1601 points.
-``compare`` requires ``n1*`` outputs to be bit-identical (NaN equal to NaN)
-and ``n2*`` outputs to satisfy max|a - b| <= 1e-10 (1 + max|a|).
+The ``cli/*`` keys hold the exit code, the stdout and stderr bytes and each
+artifact's bytes of every ``slowfast`` command on two fixed configs
+(``n1``, a 1-D linear model with slow noise and fast jumps, and
+``levy_tanh``, ``bench/levy_tanh.json`` with a short kernel and a
+tabulated fbar), of ``validate`` and ``simulate`` on ``n1`` with an
+unstable A (``n1unstable``), and of ``verify --seed 0``; timestamps and
+the output directory are masked.
+``compare`` requires ``n1*`` and ``cli/*`` outputs to be bit-identical (NaN
+equal to NaN) and ``n2*`` outputs to satisfy max|a - b| <= 1e-10 (1 + max|a|).
 
 A change that alters outputs on purpose names the keys in one of two
 tables (``fnmatch`` patterns, the first match counts), with its reason:
@@ -44,7 +51,12 @@ from __future__ import annotations
 
 import contextlib
 import fnmatch
+import io
+import json
+import os
+import re
 import sys
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -108,6 +120,70 @@ def _drift_points(n):
     values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 0.7, -1.3, 2.5, -0.2])
     cycle = np.resize(values, 8 * n)
     return cycle[:4 * n].reshape(4, n), cycle[::-1][:4 * n].reshape(4, n)
+
+
+# small runs of every command; the kernel windows satisfy
+# horizon - burn_in >= 50 * s_max
+_CLI_BLOCKS = {
+    "simulate": {"t_end": 0.5},
+    "average": {"horizon": 10.0, "t_mix": 0.5, "n_paths": 100, "t_end": 0.2,
+                "epsilons": [0.05, 0.025, 0.0125], "n_paths_rate": 100},
+    "manifold": {"t_neg": 2.0},
+    "deviate": {"s_max": 2.5, "lag_step": 0.1, "burn_in": 2.0, "horizon": 130.0,
+                "n_replicas": 4, "t_end": 0.3, "dt_theta": 0.01},
+}
+
+
+def _cli_configs():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    n1 = {"model": {
+        "dim": 1, "a": [[-1.0]], "b": [[-2.0]],
+        "f": {"kind": "linear", "fy": [[1.0]], "fx": [[0.2]]},
+        "g": {"kind": "linear", "fx": [[0.25]]},
+        "sigma1": 0.3, "sigma2": 1.0,
+        "jump_fast": {"intensity": 2.0,
+                      "size": {"kind": "uniform", "low": -0.2, "high": 0.6}},
+        "epsilon": 0.05, "x0": [0.8], "y0": [0.4]}, **_CLI_BLOCKS}
+    with open(os.path.join(root, "bench", "levy_tanh.json")) as fh:
+        levy = json.load(fh)
+    levy["manifold"] = _CLI_BLOCKS["manifold"]
+    levy["deviate"] = dict(_CLI_BLOCKS["deviate"],
+                           table_axes=[[-1.0, 0.0, 1.0]] * 2)
+    unstable = dict(n1, model=dict(n1["model"], a=[[0.5]]))
+    return {"n1": (n1, ["validate", "simulate", "average", "manifold", "deviate"]),
+            "n1unstable": (unstable, ["validate", "simulate"]),
+            "levy_tanh": (levy, ["validate", "manifold", "deviate"])}
+
+
+def _cli_outputs(put):
+    """Exit code, stdout, stderr and artifact bytes of each command."""
+    from slowfast import cli
+
+    def run(key, argv, out_dir):
+        streams = {"stdout": io.StringIO(), "stderr": io.StringIO()}
+        with (contextlib.redirect_stdout(streams["stdout"]),
+              contextlib.redirect_stderr(streams["stderr"])):
+            code = cli.main(argv + ["--out", out_dir])
+        put(key + "/exit", code)
+        for stream, buf in streams.items():
+            text = re.sub(r"\d{8}T\d{6}Z", "<stamp>", buf.getvalue())
+            put(f"{key}/{stream}", np.frombuffer(text.replace(out_dir, "<out>").encode(),
+                                                 dtype=np.uint8))
+        for name in sorted(os.listdir(out_dir) if os.path.isdir(out_dir) else []):
+            with open(os.path.join(out_dir, name), "rb") as fh:
+                data = fh.read()
+            suffix = re.sub(r"^[a-z]+-\d{8}T\d{6}Z-\d+", "", name)
+            put(f"{key}/artifact{suffix}", np.frombuffer(data, dtype=np.uint8))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (cfg, commands) in _cli_configs().items():
+            path = os.path.join(tmp, name + ".json")
+            with open(path, "w") as fh:
+                json.dump(cfg, fh)
+            for command in commands:
+                run(f"cli/{name}/{command}", [command, "--config", path, "--seed", "5"],
+                    os.path.join(tmp, name, command))
+        run("cli/verify", ["verify", "--seed", "0"], os.path.join(tmp, "verify"))
 
 
 def dump(path):
@@ -262,6 +338,7 @@ def dump(path):
         traj(f"{name}/averaged", xa)
         dm = sf.DeviationModel(m.a, np.zeros((1, 1)), np.eye(1))
         traj(f"{name}/deviation", sf.simulate_deviation(dm, xa, 40.0, 0.1, rng(3)))
+    _cli_outputs(put)
     np.savez(path, **out)
     print(f"wrote {len(out)} arrays to {path}")
 
@@ -291,7 +368,7 @@ def compare(path_a, path_b):
         scale = 1.0 + float(np.max(np.abs(u[fin]), initial=0.0))
         bound = N2_RTOL * scale
         last_bits = _reason(LAST_BITS, key)
-        exact = key.startswith("n1") and last_bits is None
+        exact = key.startswith(("n1", "cli/")) and last_bits is None
         ok = (not exact and same_nan
               and np.array_equal(np.isinf(u), np.isinf(v)) and delta <= bound)
         note = ", bit-identity required" if exact else (f": {last_bits}" if last_bits else "")
