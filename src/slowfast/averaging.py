@@ -21,10 +21,10 @@ error as epsilon shrinks.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .harness import _split_paths, fit_exp_rate, fit_loglog_rate
 from .integrator import (DivergedError, _check_stable, _euler, _trajectory,
@@ -149,18 +149,55 @@ def build_averaged(m, table_axes=None, rng=None, horizon=60.0, dt=0.005):
         if table_axes is None or rng is None:
             raise ValueError("tabulated averaging needs table_axes and rng")
         axes = [np.asarray(ax, dtype=float) for ax in table_axes]
+        for ax in axes:
+            if ax.ndim != 1 or len(ax) < 2 or np.any(np.diff(ax) <= 0):
+                raise ValueError("each table axis needs two or more strictly "
+                                 "increasing nodes")
         nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         values = estimate_fbar(m, nodes, horizon=horizon, dt=dt, rng=rng).value
-        interp = RegularGridInterpolator(axes, values, bounds_error=False,
-                                         fill_value=None)
-
-        def fn(x):
-            flat = x.reshape(-1, n)
-            return interp(flat).reshape(x.shape[:-1] + (n,))
-
-        fbar = AveragedDrift(n, "tabulated", fn, table=(axes, values))
+        fbar = AveragedDrift(n, "tabulated", _multilinear(axes, values),
+                             table=(axes, values))
 
     return AveragedModel(m.a, fbar, m.sigma1, m.jump_slow, m.x0)
+
+
+def _multilinear(axes, values):
+    """Interpolant of ``values`` (*node counts, n) on the grid of ``axes``:
+    multilinear in each cell, linear past the edge cells, NaN where a
+    coordinate is NaN.  It gives the bits of scipy's
+    ``RegularGridInterpolator(axes, values, bounds_error=False,
+    fill_value=None)``, whose cell, weights and order of sum it takes."""
+    n = values.shape[-1]
+    # coordinate-major, so that each corner's values and weights multiply
+    # along the points
+    table = np.ascontiguousarray(values.reshape(-1, n).T)
+    strides = np.cumprod([1] + [len(ax) for ax in axes[:0:-1]])[::-1]
+    # a point's cell along an axis is the count of inner nodes at or below
+    # it: the cell below the first node extrapolates from the first cell,
+    # the one past the last node from the last cell
+    cells = [(ax[1:-1], ax, np.diff(ax), stride) for ax, stride in zip(axes, strides)]
+    corners = list(itertools.product((0, 1), repeat=len(axes)))
+    offsets = np.array([np.dot(c, strides) for c in corners])[:, None]
+
+    def fn(x):
+        cols = x.reshape(-1, len(axes)).T.copy()
+        base, weights = 0, []
+        for (inner, ax, width, stride), xd in zip(cells, cols):
+            i = np.searchsorted(inner, xd, side="right")
+            y = (xd - ax[i]) / width[i]
+            base = base + i * stride
+            weights.append((1 - y, y))
+        at_corners = np.take(table, base + offsets, axis=1)
+        value = 0.0
+        for k, corner in enumerate(corners):
+            weight = weights[0][corner[0]]
+            for w, c in zip(weights[1:], corner[1:]):
+                weight = weight * w[c]
+            value = value + at_corners[:, k] * weight
+        value[:, np.isnan(cols).any(axis=0)] = np.nan
+        return np.ascontiguousarray(value.T).reshape(x.shape[:-1] + (n,))
+
+    return fn
 
 
 def _auto_mode(m):

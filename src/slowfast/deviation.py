@@ -35,7 +35,7 @@ from .averaging import _increment_blocks, _slow_increments, coupled_error_batch
 from .integrator import (DivergedError, _check_stable, _euler, _frozen_fast_run,
                          _trajectory, frozen_fast_batch, make_grid)
 from .model import _add_value, _lin, _lin_plus, _value_into
-from .noise import ROLE_BURN, ROLE_DEV, _chunk_steps, _path_increments, substream
+from .noise import CHUNK_STEPS, ROLE_BURN, ROLE_DEV, _path_increments, substream
 from .harness import _split_paths, _var_se, two_sample_compare
 
 
@@ -82,9 +82,8 @@ def autocovariance_kernel(m, x, lags, burn_in, horizon, dt, rng, n_replicas=24):
     first = int(round(burn_in / dt))
     window = frozen_fast_batch(m, x, m.y0, steps, dt, rng, n_replicas)[first:]
     t_len = len(window)
-    chunk = _chunk_steps(n_replicas, n, t_len)
-    for lo in range(0, t_len, chunk):
-        rows = window[lo:lo + chunk]
+    for lo in range(0, t_len, CHUNK_STEPS):
+        rows = window[lo:lo + CHUNK_STEPS]
         rows[...] = m.f(np.broadcast_to(x, rows.shape), rows)
     fbar = window.mean(axis=(0, 1))
     window -= fbar

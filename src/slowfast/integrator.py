@@ -297,7 +297,9 @@ def frozen_fast_batch(m, x_frozen, y0, steps, dt, rng, n_paths):
 
     The paths draw their increments from ``rng`` in turn, path 0 first, each
     as one ``sample_increments`` stream, so path i equals the i-th of
-    ``n_paths`` successive one-path runs on that generator.
+    ``n_paths`` successive one-path runs on that generator.  Each path's
+    place in that stream is fixed when the stream is built, which leaves
+    ``rng`` where those runs would.
     """
     grid = dt * np.arange(steps + 1)
     d_fast = _path_increments(m.n, grid, n_paths, lambda i: rng, jump=m.jump_fast)

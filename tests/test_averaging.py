@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slowfast.averaging import (_averaged_run, build_averaged, estimate_fbar,
-                                mixing_diagnostic, simulate_averaged,
+from slowfast.averaging import (_averaged_run, _multilinear, build_averaged,
+                                estimate_fbar, mixing_diagnostic, simulate_averaged,
                                 strong_error_experiment)
 from slowfast.benchmarks import linear_benchmark, tanh_benchmark
 from slowfast.integrator import make_grid, simulate_slow_fast
@@ -131,6 +131,34 @@ def test_build_averaged_tabulated_interpolates():
     nodes, values = am.fbar.table
     mid = am.fbar(np.array([nodes[0][3]]))
     assert mid[0] == pytest.approx(values[3], abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dims=st.integers(1, 3), data=st.data())
+def test_tabulated_interpolant_has_scipy_bits(dims, data):
+    # non-uniform axes; points past the edges, on nodes, at signed zeros,
+    # infinities and NaN
+    from scipy.interpolate import RegularGridInterpolator
+    node = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
+    axes = [np.array(sorted(data.draw(st.sets(node, min_size=2, max_size=6))))
+            for _ in range(dims)]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=[len(ax) for ax in axes] + [dims])
+    x = np.stack([rng.choice(np.concatenate([
+        ax, [0.0, -0.0, np.inf, -np.inf, np.nan],
+        rng.uniform(ax[0] - 2.0, ax[-1] + 2.0, 20)]), 40) for ax in axes], axis=-1)
+    with np.errstate(all="ignore"):       # inf - inf, inf * 0 past the edges
+        ref = RegularGridInterpolator(axes, values, bounds_error=False,
+                                      fill_value=None)(x)
+        got = _multilinear(axes, values)(x)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_tabulated_axes_must_increase():
+    m = tanh_benchmark()
+    for axis in ([0.5], [0.0, 1.0, 1.0], [1.0, 0.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            build_averaged(m, table_axes=[axis], rng=np.random.default_rng(0))
 
 
 def test_mixing_rate_linear_benchmark():

@@ -137,7 +137,7 @@ def test_kernel_memory_stays_within_its_path_rows():
                       jump_fast=JumpSpec(2.0, SizeDist.uniform(-0.4, 0.2)),
                       x0=[0.8, -0.4], y0=[0.4, 0.1])
     replicas, steps, first = 24, 6100, 100
-    assert steps - first >= 8 * noise._chunk_steps(replicas, m.n, steps)
+    assert steps - first >= 8 * noise.CHUNK_STEPS
     rows = (steps + 1) * replicas * m.n * 8          # the recorded paths' bytes
     tracemalloc.start()
     try:

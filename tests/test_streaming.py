@@ -1,6 +1,6 @@
 """Streamed batch increments: every row of a batch equals its standalone run.
 
-Batches draw their noise in time chunks of ``noise._chunk_steps`` steps,
+Batches draw their noise in time chunks of ``noise.CHUNK_STEPS`` steps,
 from one generator per path or one shared by all of them, and fill each
 chunk a block of ``noise._PATH_BLOCK`` paths at a time.
 Neither the chunk length nor the block must change a single bit of any
@@ -48,7 +48,7 @@ def _model(n, jumps, matrix_sigma):
 
 def _chunks(steps):
     """Streamed batches drawn ``steps`` steps at a time, whatever their width."""
-    return mock.patch.multiple(noise, CHUNK_STEPS=steps, CHUNK_BYTES=0)
+    return mock.patch.object(noise, "CHUNK_STEPS", steps)
 
 
 def _same(batch, single, n):
@@ -124,7 +124,7 @@ def test_coupled_batch_does_not_depend_on_chunk_length(chunk):
 
 def _chunk_bytes(paths, n, steps):
     """Bytes of one chunk buffer of a streamed (steps, paths, n) batch."""
-    return noise._chunk_steps(paths, n, steps) * paths * n * 8
+    return min(noise.CHUNK_STEPS, steps) * paths * n * 8
 
 
 def _unsplit():
@@ -132,18 +132,12 @@ def _unsplit():
     return mock.patch.object(harness, "SPLIT_PATH_STEPS", np.inf)
 
 
-def _quarter_budget():
-    """A quarter of the byte budget: the whole batches below are then more
-    than three chunk buffers."""
-    return mock.patch.object(noise, "CHUNK_BYTES", noise.CHUNK_BYTES // 4)
-
-
 def test_coupled_batch_memory_stays_within_a_few_chunk_buffers():
     # 4000 paths x 4000 steps: a whole increment block would take 128 MB
     m = linear_benchmark(epsilon=1e-3)
     am = build_averaged(m)
     paths, steps = 4000, 4000
-    with _quarter_budget(), _unsplit():
+    with _unsplit():
         buffer = _chunk_bytes(paths, m.n, steps)
         assert steps * paths * m.n * 8 > 3 * buffer
         tracemalloc.start()
@@ -162,7 +156,7 @@ def test_limit_samples_memory_stays_within_a_few_chunk_buffers():
     am = build_averaged(m)
     dm = DeviationModel(am.a, np.zeros((1, 1)), 0.25 * np.eye(1))
     paths, steps = 4000, 1000
-    with _quarter_budget(), _unsplit():
+    with _unsplit():
         buffer = _chunk_bytes(paths, m.n, steps)
         assert steps * paths * m.n * 8 > 3 * buffer
         tracemalloc.start()
@@ -172,6 +166,23 @@ def test_limit_samples_memory_stays_within_a_few_chunk_buffers():
         finally:
             tracemalloc.stop()
     assert peak <= 3 * buffer
+
+
+def test_wide_batch_holds_a_chunk_of_fixed_steps():
+    # a forked weak-limit worker's width, 5000 paths at n = 1, over more than
+    # 512 steps: its chunk holds CHUNK_STEPS steps beside the paths'
+    # generators, under what one 512-step chunk alone would take
+    m = linear_benchmark(epsilon=1e-3)
+    am = build_averaged(m)
+    paths, steps = 5000, 600
+    with _unsplit():
+        tracemalloc.start()
+        try:
+            coupled_error_batch(m, am, steps * 1e-4, 1e-4, 5, 0, paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 512 * paths * m.n * 8
 
 
 def _rows(incr):
@@ -249,8 +260,10 @@ def test_shared_generator_streams_in_chunks_as_successive_streams(n):
         for k in range(len(incr)):
             rows.append(incr[k].copy())
             # from the first chunk on, the generator stands where the
-            # successive streams leave it
+            # successive streams leave it, and what it draws between chunk
+            # reads continues its own stream and changes no row
             assert rng.bit_generator.state == twin.bit_generator.state
+            assert np.array_equal(rng.random(2), twin.random(2))
     rows, hit = np.stack(rows), set()
     for i, ref in enumerate(refs):
         assert np.array_equal(rows[:, i], ref.d_brownian + ref.d_jump)

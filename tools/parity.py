@@ -16,8 +16,9 @@ function and operator (``n2expr``), in value and in-place form, at fixed
 points of shape (n,) and (4, n) with signed zeros, infinities and NaN, and
 record the sign bits of the results.
 The ``*_long`` keys step batches over more steps than one noise chunk of
-``noise.CHUNK_STEPS`` steps, by a count that is not a multiple of it (the
-byte budget ``noise.CHUNK_BYTES`` is set to 0 for them, where it exists);
+``noise.CHUNK_STEPS`` steps, by a count that is not a multiple of it (in
+older checkouts, which have the byte budget ``noise.CHUNK_BYTES``, it is
+set to 0 for them);
 the ``*_wide`` keys (``n1`` and ``n2m``) step 300 paths, more than one block
 of paths drawn together (``noise._PATH_BLOCK``), over 40 steps, split across
 forked worker processes (``harness.SPLIT_PATH_STEPS`` is set to 0 for them,
