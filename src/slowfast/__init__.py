@@ -5,8 +5,7 @@ Monte-Carlo verification of the convergence claims against linear oracles."""
 
 from .model import (DriftFn, JumpSpec, SizeDist, SlowFastModel, parse_drift,
                     estimate_lipschitz, validate_model)
-from .noise import (IncrementStream, TwoSidedPath, rescale_fast,
-                    sample_increments, sample_two_sided, substream)
+from .noise import IncrementStream, sample_increments, substream
 from .integrator import DivergedError, Trajectory, simulate_slow_fast
 from .averaging import (AveragedModel, MixingReport, RateReport,
                         build_averaged, estimate_fbar, mixing_diagnostic,

@@ -88,7 +88,7 @@ def estimate_fbar(m, x, burn_in=None, horizon=60.0, dt=0.005, rng=None):
     ``FBAR_BATCHES`` batch means.  The paths are one ``frozen_fast_batch``
     run drawn from ``rng`` in turn, so point i equals the i-th of successive
     single-point calls.  The default burn-in is 10/gamma_b, the safe linear
-    relaxation scale.
+    relaxation scale.  A window of fewer grid points than batches is refused.
     """
     if burn_in is None:
         burn_in = 10.0 / m.gamma_b
@@ -99,10 +99,13 @@ def estimate_fbar(m, x, burn_in=None, horizon=60.0, dt=0.005, rng=None):
         raise ValueError(f"points must have shape (..., {m.n})")
     points = x.reshape(-1, m.n)
     grid = make_grid(horizon, dt)
+    kept = grid >= burn_in
+    if np.count_nonzero(kept) < FBAR_BATCHES:
+        raise ValueError(f"fbar window [burn_in, horizon] holds under {FBAR_BATCHES} points")
     ys = frozen_fast_batch(m, points, m.y0, len(grid) - 1, dt, rng, len(points))
     if not np.all(np.isfinite(ys[-1])):          # NaN after a divergence
         raise DivergedError("frozen-fast path diverged during fbar estimation")
-    window = ys[grid >= burn_in]
+    window = ys[kept]
     # one contiguous (T, n) block per point: its sums run as a lone point's do
     vals = np.ascontiguousarray(
         m.f(np.broadcast_to(points, window.shape), window).transpose(1, 0, 2))
@@ -112,7 +115,7 @@ def estimate_fbar(m, x, burn_in=None, horizon=60.0, dt=0.005, rng=None):
     return FbarEstimate(vals.mean(axis=1).reshape(x.shape), stderr.reshape(x.shape))
 
 
-def build_averaged(m, table_axes=None, rng=None, horizon=60.0, dt=0.005):
+def build_averaged(m, table_axes=None, rng=None, horizon=60.0):
     """Construct the averaged model for ``m``.
 
     Picks the exact shortcut when the drift ignores the fast variable, the
@@ -154,7 +157,7 @@ def build_averaged(m, table_axes=None, rng=None, horizon=60.0, dt=0.005):
                 raise ValueError("each table axis needs two or more strictly "
                                  "increasing nodes")
         nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        values = estimate_fbar(m, nodes, horizon=horizon, dt=dt, rng=rng).value
+        values = estimate_fbar(m, nodes, horizon=horizon, rng=rng).value
         fbar = AveragedDrift(n, "tabulated", _multilinear(axes, values),
                              table=(axes, values))
 

@@ -159,7 +159,6 @@ class TwoSampleReport:
     mean_se: np.ndarray
     var_diff: np.ndarray
     var_se: np.ndarray
-    cov_diff: np.ndarray
     cdf_distance: np.ndarray      # per coordinate
     critical_value: float
     alpha: float
@@ -190,7 +189,6 @@ def two_sample_compare(a, b, alpha=0.01):
     var_diff = va - vb
     var_se = np.array([np.sqrt(_var_se(a[:, j]) ** 2 + _var_se(b[:, j]) ** 2)
                        for j in range(d)])
-    cov_diff = (np.cov(a.T).reshape(d, d) - np.cov(b.T).reshape(d, d)) if na > 1 and nb > 1 else np.zeros((d, d))
 
     degenerate = bool(np.all(va == 0) and np.all(vb == 0))
     if degenerate:
@@ -205,8 +203,7 @@ def two_sample_compare(a, b, alpha=0.01):
                   and np.all(np.abs(var_diff) <= 3 * var_se))
     passed = bool(moments_ok and (degenerate or np.all(distance < crit)))
     return TwoSampleReport(na, nb, mean_diff, mean_se, var_diff, var_se,
-                           cov_diff, distance, float(crit), alpha, degenerate,
-                           passed)
+                           distance, float(crit), alpha, degenerate, passed)
 
 
 @dataclass

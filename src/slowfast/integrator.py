@@ -61,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import _lin_op, _lin_plus
-from .noise import _path_increments, rescale_fast, sample_increments
+from .noise import _path_increments, sample_increments
 
 
 class DivergedError(RuntimeError):
@@ -262,7 +262,8 @@ def simulate_slow_fast(m, t_end, dt, rng=None, slow_incr=None, fast_incr=None):
     if slow_incr is None:
         slow_incr = sample_increments(n, grid, rng, jump=m.jump_slow)
     if fast_incr is None:
-        fast_incr = rescale_fast(n, m.epsilon, grid, rng, jump=m.jump_fast)
+        fast_incr = sample_increments(n, grid, rng, jump=m.jump_fast,
+                                      speed=1.0 / m.epsilon)
 
     slow, fast = _lin_plus(m.a, m.f._add), _lin_plus(m.b, m.g._add)
 

@@ -46,7 +46,7 @@ from scipy.linalg import expm
 from .harness import fit_exp_rate
 from .integrator import _euler, apply_noise
 from .model import _lin_op, _lin_plus, _value_into, decay_rate, has_slow_noise
-from .noise import _required, sample_two_sided
+from .noise import _required, sample_increments
 
 # sweeps ``lyapunov_perron_solve`` makes before it gives up and raises
 MAX_SWEEPS = 200
@@ -88,6 +88,8 @@ def contraction_factors(m, epsilon, gamma):
     the tracking estimate; rho >= 1 is returned as-is and rejected by the
     solver, not here.
     """
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     lf, lg = _lipschitz_pair(m)
     _, ga_rev, gb = _gammas(m)
     if not (epsilon * ga_rev < gamma < gb - lg):
@@ -117,33 +119,31 @@ class FrozenStationaryPaths:
     def t_neg(self):
         return -float(self.grid[0])
 
-    def window_neg(self, t_neg):
-        i0 = self.index0 - int(round(t_neg / self.step))
-        if i0 < 0:
+    def window(self, t0, t1):
+        """Grid, eta and xi on [t0, t1], rounded to whole steps."""
+        i0, i1 = (self.index0 + int(round(t / self.step)) for t in (t0, t1))
+        if i0 < 0 or i1 >= len(self.grid):
             raise ValueError("requested window exceeds the sampled path")
-        sl = slice(i0, self.index0 + 1)
-        return self.grid[sl], self.eta[sl], self.xi[sl]
-
-    def window_pos(self, t_end):
-        i1 = self.index0 + int(round(t_end / self.step))
-        if i1 >= len(self.grid):
-            raise ValueError("requested window exceeds the sampled path")
-        sl = slice(self.index0, i1 + 1)
+        sl = slice(i0, i1 + 1)
         return self.grid[sl], self.eta[sl], self.xi[sl]
 
 
 def sample_stationary_paths(m, epsilon, t_neg, t_pos, grid_step, rng):
     """Sample frozen eta/xi paths for one noise realization.
 
-    The fast path xi draws from its own child stream first, so it is
-    invariant under changes of epsilon with a fixed seed.  Both paths start
-    from 0 at -t_neg, which truncates the stationary convolution tail; choose
-    t_neg a multiple of 5 over the decay rate.  The horizons are rounded to
-    whole steps, and the noise is drawn on the grid returned.  A kernel that
-    does not decay is refused: B always, A when slow noise is drawn at a
-    positive epsilon (at epsilon 0 the slow kernel is the identity).
+    Each path integrates two-sided noise, whose segments on [-t_neg, 0]
+    (drawn first) and [0, t_pos] are independent and meet at 0 at time 0,
+    as stationary convolutions need.  The fast path xi draws from its own
+    child stream first, so it is invariant under changes of epsilon with a
+    fixed seed.  Both paths start from 0 at -t_neg, which truncates the
+    stationary convolution tail; choose t_neg a multiple of 5 over the decay
+    rate.  The horizons are rounded to whole steps, and the noise is drawn
+    on the grid returned.  A kernel that does not decay is refused: B
+    always, A when slow noise is drawn at a positive epsilon (at epsilon 0
+    the slow kernel is the identity).
     """
-    n = m.n
+    if t_neg < 0 or t_pos < 0:
+        raise ValueError("horizons must be nonnegative")
     if decay_rate(m.b) <= 0:
         raise ValueError("fast matrix B is not Hurwitz: the stationary xi diverges")
     slow_noise = has_slow_noise(m)
@@ -155,15 +155,21 @@ def sample_stationary_paths(m, epsilon, t_neg, t_pos, grid_step, rng):
     grid = grid_step * np.arange(-steps_neg, steps_pos + 1)
     t_neg, t_pos = steps_neg * grid_step, steps_pos * grid_step
 
-    fast = sample_two_sided(n, t_neg, t_pos, grid_step, c_xi, jump=m.jump_fast)
-    xi = _convolve_path(m.b, grid_step, fast.increments(), m.sigma2)
+    def two_sided(gen, jump, speed=1.0):
+        """Summed increments on ``grid``, the negative segment drawn first."""
+        rows = []
+        for t0, t1, steps in ((-t_neg, 0.0, steps_neg), (0.0, t_pos, steps_pos)):
+            seg = np.append(t0 + grid_step * np.arange(steps), t1)
+            incr = sample_increments(m.n, seg, gen, jump=jump, speed=speed)
+            rows.append(incr.d_brownian + incr.d_jump)
+        return np.concatenate(rows)
 
+    xi = _convolve_path(m.b, grid_step, two_sided(c_xi, m.jump_fast), m.sigma2)
     if not slow_noise:
-        eta = np.zeros((len(grid), n))
+        eta = np.zeros((len(grid), m.n))
     else:
-        slow = sample_two_sided(n, t_neg, t_pos, grid_step, c_eta,
-                                jump=m.jump_slow, speed=epsilon)
-        eta = _convolve_path(epsilon * m.a, grid_step, slow.increments(), m.sigma1)
+        eta = _convolve_path(epsilon * m.a, grid_step,
+                             two_sided(c_eta, m.jump_slow, epsilon), m.sigma1)
     return FrozenStationaryPaths(grid, eta, xi, grid_step, steps_neg)
 
 
@@ -226,19 +232,15 @@ def _recurrence(e_mat, c_mat, drive, start):
     return out
 
 
-def _sweep_operators(m, epsilon, step, frozen_u):
+def _sweep_operators(m, epsilon, step):
     """Per-cell propagators of the fast forward and the slow backward sweep."""
-    ops = [expm(m.b * step), _phi1(m.b, step)]
-    if not frozen_u:
-        ops += [expm(-epsilon * m.a * step), epsilon * _phi1(-epsilon * m.a, step)]
-    return ops
+    return (expm(m.b * step), _phi1(m.b, step),
+            expm(-epsilon * m.a * step), epsilon * _phi1(-epsilon * m.a, step))
 
 
 def _sweep(m, ops, u0, u, v, eta_w, xi_w):
-    """One application of the graph map; a frozen slow profile stays put."""
+    """One application of the graph map."""
     v_new = _recurrence(ops[0], ops[1], m.g(u + eta_w, v + xi_w)[:-1], 0.0)
-    if len(ops) == 2:
-        return u, v_new
     # w_last = u0;  w_j = E w_{j+1} - C f_j, run forward on the reversed drive
     f_rev = m.f(u + eta_w, v + xi_w)[:-1][::-1]
     return _recurrence(ops[2], -ops[3], f_rev, u0)[::-1], v_new
@@ -269,16 +271,14 @@ def _weighted_gap(weight, du, dv):
 
 
 def lyapunov_perron_solve(m, epsilon, u0, gamma=None, grid_step=0.005,
-                          tol=1e-9, rng=None, t_neg=None,
-                          paths=None, frozen_u=False):
+                          tol=1e-9, rng=None, t_neg=None, paths=None):
     """Iterate the graph map to its fixed point for one noise realization.
 
     ``paths`` may carry pre-sampled stationary forcing (frozen across
     iterations and reusable across solves); otherwise it is sampled from
-    ``rng``.  ``frozen_u`` pins the slow argument at ``u0``, which is the
-    epsilon = 0 solve behind the asymptotic graph.
+    ``rng``.  At epsilon = 0 the slow profile stays at ``u0`` (the slow
+    propagator is the identity, the slow drive 0): the asymptotic graph.
     """
-    n = m.n
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
     _, lg = _lipschitz_pair(m)
     _, _, gb = _gammas(m)
@@ -299,14 +299,11 @@ def lyapunov_perron_solve(m, epsilon, u0, gamma=None, grid_step=0.005,
         paths = sample_stationary_paths(m, epsilon, t_neg, 0.0, grid_step, rng)
     if abs(paths.step - grid_step) > 1e-12:
         raise ValueError("paths grid step does not match grid_step")
-    ts, eta_w, xi_w = paths.window_neg(t_neg)
+    ts, eta_w, xi_w = paths.window(-t_neg, 0.0)
 
-    ops = _sweep_operators(m, epsilon, grid_step, frozen_u)
-    if frozen_u:
-        u = np.broadcast_to(u0, (len(ts), n)).copy()
-    else:
-        u = _linear_slow_profile(m.a, epsilon, u0, ts)
-    v = np.zeros((len(ts), n))
+    ops = _sweep_operators(m, epsilon, grid_step)
+    u = _linear_slow_profile(m.a, epsilon, u0, ts)
+    v = np.zeros((len(ts), m.n))
     weight = np.exp(gamma * ts)
 
     residuals = []
@@ -332,19 +329,18 @@ def lyapunov_perron_solve(m, epsilon, u0, gamma=None, grid_step=0.005,
 
 def reapply_sweep(m, sol, paths):
     """Residual of one extra sweep applied to a converged solution."""
-    ts, eta_w, xi_w = paths.window_neg(sol.t_neg)
+    ts, eta_w, xi_w = paths.window(-sol.t_neg, 0.0)
     u, v = sol.profile.u, sol.profile.v
-    ops = _sweep_operators(m, sol.epsilon, paths.step, False)
+    ops = _sweep_operators(m, sol.epsilon, paths.step)
     u_new, v_new = _sweep(m, ops, sol.u0, u, v, eta_w, xi_w)
     return _weighted_gap(np.exp(sol.gamma * ts), u_new - u, v_new - v)
 
 
 def asymptotic_manifold_h0(m, u0, grid_step=0.005, t_neg=None, rng=None,
                            paths=None, tol=1e-9):
-    """Graph value of the frozen-slow (epsilon = 0) manifold at ``u0``."""
-    sol = lyapunov_perron_solve(m, 0.0, u0, grid_step=grid_step, tol=tol, rng=rng,
-                                t_neg=t_neg, paths=paths, frozen_u=True)
-    return sol.h_value
+    """Graph value of the asymptotic manifold at ``u0``: the epsilon = 0 solve."""
+    return lyapunov_perron_solve(m, 0.0, u0, grid_step=grid_step, tol=tol, rng=rng,
+                                 t_neg=t_neg, paths=paths).h_value
 
 
 @dataclass
@@ -376,7 +372,7 @@ def tracking_check(m, epsilon, ic_on, ic_off, t_end, dt, rng):
     if has_slow_noise(m) and epsilon > 0:
         spin = max(spin, 5.0 / (epsilon * ga))
     paths = sample_stationary_paths(m, epsilon, spin, t_end, dt, rng)
-    ts, eta_w, xi_w = paths.window_pos(t_end)
+    ts, eta_w, xi_w = paths.window(0.0, t_end)
 
     u = np.vstack([ic_on[0], ic_off[0]]).astype(float)
     v = np.vstack([ic_on[1], ic_off[1]]).astype(float)

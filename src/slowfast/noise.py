@@ -6,11 +6,9 @@ statistics, and events are binned to grid steps; the compensator enters as
 the deterministic per-step correction ``-rate * mean_size * dt`` so every
 jump increment is a martingale difference.
 
-A time change runs the process at a ``speed`` c: Brownian variance c dt
-and jump rate c times the intensity.  Fast-time rescaling is speed
-``1/epsilon``.  Two-sided paths glue an independent negative-time segment to
-a positive-time segment with the path anchored at 0 at time 0, which is what
-stationary stochastic convolutions integrate against.
+A time change runs the process at a ``speed`` c >= 0: Brownian variance
+c dt and jump rate c times the intensity.  Fast-time rescaling is speed
+``1/epsilon``.
 
 Reproducibility contract: each (master_seed, path_index, role) triple
 derives an independent substream.  A path draws its jump count, times and
@@ -97,6 +95,12 @@ def _check_grid(grid):
     return grid
 
 
+def _check_speed(speed):
+    if not speed >= 0:
+        raise ValueError(f"speed must be nonnegative, got {speed}")
+    return speed
+
+
 def _required(rng):
     """``rng``, or the error every sampler gives when no generator is passed."""
     if rng is None:
@@ -123,6 +127,7 @@ def sample_increments(n, grid, rng, jump=None, speed=1.0):
     """
     grid = _check_grid(grid)
     _required(rng)
+    _check_speed(speed)
     m = len(grid) - 1
     dts = np.diff(grid)
     rate = 0.0 if jump is None or m == 0 else jump.intensity * speed
@@ -153,7 +158,7 @@ class _path_increments:    # lower case, as it is called like a function
     its stream in turn, path 0 first, each from its own copy."""
 
     def __init__(self, n, grid, count, rng_at, jump=None, speed=1.0):
-        self._grid, self._jump, self._speed = _check_grid(grid), jump, speed
+        self._grid, self._jump, self._speed = _check_grid(grid), jump, _check_speed(speed)
         self.shape = (len(self._grid) - 1, count, n)
         gens = [_required(rng_at(i)) for i in range(count)]
         self._buf = np.empty((min(CHUNK_STEPS, len(self)), count, n))
@@ -227,39 +232,3 @@ class _path_increments:    # lower case, as it is called like a function
             if hi == len(self):
                 self._events = None
         self._start, self._end = lo, hi
-
-
-def rescale_fast(n, epsilon, grid, rng, jump=None):
-    """Increment stream of the fast-time driving noise at timescale 1/epsilon."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    return sample_increments(n, grid, rng, jump=jump, speed=1.0 / epsilon)
-
-
-@dataclass
-class TwoSidedPath:
-    """Independent negative and positive increment segments glued at 0."""
-
-    negative: IncrementStream     # grid on [-T_neg, 0]
-    positive: IncrementStream     # grid on [0, T]
-
-    def increments(self):
-        """Per-step increments (Brownian + compensated jumps) on [-T_neg, T]."""
-        return np.concatenate([self.negative.d_brownian + self.negative.d_jump,
-                               self.positive.d_brownian + self.positive.d_jump])
-
-
-def sample_two_sided(n, t_neg, t_pos, grid_step, rng, jump=None, speed=1.0):
-    """Sample a two-sided path: negative segment first, then positive."""
-    if t_neg < 0 or t_pos < 0:
-        raise ValueError("horizons must be nonnegative")
-
-    def segment(t0, t1):
-        steps = max(int(round((t1 - t0) / grid_step)), 0)
-        grid = t0 + grid_step * np.arange(steps + 1)
-        grid[-1] = t1
-        return sample_increments(n, grid, rng, jump=jump, speed=speed)
-
-    negative = segment(-t_neg, 0.0)
-    positive = segment(0.0, t_pos)
-    return TwoSidedPath(negative, positive)

@@ -97,6 +97,16 @@ def test_fbar_rejects_points_of_the_wrong_dimension():
         estimate_fbar(linear_benchmark(), [[1.0, 2.0]], rng=np.random.default_rng(0))
 
 
+def test_fbar_refuses_a_window_shorter_than_its_batches():
+    # [0, 0.05] at dt 0.005 holds 11 grid points for 16 batch means, whose
+    # standard error would be NaN; 16 points give each batch one
+    m, rng = linear_benchmark(), np.random.default_rng(0)
+    with pytest.raises(ValueError, match="fbar window"):
+        estimate_fbar(m, [1.0], burn_in=0.0, horizon=0.05, rng=rng)
+    est = estimate_fbar(m, [1.0], burn_in=0.0, horizon=0.075, rng=rng)
+    assert np.all(np.isfinite(est.stderr))
+
+
 def test_build_averaged_linear_closed_form():
     m = linear_benchmark()
     am = build_averaged(m)
@@ -121,7 +131,7 @@ def test_build_averaged_tabulated_interpolates():
     m = tanh_benchmark()
     axes = [np.linspace(-1.5, 1.5, 7)]
     am = build_averaged(m, table_axes=axes, rng=np.random.default_rng(2),
-                        horizon=150.0, dt=0.01)
+                        horizon=150.0)
     assert am.fbar.kind == "tabulated"
     v = am.fbar(np.array([[0.0], [0.8]]))
     assert v.shape == (2, 1)
@@ -330,13 +340,13 @@ def test_reports_serialize(tmp_path, capsys):
 
 def test_batched_runner_matches_single_path_bitwise():
     from slowfast.averaging import coupled_error_batch
-    from slowfast.noise import ROLE_FAST, ROLE_SLOW, rescale_fast, substream
+    from slowfast.noise import ROLE_FAST, ROLE_SLOW, substream
     m = linear_benchmark(epsilon=0.05)
     am = build_averaged(m)
     seed, k = 77, 3
     sup_sq, diff_t, div = coupled_error_batch(m, am, 1.0, 0.005, seed, 0, 8)
     grid = make_grid(1.0, 0.005)
-    fast = rescale_fast(1, 0.05, grid, substream(seed, k, ROLE_FAST))
+    fast = sample_increments(1, grid, substream(seed, k, ROLE_FAST), speed=1.0 / 0.05)
     slow = sample_increments(1, grid, substream(seed, k, ROLE_SLOW))
     x, _ = simulate_slow_fast(m, 1.0, 0.005, slow_incr=slow, fast_incr=fast)
     xa = simulate_averaged(am, 1.0, 0.005, slow)

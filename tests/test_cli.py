@@ -243,6 +243,17 @@ def test_average_rejects_unknown_delta_rule(tmp_path, capsys):
     assert "error: unknown delta_rule 'eps**(1/2)'" in capsys.readouterr().err
 
 
+def test_average_refuses_a_window_shorter_than_the_fbar_batches(tmp_path, capsys):
+    # a NaN standard error is not JSON, so it is an error line, not a report
+    cfg_data = json.loads(json.dumps(LINEAR_CFG))
+    cfg_data["average"] = {"x": [1.0], "horizon": 0.05, "burn_in": 0.0,
+                           "t_mix": 0.5, "n_paths": 100}
+    cfg = write_cfg(tmp_path, cfg_data)
+    assert main(["average", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = _error_line(capsys)
+    assert "\n" not in err and err.startswith("error: ") and "fbar window" in err
+
+
 def test_manifold_command_writes_solution(tmp_path, capsys):
     cfg_data = {
         "model": {

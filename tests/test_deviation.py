@@ -337,7 +337,7 @@ def test_limit_samples_match_single_path_runs(n, callable_jac, slow, paths, seed
 def tanh_averaged():
     m = tanh_benchmark()
     am = build_averaged(m, table_axes=[np.linspace(-2, 2, 5)],
-                        rng=np.random.default_rng(0), horizon=30.0, dt=0.01)
+                        rng=np.random.default_rng(0), horizon=30.0)
     return m, am
 
 

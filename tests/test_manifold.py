@@ -62,16 +62,20 @@ def test_stationary_slow_variance_epsilon_free(eps):
 
 def test_stationary_noise_is_drawn_on_the_returned_grid(monkeypatch):
     import slowfast.manifold as manifold
-    drawn, draw = [], manifold.sample_two_sided
-    monkeypatch.setattr(manifold, "sample_two_sided",
-                        lambda *a, **k: drawn.append(draw(*a, **k)) or drawn[-1])
+    drawn, draw = [], manifold.sample_increments
+    monkeypatch.setattr(manifold, "sample_increments",
+                        lambda *a, **k: drawn.append((a, k)) or draw(*a, **k))
     # 5 / 1.125 = 4.44..., the solver's default t_neg for the tanh benchmark,
     # is not a whole number of steps of 0.005
     paths = sample_stationary_paths(plain_model(sigma1=1.0, sigma2=1.0), 0.1,
                                     5.0 / 1.125, 0.0213, 0.005, np.random.default_rng(0))
-    assert len(drawn) == 2        # xi, then eta
-    for two in drawn:
-        grid = np.concatenate([two.negative.grid, two.positive.grid[1:]])
+    # xi's negative then positive segment, then eta's, at speeds 1 and epsilon
+    assert len(drawn) == 4
+    assert [k.get("speed") for _, k in drawn] == [1.0, 1.0, 0.1, 0.1]
+    assert drawn[0][0][2] is drawn[1][0][2] and drawn[2][0][2] is drawn[3][0][2]
+    for (neg, _), (pos, _) in (drawn[:2], drawn[2:]):
+        assert neg[1][-1] == 0.0 == pos[1][0]
+        grid = np.concatenate([neg[1], pos[1][1:]])
         assert len(grid) == len(paths.grid)
         assert np.max(np.abs(grid - paths.grid)) <= 1e-12
         assert np.max(np.abs(np.diff(grid) - 0.005)) <= 1e-12
@@ -120,6 +124,17 @@ def test_contraction_band_validation():
         contraction_factors(m, 0.1, 1.6)     # above gb - Lg = 1.5
     with pytest.raises(ValueError, match="band"):
         contraction_factors(m, 0.5, 0.4)     # below eps * ga' = 0.5
+
+
+def test_negative_epsilon_is_refused():
+    m = tanh_benchmark()
+    with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+        contraction_factors(m, -0.05, default_gamma(m))
+    with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+        lyapunov_perron_solve(m, -0.05, [0.8], rng=np.random.default_rng(1))
+    with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+        tracking_check(m, -0.05, ([0.8], [0.2]), ([0.8], [0.9]), 1.0, 0.01,
+                       rng=np.random.default_rng(1))
 
 
 def test_contraction_uses_backward_growth_rate_of_a():
@@ -234,6 +249,28 @@ def test_solver_matrix_case_matches_scalar():
 
 
 # -- asymptotic graph --------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_epsilon_zero_solve_keeps_the_slow_profile_at_u0(n):
+    # at epsilon = 0 the slow argument is frozen at u0 in every row, bit for
+    # bit, though f is nonzero and moves the profile at epsilon > 0
+    if n == 1:
+        m, u0 = tanh_benchmark(), np.array([0.8])
+    else:
+        m = SlowFastModel(a=[[-1.0, 0.3], [0.0, -2.0]], b=-2.0 * np.eye(2),
+                          f=DriftFn.linear(fy=[[1.0, 0.5], [0.0, 1.0]], n=2),
+                          g=DriftFn.linear(fx=0.2 * np.eye(2), fy=0.3 * np.eye(2), n=2),
+                          sigma1=0.0, sigma2=1.0, epsilon=0.1, x0=[0.0, 0.0],
+                          y0=[0.0, 0.0])
+        u0 = np.array([0.7, -0.4])
+    paths = sample_stationary_paths(m, 0.0, 8.0, 0.0, 0.005, np.random.default_rng(30))
+    sol = lyapunov_perron_solve(m, 0.0, u0, t_neg=8.0, paths=paths)
+    assert np.array_equal(sol.profile.u, np.broadcast_to(u0, sol.profile.u.shape))
+    assert np.array_equal(asymptotic_manifold_h0(m, u0, t_neg=8.0, paths=paths),
+                          sol.h_value)
+    moved = lyapunov_perron_solve(m, 0.1, u0, t_neg=8.0, paths=paths).profile.u
+    assert not np.array_equal(moved, sol.profile.u)
+
 
 def test_h0_zero_and_constant_cases():
     m0 = plain_model(sigma2=1.0)

@@ -7,9 +7,9 @@ from slowfast.deviation import (DeviationModel, autocovariance_kernel,
                                 simulate_deviation)
 from slowfast.integrator import Trajectory, frozen_fast_batch, make_grid
 from slowfast.manifold import sample_stationary_paths, tracking_check
-from slowfast.model import JumpSpec, SizeDist
-from slowfast.noise import (rescale_fast, sample_increments, sample_two_sided,
-                            substream)
+import slowfast.manifold as manifold
+from slowfast.model import DriftFn, JumpSpec, SizeDist, SlowFastModel
+from slowfast.noise import _path_increments, sample_increments, substream
 
 UNIF = JumpSpec(5.0, SizeDist.uniform(-0.5, 0.5))
 SKEW = JumpSpec(2.0, SizeDist.uniform(0.1, 0.9))
@@ -58,37 +58,38 @@ def test_jump_events_recorded_and_binned():
     assert np.allclose(raw, rebuilt, atol=1e-12)
 
 
-def test_rescale_fast_matches_plain_at_epsilon_one():
-    g = grid_of(1.0, 0.01)
-    a = sample_increments(1, g, np.random.default_rng(5), jump=UNIF)
-    b = rescale_fast(1, 1.0, g, np.random.default_rng(5), jump=UNIF)
-    assert np.array_equal(a.d_brownian, b.d_brownian)
-    assert np.array_equal(a.d_jump, b.d_jump)
-
-
-def test_rescale_fast_variance_scaling():
-    # Var(dW) = dt / eps, here 0.001 / 0.01 = 0.1
+def test_speed_scales_brownian_variance():
+    # Var(dW) = speed * dt, here 0.001 / 0.01 = 0.1
     g = grid_of(100.0, 0.001)
-    incr = rescale_fast(1, 0.01, g, np.random.default_rng(6))
+    incr = sample_increments(1, g, np.random.default_rng(6), speed=1.0 / 0.01)
     var = incr.d_brownian.var()
     se = var * np.sqrt(2.0 / len(incr.d_brownian))
     assert abs(var - 0.1) <= 3 * se
 
 
-def test_rescale_fast_jump_rate_scaling():
-    # mean total jump count over [0, 1] at epsilon = 0.1 is lambda/eps = 20
+def test_speed_scales_jump_rate():
+    # mean total jump count over [0, 1] at speed 10 is 10 lambda = 20
     spec = JumpSpec(2.0, SizeDist.uniform(-0.5, 0.5))
     rng = np.random.default_rng(7)
     g = grid_of(1.0, 0.01)
-    counts = np.array([len(rescale_fast(1, 0.1, g, rng, jump=spec).jump_events)
+    counts = np.array([len(sample_increments(1, g, rng, jump=spec,
+                                             speed=1.0 / 0.1).jump_events)
                        for _ in range(3000)])
     se = counts.std(ddof=1) / np.sqrt(len(counts))
     assert abs(counts.mean() - 20.0) <= 3 * se
 
 
-def test_rescale_requires_positive_epsilon():
-    with pytest.raises(ValueError):
-        rescale_fast(1, 0.0, grid_of(1.0, 0.1), np.random.default_rng(0))
+def test_negative_speed_is_refused():
+    g = grid_of(1.0, 0.1)
+    with pytest.raises(ValueError, match="speed"):
+        sample_increments(1, g, np.random.default_rng(0), speed=-1.0)
+    with pytest.raises(ValueError, match="speed"):
+        _path_increments(1, g, 2, lambda i: np.random.default_rng(i), speed=-1.0)
+    # speed 0, the slow noise of the epsilon = 0 manifold solve, draws none
+    incr = sample_increments(1, g, np.random.default_rng(0), jump=UNIF, speed=0.0)
+    assert np.all(incr.d_brownian == 0.0) and np.all(incr.d_jump == 0.0)
+    assert np.all(_path_increments(1, g, 2, lambda i: np.random.default_rng(i),
+                                   jump=UNIF, speed=0.0)[0] == 0.0)
 
 
 def test_empty_grid_rejected():
@@ -98,35 +99,65 @@ def test_empty_grid_rejected():
         sample_increments(1, np.array([0.0, 0.0]), np.random.default_rng(0))
 
 
-def test_two_sided_increments_span_both_segments():
-    path = sample_two_sided(1, 2.0, 1.0, 0.01, np.random.default_rng(8), jump=UNIF)
-    incr = path.increments()
+def _fast_noise_model(jump=None):
+    return SlowFastModel(a=[[-1.0]], b=[[-2.0]], f=DriftFn.zero(1), g=DriftFn.zero(1),
+                         sigma1=0.0, sigma2=1.0, jump_fast=jump, epsilon=0.1,
+                         x0=[0.0], y0=[0.0])
+
+
+def _record_draws(monkeypatch):
+    """The streams ``sample_stationary_paths`` draws, and the increments its
+    convolutions read, in call order."""
+    drawn, fed = [], []
+    draw, convolve = manifold.sample_increments, manifold._convolve_path
+    monkeypatch.setattr(manifold, "sample_increments",
+                        lambda *a, **k: drawn.append(draw(*a, **k)) or drawn[-1])
+    monkeypatch.setattr(manifold, "_convolve_path",
+                        lambda k, dt, incr, s: fed.append(incr) or convolve(k, dt, incr, s))
+    return drawn, fed
+
+
+def test_two_sided_increments_span_both_segments(monkeypatch):
+    drawn, fed = _record_draws(monkeypatch)
+    sample_stationary_paths(_fast_noise_model(UNIF), 0.1, 2.0, 1.0, 0.01,
+                            np.random.default_rng(8))
+    (neg, pos), (incr,) = drawn, fed
+    # both segments are anchored at time 0
+    assert neg.grid[0] == -2.0 and neg.grid[-1] == 0.0 == pos.grid[0]
     assert incr.shape == (300, 1)
-    assert np.array_equal(incr[:200], path.negative.d_brownian + path.negative.d_jump)
-    assert np.array_equal(incr[200:], path.positive.d_brownian + path.positive.d_jump)
+    assert np.array_equal(incr[:200], neg.d_brownian + neg.d_jump)
+    assert np.array_equal(incr[200:], pos.d_brownian + pos.d_jump)
 
 
-def test_two_sided_empty_negative_segment():
-    path = sample_two_sided(1, 0.0, 1.0, 0.01, np.random.default_rng(9))
-    assert len(path.negative.d_brownian) == 0
-    assert len(path.positive.d_brownian) == 100
+def test_two_sided_empty_negative_segment(monkeypatch):
+    drawn, _ = _record_draws(monkeypatch)
+    paths = sample_stationary_paths(_fast_noise_model(), 0.1, 0.0, 1.0, 0.01,
+                                    np.random.default_rng(9))
+    neg, pos = drawn
+    assert len(neg.d_brownian) == 0 and np.array_equal(neg.grid, [0.0])
+    assert len(pos.d_brownian) == 100
+    assert paths.index0 == 0 and paths.xi[0, 0] == 0.0
 
 
-def test_two_sided_segments_independent():
+def test_two_sided_segments_independent(monkeypatch):
     # empirical covariance between the summed increments on [-1,0] and [0,1]
     # (no jumps, so the Brownian parts)
-    rng = np.random.default_rng(10)
-    pairs = np.array([
-        [p.negative.d_brownian.sum(), p.positive.d_brownian.sum()]
-        for p in (sample_two_sided(1, 1.0, 1.0, 0.05, rng) for _ in range(8000))])
+    drawn, _ = _record_draws(monkeypatch)
+    rng, m = np.random.default_rng(10), _fast_noise_model()
+    for _ in range(8000):
+        sample_stationary_paths(m, 0.1, 1.0, 1.0, 0.05, rng)
+    pairs = np.array([[neg.d_brownian.sum(), pos.d_brownian.sum()]
+                      for neg, pos in zip(drawn[::2], drawn[1::2])])
     cov = np.cov(pairs.T)[0, 1]
     se = np.sqrt(pairs[:, 0].var() * pairs[:, 1].var() / len(pairs))
     assert abs(cov) <= 3 * se
 
 
 def test_negative_horizons_rejected():
-    with pytest.raises(ValueError):
-        sample_two_sided(1, -1.0, 1.0, 0.1, np.random.default_rng(0))
+    for t_neg, t_pos in ((-1.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="horizons must be nonnegative"):
+            sample_stationary_paths(_fast_noise_model(), 0.1, t_neg, t_pos, 0.1,
+                                    np.random.default_rng(0))
 
 
 def test_substream_determinism_and_independence():

@@ -26,7 +26,7 @@ from slowfast.deviation import DeviationModel, limit_marginal_samples, simulate_
 from slowfast.integrator import make_grid, simulate_slow_fast
 from slowfast.model import DriftFn, JumpSpec, SizeDist, SlowFastModel, parse_drift
 from slowfast.noise import (ROLE_DEV, ROLE_FAST, ROLE_SLOW, _path_increments,
-                            rescale_fast, sample_increments, substream)
+                            sample_increments, substream)
 
 EPS, DT = 0.1, 0.01
 START = 3          # first path index of the coupled batches below
@@ -71,8 +71,8 @@ def _check_rows_equal_single_path_runs(n, jumps, matrix_sigma, chunk, steps, pat
     for i in range(paths):
         slow = sample_increments(n, grid, substream(seed, START + i, ROLE_SLOW),
                                  jump=m.jump_slow)
-        fast = rescale_fast(n, EPS, grid, substream(seed, START + i, ROLE_FAST),
-                            jump=m.jump_fast)
+        fast = sample_increments(n, grid, substream(seed, START + i, ROLE_FAST),
+                                 jump=m.jump_fast, speed=1.0 / EPS)
         x, _ = simulate_slow_fast(m, t_end, DT, slow_incr=slow, fast_incr=fast)
         xa = simulate_averaged(am, t_end, DT, slow)
         assert not div[i]
@@ -104,8 +104,8 @@ def test_fast_jump_in_the_last_step_of_a_chunk_keeps_rows_equal():
     chunk_ends = set(range(chunk - 1, steps - 1, chunk))
     hit = set()
     for i in range(START, START + paths):
-        times = rescale_fast(n, EPS, grid, substream(seed, i, ROLE_FAST),
-                             jump=m.jump_fast).jump_events["time"]
+        times = sample_increments(n, grid, substream(seed, i, ROLE_FAST),
+                                  jump=m.jump_fast, speed=1.0 / EPS).jump_events["time"]
         hit |= set((np.searchsorted(grid, times, side="right") - 1).tolist())
     assert chunk_ends & hit
     _check_rows_equal_single_path_runs(n, True, False, chunk, steps, paths, seed)
@@ -209,7 +209,8 @@ def _check_rows_equal_streams(grid, paths, jump, chunk, seed):
                                 jump=jump, speed=1.0 / EPS)
     rows = _rows(incr)
     for i in range(paths):
-        ref = rescale_fast(1, EPS, grid, substream(seed, i, ROLE_FAST), jump=jump)
+        ref = sample_increments(1, grid, substream(seed, i, ROLE_FAST), jump=jump,
+                                speed=1.0 / EPS)
         assert np.array_equal(rows[:, i], ref.d_brownian + ref.d_jump)
 
 
@@ -239,7 +240,7 @@ def test_shared_generator_rows_across_path_blocks_equal_successive_streams(extra
         rows = _rows(_path_increments(1, grid, paths, lambda i: rng, jump=jump,
                                       speed=1.0 / EPS))
     for i in range(paths):
-        ref = rescale_fast(1, EPS, grid, one, jump=jump)
+        ref = sample_increments(1, grid, one, jump=jump, speed=1.0 / EPS)
         assert np.array_equal(rows[:, i], ref.d_brownian + ref.d_jump)
 
 
@@ -252,7 +253,8 @@ def test_shared_generator_streams_in_chunks_as_successive_streams(n):
     jump = JumpSpec(50.0, SizeDist.uniform(-0.4, 0.2))
     assert jump.mean_size != 0.0
     rng, twin = np.random.default_rng(5), np.random.default_rng(5)
-    refs = [rescale_fast(n, EPS, grid, twin, jump=jump) for _ in range(paths)]
+    refs = [sample_increments(n, grid, twin, jump=jump, speed=1.0 / EPS)
+            for _ in range(paths)]
     rows = []
     with _chunks(chunk):
         incr = _path_increments(n, grid, paths, lambda i: rng, jump=jump,
@@ -282,7 +284,8 @@ def test_several_events_of_a_path_in_one_step_keep_their_order():
     grid = make_grid(steps * DT, DT)
     sensitive = 0
     for i in range(paths):
-        ref = rescale_fast(1, EPS, grid, substream(seed, i, ROLE_FAST), jump=jump)
+        ref = sample_increments(1, grid, substream(seed, i, ROLE_FAST), jump=jump,
+                                speed=1.0 / EPS)
         step = np.searchsorted(grid, ref.jump_events["time"], side="right") - 1
         for k in np.unique(step):
             sizes = ref.jump_events["size"][step == k, 0]
