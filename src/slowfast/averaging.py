@@ -412,6 +412,8 @@ def strong_error_experiment(m, epsilons, delta_rule, t_end, n_paths,
     epsilons = np.asarray(list(epsilons), dtype=float)
     if np.any(np.diff(epsilons) >= 0):
         raise ValueError("epsilons must be strictly decreasing")
+    if len(epsilons) < 3:
+        raise ValueError(f"need at least 3 epsilons to fit a rate, got {len(epsilons)}")
     if n_paths < 100:
         raise ValueError("need at least 100 paths per epsilon")
     if delta_rule not in (None, DELTA_RULE):

@@ -6,7 +6,7 @@ Subcommands: validate | simulate | average | manifold | deviate | verify.
 Every command but ``verify`` builds the model from the config's ``model``
 block and validates it first, then runs on its own block.  Config blocks
 are JSON objects.
-Exit codes: 0 ok, 1 usage, config or I/O error (one line on stderr),
+Exit codes: 0 ok, 1 usage, config, I/O or run error (one line on stderr),
 2 assumption-validation failure, 3 verification failure.  Artifacts land in the output directory as
 ``<command>-<timestamp>-<seed>.{csv,json}``; identical config and seed give
 byte-identical file contents.  Every verification line is printed as
@@ -32,7 +32,7 @@ from .deviation import (autocovariance_kernel, build_deviation_model,
                         weak_limit_report)
 from .integrator import default_step, make_grid, simulate_slow_fast
 from .manifold import lyapunov_perron_solve, tracking_check
-from .model import DriftFn, JumpSpec, SizeDist, SlowFastModel, validate_model
+from .model import DriftFn, JumpSpec, SizeDist, SlowFastModel, parse_drift, validate_model
 from .noise import ROLE_DEV, ROLE_SLOW, sample_increments, substream
 
 
@@ -73,8 +73,8 @@ def _drift_from_config(block, n):
         return DriftFn.saturating(block["amp"], gx=block.get("gx"),
                                   gy=block.get("gy"))
     if kind == "expr":
-        return DriftFn.from_expressions(block["components"], n, lip=block.get("lip"),
-                                        growth=block.get("growth"))
+        return parse_drift(block["components"], n, lip=block.get("lip"),
+                           growth=block.get("growth"))
     raise _ConfigError(f"unknown drift kind {kind!r}")
 
 
@@ -210,8 +210,10 @@ def _deviate(m, blk, seed, out_dir):
     if "htilde_override" in blk:
         htilde = np.atleast_2d(np.asarray(blk["htilde_override"], dtype=float))
     else:
-        lags = np.arange(0.0, float(blk.get("s_max", 5.0)) + 1e-12,
-                         float(blk.get("lag_step", 0.05)))
+        lag_step = float(blk.get("lag_step", 0.05))
+        if not 0 < lag_step < np.inf:
+            raise ValueError(f"lag_step must be positive and finite, not {lag_step}")
+        lags = np.arange(0.0, float(blk.get("s_max", 5.0)) + 1e-12, lag_step)
         k = autocovariance_kernel(
             m, x_point, lags, burn_in=float(blk.get("burn_in", 5.0)),
             horizon=float(blk.get("horizon", 505.0)),
@@ -233,11 +235,8 @@ def _deviate(m, blk, seed, out_dir):
     x_path = simulate_averaged(am, t_end, dt, slow)
     theta = simulate_deviation(dm, x_path, t_end, dt, substream(seed, 0, ROLE_DEV))
     _trajectory_csv(_artifact(out_dir, "deviate", seed, "-theta.csv"), theta, "theta")
-    _report({"a": dm.a.tolist(),
-             "fbar_deriv": (dm.deriv_const.tolist() if dm.deriv_const is not None
-                            else "callable"),
-             "htilde": (dm.htilde_const.tolist() if dm.htilde_const is not None
-                        else "callable")}, out_dir, "deviate", seed)
+    _report({"a": dm.a.tolist(), "fbar_deriv": dm.deriv_const.tolist(),
+             "htilde": dm.htilde_const.tolist()}, out_dir, "deviate", seed)
     return 0
 
 
@@ -369,7 +368,9 @@ def main(argv=None):
         return _RUNNERS[args.command](m, _block(cfg, args.command, {}), seed, out_dir)
     except _ConfigError as exc:
         return _fail("config error", exc)
-    except (KeyError, TypeError, ValueError, OSError) as exc:
+    except (KeyError, TypeError, ValueError, OSError, RuntimeError, ArithmeticError,
+            MemoryError) as exc:
+        # RuntimeError: non-convergence, divergence or a failed worker
         return _fail("error", exc)
 
 

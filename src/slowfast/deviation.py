@@ -38,6 +38,9 @@ from .model import _add_value, _lin, _lin_plus, _value_into
 from .noise import CHUNK_STEPS, ROLE_BURN, ROLE_DEV, _path_increments, substream
 from .harness import _split_paths, _var_se, two_sample_compare
 
+# central-difference step of ``fbar_derivative``
+FD_STEP = 1e-5
+
 
 @dataclass
 class KernelEstimate:
@@ -130,26 +133,25 @@ def diffusion_matrix(kernel):
     return 0.5 * (out + out.T)
 
 
-def fbar_derivative(am, x, fd_step=1e-5):
+def fbar_derivative(am, x):
     """Jacobian of the averaged drift at ``x`` (n,), or at each row of x
     (..., n) as (..., n, n).
 
     Uses the exact matrix when the averaged drift is linear, otherwise
-    central differences, every column at every row in one pair of ``fbar``
-    calls.
+    central differences of step ``FD_STEP``, every column at every row in
+    one pair of ``fbar`` calls.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = x.shape[-1]
     if am.fbar.deriv_matrix is not None:
         return np.array(np.broadcast_to(am.fbar.deriv_matrix, x.shape + (n,)), dtype=float)
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
-    if fd_step < 1e3 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(x)))):
-        raise ValueError("fd_step too small: central differences would cancel")
-    # row j of the last two axes is fbar at x + fd_step e_j, less at x - fd_step e_j
-    shifts, at = fd_step * np.eye(n), x[..., None, :]
+    if FD_STEP < 1e3 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(x)))):
+        raise ValueError(f"x is too large for the difference step {FD_STEP:g}: "
+                         "central differences would cancel")
+    # row j of the last two axes is fbar at x + FD_STEP e_j, less at x - FD_STEP e_j
+    shifts, at = FD_STEP * np.eye(n), x[..., None, :]
     diff = am.fbar(at + shifts) - am.fbar(at - shifts)
-    return np.swapaxes(diff, -1, -2) / (2.0 * fd_step)
+    return np.swapaxes(diff, -1, -2) / (2.0 * FD_STEP)
 
 
 def matrix_sqrt_psd(matrix):
@@ -221,15 +223,10 @@ class DeviationModel:
         return _matvec(self._at(self._sqrt, x), dw)
 
 
-def build_deviation_model(am, kernel_or_htilde, x=None):
-    """Assemble the limit-SDE coefficients from an averaged model and either
-    a KernelEstimate or an explicit diffusion matrix."""
-    if isinstance(kernel_or_htilde, KernelEstimate):
-        htilde = diffusion_matrix(kernel_or_htilde)
-        if x is None:
-            x = kernel_or_htilde.x
-    else:
-        htilde = np.atleast_2d(np.asarray(kernel_or_htilde, dtype=float))
+def build_deviation_model(am, htilde, x=None):
+    """Assemble the limit-SDE coefficients from an averaged model and a
+    diffusion matrix; the drift Jacobian is taken at ``x``, or at each
+    carrier state when ``x`` is None and the averaged drift is not linear."""
     if am.fbar.deriv_matrix is not None:
         deriv = np.array(am.fbar.deriv_matrix, dtype=float)
     elif x is not None:

@@ -83,8 +83,8 @@ class Trajectory:
 
 
 def make_grid(t_end, dt):
-    if t_end < 0 or dt <= 0:
-        raise ValueError("need t_end >= 0 and dt > 0")
+    if not (0 <= t_end < np.inf and 0 < dt < np.inf):
+        raise ValueError(f"need finite t_end >= 0 and dt > 0, not t_end={t_end}, dt={dt}")
     m = max(int(round(t_end / dt)), 1) if t_end > 0 else 0
     grid = dt * np.arange(m + 1)
     if m > 0:

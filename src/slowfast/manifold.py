@@ -45,7 +45,7 @@ from scipy.linalg import expm
 
 from .harness import fit_exp_rate
 from .integrator import _euler, apply_noise
-from .model import _lin_op, _lin_plus, _value_into, decay_rate, has_slow_noise
+from .model import _lin_op, _lin_plus, _rates, _value_into, decay_rate, has_slow_noise
 from .noise import _required, sample_increments
 
 # sweeps ``lyapunov_perron_solve`` makes before it gives up and raises
@@ -60,13 +60,6 @@ def _phi1(matrix, dt):
     return np.linalg.solve(matrix, expm(matrix * dt) - np.eye(matrix.shape[0]))
 
 
-def _gammas(m):
-    """A's decay rate, its backward growth rate -min Re eig(A) (the rate of
-    e^{-eps A t} in the backward sweep, exact for normal A), B's decay rate."""
-    ev_a = np.linalg.eigvals(m.a).real
-    return -float(ev_a.max()), -float(ev_a.min()), decay_rate(m.b)
-
-
 def _lipschitz_pair(m):
     if m.f.lip is None or m.g.lip is None:
         raise ValueError("manifold machinery needs declared or analytic "
@@ -76,9 +69,8 @@ def _lipschitz_pair(m):
 
 def default_gamma(m):
     """Center of the admissible weight band."""
-    _, _, gb = _gammas(m)
     _, lg = _lipschitz_pair(m)
-    return 0.5 * (gb - lg)
+    return 0.5 * (m.gamma_b - lg)
 
 
 def contraction_factors(m, epsilon, gamma):
@@ -91,7 +83,7 @@ def contraction_factors(m, epsilon, gamma):
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     lf, lg = _lipschitz_pair(m)
-    _, ga_rev, gb = _gammas(m)
+    _, ga_rev, gb = _rates(m)
     if not (epsilon * ga_rev < gamma < gb - lg):
         raise ValueError(
             f"gamma={gamma} outside the admissible band "
@@ -142,8 +134,10 @@ def sample_stationary_paths(m, epsilon, t_neg, t_pos, grid_step, rng):
     always, A when slow noise is drawn at a positive epsilon (at epsilon 0
     the slow kernel is the identity).
     """
-    if t_neg < 0 or t_pos < 0:
-        raise ValueError("horizons must be nonnegative")
+    if not (0 <= t_neg < np.inf and 0 <= t_pos < np.inf):
+        raise ValueError(f"horizons must be nonnegative and finite, not {t_neg}, {t_pos}")
+    if not 0 < grid_step < np.inf:
+        raise ValueError(f"grid_step must be positive and finite, not {grid_step}")
     if decay_rate(m.b) <= 0:
         raise ValueError("fast matrix B is not Hurwitz: the stationary xi diverges")
     slow_noise = has_slow_noise(m)
@@ -281,7 +275,7 @@ def lyapunov_perron_solve(m, epsilon, u0, gamma=None, grid_step=0.005,
     """
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
     _, lg = _lipschitz_pair(m)
-    _, _, gb = _gammas(m)
+    gb = m.gamma_b
     if gamma is None:
         gamma = default_gamma(m)
     rho, rho_hat = contraction_factors(m, epsilon, gamma)
@@ -364,7 +358,7 @@ def tracking_check(m, epsilon, ic_on, ic_off, t_end, dt, rng):
     e^{-gamma t} |v0 - v0'| / (1 - rho).  A diverged run, whose gap
     goes non-finite, reports a NaN rate and is not under the envelope.
     """
-    ga, _, gb = _gammas(m)
+    ga, _, gb = _rates(m)
     gamma = default_gamma(m)
     rho, rho_hat = contraction_factors(m, epsilon, gamma)
 

@@ -90,6 +90,12 @@ def decay_rate(matrix):
     return -float(np.max(np.linalg.eigvals(matrix).real))
 
 
+def _rates(m):
+    """A's decay rate, A's backward growth rate -min Re eig(A), B's decay rate."""
+    ev_a = np.linalg.eigvals(m.a).real
+    return -float(ev_a.max()), -float(ev_a.min()), decay_rate(m.b)
+
+
 @dataclass(frozen=True)
 class SizeDist:
     """Bounded jump-size distribution supported strictly inside |z| < 1."""
@@ -249,19 +255,16 @@ class DriftFn:
                    growth=float(np.linalg.norm(amp)),
                    payload={"amp": amp, "gx": gx, "gy": gy})
 
-    @classmethod
-    def from_expressions(cls, sources, n, lip=None, growth=None):
-        fn, add, depends_y = exprlang._compile(list(sources), n)
-        drift = cls(n, "expr", fn, depends_on_y=depends_y, lip=lip, growth=growth,
-                    payload={"sources": tuple(sources)})
-        drift._add = add
-        return drift
-
 
 def parse_drift(expr_strings, n, lip=None, growth=None):
     """Parse per-component expressions into an evaluable drift; bad input
     raises an ``exprlang.DriftExprError``."""
-    return DriftFn.from_expressions(expr_strings, n, lip=lip, growth=growth)
+    sources = tuple(expr_strings)
+    fn, add, depends_y = exprlang._compile(sources, n)
+    drift = DriftFn(n, "expr", fn, depends_on_y=depends_y, lip=lip, growth=growth,
+                    payload={"sources": sources})
+    drift._add = add
+    return drift
 
 
 @dataclass(frozen=True)
@@ -415,18 +418,14 @@ def validate_model(m, rng):
     n = m.n
     probe_box = (np.full(2 * n, -PROBE_BOX), np.full(2 * n, PROBE_BOX))
 
-    ev_a = np.linalg.eigvals(m.a).real
-    ev_b = np.linalg.eigvals(m.b).real
-    gamma_a = -float(ev_a.max())
-    gamma_b = -float(ev_b.max())
-    gamma_a_rev = -float(ev_a.min())
+    gamma_a, gamma_a_rev, gamma_b = _rates(m)
 
     checks = []
     hurwitz = gamma_a > 0 and gamma_b > 0
     checks.append(CheckResult(
         "hurwitz-drift",
         "pass" if hurwitz else "fail",
-        f"max Re eig(A) = {ev_a.max():.6g}, max Re eig(B) = {ev_b.max():.6g}",
+        f"max Re eig(A) = {-gamma_a:.6g}, max Re eig(B) = {-gamma_b:.6g}",
     ))
 
     lip_f = estimate_lipschitz(m.f, probe_box, PROBE_SAMPLES, rng)

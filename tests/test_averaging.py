@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slowfast import averaging
 from slowfast.averaging import (_averaged_run, _multilinear, build_averaged,
                                 estimate_fbar, mixing_diagnostic, simulate_averaged,
                                 strong_error_experiment)
@@ -291,6 +292,16 @@ def test_strong_error_validates_input():
         strong_error_experiment(m, [0.1, 0.2], None, 1.0, 120, 0)
     with pytest.raises(ValueError):
         strong_error_experiment(m, [0.2, 0.1], None, 1.0, 10, 0)
+
+
+def test_strong_error_refuses_two_epsilons_before_stepping(monkeypatch):
+    # a rate fit needs three points; the refusal comes before any batch runs
+    def no_batch(*args, **kwargs):
+        raise AssertionError("a batch ran before the refusal")
+
+    monkeypatch.setattr(averaging, "coupled_error_batch", no_batch)
+    with pytest.raises(ValueError, match="3 epsilons"):
+        strong_error_experiment(linear_benchmark(), [0.1, 0.05], None, 1.0, 120, 0)
 
 
 @pytest.mark.parametrize("rule", ["eps**(1/2)", lambda e: e ** 0.5])

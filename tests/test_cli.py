@@ -124,6 +124,24 @@ def test_malformed_config_is_one_error_line(tmp_path, capsys, path, value, prefi
     assert "\n" not in err and err.startswith(prefix)
 
 
+@pytest.mark.parametrize("command, block", [
+    ("simulate", {"t_end": float("inf")}),
+    ("manifold", {"grid_step": 0}),
+    ("deviate", {"lag_step": 0}),
+    ("manifold", {"tol": 0}),
+    ("simulate", {"t_end": 1e12, "dt": 1e-3}),
+], ids=["infinite-horizon", "zero-grid-step", "zero-lag-step", "zero-tol",
+        "petabyte-grid"])
+def test_run_failure_is_one_error_line(tmp_path, capsys, command, block):
+    # a bad horizon or step is refused where it enters; a solve that does
+    # not converge and a grid of 7 PiB, which no machine can allocate, end
+    # in one error line too
+    cfg = write_cfg(tmp_path, dict(LINEAR_CFG, **{command: block}))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = _error_line(capsys)
+    assert "\n" not in err and err.startswith("error: ")
+
+
 def test_out_flag_takes_precedence_over_the_config(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg_data = dict(LINEAR_CFG, simulate={"t_end": 0.01, "dt": 0.001},

@@ -25,6 +25,19 @@ def test_validate_stable_scalar_model():
     assert _check(rep, "hurwitz-drift").status == "pass"
 
 
+def test_validate_rates_of_a_non_normal_matrix():
+    # rates are the extreme real parts of the eigenvalues, not norms or
+    # numerical abscissae, which differ for these upper-triangular matrices
+    a = np.array([[-1.0, 10.0], [0.0, -3.0]])
+    b = np.array([[-4.0, 0.0], [7.0, -2.0]])
+    m = SlowFastModel(a=a, b=b, f=DriftFn.zero(2), g=DriftFn.zero(2))
+    rep = validate_model(m, rng=np.random.default_rng(0))
+    ev_a, ev_b = np.linalg.eigvals(a).real, np.linalg.eigvals(b).real
+    assert rep.gamma_a == -ev_a.max() == 1.0
+    assert rep.gamma_a_rev == -ev_a.min() == 3.0
+    assert rep.gamma_b == -ev_b.max() == 2.0
+
+
 def test_validate_rejects_positive_eigenvalue():
     rep = validate_model(scalar_model(a=1.0), rng=np.random.default_rng(0))
     assert not rep.passed
@@ -160,7 +173,7 @@ def test_jumps_on_a_zero_amplitude_component_are_refused(which, sigma, zero):
 
 def test_growth_check_detects_violation():
     # declared growth far below the actual magnitude of f
-    f = DriftFn.from_expressions(["10*x1"], 1, lip=0.1, growth=0.0)
+    f = parse_drift(["10*x1"], 1, lip=0.1, growth=0.0)
     rep = validate_model(scalar_model(f=f), rng=np.random.default_rng(0))
     assert _check(rep, "linear-growth").status == "fail"
 
