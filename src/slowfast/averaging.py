@@ -38,6 +38,8 @@ FBAR_BATCHES = 16
 CURVE_STEP = 0.05
 # the one rule for the block size delta of ``strong_error_experiment``
 DELTA_RULE = "eps**(2/3)"
+# drift families with a constant Jacobian, read by ``_linear_parts``
+_LINEAR_KINDS = ("linear", "constant", "zero")
 
 
 class AveragedDrift:
@@ -49,7 +51,7 @@ class AveragedDrift:
 
     def __init__(self, n, kind, fn, deriv_matrix=None, table=None):
         self.n = n
-        self.kind = kind               # zero | y-independent | linear | tabulated
+        self.kind = kind               # y-independent | linear | tabulated
         self._fn = fn
         self._add = lambda d, x: np.add(d, fn(x), out=d)
         self.deriv_matrix = deriv_matrix   # constant Jacobian when known
@@ -118,20 +120,18 @@ def estimate_fbar(m, x, burn_in=None, horizon=60.0, dt=0.005, rng=None):
 def build_averaged(m, table_axes=None, rng=None, horizon=60.0):
     """Construct the averaged model for ``m``.
 
-    Picks the exact shortcut when the drift ignores the fast variable, the
-    closed form when both nonlinearities are linear families, and otherwise
-    tabulates ergodic estimates on ``table_axes`` (a sequence of 1-D node
-    arrays, one per dimension).
+    Picks the exact shortcut (with Jacobian fx for a linear family) when f
+    ignores the fast variable, the closed form when both nonlinearities are
+    linear families, and otherwise tabulates ergodic estimates on
+    ``table_axes`` (a sequence of 1-D node arrays, one per dimension).
     """
     n = m.n
     mode = _auto_mode(m)
 
-    if mode == "zero":
-        fbar = AveragedDrift(n, "zero", lambda x: np.zeros(x.shape[:-1] + (n,)),
-                             deriv_matrix=np.zeros((n, n)))
-    elif mode == "y-independent":
-        fbar = AveragedDrift(n, "y-independent",
-                             lambda x: m.f(x, np.zeros_like(x)))
+    if mode == "y-independent":
+        jac = _linear_parts(m.f)[0] if m.f.kind in _LINEAR_KINDS else None
+        fbar = AveragedDrift(n, "y-independent", lambda x: m.f(x, np.zeros_like(x)),
+                             deriv_matrix=jac)
     elif mode == "linear":
         fx, fy, cf = _linear_parts(m.f)
         gx, gy, cg = _linear_parts(m.g)
@@ -206,12 +206,9 @@ def _multilinear(axes, values):
 def _auto_mode(m):
     """The averaging mode ``build_averaged`` picks for ``m``: every mode but
     'tabulated' is closed form."""
-    if m.f.kind == "zero":
-        return "zero"
     if not m.f.depends_on_y:
         return "y-independent"
-    if m.f.kind in ("linear", "constant", "zero") and \
-            m.g.kind in ("linear", "constant", "zero"):
+    if m.f.kind in _LINEAR_KINDS and m.g.kind in _LINEAR_KINDS:
         return "linear"
     return "tabulated"
 

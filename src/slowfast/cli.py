@@ -191,12 +191,11 @@ def _manifold(m, blk, seed, out_dir):
         gamma=blk.get("gamma"), grid_step=float(blk.get("grid_step", 0.005)),
         tol=float(blk.get("tol", 1e-9)), t_neg=blk.get("t_neg"),
         rng=np.random.default_rng(seed))
-    prof = sol.profile
-    n = prof.u.shape[-1]
+    n = sol.u.shape[-1]
     header = ("t," + ",".join(f"u{i+1}" for i in range(n)) + ","
               + ",".join(f"v{i+1}" for i in range(n)))
     _write_csv(_artifact(out_dir, "manifold", seed, "-profile.csv"), header,
-               np.column_stack([prof.grid, prof.u, prof.v]))
+               np.column_stack([sol.grid, sol.u, sol.v]))
     _report(_fields(sol, "u0 epsilon gamma h_value rho rho_hat lip_bound "
                          "iterations residuals t_neg converged"),
             out_dir, "manifold", seed)

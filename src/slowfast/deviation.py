@@ -62,8 +62,8 @@ def autocovariance_kernel(m, x, lags, burn_in, horizon, dt, rng, n_replicas=24):
 
     Stationarity is realized by burn-in of the frozen-fast process; the
     estimate pools independent replicas, whose spread provides the standard
-    error.  Requires horizon - burn_in >= 50 * max(lags) so each replica
-    holds enough decorrelated windows.
+    error.  Requires a finite burn_in >= 0 and horizon - burn_in >= 50 *
+    max(lags), so each replica holds enough decorrelated windows.
 
     The values of f are written over the window rows of the frozen-fast
     paths, (T, P, n) for T window steps and P replicas, a noise chunk at a
@@ -76,6 +76,8 @@ def autocovariance_kernel(m, x, lags, burn_in, horizon, dt, rng, n_replicas=24):
     lags = np.asarray(sorted(lags), dtype=float)
     if lags[0] < 0:
         raise ValueError("lags must be nonnegative")
+    if not 0 <= burn_in < np.inf:
+        raise ValueError(f"burn_in must be nonnegative and finite, not {burn_in}")
     if horizon - burn_in < 50.0 * max(lags[-1], dt):
         raise ValueError("window too short: need horizon - burn_in >= 50*max(lags)")
     if n_replicas < 2:
@@ -157,10 +159,12 @@ def fbar_derivative(am, x):
 def matrix_sqrt_psd(matrix):
     """Symmetric PSD square root S with S @ S.T = matrix, by eigendecomposition.
 
-    Eigenvalues below -1e-10 mean the input is not a covariance and are
-    rejected; small negative values are clipped to zero.
+    Non-finite entries and eigenvalues below -1e-10 mean the input is not a
+    covariance and are rejected; small negative values are clipped to zero.
     """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("matrix has non-finite entries")
     scale = max(float(np.max(np.abs(matrix))), 1.0)
     if np.max(np.abs(matrix - matrix.T)) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")

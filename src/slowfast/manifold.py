@@ -31,13 +31,12 @@ Each sweep runs two one-step recurrences along the grid, one code path for
 every dimension: the drive term C drive_k is one matmul over the whole grid
 and the E w_k products are a doubling prefix scan of ceil(log2 M) whole-grid
 matmuls, not M per-point steps.  The backward recurrence is the forward one
-on the reversed drive.  The first slow profile e^{eps A t} u0 is one stacked
-``expm``, kept for the next solve on the same A, eps and grid.
+on the reversed drive.  The first slow profile e^{eps A t} u0 is the
+backward slow recurrence run on a zero drive.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,23 +175,17 @@ def _convolve_path(kernel_matrix, dt, increments, sigma):
 
 
 @dataclass
-class WeightedFunctionGrid:
-    """Pair of functions on [-t_neg, 0] measured in the e^{gamma t} sup norm."""
-
-    grid: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    gamma: float
-
-
-@dataclass
 class ManifoldSolution:
-    """Converged fixed point of the graph map for one noise realization."""
+    """Converged fixed point of the graph map for one noise realization: the
+    profiles u and v on the grid [-t_neg, 0], measured in the e^{gamma t}
+    sup norm."""
 
     u0: np.ndarray
     epsilon: float
     gamma: float
-    profile: WeightedFunctionGrid
+    grid: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
     h_value: np.ndarray
     rho: float
     rho_hat: float
@@ -240,24 +233,6 @@ def _sweep(m, ops, u0, u, v, eta_w, xi_w):
     return _recurrence(ops[2], -ops[3], f_rev, u0)[::-1], v_new
 
 
-def _linear_slow_profile(a, epsilon, u0, ts):
-    """Rows e^{eps A t} u0 along ``ts``: the sweeps' first slow profile.
-
-    Solves at other points of the same graph share A, eps and the grid, so
-    the stacked exponentials are computed once and kept."""
-    a, ts = np.asarray(a, dtype=float), np.asarray(ts, dtype=float)
-    return _slow_exponentials(a.tobytes(), a.shape, float(epsilon), ts.tobytes()) @ u0
-
-
-@functools.lru_cache(maxsize=8)
-def _slow_exponentials(a_bytes, shape, epsilon, ts_bytes):
-    """expm(eps A t) for each t, stacked (T, n, n) and read-only."""
-    a, ts = np.frombuffer(a_bytes).reshape(shape), np.frombuffer(ts_bytes)
-    out = expm(epsilon * a * ts[:, None, None])
-    out.flags.writeable = False
-    return out
-
-
 def _weighted_gap(weight, du, dv):
     """|du| + |dv| in the e^{gamma t} weighted sup norm."""
     return (float(np.max(weight * np.linalg.norm(du, axis=-1)))
@@ -272,6 +247,7 @@ def lyapunov_perron_solve(m, epsilon, u0, gamma=None, grid_step=0.005,
     iterations and reusable across solves); otherwise it is sampled from
     ``rng``.  At epsilon = 0 the slow profile stays at ``u0`` (the slow
     propagator is the identity, the slow drive 0): the asymptotic graph.
+    A window [-t_neg, 0] that rounds to no grid step is refused.
     """
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
     _, lg = _lipschitz_pair(m)
@@ -294,10 +270,13 @@ def lyapunov_perron_solve(m, epsilon, u0, gamma=None, grid_step=0.005,
     if abs(paths.step - grid_step) > 1e-12:
         raise ValueError("paths grid step does not match grid_step")
     ts, eta_w, xi_w = paths.window(-t_neg, 0.0)
+    if len(ts) < 2:
+        raise ValueError(f"t_neg={t_neg} holds no step of grid_step={grid_step}")
 
     ops = _sweep_operators(m, epsilon, grid_step)
-    u = _linear_slow_profile(m.a, epsilon, u0, ts)
     v = np.zeros((len(ts), m.n))
+    # rows e^{eps A t} u0: the backward slow recurrence on a zero drive
+    u = _recurrence(ops[2], -ops[3], v[:-1], u0)[::-1]
     weight = np.exp(gamma * ts)
 
     residuals = []
@@ -315,8 +294,7 @@ def lyapunov_perron_solve(m, epsilon, u0, gamma=None, grid_step=0.005,
         raise RuntimeError(f"fixed-point iteration did not converge in "
                            f"{MAX_SWEEPS} sweeps (last residual {residuals[-1]:.3g})")
 
-    profile = WeightedFunctionGrid(ts, u, v, gamma)
-    return ManifoldSolution(u0, epsilon, gamma, profile, v[-1].copy(), rho,
+    return ManifoldSolution(u0, epsilon, gamma, ts, u, v, v[-1].copy(), rho,
                             rho_hat, lip_bound, iterations, residuals,
                             t_neg, converged)
 
@@ -324,10 +302,9 @@ def lyapunov_perron_solve(m, epsilon, u0, gamma=None, grid_step=0.005,
 def reapply_sweep(m, sol, paths):
     """Residual of one extra sweep applied to a converged solution."""
     ts, eta_w, xi_w = paths.window(-sol.t_neg, 0.0)
-    u, v = sol.profile.u, sol.profile.v
     ops = _sweep_operators(m, sol.epsilon, paths.step)
-    u_new, v_new = _sweep(m, ops, sol.u0, u, v, eta_w, xi_w)
-    return _weighted_gap(np.exp(sol.gamma * ts), u_new - u, v_new - v)
+    u_new, v_new = _sweep(m, ops, sol.u0, sol.u, sol.v, eta_w, xi_w)
+    return _weighted_gap(np.exp(sol.gamma * ts), u_new - sol.u, v_new - sol.v)
 
 
 def asymptotic_manifold_h0(m, u0, grid_step=0.005, t_neg=None, rng=None,

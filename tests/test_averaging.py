@@ -8,6 +8,7 @@ from slowfast.averaging import (_averaged_run, _multilinear, build_averaged,
                                 estimate_fbar, mixing_diagnostic, simulate_averaged,
                                 strong_error_experiment)
 from slowfast.benchmarks import linear_benchmark, tanh_benchmark
+from slowfast.deviation import fbar_derivative
 from slowfast.integrator import make_grid, simulate_slow_fast
 from slowfast.model import DriftFn, JumpSpec, SizeDist, SlowFastModel, parse_drift
 from slowfast.noise import _path_increments, sample_increments
@@ -115,6 +116,24 @@ def test_build_averaged_linear_closed_form():
     x = np.array([1.3])
     assert am.fbar(x)[0] == pytest.approx(0.0)
     assert am.fbar.deriv_matrix[0, 0] == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("f", [DriftFn.zero(2), DriftFn.constant([0.5, -1.0]),
+                               DriftFn.linear(fx=[[-0.3, 0.7], [0.1, 0.2]],
+                                              const=[1.0, 0.0], n=2)],
+                         ids=["zero", "constant", "linear"])
+def test_y_free_linear_family_gets_its_exact_jacobian(f):
+    # fbar = f(x, .) with Jacobian fx, bit for bit, not central differences
+    m = SlowFastModel(a=-np.eye(2), b=-2.0 * np.eye(2), f=f,
+                      g=DriftFn.linear(fx=0.5 * np.eye(2), n=2), sigma2=1.0,
+                      epsilon=0.01, x0=[1.0, 0.5], y0=[0.0, 0.0])
+    fx = f.payload.get("fx", np.zeros((2, 2)))
+    am = build_averaged(m)
+    assert am.fbar.kind == "y-independent"
+    assert np.array_equal(am.fbar.deriv_matrix, fx)
+    x = np.array([[0.3, -1.2], [2.0, 0.7]])
+    assert np.array_equal(fbar_derivative(am, x), np.broadcast_to(fx, (2, 2, 2)))
+    assert np.array_equal(am.fbar(x), f(x, np.zeros_like(x)))
 
 
 def test_build_averaged_linear_with_coupling():

@@ -130,16 +130,22 @@ def test_malformed_config_is_one_error_line(tmp_path, capsys, path, value, prefi
     ("deviate", {"lag_step": 0}),
     ("manifold", {"tol": 0}),
     ("simulate", {"t_end": 1e12, "dt": 1e-3}),
+    ("deviate", {"burn_in": -5.0, "horizon": 300.0, "s_max": 1.0, "n_replicas": 2}),
+    ("manifold", {"grid_step": 10.0}),
+    ("deviate", {"htilde_override": [[float("nan")]]}),
 ], ids=["infinite-horizon", "zero-grid-step", "zero-lag-step", "zero-tol",
-        "petabyte-grid"])
+        "petabyte-grid", "negative-burn-in", "one-point-window", "nan-htilde"])
 def test_run_failure_is_one_error_line(tmp_path, capsys, command, block):
-    # a bad horizon or step is refused where it enters; a solve that does
-    # not converge and a grid of 7 PiB, which no machine can allocate, end
-    # in one error line too
+    # a bad horizon, step, burn-in or diffusion matrix is refused where it
+    # enters, before any artifact is written; a solve that does not converge
+    # and a grid of 7 PiB, which no machine can allocate, end in one error
+    # line too
     cfg = write_cfg(tmp_path, dict(LINEAR_CFG, **{command: block}))
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
     err = _error_line(capsys)
     assert "\n" not in err and err.startswith("error: ")
+    assert not out.exists() or not os.listdir(out)
 
 
 def test_out_flag_takes_precedence_over_the_config(tmp_path, capsys, monkeypatch):

@@ -57,6 +57,15 @@ def test_kernel_window_precondition():
                               np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("burn_in", [-5.0, np.inf, np.nan])
+def test_kernel_refuses_a_negative_or_non_finite_burn_in(burn_in):
+    # a negative burn-in read the window from the last |burn_in| / dt rows,
+    # though the length check passed on horizon - burn_in
+    with pytest.raises(ValueError, match="burn_in"):
+        autocovariance_kernel(linear_benchmark(), [1.0], [0.0, 1.0], burn_in, 300.0,
+                              0.01, np.random.default_rng(0), n_replicas=2)
+
+
 def test_kernel_refuses_fewer_than_two_replicas():
     # one replica has no spread: its standard errors would be NaN
     with pytest.raises(ValueError, match="n_replicas"):
@@ -261,6 +270,22 @@ def test_matrix_sqrt_rejects_bad_input():
         matrix_sqrt_psd(np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="eigenvalue"):
         matrix_sqrt_psd(np.array([[-1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_matrix_sqrt_rejects_non_finite_entries(bad):
+    # the symmetry and eigenvalue checks compare with NaN and pass it; every
+    # form of the limit model's diffusion matrix reaches the square root
+    htilde = np.array([[1.0, 0.0], [0.0, bad]])
+    with pytest.raises(ValueError, match="non-finite"):
+        matrix_sqrt_psd(htilde)
+    with pytest.raises(ValueError, match="non-finite"):
+        DeviationModel(-np.eye(2), np.zeros((2, 2)), htilde)
+    with pytest.raises(ValueError, match="non-finite"):
+        build_deviation_model(build_averaged(linear_benchmark()), [[bad]])
+    dm = DeviationModel(-np.eye(2), np.zeros((2, 2)), lambda x: htilde)
+    with pytest.raises(ValueError, match="non-finite"):
+        dm.noise(np.ones(2), np.zeros(2))
 
 
 # -- limit SDE ----------------------------------------------------------------

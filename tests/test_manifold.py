@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from slowfast.benchmarks import tanh_benchmark
-from slowfast.manifold import (_linear_slow_profile, _phi1, _recurrence,
-                               _slow_exponentials, asymptotic_manifold_h0,
+from slowfast.manifold import (_phi1, _recurrence, asymptotic_manifold_h0,
                                contraction_factors, default_gamma,
                                lyapunov_perron_solve, reapply_sweep,
                                sample_stationary_paths, tracking_check)
@@ -265,11 +264,19 @@ def test_epsilon_zero_solve_keeps_the_slow_profile_at_u0(n):
         u0 = np.array([0.7, -0.4])
     paths = sample_stationary_paths(m, 0.0, 8.0, 0.0, 0.005, np.random.default_rng(30))
     sol = lyapunov_perron_solve(m, 0.0, u0, t_neg=8.0, paths=paths)
-    assert np.array_equal(sol.profile.u, np.broadcast_to(u0, sol.profile.u.shape))
+    assert np.array_equal(sol.u, np.broadcast_to(u0, sol.u.shape))
     assert np.array_equal(asymptotic_manifold_h0(m, u0, t_neg=8.0, paths=paths),
                           sol.h_value)
-    moved = lyapunov_perron_solve(m, 0.1, u0, t_neg=8.0, paths=paths).profile.u
-    assert not np.array_equal(moved, sol.profile.u)
+    moved = lyapunov_perron_solve(m, 0.1, u0, t_neg=8.0, paths=paths).u
+    assert not np.array_equal(moved, sol.u)
+
+
+@pytest.mark.parametrize("t_neg, grid_step", [(5.0, 10.0), (0.002, 0.005)])
+def test_solver_refuses_a_window_without_a_grid_step(t_neg, grid_step):
+    # t_neg / grid_step rounds to 0 steps: the solve would run on t = 0 alone
+    with pytest.raises(ValueError, match="t_neg.*grid_step"):
+        lyapunov_perron_solve(plain_model(sigma2=1.0), 0.1, [0.5], grid_step=grid_step,
+                              t_neg=t_neg, rng=np.random.default_rng(0))
 
 
 def test_h0_zero_and_constant_cases():
@@ -349,9 +356,9 @@ def test_solver_u_profile_constant_f_closed_form():
                       epsilon=eps, x0=[0.0], y0=[0.0])
     sol = lyapunov_perron_solve(m, eps, [0.5], grid_step=0.002, t_neg=8.0,
                                 tol=1e-11, rng=np.random.default_rng(18))
-    ts = sol.profile.grid
+    ts = sol.grid
     exact = np.exp(eps * a * ts) * 0.5 + (np.exp(eps * a * ts) - 1.0) * c / a
-    assert np.max(np.abs(sol.profile.u[:, 0] - exact)) < 1e-9
+    assert np.max(np.abs(sol.u[:, 0] - exact)) < 1e-9
 
 
 # -- whole-array sweep pieces against per-step references ---------------------
@@ -419,21 +426,6 @@ def test_scan_recurrences_match_per_step_loops(n, length, rate, seed):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want), initial=0.0) <= \
             1e-12 * np.max(np.abs(want), initial=0.0)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_linear_slow_profile_rows_are_single_expms(n):
-    a, eps = _hurwitz(n, 20 + n), 0.05
-    u0 = np.random.default_rng(n).normal(size=n)
-    ts = 0.005 * np.arange(-1600, 1)
-    got = _linear_slow_profile(a, eps, u0, ts)
-    want = np.stack([u0 @ expm(eps * a * t).T for t in ts])
-    assert np.array_equal(got, want)
-    # a second solve on the same A, eps and grid reuses the kept stack
-    hits = _slow_exponentials.cache_info().hits
-    assert np.array_equal(_linear_slow_profile(a, eps, u0, ts), want)
-    assert _slow_exponentials.cache_info().hits == hits + 1
-    assert not _slow_exponentials(a.tobytes(), a.shape, eps, ts.tobytes()).flags.writeable
 
 
 def test_import_leaves_scipy_signal_out():
