@@ -30,7 +30,7 @@ from .harness import _split_paths, fit_exp_rate, fit_loglog_rate
 from .integrator import (DivergedError, _check_stable, _euler, _trajectory,
                          default_step, frozen_fast_batch, make_grid)
 from .model import _lin, _lin_plus, has_slow_noise
-from .noise import ROLE_FAST, ROLE_SLOW, _path_increments, substream
+from .noise import ROLE_FAST, ROLE_SLOW, _path_increments, _substreams
 
 # batch means behind the standard error of ``estimate_fbar``
 FBAR_BATCHES = 16
@@ -313,9 +313,9 @@ def _averaged_run(am, x0, grid, dt, noise):
 def _increment_blocks(m, grid, master_seed, start, count):
     """Fast and slow increments (steps, count, n) of paths start..start+count-1,
     each from its own substreams; the slow block is None without slow noise."""
-    d_fast = _path_increments(m.n, grid, count,
-                              lambda i: substream(master_seed, start + i, ROLE_FAST),
-                              jump=m.jump_fast, speed=1.0 / m.epsilon)
+    fast = _substreams(master_seed, start, count, ROLE_FAST)
+    d_fast = _path_increments(m.n, grid, count, fast.__getitem__, jump=m.jump_fast,
+                              speed=1.0 / m.epsilon)
     return d_fast, _slow_increments(m, grid, master_seed, start, count)
 
 
@@ -325,9 +325,8 @@ def _slow_increments(m, grid, master_seed, start, count):
     SlowFastModel or an AveragedModel."""
     if not has_slow_noise(m):
         return None
-    return _path_increments(m.n, grid, count,
-                            lambda i: substream(master_seed, start + i, ROLE_SLOW),
-                            jump=m.jump_slow)
+    slow = _substreams(master_seed, start, count, ROLE_SLOW)
+    return _path_increments(m.n, grid, count, slow.__getitem__, jump=m.jump_slow)
 
 
 def coupled_error_batch(m, am, t_end, dt, master_seed, start, count, *, _sup=True):
@@ -351,31 +350,45 @@ def coupled_error_batch(m, am, t_end, dt, master_seed, start, count, *, _sup=Tru
 
 def _coupled_range(m, am, grid, dt, master_seed, start, count, sup):
     """``coupled_error_batch`` of paths [start, start+count) on its checked
-    grid, in this process; without ``sup`` the sup reads NaN."""
+    grid, in this process; without ``sup`` the sup reads NaN.  With slow
+    noise each path steps its own averaged path; without, the averaged path
+    is the same on every path, so it is stepped once for the batch, as one
+    row, the paths step against its row k, and if it diverges every path is
+    flagged."""
     d_fast, d_slow = _increment_blocks(m, grid, master_seed, start, count)
+    x0, y0 = (np.broadcast_to(v, (count, m.n)) for v in (m.x0, m.y0))
+    ds = None if d_slow is None else (m.sigma1, d_slow)
+    state, factors, noise = [x0, y0], [dt, dt / m.epsilon], [ds, (m.sigma2, d_fast)]
+    if ds is None:
+        carrier = _averaged_run(am, np.reshape(m.x0, (1, -1)), grid, dt, None)
+        if carrier.diverged[0]:
+            return (np.full(count, np.nan), np.full((count, m.n), np.nan),
+                    np.ones(count, dtype=bool))
+    else:
+        state, factors, noise = state + [x0], factors + [dt], noise + [ds]
 
     slow, fast = _lin_plus(m.a, m.f._add), _lin_plus(m.b, m.g._add)
     averaged = _lin_plus(am.a, am.fbar._add)
 
+    def averaged_at(k, s):
+        return carrier.path[0, k] if ds is None else s[2]
+
     def drift(k, s, d):
-        x, y, xa = s
+        x, y = s[0], s[1]
         slow(d[0], x, x, y)
         fast(d[1], y, x, y)
-        averaged(d[2], xa, xa)
+        if ds is not None:
+            averaged(d[2], s[2], s[2])
 
-    def gap_sq(s):
-        diff = s[0] - s[2]
+    def gap_sq(k, s):
+        diff = s[0] - averaged_at(k, s)
         diff *= diff
         # a sum over one coordinate is that coordinate
         return diff[:, 0] if m.n == 1 else np.sum(diff, axis=-1)
 
-    x0, y0 = (np.broadcast_to(v, (count, m.n)) for v in (m.x0, m.y0))
-    ds = None if d_slow is None else (m.sigma1, d_slow)
-    run = _euler((x0, y0, x0), drift,
-                 (dt, dt / m.epsilon, dt), (ds, (m.sigma2, d_fast), ds),
-                 grid, dt, sup=gap_sq if sup else None)
-    x, _, xa = run.state
-    return run.sup if sup else np.full(count, np.nan), x - xa, run.diverged
+    run = _euler(state, drift, factors, noise, grid, dt, sup=gap_sq if sup else None)
+    diff = run.state[0] - averaged_at(len(grid) - 1, run.state)
+    return run.sup if sup else np.full(count, np.nan), diff, run.diverged
 
 
 @dataclass

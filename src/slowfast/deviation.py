@@ -35,7 +35,7 @@ from .averaging import _increment_blocks, _slow_increments, coupled_error_batch
 from .integrator import (DivergedError, _check_stable, _euler, _frozen_fast_run,
                          _trajectory, frozen_fast_batch, make_grid)
 from .model import _add_value, _lin, _lin_plus, _value_into
-from .noise import CHUNK_STEPS, ROLE_BURN, ROLE_DEV, _path_increments, substream
+from .noise import CHUNK_STEPS, ROLE_BURN, ROLE_DEV, _path_increments, _substreams
 from .harness import _split_paths, _var_se, two_sample_compare
 
 # central-difference step of ``fbar_derivative``
@@ -62,8 +62,9 @@ def autocovariance_kernel(m, x, lags, burn_in, horizon, dt, rng, n_replicas=24):
 
     Stationarity is realized by burn-in of the frozen-fast process; the
     estimate pools independent replicas, whose spread provides the standard
-    error.  Requires a finite burn_in >= 0 and horizon - burn_in >= 50 *
-    max(lags), so each replica holds enough decorrelated windows.
+    error.  Requires a finite burn_in >= 0, horizon - burn_in >= 50 *
+    max(lags), so each replica holds enough decorrelated windows, and every
+    lag a whole number of steps dt (within 1e-9 of one, relative).
 
     The values of f are written over the window rows of the frozen-fast
     paths, (T, P, n) for T window steps and P replicas, a noise chunk at a
@@ -82,6 +83,15 @@ def autocovariance_kernel(m, x, lags, burn_in, horizon, dt, rng, n_replicas=24):
         raise ValueError("window too short: need horizon - burn_in >= 50*max(lags)")
     if n_replicas < 2:
         raise ValueError(f"need n_replicas >= 2 for a standard error, not {n_replicas}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, not {dt}")
+    steps_per_lag = lags / dt
+    whole = np.round(steps_per_lag)
+    off = ~(np.abs(steps_per_lag - whole) <= 1e-9 * steps_per_lag)
+    if np.any(off):
+        raise ValueError(f"lag {lags[off][0]:g} is not a whole number of steps "
+                         f"dt={dt:g}")
+    lag_idx = whole.astype(int)
     n = m.n
     steps = int(round(horizon / dt))
     first = int(round(burn_in / dt))
@@ -93,7 +103,6 @@ def autocovariance_kernel(m, x, lags, burn_in, horizon, dt, rng, n_replicas=24):
     fbar = window.mean(axis=(0, 1))
     window -= fbar
 
-    lag_idx = np.round(lags / dt).astype(int)
     # f(x, y(t+s)) against f(x, y(t)), summed over t within each replica
     sums = np.empty((len(lags), n_replicas, n, n))
     for p in range(n_replicas):
@@ -194,15 +203,22 @@ class DeviationModel:
         self.a = np.atleast_2d(np.asarray(a, dtype=float))
         self.n = self.a.shape[0]
         self._a_theta_plus = _lin_plus(self.a, _add_value)
-        self.deriv_const = (np.atleast_2d(np.asarray(fbar_deriv, dtype=float))
-                            if not callable(fbar_deriv) else None)
-        self.htilde_const = (np.atleast_2d(np.asarray(htilde, dtype=float))
-                             if not callable(htilde) else None)
+        self.deriv_const, self.htilde_const = (
+            None if callable(coef) else self._square(name, coef)
+            for name, coef in (("fbar_deriv", fbar_deriv), ("htilde", htilde)))
         self._deriv = fbar_deriv if callable(fbar_deriv) else self.deriv_const
         if callable(htilde):
             self._sqrt = lambda x: matrix_sqrt_psd(htilde(x))
         else:
             self._sqrt = matrix_sqrt_psd(self.htilde_const)
+
+    def _square(self, name, coef):
+        """A constant coefficient as an n x n float matrix, or ValueError."""
+        coef = np.atleast_2d(np.asarray(coef, dtype=float))
+        if coef.shape != (self.n, self.n):
+            raise ValueError(f"{name} must be {self.n} x {self.n} for a model of "
+                             f"dimension {self.n}, not of shape {coef.shape}")
+        return coef
 
     def _at(self, coef, x):
         """A coefficient at slow states x (..., n): the constant (n, n)
@@ -270,9 +286,9 @@ def _manifold_started_inputs(m, t_end, dt, master_seed, start, count):
     burn_steps = max(int(round(10.0 * m.epsilon / m.gamma_b / dt)), 1)
     d_fast, d_slow = _increment_blocks(m, grid, master_seed, start, count)
     scale = 1.0 / m.epsilon
+    burn = _substreams(master_seed, start, count, ROLE_BURN)
     d_burn = _path_increments(m.n, dt * np.arange(burn_steps + 1), count,
-                              lambda i: substream(master_seed, start + i, ROLE_BURN),
-                              jump=m.jump_fast, speed=scale)
+                              burn.__getitem__, jump=m.jump_fast, speed=scale)
     x0, y0 = (np.broadcast_to(v, d_burn.shape[1:]) for v in (m.x0, m.y0))
     # the burn-in steps the frozen-fast equation at the fast rate dt / epsilon
     h = dt * scale
@@ -326,7 +342,7 @@ def residual_theta2(m, epsilon, t_end, dt, n_paths, master_seed,
     df = (me.sigma2, d_fast)
     run = _euler((np.zeros((n_paths, n)), x0, x0, y0, y_h0), drift,
                  (dt, dt, dt, dt / epsilon, dt / epsilon), (None, ds, ds, df, df),
-                 grid, dt, sup=lambda s: np.sum(s[0] * s[0], axis=-1))
+                 grid, dt, sup=lambda k, s: np.sum(s[0] * s[0], axis=-1))
     alive = ~run.diverged
     vals = run.sup[alive]
     if len(vals) == 0:
@@ -438,7 +454,7 @@ def _limit_range(dm, am, grid, dt, master_seed, start, count):
     n = dm.n
     d_slow = _slow_increments(am, grid, master_seed, start, count)
     dw = _path_increments(n, grid, count,
-                          lambda i: substream(master_seed, start + i, ROLE_DEV))
+                          _substreams(master_seed, start, count, ROLE_DEV).__getitem__)
 
     averaged = _lin_plus(am.a, am.fbar._add)
 

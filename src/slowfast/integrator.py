@@ -17,11 +17,14 @@ since every row is stepped on its own the rows do not depend on the range
 that holds them.  The private kernel
 ``_euler`` owns the time loop, the noise term and the recorders (final
 state, running sup, full path); a simulator supplies its drift, step factors
-and noise.  Jumps break the smoothness higher-order schemes need, and every
-claim verified downstream is a weak or strong limit, so the explicit scheme
-is the right tool.  Every simulator of the coupled system enforces
-``dt <= epsilon / 10`` (``_check_stable``) because the fast drift scales
-like 1/epsilon.
+and noise.  A component that is the same on every path of a batch, such as
+an averaged carrier without slow noise, is stepped once per batch, as one
+row, by its own run; the batch's drift and sup read its row k, which is why
+the sup hook takes the step index.  Jumps break the smoothness higher-order
+schemes need, and every claim verified downstream is a weak or strong
+limit, so the explicit scheme is the right tool.  Every simulator of the
+coupled system enforces ``dt <= epsilon / 10`` (``_check_stable``) because
+the fast drift scales like 1/epsilon.
 
 Stepping is in place.  ``_euler`` stacks the components into one state
 array (C, ..., n) and owns a drift buffer of that shape, plus a spare state
@@ -133,8 +136,9 @@ def _euler(state, drift, factors, noise, grid, dt, sup=None, path=False):
     ``(sigma, increments)`` adding ``apply_noise(sigma, increments)[k]``,
     or a function ``(k, s) -> array`` for noise scaled by the state.  The
     caller's states and increments are never written to.
-    ``sup(s)`` maps a state to one value per path, whose running max
-    over the grid is recorded; ``path=True`` records every state.
+    ``sup(k, s)`` maps the state at grid point k to one value per path,
+    whose running max over the grid is recorded; ``path=True`` records
+    every state.
     """
     s = np.array(np.broadcast_arrays(*state), dtype=float)
     steps, stretch = len(grid) - 1, _stretch(grid, dt)
@@ -145,7 +149,7 @@ def _euler(state, drift, factors, noise, grid, dt, sup=None, path=False):
     if path:
         rows = np.empty((steps + 1,) + s.shape)
         rows[0] = s
-    best = None if sup is None else np.array(sup(s), dtype=float)
+    best = None if sup is None else np.array(sup(0, s), dtype=float)
     last = steps - 1
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
@@ -164,7 +168,7 @@ def _euler(state, drift, factors, noise, grid, dt, sup=None, path=False):
                 part += term(k, s, d[c])
             spare, s = s, nxt
             if sup is not None:
-                np.maximum(best, sup(s), out=best)
+                np.maximum(best, sup(k + 1, s), out=best)
     diverged = ~_finite_rows(s)
     if rows is not None:
         rows = rows.swapaxes(0, 1)

@@ -192,8 +192,13 @@ class ManifoldSolution:
     lip_bound: float
     iterations: int
     residuals: list = field(default_factory=list)
-    t_neg: float = 0.0
     converged: bool = True
+
+    @property
+    def t_neg(self):
+        """The window solved on, [-t_neg, 0]: the requested one rounded to
+        whole grid steps and cut to the sampled paths."""
+        return -float(self.grid[0])
 
     def residual_ratios(self, floor=1e-13):
         rs = [r for r in self.residuals if r > floor]
@@ -295,8 +300,7 @@ def lyapunov_perron_solve(m, epsilon, u0, gamma=None, grid_step=0.005,
                            f"{MAX_SWEEPS} sweeps (last residual {residuals[-1]:.3g})")
 
     return ManifoldSolution(u0, epsilon, gamma, ts, u, v, v[-1].copy(), rho,
-                            rho_hat, lip_bound, iterations, residuals,
-                            t_neg, converged)
+                            rho_hat, lip_bound, iterations, residuals, converged)
 
 
 def reapply_sweep(m, sol, paths):

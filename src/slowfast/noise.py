@@ -23,6 +23,9 @@ it, and what it draws next changes no row.  A batch of paths
 processes (``harness._split_paths``); path i still draws from its own
 ``substream(master_seed, i, role)``.  Ensembles are therefore
 bit-identical regardless of worker count, batch size or chunk length.
+``substream`` is the reference for one generator; a batch derives the
+generators of all its paths in one pass (``_substreams``), which hashes
+their seeds together in numpy and gives the same streams, draw for draw.
 
 A chunk holds ``CHUNK_STEPS`` steps, or the whole batch where that is
 shorter.  A chunk is filled a block of paths at a time: each path draws its
@@ -53,6 +56,77 @@ def substream(master_seed, path_index=0, role=0):
     ss = np.random.SeedSequence(entropy=int(master_seed),
                                 spawn_key=(int(path_index), int(role)))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43b0d7e5, 0x931e8875, 0x8b51f9dd, 0x58f38ded
+_MIX_L, _MIX_R, _MASK = 0xca01f9dd, 0x4973f715, 0xffffffff
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """The seed words of one PCG64, in place of its SeedSequence."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _substreams(master_seed, start, count, role):
+    """``[substream(master_seed, start + i, role) for i in range(count)]``,
+    draw for draw, with every path's seed hashed in one numpy pass.
+
+    A SeedSequence with a spawn key hashes its entropy words into a pool of
+    four uint32 words: the seed's words first, padded to four, then each
+    spawn key word, mixed into every pool word.  The seed's part is common
+    to the batch, so one SeedSequence of the seed alone gives it (and
+    refuses a negative seed as ``substream`` does); the path index and role
+    words are then mixed into a (4, count) pool in uint32 arithmetic, and
+    each PCG64 is seeded from the four uint64 words that
+    ``generate_state(4, np.uint64)`` would draw from its pool.  No
+    SeedSequence is kept per path.  Indices and roles are below 2**64.
+    """
+    seed = np.random.SeedSequence(int(master_seed))
+    start, count, role = int(start), int(count), int(role)
+    # the hash constant after the seed's words: four fill the pool, twelve
+    # mix it, and four more per seed word past the fourth
+    seed_words = max(1, -(-int(master_seed).bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * max(seed_words - 4, 0), 1 << 32) & _MASK
+    index = np.arange(start, start + count, dtype=np.uint64)
+    role_words = max(1, -(-role.bit_length() // 32))
+    gens = []
+    # indices of one word, then of two: each run hashes as many key words
+    for lo, hi, words in ((start, min(start + count, 1 << 32), 1),
+                          (max(start, 1 << 32), start + count, 2)):
+        if lo >= hi:
+            continue
+        spawn_key = ((index[lo - start:hi - start], words),
+                     (np.full(hi - lo, role, dtype=np.uint64), role_words))
+        pool = np.repeat(seed.pool.astype(np.uint32)[:, None], hi - lo, axis=1)
+        c = const
+        for part, n_words in spawn_key:
+            for w in range(n_words):
+                word = (part >> np.uint64(32 * w)).astype(np.uint32)
+                for dst in range(4):
+                    value = word ^ np.uint32(c)
+                    c = c * _MULT_A & _MASK
+                    value *= np.uint32(c)
+                    value ^= value >> np.uint32(16)
+                    mixed = pool[dst] * np.uint32(_MIX_L) - value * np.uint32(_MIX_R)
+                    mixed ^= mixed >> np.uint32(16)
+                    pool[dst] = mixed
+        state = np.empty((8, hi - lo), dtype=np.uint64)
+        c = _INIT_B
+        for i in range(8):
+            data = pool[i % 4] ^ np.uint32(c)
+            c = c * _MULT_B & _MASK
+            data *= np.uint32(c)
+            data ^= data >> np.uint32(16)
+            state[i] = data
+        seeds = np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
+        gens += [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in seeds]
+    return gens
 
 
 # steps of a streamed batch's chunk; it sets the buffer size only, since

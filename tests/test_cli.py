@@ -319,6 +319,42 @@ def test_deviate_refuses_a_single_kernel_replica(tmp_path, capsys):
     assert "n_replicas" in _error_line(capsys)
 
 
+def _refused(tmp_path, capsys, command, block):
+    """The one error line of a refused command; it wrote no artifact."""
+    cfg = write_cfg(tmp_path, dict(LINEAR_CFG, **{command: block}))
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = _error_line(capsys)
+    assert "\n" not in err and err.startswith("error: ")
+    assert not out.exists() or not os.listdir(out)
+    return err
+
+
+def test_deviate_refuses_a_lag_off_the_step_grid(tmp_path, capsys):
+    # 0.05 / 0.7 is no whole number of steps: rounded, every lag would read
+    # the lag-0 product, so no kernel CSV is written
+    assert "whole number of steps" in _refused(tmp_path, capsys, "deviate", {"dt": 0.7})
+
+
+def test_deviate_refuses_a_wrong_shape_htilde(tmp_path, capsys):
+    err = _refused(tmp_path, capsys, "deviate",
+                   {"htilde_override": [[0.25, 0.0], [0.0, 0.25]]})
+    assert "htilde" in err and "1 x 1" in err
+
+
+def test_manifold_reports_the_window_it_solved_on(tmp_path, capsys):
+    # t_neg 1.2 rounds to two steps of 0.5: the profile and the report
+    # both start at -1.0
+    cfg = write_cfg(tmp_path, dict(LINEAR_CFG, manifold={"grid_step": 0.5,
+                                                         "t_neg": 1.2}))
+    assert main(["manifold", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    out = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    assert out["t_neg"] == 1.0
+    profile = [f for f in os.listdir(tmp_path / "o") if f.endswith("-profile.csv")]
+    rows = np.loadtxt(tmp_path / "o" / profile[0], delimiter=",", skiprows=1)
+    assert rows[0, 0] == -1.0 and rows[-1, 0] == 0.0
+
+
 def test_deviate_grid_step_not_dividing_horizon(tmp_path, capsys):
     # 1.0 / 0.3 is not an integer: the last step is stretched to 0.4 to end at t_end
     cfg_data = json.loads(json.dumps(LINEAR_CFG))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from slowfast import deviation, noise
 from slowfast.averaging import (AveragedDrift, AveragedModel, build_averaged,
-                                simulate_averaged)
+                                coupled_error_batch, simulate_averaged)
 from slowfast.benchmarks import linear_benchmark, tanh_benchmark
 from slowfast.deviation import (DeviationModel, _manifold_started_inputs,
                                 autocovariance_kernel, build_deviation_model,
@@ -16,9 +16,10 @@ from slowfast.deviation import (DeviationModel, _manifold_started_inputs,
                                 limit_marginal_samples, matrix_sqrt_psd,
                                 residual_theta2, simulate_deviation,
                                 simulate_truncated_deviation, weak_limit_report)
-from slowfast.integrator import DivergedError, frozen_fast_batch, make_grid
+from slowfast.integrator import (DivergedError, frozen_fast_batch, make_grid,
+                                 simulate_slow_fast)
 from slowfast.model import DriftFn, JumpSpec, SizeDist, SlowFastModel, parse_drift
-from slowfast.noise import ROLE_DEV, ROLE_SLOW, sample_increments, substream
+from slowfast.noise import ROLE_DEV, ROLE_FAST, ROLE_SLOW, sample_increments, substream
 
 OU_VAR_AT_1 = 0.125 * (1.0 - np.exp(-2.0))     # (Htilde/2a)(1 - e^{-2a})
 
@@ -64,6 +65,25 @@ def test_kernel_refuses_a_negative_or_non_finite_burn_in(burn_in):
     with pytest.raises(ValueError, match="burn_in"):
         autocovariance_kernel(linear_benchmark(), [1.0], [0.0, 1.0], burn_in, 300.0,
                               0.01, np.random.default_rng(0), n_replicas=2)
+
+
+def test_kernel_refuses_a_lag_off_the_step_grid():
+    # 0.05 / 0.7 steps would round every lag to 0; nothing is drawn first
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="whole number of steps"):
+        autocovariance_kernel(linear_benchmark(), [1.0], np.arange(0.0, 5.0, 0.05),
+                              5.0, 505.0, 0.7, rng)
+    assert rng.bit_generator.state == before
+
+
+def test_kernel_accepts_lags_off_the_grid_by_rounding_error_only():
+    # arange's lags carry rounding error; the 1e-9 relative tolerance takes it
+    lags = np.arange(0.0, 3.0, 0.05)
+    assert not np.array_equal(lags / 0.01, np.round(lags / 0.01))
+    k = autocovariance_kernel(linear_benchmark(), [1.0], lags, 1.0, 151.0, 0.01,
+                              np.random.default_rng(0), n_replicas=2)
+    assert len(k.h) == len(lags)
 
 
 def test_kernel_refuses_fewer_than_two_replicas():
@@ -355,6 +375,70 @@ def test_limit_samples_match_single_path_runs(n, callable_jac, slow, paths, seed
             assert np.array_equal(samples[i], theta)
         else:
             np.testing.assert_allclose(samples[i], theta, rtol=1e-12, atol=1e-14)
+
+
+def _quiet(n):
+    """A tanh model without slow noise, with fast jumps, and its tabulated
+    averaged model: a coupled batch steps one carrier for all its paths."""
+    f = parse_drift(["tanh(y1)", "tanh(y2)"][:n], n, lip=1.0, growth=1.0)
+    g = parse_drift(["0.2*tanh(x1+y2)", "0.2*tanh(x2-y1)"][:n] if n == 2
+                    else ["0.25*tanh(x1)"], n, lip=0.25, growth=1.0)
+    m = SlowFastModel(a=(-np.eye(n) + 0.2 * np.eye(n, k=1)).tolist(),
+                      b=(-2.0 * np.eye(n) + 0.3 * np.eye(n, k=1)).tolist(), f=f, g=g,
+                      sigma1=0.0, sigma2=1.0, epsilon=0.05,
+                      x0=[0.8, -0.4][:n], y0=[0.4, 0.1][:n],
+                      jump_fast=JumpSpec(2.0, SizeDist.uniform(-0.5, 0.5)))
+    am = build_averaged(m, table_axes=[np.linspace(-1.0, 1.0, 3)] * n,
+                        rng=np.random.default_rng(4), horizon=6.0)
+    return m, am
+
+
+def _same(got, want, n):
+    """Bit for bit at n = 1, within the n = 2 parity bound otherwise."""
+    if n == 1:
+        return np.array_equal(got, want, equal_nan=True)
+    return np.max(np.abs(got - want)) <= 1e-10 * (1.0 + np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_shared_carrier_rows_match_single_path_runs(n):
+    m, am = _quiet(n)
+    t_end, dt, seed, start, count = 0.3, 0.005, 13, 2, 4
+    sup, diff, div = coupled_error_batch(m, am, t_end, dt, seed, start, count)
+    no_sup, diff_off, div_off = coupled_error_batch(m, am, t_end, dt, seed, start,
+                                                    count, _sup=False)
+    assert np.all(np.isnan(no_sup)) and not div.any() and not div_off.any()
+    grid = make_grid(t_end, dt)
+    for i in range(count):
+        k = start + i
+        slow = sample_increments(n, grid, substream(seed, k, ROLE_SLOW))
+        fast = sample_increments(n, grid, substream(seed, k, ROLE_FAST),
+                                 jump=m.jump_fast, speed=1.0 / m.epsilon)
+        x, _ = simulate_slow_fast(m, t_end, dt, slow_incr=slow, fast_incr=fast)
+        xa = simulate_averaged(am, t_end, dt, slow)
+        gap = np.max(np.sum((x.states - xa.states) ** 2, axis=-1))
+        assert _same(sup[i], gap, n)
+        for got in (diff[i], diff_off[i]):
+            assert _same(got, x.states[-1] - xa.states[-1], n)
+
+    htilde = 0.25 * np.eye(n) + 0.05 * (np.ones((n, n)) - np.eye(n))
+    # a constant Jacobian, and one taken along the carrier
+    for dm in (build_deviation_model(am, htilde, x=m.x0),
+               build_deviation_model(am, htilde)):
+        samples = limit_marginal_samples(dm, am, t_end, 0.01, count, seed)
+        for i in range(count):
+            theta = simulate_deviation(dm, _carrier(am, t_end, 0.01, seed, i), t_end,
+                                       0.01, substream(seed, i, ROLE_DEV))
+            assert _same(samples[i], theta.states[-1], n)
+
+
+def test_diverged_shared_carrier_flags_every_path():
+    # the averaged equation blows up while every coupled path stays finite
+    m, am = _quiet(1)
+    up = AveragedModel(np.array([[50.0]]), am.fbar, 0.0, None, am.x0)
+    sup, diff, div = coupled_error_batch(m, up, 16.0, 0.005, 13, 0, 4)
+    assert div.all() and np.all(np.isnan(sup)) and np.all(np.isnan(diff))
+    assert not coupled_error_batch(m, am, 16.0, 0.005, 13, 0, 4)[2].any()
 
 
 # -- truncated fluctuation ------------------------------------------------------

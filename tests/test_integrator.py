@@ -86,8 +86,8 @@ def test_euler_kernel_matches_reference_loop(n, paths, matrix_sigma, noise, view
     def noise_y(k, s):     # reads the state the step starts from
         return amp(s2, dy[k]) * (1.0 + 0.1 * np.tanh(s[0]))
 
-    def gap(s):
-        return np.sum((s[0] - s[1]) ** 2, axis=-1)
+    def gap(k, s):     # weighted by the grid point, so k is checked too
+        return np.sum((s[0] - s[1]) ** 2, axis=-1) * (1.0 + 0.01 * k)
 
     def terms():
         return {"none": (None, None), "blocks": ((s1, dx), (s2, dy)),
@@ -99,7 +99,7 @@ def test_euler_kernel_matches_reference_loop(n, paths, matrix_sigma, noise, view
 
     # a pre-drawn block is scaled whole, a streamed one row by row
     x, y = x0, y0
-    xs, ys, best = [x], [y], gap((x, y))
+    xs, ys, best = [x], [y], gap(0, (x, y))
     for k in range(steps):
         fx, fy = fn(k, (x, y))
         wx = {"none": None, "streamed": amp(s1, dx[k])}.get(noise, amp(s1, dx)[k])
@@ -109,7 +109,7 @@ def test_euler_kernel_matches_reference_loop(n, paths, matrix_sigma, noise, view
                 y + fy * hy if wy is None else y + fy * hy + wy)
         xs.append(x)
         ys.append(y)
-        best = np.maximum(best, gap((x, y)))
+        best = np.maximum(best, gap(k + 1, (x, y)))
     assert np.array_equal(run.path[0], np.array(xs))
     assert np.array_equal(run.path[1], np.array(ys))
     assert np.array_equal(run.state[0], x) and np.array_equal(run.state[1], y)
@@ -163,7 +163,8 @@ def test_euler_divergence_conventions():
         return np.tanh(s[1]), 50.0 * s[1]
 
     run = _euler((np.zeros((3, 1)), y0), in_place(drift), (0.1, 0.1), (None, None),
-                 0.1 * np.arange(401), 0.1, sup=lambda s: np.abs(s[0][:, 0]), path=True)
+                 0.1 * np.arange(401), 0.1, sup=lambda k, s: np.abs(s[0][:, 0]),
+                 path=True)
     x, y = np.zeros((3, 1)), y0
     raw = [y]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slowfast.averaging import build_averaged, estimate_fbar, mixing_diagnostic
 from slowfast.benchmarks import linear_benchmark
@@ -9,7 +11,7 @@ from slowfast.integrator import Trajectory, frozen_fast_batch, make_grid
 from slowfast.manifold import sample_stationary_paths, tracking_check
 import slowfast.manifold as manifold
 from slowfast.model import DriftFn, JumpSpec, SizeDist, SlowFastModel
-from slowfast.noise import _path_increments, sample_increments, substream
+from slowfast.noise import _path_increments, _substreams, sample_increments, substream
 
 UNIF = JumpSpec(5.0, SizeDist.uniform(-0.5, 0.5))
 SKEW = JumpSpec(2.0, SizeDist.uniform(0.1, 0.9))
@@ -168,6 +170,32 @@ def test_substream_determinism_and_independence():
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
     assert not np.array_equal(a1, c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.one_of(st.integers(0, 2**32), st.integers(2**64 - 4, 2**64 + 4),
+                      st.integers(0, 2**200)),
+       start=st.one_of(st.integers(0, 40), st.integers(2**32 - 5, 2**32 + 5)),
+       count=st.integers(0, 9), role=st.integers(0, 10))
+def test_substreams_match_substream_draw_for_draw(seed, start, count, role):
+    # seeds of one to seven words, and runs of indices that cross 2**32,
+    # where an index takes a second key word
+    gens = _substreams(seed, start, count, role)
+    assert len(gens) == count
+    for i, gen in enumerate(gens):
+        ref = substream(seed, start + i, role)
+        assert gen.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(gen.standard_normal(5), ref.standard_normal(5))
+        assert np.array_equal(gen.uniform(size=3), ref.uniform(size=3))
+
+
+def test_substreams_refuse_a_negative_seed_as_substream_does():
+    with pytest.raises(ValueError) as want:
+        substream(-1, 0, 0)
+    for count in (0, 3):
+        with pytest.raises(ValueError) as got:
+            _substreams(-1, 0, count, 0)
+        assert str(got.value) == str(want.value)
 
 
 def test_stream_bit_identical_for_fixed_seed():

@@ -4,27 +4,31 @@
     PYTHONPATH=src python3 tools/parity.py dump new.npz
     python3 tools/parity.py compare old.npz new.npz
 
-``dump`` runs each simulator on five models and saves its outputs: ``n1``
+``dump`` runs each simulator on six models and saves its outputs: ``n1``
 (1-D tanh model with slow and fast noise and jumps), ``n1lin`` (the linear
 benchmark, no slow noise), ``n2s`` (2-D tanh model with jumps, scalar
-sigma), ``n2m`` (the same with matrix sigma) and ``n2bm`` (``n2m`` without
-jumps), plus blow-up models whose single-path runs must diverge at the same
-row.  The ``*/frozen_fast`` keys are one-path ``frozen_fast_batch`` runs,
-their ``diverged_at`` the first non-finite row.  The ``*/drift/*`` keys
-evaluate each model's f and g, and one expression drift that uses every
-function and operator (``n2expr``), in value and in-place form, at fixed
-points of shape (n,) and (4, n) with signed zeros, infinities and NaN, and
-record the sign bits of the results.
+sigma), ``n2m`` (the same with matrix sigma), ``n2bm`` (``n2m`` without
+jumps) and ``n2q`` (``n2s`` with sigma1 = 0 and no slow jumps, so that a
+coupled batch steps one averaged carrier for all its paths at n = 2), plus
+blow-up models whose single-path runs must diverge at the same row.  The ``*/frozen_fast`` keys are one-path
+``frozen_fast_batch`` runs, their ``diverged_at`` the first non-finite row.
+The ``*/drift/*`` keys evaluate each model's f and g, and one expression
+drift that uses every function and operator (``n2expr``), in value and
+in-place form, at fixed points of shape (n,) and (4, n) with signed zeros,
+infinities and NaN, and record the sign bits of the results.
 The ``*_long`` keys step batches over more steps than one noise chunk of
 ``noise.CHUNK_STEPS`` steps, by a count that is not a multiple of it;
-the ``*_wide`` keys (``n1`` and ``n2m``) step 300 paths, more than one block
-of paths drawn together (``noise._PATH_BLOCK``), over 40 steps, split across
-forked worker processes (``harness.SPLIT_PATH_STEPS`` is set to 0 for them,
-where it exists, and the machine has two or more usable CPUs), so comparing
-against a checkout without the split checks split rows against one run.
-The ``*/frozen_fast_batch_long`` keys (``n1`` and ``n2m``) draw 300 paths
-with fast jumps from one generator over 600 steps, so that paths sharing a
-generator cover several noise chunks and blocks of paths.
+the ``*_wide`` keys (``n1``, ``n2m`` and ``n2q``) step 300 paths, more
+than one block of paths drawn together (``noise._PATH_BLOCK``), over 40
+steps, split across forked worker processes (``harness.SPLIT_PATH_STEPS``
+is set to 0 for them, where it exists, and the machine has two or more
+usable CPUs), so comparing against a checkout without the split checks
+split rows against one run.
+The ``*/coupled_nosup/*`` and ``*/coupled_wide_nosup/*`` keys run
+``coupled_error_batch`` without its sup.
+The ``*/frozen_fast_batch_long`` keys (``n1``, ``n2m`` and ``n2q``) draw
+300 paths with fast jumps from one generator over 600 steps, so that paths
+sharing a generator cover several noise chunks and blocks of paths.
 The ``*/kernel/*`` keys run ``autocovariance_kernel`` on a short window,
 and the ``*/manifold_long/*`` keys solve on a grid of 1601 points.
 The ``cli/*`` keys hold the exit code, the stdout and stderr bytes and each
@@ -64,13 +68,9 @@ import numpy as np
 N2_RTOL = 1e-10
 # key pattern -> why it differs from checkouts before the change, unbounded:
 # other random numbers, or text whose printed numbers moved in the last digits
-_CLI_RESIDUALS = ("only the residuals moved, in the 14th digit: the first slow "
-                  "profile is the zero-drive backward recurrence, not stacked expm")
-RESAMPLED = {"cli/*/manifold/stdout": _CLI_RESIDUALS,
-             "cli/*/manifold/artifact.json": _CLI_RESIDUALS}
+RESAMPLED = {}
 # key pattern -> why it moved in the last bits only
-LAST_BITS = {"n1*/manifold*/residuals": "the first slow profile is the zero-drive "
-                                        "backward recurrence, not stacked expm"}
+LAST_BITS = {}
 
 
 def _reason(table, key):
@@ -97,8 +97,9 @@ def _models():
     sigmas = dict(sigma1=[[0.3, 0.1], [0.0, 0.2]], sigma2=[[1.0, 0.2], [0.1, 0.8]])
     n2m = SlowFastModel(**sigmas, **common)
     n2bm = SlowFastModel(**sigmas, **dict(common, jump_slow=None, jump_fast=None))
+    n2q = SlowFastModel(sigma1=0.0, sigma2=1.0, **dict(common, jump_slow=None))
     return {"n1": n1, "n1lin": linear_benchmark(epsilon=0.05), "n2s": n2s,
-            "n2m": n2m, "n2bm": n2bm}
+            "n2m": n2m, "n2bm": n2bm, "n2q": n2q}
 
 
 def _blowups():
@@ -269,6 +270,9 @@ def dump(path):
         put(f"{name}/coupled/sup", sup)
         put(f"{name}/coupled/diff", diff)
         put(f"{name}/coupled/div", div)
+        sup, diff, div = coupled_error_batch(m, am, 0.5, dt, 13, 2, 7, _sup=False)
+        put(f"{name}/coupled_nosup/diff", diff)
+        put(f"{name}/coupled_nosup/div", div)
         # 1300 steps: more than one noise chunk, and not a multiple of one
         batch = coupled_error_batch(m, am, 1300 * dt, dt, 13, 0, 3)
         for field, value in zip(("sup", "diff", "div"), batch):
@@ -296,13 +300,17 @@ def dump(path):
         put(f"{name}/limit", limit_marginal_samples(dm, am, 0.3, 0.01, 5, 23))
         put(f"{name}/limit_var", limit_marginal_samples(dm_var, am, 0.3, 0.01, 5, 23))
         put(f"{name}/limit_long", limit_marginal_samples(dm, am, 7.0, 0.01, 3, 23))
-        if name in ("n1", "n2m"):
+        if name in ("n1", "n2m", "n2q"):
             with _set_if_present(harness, "SPLIT_PATH_STEPS", 0):
                 wide = coupled_error_batch(m, am, 40 * dt, dt, 13, 0, 300)
+                _, *nosup = coupled_error_batch(m, am, 40 * dt, dt, 13, 0, 300,
+                                                _sup=False)
                 put(f"{name}/limit_wide", limit_marginal_samples(dm, am, 0.4, 0.01,
                                                                  300, 23))
             for field, value in zip(("sup", "diff", "div"), wide):
                 put(f"{name}/coupled_wide/{field}", value)
+            for field, value in zip(("diff", "div"), nosup):
+                put(f"{name}/coupled_wide_nosup/{field}", value)
             put(f"{name}/frozen_fast_batch_long",
                 frozen_fast_batch(m, m.x0, m.y0, 600, 0.005, rng(16), 300))
         tr = sf.tracking_check(m, eps, (m.x0, m.y0), (m.x0, m.y0 + 0.5), 1.0, 0.005,
