@@ -29,7 +29,7 @@ import numpy as np
 from .harness import _split_paths, fit_exp_rate, fit_loglog_rate
 from .integrator import (DivergedError, _check_stable, _euler, _trajectory,
                          default_step, frozen_fast_batch, make_grid)
-from .model import _lin, _lin_plus, has_slow_noise
+from .model import _finite, _lin, _lin_plus, has_slow_noise
 from .noise import ROLE_FAST, ROLE_SLOW, _path_increments, _substreams
 
 # batch means behind the standard error of ``estimate_fbar``
@@ -90,13 +90,14 @@ def estimate_fbar(m, x, burn_in=None, horizon=60.0, dt=0.005, rng=None):
     ``FBAR_BATCHES`` batch means.  The paths are one ``frozen_fast_batch``
     run drawn from ``rng`` in turn, so point i equals the i-th of successive
     single-point calls.  The default burn-in is 10/gamma_b, the safe linear
-    relaxation scale.  A window of fewer grid points than batches is refused.
+    relaxation scale.  A non-finite point, and a window of fewer grid points
+    than batches, are refused.
     """
     if burn_in is None:
         burn_in = 10.0 / m.gamma_b
     if not horizon > burn_in:
         raise ValueError("horizon must exceed burn_in")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _finite(np.atleast_1d(np.asarray(x, dtype=float)), "fbar point")
     if x.shape[-1] != m.n:
         raise ValueError(f"points must have shape (..., {m.n})")
     points = x.reshape(-1, m.n)
@@ -244,13 +245,20 @@ def mixing_diagnostic(m, x, y_list, t_end, dt, n_paths, rng, fbar_value=None):
     largest deviation is reported.  Returns both the fitted empirical rate
     and the rate implied by the declared constants; points whose deviation
     sits below the Monte-Carlo noise floor (or is non-positive) are skipped
-    by the fit.
+    by the fit.  A non-finite x or start, and a horizon of fewer than three
+    curve points, are refused.
     """
     if n_paths < 100:
         raise ValueError("need at least 100 paths for the mixing diagnostic")
     if m.g.lip is None:
         raise ValueError("mixing diagnostic needs a declared or analytic L_g")
-    x = np.asarray(x, dtype=float)
+    x = _finite(np.asarray(x, dtype=float), "mixing point")
+    starts = _finite(np.asarray(y_list, dtype=float).reshape(-1, m.n), "mixing start")
+    steps = int(round(t_end / dt))
+    sample_steps = np.arange(0, steps + 1, max(int(round(CURVE_STEP / dt)), 1))
+    if len(sample_steps) < 3:
+        raise ValueError(f"a mixing horizon of {t_end:g} at dt={dt:g} gives "
+                         f"{len(sample_steps)} curve points; the rate fit needs 3")
     eta_declared = 2.0 * (m.gamma_b - 6.0 * m.g.lip ** 2)
 
     if fbar_value is None:
@@ -259,9 +267,6 @@ def mixing_diagnostic(m, x, y_list, t_end, dt, n_paths, rng, fbar_value=None):
         else:
             fbar_value = estimate_fbar(m, x, rng=rng).value
 
-    starts = np.asarray(y_list, dtype=float).reshape(-1, m.n)
-    steps = int(round(t_end / dt))
-    sample_steps = np.arange(0, steps + 1, max(int(round(CURVE_STEP / dt)), 1))
     times = sample_steps * dt
     ys = frozen_fast_batch(m, x, np.repeat(starts, n_paths, axis=0), steps, dt, rng,
                            len(starts) * n_paths)

@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import benchmarks
-from .averaging import (build_averaged, estimate_fbar, mixing_diagnostic,
+from .averaging import (DELTA_RULE, build_averaged, estimate_fbar, mixing_diagnostic,
                         simulate_averaged, strong_error_experiment)
 from .deviation import (autocovariance_kernel, build_deviation_model,
                         diffusion_matrix, matrix_sqrt_psd, simulate_deviation,
@@ -156,7 +156,7 @@ def _average(m, blk, seed, out_dir):
     rate = None
     if blk.get("epsilons"):
         rate = strong_error_experiment(
-            m, blk["epsilons"], blk.get("delta_rule", "eps**(2/3)"),
+            m, blk["epsilons"], blk.get("delta_rule", DELTA_RULE),
             t_end=float(blk.get("t_end", 1.0)),
             n_paths=int(blk.get("n_paths_rate", 200)), master_seed=seed)
     x_point = np.asarray(blk.get("x", m.x0.tolist()), dtype=float)
@@ -203,9 +203,15 @@ def _manifold(m, blk, seed, out_dir):
 
 
 def _deviate(m, blk, seed, out_dir):
+    # every value is read and checked, and every result computed, before the
+    # first artifact is written
+    t_end = float(blk.get("t_end", 1.0))
+    dt = float(blk.get("dt_theta", 1e-3))
+    grid = make_grid(t_end, dt)
     rng = np.random.default_rng(seed)
     am = build_averaged(m, table_axes=blk.get("table_axes"), rng=rng)
     x_point = np.asarray(blk.get("x", m.x0.tolist()), dtype=float)
+    k = None
     if "htilde_override" in blk:
         htilde = np.atleast_2d(np.asarray(blk["htilde_override"], dtype=float))
     else:
@@ -218,6 +224,12 @@ def _deviate(m, blk, seed, out_dir):
             horizon=float(blk.get("horizon", 505.0)),
             dt=float(blk.get("dt", 0.01)), rng=rng,
             n_replicas=int(blk.get("n_replicas", 24)))
+        htilde = diffusion_matrix(k)
+    dm = build_deviation_model(am, htilde, x=x_point)
+    slow = sample_increments(m.n, grid, substream(seed, 0, ROLE_SLOW), jump=m.jump_slow)
+    x_path = simulate_averaged(am, t_end, dt, slow)
+    theta = simulate_deviation(dm, x_path, t_end, dt, substream(seed, 0, ROLE_DEV))
+    if k is not None:
         n = k.h.shape[-1]
         names = [f"H_{i+1}{j+1}" for i in range(n) for j in range(n)]
         errs = [f"stderr_{i+1}{j+1}" for i in range(n) for j in range(n)]
@@ -225,14 +237,6 @@ def _deviate(m, blk, seed, out_dir):
                    ",".join(["s"] + names + errs),
                    np.column_stack([k.lags, k.h.reshape(-1, n * n),
                                     k.stderr.reshape(-1, n * n)]))
-        htilde = diffusion_matrix(k)
-    dm = build_deviation_model(am, htilde, x=x_point)
-    t_end = float(blk.get("t_end", 1.0))
-    dt = float(blk.get("dt_theta", 1e-3))
-    slow = sample_increments(m.n, make_grid(t_end, dt), substream(seed, 0, ROLE_SLOW),
-                             jump=m.jump_slow)
-    x_path = simulate_averaged(am, t_end, dt, slow)
-    theta = simulate_deviation(dm, x_path, t_end, dt, substream(seed, 0, ROLE_DEV))
     _trajectory_csv(_artifact(out_dir, "deviate", seed, "-theta.csv"), theta, "theta")
     _report({"a": dm.a.tolist(), "fbar_deriv": dm.deriv_const.tolist(),
              "htilde": dm.htilde_const.tolist()}, out_dir, "deviate", seed)

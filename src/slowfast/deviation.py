@@ -34,7 +34,7 @@ import numpy as np
 from .averaging import _increment_blocks, _slow_increments, coupled_error_batch
 from .integrator import (DivergedError, _check_stable, _euler, _frozen_fast_run,
                          _trajectory, frozen_fast_batch, make_grid)
-from .model import _add_value, _lin, _lin_plus, _value_into
+from .model import _add_value, _finite, _lin, _lin_plus, _value_into
 from .noise import CHUNK_STEPS, ROLE_BURN, ROLE_DEV, _path_increments, _substreams
 from .harness import _split_paths, _var_se, two_sample_compare
 
@@ -62,9 +62,10 @@ def autocovariance_kernel(m, x, lags, burn_in, horizon, dt, rng, n_replicas=24):
 
     Stationarity is realized by burn-in of the frozen-fast process; the
     estimate pools independent replicas, whose spread provides the standard
-    error.  Requires a finite burn_in >= 0, horizon - burn_in >= 50 *
-    max(lags), so each replica holds enough decorrelated windows, and every
-    lag a whole number of steps dt (within 1e-9 of one, relative).
+    error.  Requires a finite x, one lag or more, a finite burn_in >= 0,
+    horizon - burn_in >= 50 * max(lags), so each replica holds enough
+    decorrelated windows, and every lag a whole number of steps dt (within
+    1e-9 of one, relative).
 
     The values of f are written over the window rows of the frozen-fast
     paths, (T, P, n) for T window steps and P replicas, a noise chunk at a
@@ -73,8 +74,10 @@ def autocovariance_kernel(m, x, lags, burn_in, horizon, dt, rng, n_replicas=24):
     (T - l, n) product in BLAS: 2 n^2 (T - l) flops, with no copy of the
     window beyond one replica's.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _finite(np.atleast_1d(np.asarray(x, dtype=float)), "kernel point x")
     lags = np.asarray(sorted(lags), dtype=float)
+    if len(lags) == 0:
+        raise ValueError("the lag set is empty: need one lag or more")
     if lags[0] < 0:
         raise ValueError("lags must be nonnegative")
     if not 0 <= burn_in < np.inf:

@@ -30,18 +30,25 @@ PROBE_BOX = 2.0
 PROBE_SAMPLES = 3000
 
 
-def _as_matrix(m):
+def _as_matrix(m, name):
     arr = np.atleast_2d(np.asarray(m, dtype=float))
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    return arr
+    return _finite(arr, name)
 
 
-def _as_vector(v, n):
+def _as_vector(v, n, name):
     arr = np.atleast_1d(np.asarray(v, dtype=float))
     if arr.shape != (n,):
         raise ValueError(f"expected a vector of length {n}, got shape {arr.shape}")
-    return arr
+    return _finite(arr, name)
+
+
+def _finite(value, name):
+    """``value``, whose every entry must be finite (a JSON null reads as NaN)."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite, not {np.asarray(value).tolist()}")
+    return value
 
 
 def _lin(mat, x):
@@ -227,9 +234,9 @@ class DriftFn:
                 if src is not None:
                     n = np.atleast_1d(np.asarray(src)).shape[0]
                     break
-        fx = np.zeros((n, n)) if fx is None else _as_matrix(fx)
-        fy = np.zeros((n, n)) if fy is None else _as_matrix(fy)
-        c = np.zeros(n) if const is None else _as_vector(const, n)
+        fx = np.zeros((n, n)) if fx is None else _as_matrix(fx, "fx")
+        fy = np.zeros((n, n)) if fy is None else _as_matrix(fy, "fy")
+        c = np.zeros(n) if const is None else _as_vector(const, n, "const")
 
         def fn(x, y):
             return _lin(fx, x) + _lin(fy, y) + c
@@ -243,8 +250,8 @@ class DriftFn:
     def saturating(cls, amp, gx=None, gy=None):
         amp = np.atleast_1d(np.asarray(amp, dtype=float))
         n = amp.shape[0]
-        gx = np.zeros((n, n)) if gx is None else _as_matrix(gx)
-        gy = np.zeros((n, n)) if gy is None else _as_matrix(gy)
+        gx = np.zeros((n, n)) if gx is None else _as_matrix(gx, "gx")
+        gy = np.zeros((n, n)) if gy is None else _as_matrix(gy, "gy")
 
         def fn(x, y):
             return amp * np.tanh(_lin(gx, x) + _lin(gy, y))
@@ -284,8 +291,8 @@ class SlowFastModel:
     y0: np.ndarray = None
 
     def __post_init__(self):
-        a = _as_matrix(self.a)
-        b = _as_matrix(self.b)
+        a = _as_matrix(self.a, "a")
+        b = _as_matrix(self.b, "b")
         n = a.shape[0]
         if b.shape != (n, n):
             raise ValueError("A and B must share the same dimension")
@@ -293,8 +300,8 @@ class SlowFastModel:
             raise ValueError("drift dimensions must match the matrices")
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError("epsilon must be a positive finite scalar")
-        x0 = np.zeros(n) if self.x0 is None else _as_vector(self.x0, n)
-        y0 = np.zeros(n) if self.y0 is None else _as_vector(self.y0, n)
+        x0 = np.zeros(n) if self.x0 is None else _as_vector(self.x0, n, "x0")
+        y0 = np.zeros(n) if self.y0 is None else _as_vector(self.y0, n, "y0")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "x0", x0)
@@ -302,9 +309,9 @@ class SlowFastModel:
         for name, jump_name in (("sigma1", "jump_slow"), ("sigma2", "jump_fast")):
             s = getattr(self, name)
             if np.ndim(s) == 0:
-                object.__setattr__(self, name, float(s))
+                object.__setattr__(self, name, _finite(float(s), name))
             else:
-                m = _as_matrix(s)
+                m = _as_matrix(s, name)
                 if m.shape != (n, n):
                     raise ValueError(f"{name} matrix must be {n}x{n}")
                 object.__setattr__(self, name, m)

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -107,11 +108,17 @@ def test_non_integer_seed_variable_is_a_usage_error(tmp_path, capsys, monkeypatc
      "config error: unknown jump size kind"),
     (("simulate",), [], "config error: simulate"),
     (("simulate",), {"t_end": None}, "error: "),
+    (("model", "sigma2"), float("nan"), "error: sigma2"),
+    (("model", "sigma1"), float("inf"), "error: sigma1"),
+    (("model", "x0"), [None], "error: x0"),
+    (("model", "f"), {"kind": "linear", "fy": [[float("inf")]]}, "error: fy"),
 ], ids=["model", "f", "jump", "jump-size", "dim", "epsilon", "components",
-        "drift-kind", "size-kind", "block", "t_end"])
+        "drift-kind", "size-kind", "block", "t_end", "nan-sigma2", "infinite-sigma1",
+        "null-x0", "infinite-fy"])
 def test_malformed_config_is_one_error_line(tmp_path, capsys, path, value, prefix):
     # a block that is not an object, or an unknown kind, is a config error
-    # naming it; a value of the wrong JSON type is an error line
+    # naming it; a value of the wrong JSON type, or a non-finite coefficient,
+    # is an error line; none leaves an artifact or warns
     cfg_data = json.loads(json.dumps(LINEAR_CFG))
     *parents, key = path
     target = cfg_data
@@ -119,9 +126,14 @@ def test_malformed_config_is_one_error_line(tmp_path, capsys, path, value, prefi
         target = target[p]
     target[key] = value
     cfg = write_cfg(tmp_path, cfg_data)
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
     err = _error_line(capsys)
     assert "\n" not in err and err.startswith(prefix)
+    assert not out.exists() or not os.listdir(out)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("command, block", [
@@ -133,19 +145,35 @@ def test_malformed_config_is_one_error_line(tmp_path, capsys, path, value, prefi
     ("deviate", {"burn_in": -5.0, "horizon": 300.0, "s_max": 1.0, "n_replicas": 2}),
     ("manifold", {"grid_step": 10.0}),
     ("deviate", {"htilde_override": [[float("nan")]]}),
+    ("deviate", {"s_max": -1}),
+    ("average", {"t_mix": 0}),
+    ("average", {"dt_mix": True, "t_mix": 0.5}),
+    ("average", {"y_list": [[float("nan")]]}),
+    ("average", {"x": [float("inf")]}),
+    ("deviate", {"t_end": -1}),
+    ("deviate", {"dt_theta": 0}),
+    ("deviate", {"x": [float("inf")]}),
+    ("deviate", {"s_max": 0.2, "lag_step": 0.1, "burn_in": 1.0, "horizon": 60.0,
+                 "n_replicas": 8, "dt": 0.05}),
 ], ids=["infinite-horizon", "zero-grid-step", "zero-lag-step", "zero-tol",
-        "petabyte-grid", "negative-burn-in", "one-point-window", "nan-htilde"])
+        "petabyte-grid", "negative-burn-in", "one-point-window", "nan-htilde",
+        "no-lags", "one-point-mixing-curve", "boolean-mixing-step", "nan-mixing-start",
+        "infinite-fbar-point", "negative-theta-horizon", "zero-theta-step",
+        "infinite-kernel-point", "undecayed-kernel"])
 def test_run_failure_is_one_error_line(tmp_path, capsys, command, block):
-    # a bad horizon, step, burn-in or diffusion matrix is refused where it
-    # enters, before any artifact is written; a solve that does not converge
-    # and a grid of 7 PiB, which no machine can allocate, end in one error
-    # line too
+    # a bad horizon, step, burn-in, point, start, lag set or diffusion matrix
+    # is refused before any artifact is written, and so is a kernel that has
+    # not decayed; a solve that does not converge and a grid of 7 PiB, which
+    # no machine can allocate, end in one error line too; none warns
     cfg = write_cfg(tmp_path, dict(LINEAR_CFG, **{command: block}))
     out = tmp_path / "o"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
     err = _error_line(capsys)
     assert "\n" not in err and err.startswith("error: ")
     assert not out.exists() or not os.listdir(out)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_out_flag_takes_precedence_over_the_config(tmp_path, capsys, monkeypatch):

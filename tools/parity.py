@@ -1,60 +1,26 @@
-"""Compare every simulator's outputs between two checkouts on fixed seeds.
+"""Pin every simulator's outputs on fixed seeds to a committed digest.
 
-    PYTHONPATH=<old checkout>/src python3 tools/parity.py dump old.npz
-    PYTHONPATH=src python3 tools/parity.py dump new.npz
-    python3 tools/parity.py compare old.npz new.npz
+    PYTHONPATH=src python3 tools/parity.py check     # this tree against the digest
+    PYTHONPATH=src python3 tools/parity.py regen     # rewrite the digest from this tree
+    PYTHONPATH=src python3 tools/parity.py dump OUT.npz    # every output, in full
 
-``dump`` runs each simulator on six models and saves its outputs: ``n1``
-(1-D tanh model with slow and fast noise and jumps), ``n1lin`` (the linear
-benchmark, no slow noise), ``n2s`` (2-D tanh model with jumps, scalar
-sigma), ``n2m`` (the same with matrix sigma), ``n2bm`` (``n2m`` without
-jumps) and ``n2q`` (``n2s`` with sigma1 = 0 and no slow jumps, so that a
-coupled batch steps one averaged carrier for all its paths at n = 2), plus
-blow-up models whose single-path runs must diverge at the same row.  The ``*/frozen_fast`` keys are one-path
-``frozen_fast_batch`` runs, their ``diverged_at`` the first non-finite row.
-The ``*/drift/*`` keys evaluate each model's f and g, and one expression
-drift that uses every function and operator (``n2expr``), in value and
-in-place form, at fixed points of shape (n,) and (4, n) with signed zeros,
-infinities and NaN, and record the sign bits of the results.
-The ``*_long`` keys step batches over more steps than one noise chunk of
-``noise.CHUNK_STEPS`` steps, by a count that is not a multiple of it;
-the ``*_wide`` keys (``n1``, ``n2m`` and ``n2q``) step 300 paths, more
-than one block of paths drawn together (``noise._PATH_BLOCK``), over 40
-steps, split across forked worker processes (``harness.SPLIT_PATH_STEPS``
-is set to 0 for them, where it exists, and the machine has two or more
-usable CPUs), so comparing against a checkout without the split checks
-split rows against one run.
-The ``*/coupled_nosup/*`` and ``*/coupled_wide_nosup/*`` keys run
-``coupled_error_batch`` without its sup.
-The ``*/frozen_fast_batch_long`` keys (``n1``, ``n2m`` and ``n2q``) draw
-300 paths with fast jumps from one generator over 600 steps, so that paths
-sharing a generator cover several noise chunks and blocks of paths.
-The ``*/kernel/*`` keys run ``autocovariance_kernel`` on a short window,
-and the ``*/manifold_long/*`` keys solve on a grid of 1601 points.
-The ``cli/*`` keys hold the exit code, the stdout and stderr bytes and each
-artifact's bytes of every ``slowfast`` command on two fixed configs
-(``n1``, a 1-D linear model with slow noise and fast jumps, and
-``levy_tanh``, ``bench/levy_tanh.json`` with a short kernel and a
-tabulated fbar), of ``validate`` and ``simulate`` on ``n1`` with an
-unstable A (``n1unstable``), and of ``verify --seed 0``; timestamps and
-the output directory are masked.
-``compare`` requires ``n1*`` and ``cli/*`` outputs to be bit-identical (NaN
-equal to NaN) and ``n2*`` outputs to satisfy max|a - b| <= 1e-10 (1 + max|a|).
-
-A change that alters outputs on purpose names the keys in one of two
-tables (``fnmatch`` patterns, the first match counts), with its reason:
-keys matching ``RESAMPLED`` draw other random numbers, or are text whose
-printed numbers moved in their last digits, and are reported but not
-bounded; keys matching ``LAST_BITS`` round differently and are held to
-the ``n2`` bound even at n = 1.  A pattern is dropped once both compared
-checkouts post-date its change.  Keys present in only one file are listed
-and not compared.  Exits 1 when any compared key fails.
+``dump`` runs every simulator on the models of ``_models`` and ``_blowups``,
+evaluates each drift at signed zeros, infinities and NaN, and records the
+exit code, output and artifact bytes of every ``slowfast`` command on fixed
+configs (``cli/*``).  ``regen`` writes its digest to ``DIGEST``: every key's
+shape, the sha256 of each ``n1*`` and ``cli/*`` key (-0.0 taken as 0.0 and
+every NaN as one NaN), the values of each ``n2*`` key (every ``STRIDE``-th
+of a ``*_long`` key) and the provenance (numpy, scipy, Python, platform and
+git HEAD).  ``check``, which ``tests/test_parity.py`` runs in tier-1, holds
+``n1*`` and ``cli/*`` keys bit-identical and ``n2*`` keys to their
+non-finite entries and to max|a - b| <= 1e-10 (1 + max|a|), a the digest's;
+a key on one side only fails.  A change that moves outputs on purpose runs
+``regen`` and names the moved keys in CHANGES.md.  Numpy does not promise
+its Generator streams across versions (NEP 19), so under another numpy
+``check`` can fail with no change to the code; its report then says so.
 """
 
-from __future__ import annotations
-
 import contextlib
-import fnmatch
 import io
 import json
 import os
@@ -65,17 +31,12 @@ from unittest import mock
 
 import numpy as np
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DIGEST = os.path.join(ROOT, "tests", "data", "parity_digest.npz")
 N2_RTOL = 1e-10
-# key pattern -> why it differs from checkouts before the change, unbounded:
-# other random numbers, or text whose printed numbers moved in the last digits
-RESAMPLED = {}
-# key pattern -> why it moved in the last bits only
-LAST_BITS = {}
-
-
-def _reason(table, key):
-    return next((why for pattern, why in table.items()
-                 if fnmatch.fnmatchcase(key, pattern)), None)
+HASHED = ("n1", "cli/")
+# a prime, so that the values a *_long key keeps cycle through its columns
+STRIDE = 199
 
 
 def _models():
@@ -104,32 +65,13 @@ def _models():
 
 def _blowups():
     from slowfast.model import DriftFn, SlowFastModel
-    one = SlowFastModel(a=[[50.0]], b=[[-2.0]], f=DriftFn.zero(1), g=DriftFn.zero(1),
-                        sigma1=0.1, sigma2=1.0, epsilon=1.0, x0=[1.0], y0=[1.0])
-    fast = SlowFastModel(a=[[-1.0]], b=[[50.0]], f=DriftFn.zero(1),
-                         g=DriftFn.zero(1), sigma2=1.0, epsilon=1.0, x0=[1.0],
-                         y0=[1.0])
-    return {"n1up": one, "n1fastup": fast}
+    common = dict(f=DriftFn.zero(1), g=DriftFn.zero(1), sigma2=1.0, epsilon=1.0,
+                  x0=[1.0], y0=[1.0])
+    return {"n1up": SlowFastModel(a=[[50.0]], b=[[-2.0]], sigma1=0.1, **common),
+            "n1fastup": SlowFastModel(a=[[-1.0]], b=[[50.0]], **common)}
 
 
-def _set_if_present(module, name, value):
-    """``module.name`` set to ``value`` inside the block, if the module has
-    it; older checkouts may not."""
-    if hasattr(module, name):
-        return mock.patch.object(module, name, value)
-    return contextlib.nullcontext()
-
-
-def _drift_points(n):
-    """Fixed points x, y of shape (4, n): signed zeros, infinities, NaN and
-    ordinary values, in a different order for x and y."""
-    values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 0.7, -1.3, 2.5, -0.2])
-    cycle = np.resize(values, 8 * n)
-    return cycle[:4 * n].reshape(4, n), cycle[::-1][:4 * n].reshape(4, n)
-
-
-# small runs of every command; the kernel windows satisfy
-# horizon - burn_in >= 50 * s_max
+# small runs of every command; kernel windows: horizon - burn_in >= 50 s_max
 _CLI_BLOCKS = {
     "simulate": {"t_end": 0.5},
     "average": {"horizon": 10.0, "t_mix": 0.5, "n_paths": 100, "t_end": 0.2,
@@ -141,7 +83,6 @@ _CLI_BLOCKS = {
 
 
 def _cli_configs():
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     n1 = {"model": {
         "dim": 1, "a": [[-1.0]], "b": [[-2.0]],
         "f": {"kind": "linear", "fy": [[1.0]], "fx": [[0.2]]},
@@ -150,7 +91,7 @@ def _cli_configs():
         "jump_fast": {"intensity": 2.0,
                       "size": {"kind": "uniform", "low": -0.2, "high": 0.6}},
         "epsilon": 0.05, "x0": [0.8], "y0": [0.4]}, **_CLI_BLOCKS}
-    with open(os.path.join(root, "bench", "levy_tanh.json")) as fh:
+    with open(os.path.join(ROOT, "bench", "levy_tanh.json")) as fh:
         levy = json.load(fh)
     levy["manifold"] = _CLI_BLOCKS["manifold"]
     levy["deviate"] = dict(_CLI_BLOCKS["deviate"],
@@ -176,10 +117,9 @@ def _cli_outputs(put):
             put(f"{key}/{stream}", np.frombuffer(text.replace(out_dir, "<out>").encode(),
                                                  dtype=np.uint8))
         for name in sorted(os.listdir(out_dir) if os.path.isdir(out_dir) else []):
-            with open(os.path.join(out_dir, name), "rb") as fh:
-                data = fh.read()
             suffix = re.sub(r"^[a-z]+-\d{8}T\d{6}Z-\d+", "", name)
-            put(f"{key}/artifact{suffix}", np.frombuffer(data, dtype=np.uint8))
+            with open(os.path.join(out_dir, name), "rb") as fh:
+                put(f"{key}/artifact{suffix}", np.frombuffer(fh.read(), dtype=np.uint8))
 
     with tempfile.TemporaryDirectory() as tmp:
         for name, (cfg, commands) in _cli_configs().items():
@@ -192,46 +132,50 @@ def _cli_outputs(put):
         run("cli/verify", ["verify", "--seed", "0"], os.path.join(tmp, "verify"))
 
 
-def dump(path):
+def dump():
+    """Every output, by key, as float arrays."""
     import slowfast as sf
     from slowfast import harness
-    from slowfast.averaging import coupled_error_batch
+    from slowfast.averaging import _slow_increments, coupled_error_batch
     from slowfast.deviation import limit_marginal_samples
     from slowfast.integrator import frozen_fast_batch, make_grid
     from slowfast.manifold import reapply_sweep
-    from slowfast.model import parse_drift
-    from slowfast.noise import sample_increments, substream
 
     out = {}
 
     def put(key, value):
         out[key] = np.asarray(value, dtype=float)
 
+    def put_all(prefix, names, values):
+        for field, value in zip(names.split(), values):
+            put(f"{prefix}/{field}", value)
+
     def traj(key, t):
-        put(key + "/states", t.states)
-        put(key + "/diverged_at", -1 if t.diverged_at is None else t.diverged_at)
+        put_all(key, "states diverged_at",
+                (t.states, -1 if t.diverged_at is None else t.diverged_at))
 
     def frozen(key, m, steps, dt, gen):
         # one frozen-fast path, flagged at its first non-finite row
         states = frozen_fast_batch(m, m.x0, m.y0, steps, dt, gen, 1)[:, 0]
         bad = ~np.all(np.isfinite(states), axis=-1)
-        put(key + "/states", states)
-        put(key + "/diverged_at", bad.argmax() if bad.any() else -1)
+        put_all(key, "states diverged_at", (states, bad.argmax() if bad.any() else -1))
 
     def put_drift(name, part, drift):
-        # the drift alone, in value and in-place form, at fixed points
-        x4, y4 = _drift_points(drift.n)
+        # the drift alone, in value and in-place form, at fixed points: signed
+        # zeros, infinities, NaN and other values, in another order for y
+        cycle = np.resize([0.0, -0.0, np.inf, -np.inf, np.nan, 0.7, -1.3, 2.5, -0.2],
+                          8 * drift.n)
+        x4, y4 = (c[:4 * drift.n].reshape(4, -1) for c in (cycle, cycle[::-1]))
         for x, y, shape in ((x4[0], y4[0], "single"), (x4, y4, "batch")):
             d = np.full(x.shape, -0.0)
             with np.errstate(all="ignore"):
                 value = drift(x, y)
                 drift._add(d, x, y)
-            for form, got in (("value", value), ("inplace", d)):
-                put(f"{name}/drift/{part}/{shape}/{form}", got)
-                put(f"{name}/drift/{part}/{shape}/{form}_signbit", np.signbit(got))
+            put_all(f"{name}/drift/{part}/{shape}", "value value_signbit inplace "
+                    "inplace_signbit", (value, np.signbit(value), d, np.signbit(d)))
 
     # every function and operator of the expression language
-    put_drift("n2expr", "f", parse_drift(["-x1/y1 + exp(-y2)*cos(x2)",
+    put_drift("n2expr", "f", sf.parse_drift(["-x1/y1 + exp(-y2)*cos(x2)",
                                           "sin(x1) - -y1*0.5 + x2/1e999 - 2/(y2 - 2.5)"], 2))
 
     for name, m in _models().items():
@@ -239,44 +183,34 @@ def dump(path):
         put_drift(name, "f", m.f)
         put_drift(name, "g", m.g)
         dt = eps / 10.0
-        rng = lambda i: substream(11, i, 9)
-        x, y = sf.simulate_slow_fast(m, 0.5, dt, rng(0))
-        traj(f"{name}/slow_fast/x", x)
-        traj(f"{name}/slow_fast/y", y)
+        rng = lambda i: sf.substream(11, i, 9)
+        for part, t in zip("xy", sf.simulate_slow_fast(m, 0.5, dt, rng(0))):
+            traj(f"{name}/slow_fast/{part}", t)
         frozen(f"{name}/frozen_fast", m, 600, 0.005, rng(1))
         put(f"{name}/frozen_fast_batch", frozen_fast_batch(m, m.x0, m.y0, 200, 0.005,
                                                            rng(2), 6))
-        if name == "n1lin":
-            am = sf.build_averaged(m)
-        else:
-            axis = np.linspace(-1.0, 1.0, 3)
-            am = sf.build_averaged(m, table_axes=[axis] * n, rng=rng(4), horizon=6.0)
+        am = sf.build_averaged(m) if name == "n1lin" else sf.build_averaged(
+            m, table_axes=[np.linspace(-1.0, 1.0, 3)] * n, rng=rng(4), horizon=6.0)
         points = m.x0 + np.linspace(-0.5, 0.5, 3)[:, None]
         est = sf.estimate_fbar(m, points, horizon=6.0, rng=rng(12))
         put(f"{name}/fbar_points", [est.value, est.stderr])
         mix = sf.mixing_diagnostic(m, m.x0, [m.y0, 1.0 - m.y0], 1.0, 0.01, 100,
                                    rng(13), fbar_value=am.fbar(m.x0))
-        for field in ("times", "deviations", "noise_floor", "eta_empirical"):
-            put(f"{name}/mixing/{field}", getattr(mix, field))
+        put_all(f"{name}/mixing", "times deviations noise_floor eta_empirical",
+                (mix.times, mix.deviations, mix.noise_floor, mix.eta_empirical))
         rate = sf.strong_error_experiment(m, [eps, eps / 2, eps / 4], "eps**(2/3)",
                                           0.2, 600, 31, am=am)
-        put(f"{name}/rate/errors", rate.errors)
-        put(f"{name}/rate/stderrs", rate.stderrs)
-        grid = make_grid(0.5, dt)
-        incr = sample_increments(n, grid, rng(5), jump=m.jump_slow)
+        put_all(f"{name}/rate", "errors stderrs", (rate.errors, rate.stderrs))
+        incr = sf.sample_increments(n, make_grid(0.5, dt), rng(5), jump=m.jump_slow)
         xa = sf.simulate_averaged(am, 0.5, dt, incr)
         traj(f"{name}/averaged", xa)
-        sup, diff, div = coupled_error_batch(m, am, 0.5, dt, 13, 2, 7)
-        put(f"{name}/coupled/sup", sup)
-        put(f"{name}/coupled/diff", diff)
-        put(f"{name}/coupled/div", div)
-        sup, diff, div = coupled_error_batch(m, am, 0.5, dt, 13, 2, 7, _sup=False)
-        put(f"{name}/coupled_nosup/diff", diff)
-        put(f"{name}/coupled_nosup/div", div)
+        put_all(f"{name}/coupled", "sup diff div",
+                coupled_error_batch(m, am, 0.5, dt, 13, 2, 7))
+        put_all(f"{name}/coupled_nosup", "diff div",
+                coupled_error_batch(m, am, 0.5, dt, 13, 2, 7, _sup=False)[1:])
         # 1300 steps: more than one noise chunk, and not a multiple of one
-        batch = coupled_error_batch(m, am, 1300 * dt, dt, 13, 0, 3)
-        for field, value in zip(("sup", "diff", "div"), batch):
-            put(f"{name}/coupled_long/{field}", value)
+        put_all(f"{name}/coupled_long", "sup diff div",
+                coupled_error_batch(m, am, 1300 * dt, dt, 13, 0, 3))
         htilde = 0.25 * np.eye(n) + 0.05 * (np.ones((n, n)) - np.eye(n))
         dm = sf.build_deviation_model(am, htilde, x=m.x0)
         dm_var = sf.build_deviation_model(am, htilde)
@@ -285,119 +219,144 @@ def dump(path):
         # lags 0 to 0.3: horizon - burn_in must be at least 50 times the last lag
         kern = sf.autocovariance_kernel(m, m.x0, np.arange(0.0, 0.31, 0.05), 0.5, 16.0,
                                         0.01, rng(14), n_replicas=4)
-        for field in ("h", "stderr", "fbar_used"):
-            put(f"{name}/kernel/{field}", getattr(kern, field))
-        rep = sf.residual_theta2(m, eps, 0.3, dt, 6, 17)
-        put(f"{name}/theta2", [rep.mean_sup_sq, rep.stderr, rep.n_diverged])
-        rep = sf.residual_theta2(m, eps, 0.3, dt, 4, 17, y_on_manifold=True)
-        put(f"{name}/theta2_on", [rep.mean_sup_sq, rep.stderr, rep.n_diverged])
+        put_all(f"{name}/kernel", "h stderr fbar_used", (kern.h, kern.stderr,
+                                                          kern.fbar_used))
+        for suffix, paths, on in (("", 6, False), ("_on", 4, True)):
+            rep = sf.residual_theta2(m, eps, 0.3, dt, paths, 17, y_on_manifold=on)
+            put(f"{name}/theta2{suffix}", [rep.mean_sup_sq, rep.stderr, rep.n_diverged])
         for radius in (0.05, np.inf):
             t, drive = sf.simulate_truncated_deviation(m, am, eps, radius, 0.3, dt, 19,
                                                        path_index=1, return_drive=True)
-            put(f"{name}/truncated/{radius}/states", t.states)
-            put(f"{name}/truncated/{radius}/drive", drive["drive"])
-            put(f"{name}/truncated/{radius}/gate", drive["gate"])
+            put_all(f"{name}/truncated/{radius}", "states drive gate",
+                    (t.states, drive["drive"], drive["gate"]))
         put(f"{name}/limit", limit_marginal_samples(dm, am, 0.3, 0.01, 5, 23))
         put(f"{name}/limit_var", limit_marginal_samples(dm_var, am, 0.3, 0.01, 5, 23))
         put(f"{name}/limit_long", limit_marginal_samples(dm, am, 7.0, 0.01, 3, 23))
+        # steps of 1.0, most holding two or more slow jump events of one path
+        slow = _slow_increments(m, make_grid(40.0, 1.0), 23, 0, 20)
+        if slow is not None:
+            put(f"{name}/slow_coarse", [slow[k].copy() for k in range(len(slow))])
         if name in ("n1", "n2m", "n2q"):
-            with _set_if_present(harness, "SPLIT_PATH_STEPS", 0):
-                wide = coupled_error_batch(m, am, 40 * dt, dt, 13, 0, 300)
-                _, *nosup = coupled_error_batch(m, am, 40 * dt, dt, 13, 0, 300,
-                                                _sup=False)
+            # 300 paths, more than one block drawn together, over forked workers
+            with mock.patch.object(harness, "SPLIT_PATH_STEPS", 0):
+                put_all(f"{name}/coupled_wide", "sup diff div",
+                        coupled_error_batch(m, am, 40 * dt, dt, 13, 0, 300))
+                put_all(f"{name}/coupled_wide_nosup", "diff div", coupled_error_batch(
+                    m, am, 40 * dt, dt, 13, 0, 300, _sup=False)[1:])
                 put(f"{name}/limit_wide", limit_marginal_samples(dm, am, 0.4, 0.01,
                                                                  300, 23))
-            for field, value in zip(("sup", "diff", "div"), wide):
-                put(f"{name}/coupled_wide/{field}", value)
-            for field, value in zip(("diff", "div"), nosup):
-                put(f"{name}/coupled_wide_nosup/{field}", value)
+            # paths sharing one generator over several noise chunks and blocks
             put(f"{name}/frozen_fast_batch_long",
                 frozen_fast_batch(m, m.x0, m.y0, 600, 0.005, rng(16), 300))
         tr = sf.tracking_check(m, eps, (m.x0, m.y0), (m.x0, m.y0 + 0.5), 1.0, 0.005,
                                rng=rng(10))
-        put(f"{name}/tracking/gap", tr.gap)
-        put(f"{name}/tracking/rate", tr.rate_fitted)
+        put_all(f"{name}/tracking", "gap rate", (tr.gap, tr.rate_fitted))
         paths = sf.sample_stationary_paths(m, eps, 4.0, 0.0, 0.005, rng(11))
         sol = sf.lyapunov_perron_solve(m, eps, m.x0, t_neg=4.0, paths=paths)
-        # older checkouts keep u and v on ``sol.profile``
-        put(f"{name}/manifold/u", getattr(sol, "profile", sol).u)
-        put(f"{name}/manifold/v", getattr(sol, "profile", sol).v)
-        put(f"{name}/manifold/residuals", sol.residuals)
-        put(f"{name}/manifold/reapply", reapply_sweep(m, sol, paths))
-        put(f"{name}/manifold/h0", sf.asymptotic_manifold_h0(m, m.x0, t_neg=4.0,
-                                                             paths=paths))
+        put_all(f"{name}/manifold", "u v residuals reapply h0", (
+            sol.u, sol.v, sol.residuals, reapply_sweep(m, sol, paths),
+            sf.asymptotic_manifold_h0(m, m.x0, t_neg=4.0, paths=paths)))
         # 1601 grid points, so the n >= 2 recurrences' doubling scan runs past 1024
         paths = sf.sample_stationary_paths(m, eps, 8.0, 0.0, 0.005, rng(15))
         sol = sf.lyapunov_perron_solve(m, eps, m.x0, t_neg=8.0, paths=paths)
-        put(f"{name}/manifold_long/u", getattr(sol, "profile", sol).u)
-        put(f"{name}/manifold_long/v", getattr(sol, "profile", sol).v)
-        put(f"{name}/manifold_long/residuals", sol.residuals)
+        put_all(f"{name}/manifold_long", "u v residuals", (sol.u, sol.v, sol.residuals))
         wl = sf.weak_limit_report(m, am, dm, 0.3, dt, 40, 29, dt_limit=0.01)
-        for field in ("mean_diff", "var_diff", "cdf_distance", "theta_mean",
-                      "theta_var", "theta_mean_se"):
-            put(f"{name}/weak_limit/{field}", getattr(wl, field))
+        fields = "mean_diff var_diff cdf_distance theta_mean theta_var theta_mean_se"
+        put_all(f"{name}/weak_limit", fields, [getattr(wl, f) for f in fields.split()])
 
     for name, m in _blowups().items():
-        rng = lambda i: substream(5, i, 9)
-        x, y = sf.simulate_slow_fast(m, 40.0, 0.1, rng(0))
-        traj(f"{name}/slow_fast/x", x)
-        traj(f"{name}/slow_fast/y", y)
+        rng = lambda i: sf.substream(5, i, 9)
+        for part, t in zip("xy", sf.simulate_slow_fast(m, 40.0, 0.1, rng(0))):
+            traj(f"{name}/slow_fast/{part}", t)
         frozen(f"{name}/frozen_fast", m, 400, 0.1, rng(1))
         am = sf.AveragedModel(m.a, sf.build_averaged(m).fbar, m.sigma1, None, m.x0)
-        incr = sample_increments(1, make_grid(40.0, 0.1), rng(2))
+        incr = sf.sample_increments(1, make_grid(40.0, 0.1), rng(2))
         xa = sf.simulate_averaged(am, 40.0, 0.1, incr)
         traj(f"{name}/averaged", xa)
         dm = sf.DeviationModel(m.a, np.zeros((1, 1)), np.eye(1))
         traj(f"{name}/deviation", sf.simulate_deviation(dm, xa, 40.0, 0.1, rng(3)))
     _cli_outputs(put)
-    np.savez(path, **out)
-    print(f"wrote {len(out)} arrays to {path}")
+    return out
 
 
-def compare(path_a, path_b):
-    a, b = np.load(path_a), np.load(path_b)
-    failures = 0
-    for key in sorted(set(a.files) | set(b.files)):
-        if key not in a.files or key not in b.files:
-            print(f"ONLY-IN-{'B' if key in b.files else 'A'} {key}")
-            continue
-        u, v = a[key], b[key]
-        if np.array_equal(u, v, equal_nan=True):
-            print(f"ok   {key}: bit-identical")
-            continue
-        why = _reason(RESAMPLED, key)
-        if u.shape != v.shape:
-            # a text key whose printed numbers moved may change length
-            if why is None:
-                print(f"FAIL {key}: shape {u.shape} vs {v.shape}")
-                failures += 1
-            else:
-                print(f"RE-SAMPLED {key}: shape {u.shape} vs {v.shape}: {why}")
-            continue
-        same_nan = np.array_equal(np.isnan(u), np.isnan(v))
-        fin = np.isfinite(u) & np.isfinite(v)
-        delta = float(np.max(np.abs(u[fin] - v[fin]), initial=0.0))
-        if why is not None:
-            print(f"RE-SAMPLED {key}: max|d| {delta:.3g}: {why}")
-            continue
-        scale = 1.0 + float(np.max(np.abs(u[fin]), initial=0.0))
-        bound = N2_RTOL * scale
-        last_bits = _reason(LAST_BITS, key)
-        exact = key.startswith(("n1", "cli/")) and last_bits is None
-        ok = (not exact and same_nan
-              and np.array_equal(np.isinf(u), np.isinf(v)) and delta <= bound)
-        note = ", bit-identity required" if exact else (f": {last_bits}" if last_bits else "")
-        print(f"{'ok  ' if ok else 'FAIL'} {key}: max|d| {delta:.3g} (bound {bound:.3g}{note})")
-        failures += not ok
-    print(f"{failures} failing keys")
-    return 1 if failures else 0
+def _sha256(value):
+    """sha256 of the bytes, -0.0 taken as 0.0 and every NaN as one NaN."""
+    import hashlib
+    canon = np.where(np.isnan(value), np.nan, value + 0.0)
+    return hashlib.sha256(np.ascontiguousarray(canon).tobytes()).hexdigest()
+
+
+def _kept(key, value):
+    return value.ravel()[::STRIDE] if "_long" in key else value
+
+
+def _versions():
+    import platform
+    import scipy
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "python": platform.python_version(), "platform": platform.platform()}
+
+
+def regen():
+    """Write the digest of a fresh dump."""
+    import subprocess
+    out = dump()
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+                          text=True).stdout.strip()
+    keys = {key: {"shape": value.shape, **({"sha256": _sha256(value)}
+                                           if key.startswith(HASHED) else {})}
+            for key, value in out.items()}
+    meta = {"provenance": {**_versions(), "head": head}, "keys": keys}
+    np.savez_compressed(DIGEST, meta=json.dumps(meta), **{
+        key: _kept(key, v) for key, v in out.items() if not key.startswith(HASHED)})
+
+
+def check(out=None):
+    """One line per key of ``out`` (a fresh dump by default) that breaks the
+    digest, then the provenance and the ``regen`` command; none when all hold."""
+    with np.load(DIGEST) as digest:
+        meta = json.loads(str(digest["meta"]))
+        values = {key: digest[key] for key in digest.files}
+    keys, lines, out = meta["keys"], [], dump() if out is None else out
+    for key in sorted(set(keys) | set(out)):
+        rec, value = keys.get(key), out.get(key)
+        if rec is None or value is None:
+            why = f"only in the {'dump' if rec is None else 'digest'}"
+        elif list(value.shape) != rec["shape"]:
+            why = f"shape {value.shape}, digest {tuple(rec['shape'])}"
+        elif "sha256" in rec:
+            why = None if _sha256(value) == rec["sha256"] else "not bit-identical"
+        else:
+            a, b = values[key], _kept(key, value)
+            fin = np.isfinite(a)
+            delta = float(np.max(np.abs(a[fin] - b[fin]), initial=0.0))
+            bound = N2_RTOL * (1.0 + float(np.max(np.abs(a[fin]), initial=0.0)))
+            ok = delta <= bound and np.array_equal(a[~fin], b[~fin], equal_nan=True)
+            why = None if ok else f"max|d| {delta:.3g} (bound {bound:.3g})"
+        lines += [f"FAIL {key}: {why}"] if why else []
+    if lines:
+        recorded, here = meta["provenance"], _versions()
+        lines.append(f"{len(lines)} of {len(keys)} keys fail against the digest written "
+                     f"at {recorded['head']}")
+        lines += [f"{name} {here[name]} here, {recorded[name]} in the digest"
+                  for name in here if here[name] != recorded[name]]
+        if here["numpy"] != recorded["numpy"]:
+            lines.append("numpy does not promise its Generator streams across versions "
+                         "(NEP 19, https://numpy.org/neps/nep-0019-rng-policy.html), "
+                         "so the draws may move with no change to the code")
+        lines.append("if the change is deliberate: PYTHONPATH=src python3 "
+                     "tools/parity.py regen, and name the moved keys in CHANGES.md")
+    return lines
 
 
 if __name__ == "__main__":
     if len(sys.argv) == 3 and sys.argv[1] == "dump":
-        dump(sys.argv[2])
-    elif len(sys.argv) == 4 and sys.argv[1] == "compare":
-        sys.exit(compare(sys.argv[2], sys.argv[3]))
+        np.savez(sys.argv[2], **dump())
+    elif sys.argv[1:] == ["regen"]:
+        regen()
+    elif sys.argv[1:] == ["check"]:
+        failures = check()
+        print("\n".join(failures) or "every key matches the digest")
+        sys.exit(1 if failures else 0)
     else:
-        print(__doc__, file=sys.stderr)
-        sys.exit(2)
+        sys.exit(__doc__)
