@@ -38,7 +38,8 @@ FBAR_BATCHES = 16
 CURVE_STEP = 0.05
 # the one rule for the block size delta of ``strong_error_experiment``
 DELTA_RULE = "eps**(2/3)"
-# drift families with a constant Jacobian, read by ``_linear_parts``
+# drift families with a constant Jacobian, whose payload holds the linear
+# parts ``fx``, ``fy`` and ``const``
 _LINEAR_KINDS = ("linear", "constant", "zero")
 
 
@@ -130,12 +131,12 @@ def build_averaged(m, table_axes=None, rng=None, horizon=60.0):
     mode = _auto_mode(m)
 
     if mode == "y-independent":
-        jac = _linear_parts(m.f)[0] if m.f.kind in _LINEAR_KINDS else None
+        jac = m.f.payload["fx"] if m.f.kind in _LINEAR_KINDS else None
         fbar = AveragedDrift(n, "y-independent", lambda x: m.f(x, np.zeros_like(x)),
                              deriv_matrix=jac)
     elif mode == "linear":
-        fx, fy, cf = _linear_parts(m.f)
-        gx, gy, cg = _linear_parts(m.g)
+        fx, fy, cf = (m.f.payload[k] for k in ("fx", "fy", "const"))
+        gx, gy, cg = (m.g.payload[k] for k in ("fx", "fy", "const"))
         core = m.b + gy
         if np.max(np.linalg.eigvals(core).real) >= 0:
             raise ValueError("frozen-fast linear drift is not stable; "
@@ -212,18 +213,6 @@ def _auto_mode(m):
     if m.f.kind in _LINEAR_KINDS and m.g.kind in _LINEAR_KINDS:
         return "linear"
     return "tabulated"
-
-
-def _linear_parts(drift):
-    n = drift.n
-    if drift.kind == "zero":
-        return np.zeros((n, n)), np.zeros((n, n)), np.zeros(n)
-    if drift.kind == "constant":
-        return np.zeros((n, n)), np.zeros((n, n)), drift.payload["const"]
-    if drift.kind == "linear":
-        p = drift.payload
-        return p["fx"], p["fy"], p["const"]
-    raise ValueError("drift is not in the linear family")
 
 
 @dataclass
@@ -319,8 +308,7 @@ def _increment_blocks(m, grid, master_seed, start, count):
     """Fast and slow increments (steps, count, n) of paths start..start+count-1,
     each from its own substreams; the slow block is None without slow noise."""
     fast = _substreams(master_seed, start, count, ROLE_FAST)
-    d_fast = _path_increments(m.n, grid, count, fast.__getitem__, jump=m.jump_fast,
-                              speed=1.0 / m.epsilon)
+    d_fast = _path_increments(m.n, grid, fast, jump=m.jump_fast, speed=1.0 / m.epsilon)
     return d_fast, _slow_increments(m, grid, master_seed, start, count)
 
 
@@ -331,7 +319,7 @@ def _slow_increments(m, grid, master_seed, start, count):
     if not has_slow_noise(m):
         return None
     slow = _substreams(master_seed, start, count, ROLE_SLOW)
-    return _path_increments(m.n, grid, count, slow.__getitem__, jump=m.jump_slow)
+    return _path_increments(m.n, grid, slow, jump=m.jump_slow)
 
 
 def coupled_error_batch(m, am, t_end, dt, master_seed, start, count, *, _sup=True):
@@ -422,9 +410,12 @@ def strong_error_experiment(m, epsilons, delta_rule, t_end, n_paths,
     E sup_{t<=T} |x_eps - x|^2 against epsilon is the reported rate.  The
     block size delta = eps**(2/3) (``delta_rule`` names it, or is None)
     enters only through the recorded theoretical bound epsilon/delta, not
-    the simulation itself.
+    the simulation itself; epsilons and t_end must be finite and positive.
     """
     epsilons = np.asarray(list(epsilons), dtype=float)
+    if not (np.all((epsilons > 0) & (epsilons < np.inf)) and 0 < t_end < np.inf):
+        raise ValueError(f"epsilons {epsilons.tolist()} and t_end {t_end} must be "
+                         "positive and finite")
     if np.any(np.diff(epsilons) >= 0):
         raise ValueError("epsilons must be strictly decreasing")
     if len(epsilons) < 3:

@@ -113,10 +113,12 @@ def _artifact(out_dir, command, seed, ext):
 
 
 def _report(obj, out_dir, command, seed):
-    """Write ``obj`` as the command's JSON artifact and print it on one line."""
+    """Write ``obj`` as the command's JSON artifact and print it on one line;
+    a NaN or infinity, not JSON, raises ValueError before any file is written."""
+    line = json.dumps(obj, allow_nan=False)
     with open(_artifact(out_dir, command, seed, ".json"), "w") as fh:
         json.dump(obj, fh, indent=2)
-    print(json.dumps(obj))
+    print(line)
 
 
 def _write_csv(path_or_buf, header, rows):
@@ -171,17 +173,24 @@ def _average(m, blk, seed, out_dir):
            "mixing": {**_fields(mix, "eta_declared eta_empirical n_paths"),
                       "curve": [{"t": float(t), "deviation": float(d)}
                                 for t, d in zip(mix.times, mix.deviations)]}}
+    # no fit, NaN in the library, is written null: fewer than three curve
+    # points above the noise floor, or errors that are all 0
+    if np.isnan(mix.eta_empirical):
+        out["mixing"]["eta_empirical"] = None
     if rate is not None:
         out["rate"] = {**_fields(rate, "epsilons delta_rule deltas errors stderrs "
                                        "slope intercept"),
                        "ci": [rate.ci_low, rate.ci_high],
                        **_fields(rate, "n_paths diverged flagged")}
+        if np.isnan(rate.slope):
+            out["rate"].update(slope=None, intercept=None, ci=None)
+    _report(out, out_dir, "average", seed)
+    if rate is not None:
         _write_csv(_artifact(out_dir, "average", seed, "-rate.csv"),
                    "epsilon,error,stderr",
                    np.column_stack([rate.epsilons, rate.errors, rate.stderrs]))
     _write_csv(_artifact(out_dir, "average", seed, "-mixing.csv"), "t,deviation",
                np.column_stack([mix.times, mix.deviations]))
-    _report(out, out_dir, "average", seed)
     return 0
 
 
@@ -191,14 +200,14 @@ def _manifold(m, blk, seed, out_dir):
         gamma=blk.get("gamma"), grid_step=float(blk.get("grid_step", 0.005)),
         tol=float(blk.get("tol", 1e-9)), t_neg=blk.get("t_neg"),
         rng=np.random.default_rng(seed))
+    _report(_fields(sol, "u0 epsilon gamma h_value rho rho_hat lip_bound "
+                         "iterations residuals t_neg converged"),
+            out_dir, "manifold", seed)
     n = sol.u.shape[-1]
     header = ("t," + ",".join(f"u{i+1}" for i in range(n)) + ","
               + ",".join(f"v{i+1}" for i in range(n)))
     _write_csv(_artifact(out_dir, "manifold", seed, "-profile.csv"), header,
                np.column_stack([sol.grid, sol.u, sol.v]))
-    _report(_fields(sol, "u0 epsilon gamma h_value rho rho_hat lip_bound "
-                         "iterations residuals t_neg converged"),
-            out_dir, "manifold", seed)
     return 0
 
 
@@ -229,6 +238,8 @@ def _deviate(m, blk, seed, out_dir):
     slow = sample_increments(m.n, grid, substream(seed, 0, ROLE_SLOW), jump=m.jump_slow)
     x_path = simulate_averaged(am, t_end, dt, slow)
     theta = simulate_deviation(dm, x_path, t_end, dt, substream(seed, 0, ROLE_DEV))
+    _report({"a": dm.a.tolist(), "fbar_deriv": dm.deriv_const.tolist(),
+             "htilde": dm.htilde_const.tolist()}, out_dir, "deviate", seed)
     if k is not None:
         n = k.h.shape[-1]
         names = [f"H_{i+1}{j+1}" for i in range(n) for j in range(n)]
@@ -238,8 +249,6 @@ def _deviate(m, blk, seed, out_dir):
                    np.column_stack([k.lags, k.h.reshape(-1, n * n),
                                     k.stderr.reshape(-1, n * n)]))
     _trajectory_csv(_artifact(out_dir, "deviate", seed, "-theta.csv"), theta, "theta")
-    _report({"a": dm.a.tolist(), "fbar_deriv": dm.deriv_const.tolist(),
-             "htilde": dm.htilde_const.tolist()}, out_dir, "deviate", seed)
     return 0
 
 

@@ -65,7 +65,7 @@ def autocovariance_kernel(m, x, lags, burn_in, horizon, dt, rng, n_replicas=24):
     error.  Requires a finite x, one lag or more, a finite burn_in >= 0,
     horizon - burn_in >= 50 * max(lags), so each replica holds enough
     decorrelated windows, and every lag a whole number of steps dt (within
-    1e-9 of one, relative).
+    1e-9 of one, relative).  A replica that diverges raises DivergedError.
 
     The values of f are written over the window rows of the frozen-fast
     paths, (T, P, n) for T window steps and P replicas, a noise chunk at a
@@ -99,6 +99,8 @@ def autocovariance_kernel(m, x, lags, burn_in, horizon, dt, rng, n_replicas=24):
     steps = int(round(horizon / dt))
     first = int(round(burn_in / dt))
     window = frozen_fast_batch(m, x, m.y0, steps, dt, rng, n_replicas)[first:]
+    if not np.all(np.isfinite(window[-1])):          # NaN after a divergence
+        raise DivergedError("frozen-fast replica diverged during kernel estimation")
     t_len = len(window)
     for lo in range(0, t_len, CHUNK_STEPS):
         rows = window[lo:lo + CHUNK_STEPS]
@@ -250,10 +252,8 @@ def build_deviation_model(am, htilde, x=None):
     """Assemble the limit-SDE coefficients from an averaged model and a
     diffusion matrix; the drift Jacobian is taken at ``x``, or at each
     carrier state when ``x`` is None and the averaged drift is not linear."""
-    if am.fbar.deriv_matrix is not None:
-        deriv = np.array(am.fbar.deriv_matrix, dtype=float)
-    elif x is not None:
-        deriv = fbar_derivative(am, x)
+    if am.fbar.deriv_matrix is not None or x is not None:
+        deriv = fbar_derivative(am, am.x0 if x is None else x)
     else:
         def deriv(xv):
             return fbar_derivative(am, xv)
@@ -266,7 +266,7 @@ def simulate_deviation(dm, x_path, t_end, dt, rng):
     grid = make_grid(t_end, dt)
     if x_path.grid[-1] < t_end - 1e-12:
         raise ValueError("carrier path does not cover [0, t_end]")
-    dw = _path_increments(dm.n, grid, 1, lambda i: rng)
+    dw = _path_increments(dm.n, grid, [rng])
     # left-endpoint state of the carrier path at every step
     idx = np.clip(np.searchsorted(x_path.grid, grid[:-1] + 1e-12, side="right") - 1,
                   0, len(x_path.grid) - 1)
@@ -290,8 +290,8 @@ def _manifold_started_inputs(m, t_end, dt, master_seed, start, count):
     d_fast, d_slow = _increment_blocks(m, grid, master_seed, start, count)
     scale = 1.0 / m.epsilon
     burn = _substreams(master_seed, start, count, ROLE_BURN)
-    d_burn = _path_increments(m.n, dt * np.arange(burn_steps + 1), count,
-                              burn.__getitem__, jump=m.jump_fast, speed=scale)
+    d_burn = _path_increments(m.n, dt * np.arange(burn_steps + 1), burn,
+                              jump=m.jump_fast, speed=scale)
     x0, y0 = (np.broadcast_to(v, d_burn.shape[1:]) for v in (m.x0, m.y0))
     # the burn-in steps the frozen-fast equation at the fast rate dt / epsilon
     h = dt * scale
@@ -456,8 +456,7 @@ def _limit_range(dm, am, grid, dt, master_seed, start, count):
     process."""
     n = dm.n
     d_slow = _slow_increments(am, grid, master_seed, start, count)
-    dw = _path_increments(n, grid, count,
-                          _substreams(master_seed, start, count, ROLE_DEV).__getitem__)
+    dw = _path_increments(n, grid, _substreams(master_seed, start, count, ROLE_DEV))
 
     averaged = _lin_plus(am.a, am.fbar._add)
 

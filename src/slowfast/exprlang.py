@@ -21,7 +21,8 @@ operations alone, in the order the parser read them.  Coordinates are read
 off the last axis of the ``x`` and ``y`` arrays, so one compiled drift serves
 single states ``(n,)`` and whole path batches ``(..., n)`` alike.  The one
 compiled function adds the columns into a buffer: the stepping kernel's
-drift buffer, or for a drift call a fresh one filled with -0.0.
+drift buffer, or for a drift call the fresh buffer of ``model._value_into``,
+which gives a drift's value from its in-place form.
 """
 
 from __future__ import annotations
@@ -155,12 +156,11 @@ def _translate(source, consts):
 
 
 def _compile(sources, n):
-    """A vectorized map (x, y) -> (..., n) of component expressions, the
-    in-place form ``add(d, x, y)`` it is built on, which adds column k into
-    ``d[..., k]`` of a float buffer d shaped as x and y, and whether they
-    read ``y``.  A single state (n,) is read and written element by element,
-    as numpy scalars: a ufunc on a one-element view costs several times a
-    scalar operation, and the values are the same.
+    """The in-place form ``add(d, x, y)`` of component expressions, which
+    adds column k into ``d[..., k]`` of a float buffer d shaped as x and y,
+    and whether they read ``y``.  A single state (n,) is read and written
+    element by element, as numpy scalars: a ufunc on a one-element view
+    costs several times a scalar operation, and the values are the same.
 
     Raises DriftSyntaxError, DriftNameError or DriftArityError on bad input;
     DriftSyntaxError also for nesting deeper than ``MAX_NESTING`` or than
@@ -200,13 +200,4 @@ def _compile(sources, n):
     add = namespace["add"]
     if any("/" in code for code in codes):
         add = np.errstate(divide="ignore", invalid="ignore")(add)
-
-    def evaluate(x, y):
-        # -0.0 is the additive identity of every float, signed zeros and NaN
-        # included, so adding into it gives each column's own bits
-        x = np.asarray(x, dtype=float)
-        out = np.full(x.shape[:-1] + (n,), -0.0)
-        add(out, x, np.asarray(y, dtype=float))
-        return out
-
-    return evaluate, add, any(base == "y" for base, _ in reads)
+    return add, any(base == "y" for base, _ in reads)

@@ -44,7 +44,10 @@ and ``_euler`` scales such a pre-drawn block by its amplitude once, whole,
 before the loop.  Batches stream theirs inside the loop, a time chunk at a
 time, from ``noise._path_increments``, and each step's rows are scaled into
 one buffer by an amplitude bound once per run; so does
-``deviation.simulate_truncated_deviation``, a batch of one path.  ``_frozen_fast_run`` steps
+``deviation.simulate_truncated_deviation``, a batch of one path.  An
+amplitude, scalar or matrix, is applied as a drift's linear part is: by
+``model._lin`` to a block (``apply_noise``) and by ``model._lin_op`` to a
+row, a scalar being the (1, 1) matrix.  ``_frozen_fast_run`` steps
 the frozen-fast equation for ``frozen_fast_batch`` and the manifold burn-in
 of ``deviation``.
 
@@ -63,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import _lin_op, _lin_plus
+from .model import _lin, _lin_op, _lin_plus
 from .noise import _path_increments, sample_increments
 
 
@@ -96,9 +99,9 @@ def make_grid(t_end, dt):
 
 
 def apply_noise(sigma, incr):
-    """Apply a scalar or matrix amplitude to an increment (..., n)."""
-    op, operand = _amplitude_op(sigma)
-    return op(incr, operand)
+    """Apply a scalar or matrix amplitude to an increment (..., n): a scalar
+    is the (1, 1) matrix of ``model._lin``, a scalar multiply at any n."""
+    return _lin(np.atleast_2d(sigma), incr)
 
 
 class _Run(NamedTuple):
@@ -207,13 +210,8 @@ def _noise_terms(noise, shape, steps):
 
 
 def _streamed(sigma, increments):
-    op, operand = _amplitude_op(sigma)
+    op, operand = _lin_op(np.atleast_2d(sigma))
     return lambda k, s, scratch: op(increments[k], operand, out=scratch)
-
-
-def _amplitude_op(sigma):
-    """``apply_noise(sigma, .)`` as a ufunc and its bound operand, for a loop."""
-    return (np.multiply, sigma) if np.ndim(sigma) == 0 else _lin_op(np.asarray(sigma))
 
 
 def _trajectory(grid, states, diverged_at):
@@ -307,7 +305,7 @@ def frozen_fast_batch(m, x_frozen, y0, steps, dt, rng, n_paths):
     ``rng`` where those runs would.
     """
     grid = dt * np.arange(steps + 1)
-    d_fast = _path_increments(m.n, grid, n_paths, lambda i: rng, jump=m.jump_fast)
+    d_fast = _path_increments(m.n, grid, [rng] * n_paths, jump=m.jump_fast)
     x_frozen, y0 = (np.broadcast_to(np.asarray(v, dtype=float), d_fast.shape[1:])
                     for v in (x_frozen, y0))
     return _frozen_fast_run(m, x_frozen, y0, grid, dt, d_fast, path=True).path[0]

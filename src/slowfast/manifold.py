@@ -44,7 +44,8 @@ from scipy.linalg import expm
 
 from .harness import fit_exp_rate
 from .integrator import _euler, apply_noise
-from .model import _lin_op, _lin_plus, _rates, _value_into, decay_rate, has_slow_noise
+from .model import (_finite, _lin_op, _lin_plus, _rates, _value_into, decay_rate,
+                    has_slow_noise)
 from .noise import _required, sample_increments
 
 # sweeps ``lyapunov_perron_solve`` makes before it gives up and raises
@@ -252,9 +253,10 @@ def lyapunov_perron_solve(m, epsilon, u0, gamma=None, grid_step=0.005,
     iterations and reusable across solves); otherwise it is sampled from
     ``rng``.  At epsilon = 0 the slow profile stays at ``u0`` (the slow
     propagator is the identity, the slow drive 0): the asymptotic graph.
-    A window [-t_neg, 0] that rounds to no grid step is refused.
+    A non-finite ``u0``, and a window [-t_neg, 0] that rounds to no grid
+    step, are refused.
     """
-    u0 = np.atleast_1d(np.asarray(u0, dtype=float))
+    u0 = _finite(np.atleast_1d(np.asarray(u0, dtype=float)), "u0")
     _, lg = _lipschitz_pair(m)
     gb = m.gamma_b
     if gamma is None:

@@ -18,7 +18,7 @@ write into the buffer their caller passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -82,11 +82,12 @@ def _add_value(d, value):
 
 
 def _value_into(out, add, *args):
-    """A drift's value alone, from its in-place form ``add(d, *args)``, into
-    the buffer out: -0.0 is the additive identity of every float, signed
-    zeros and NaN included, so the bits are those of the value itself."""
+    """A drift's value alone, from its in-place form ``add(d, *args)``, in
+    the buffer out, returned: -0.0 is the additive identity of every float,
+    signed zeros and NaN included, so the bits are those of the value itself."""
     out.fill(-0.0)
     add(out, *args)
+    return out
 
 
 def decay_rate(matrix):
@@ -210,22 +211,22 @@ class DriftFn:
 
     @classmethod
     def zero(cls, n):
-        def fn(x, y):
-            return np.zeros(x.shape[:-1] + (n,))
-
-        drift = cls(n, "zero", fn, depends_on_y=False, lip=0.0, growth=0.0)
+        drift = cls.constant(np.zeros(n))
+        drift.kind = "zero"
         drift._add = lambda d, x, y: np.add(d, 0.0, out=d)
         return drift
 
     @classmethod
     def constant(cls, value):
         c = np.atleast_1d(np.asarray(value, dtype=float))
+        n = len(c)
 
         def fn(x, y):
             return np.broadcast_to(c, x.shape[:-1] + c.shape).copy()
 
-        return cls(len(c), "constant", fn, depends_on_y=False, lip=0.0,
-                   growth=float(np.linalg.norm(c)), payload={"const": c})
+        return cls(n, "constant", fn, depends_on_y=False, lip=0.0,
+                   growth=float(np.linalg.norm(c)),
+                   payload={"fx": np.zeros((n, n)), "fy": np.zeros((n, n)), "const": c})
 
     @classmethod
     def linear(cls, fx=None, fy=None, const=None, n=None):
@@ -267,7 +268,11 @@ def parse_drift(expr_strings, n, lip=None, growth=None):
     """Parse per-component expressions into an evaluable drift; bad input
     raises an ``exprlang.DriftExprError``."""
     sources = tuple(expr_strings)
-    fn, add, depends_y = exprlang._compile(sources, n)
+    add, depends_y = exprlang._compile(sources, n)
+
+    def fn(x, y):
+        return _value_into(np.empty(x.shape[:-1] + (n,)), add, x, y)
+
     drift = DriftFn(n, "expr", fn, depends_on_y=depends_y, lip=lip, growth=growth,
                     payload={"sources": sources})
     drift._add = add
@@ -337,9 +342,7 @@ class SlowFastModel:
         return decay_rate(self.b)
 
     def with_epsilon(self, epsilon):
-        return SlowFastModel(self.a, self.b, self.f, self.g, self.sigma1,
-                             self.sigma2, self.jump_slow, self.jump_fast,
-                             float(epsilon), self.x0, self.y0)
+        return replace(self, epsilon=float(epsilon))
 
 
 def has_slow_noise(m):
@@ -451,7 +454,7 @@ def validate_model(m, rng):
         status, detail = "fail", "fast decay rate not positive; bound undefined"
     checks.append(CheckResult("lipschitz-bound", status, detail))
 
-    growth_status, growth_detail = _growth_check(m, probe_box, PROBE_SAMPLES, rng)
+    growth_status, growth_detail = _growth_check(m, rng)
     checks.append(CheckResult("linear-growth", growth_status, growth_detail))
 
     checks.append(CheckResult(
@@ -465,11 +468,9 @@ def validate_model(m, rng):
     return ValidationReport(gamma_a, gamma_a_rev, gamma_b, lip_f, lip_g, tuple(checks))
 
 
-def _growth_check(m, box, samples, rng):
-    lo = np.asarray(box[0], dtype=float)
-    hi = np.asarray(box[1], dtype=float)
+def _growth_check(m, rng):
     n = m.n
-    pts = rng.uniform(lo, hi, size=(max(samples, 16), 2 * n))
+    pts = rng.uniform(-PROBE_BOX, PROBE_BOX, size=(PROBE_SAMPLES, 2 * n))
     x, y = pts[:, :n], pts[:, n:]
     norms = np.linalg.norm(x, axis=-1) + np.linalg.norm(y, axis=-1)
     msgs = []

@@ -31,10 +31,13 @@ A chunk holds ``CHUNK_STEPS`` steps, or the whole batch where that is
 shorter.  A chunk is filled a block of paths at a time: each path draws its
 rows in one contiguous call into a small path-major scratch, the block is
 scaled there by sqrt(c dt) and copied transposed into the (steps, paths, n)
-chunk, so every element is ``z * sqrt(c dt)`` as in ``sample_increments``.
+chunk, or added to its jumps, so every element is ``z * sqrt(c dt)`` as in
+``sample_increments``, plus that path's jump increment.
 A batch's jump events are drawn when its stream is built and sorted by step
-once; each chunk adds, to each cell (step, path) with events, their sum in
-the path's time order, and the compensator to every cell.
+once.  A chunk with jumps takes them by ``sample_increments``' rule, in
+place: zeros, each event's size added to its cell (step, path) in event
+order, the compensator subtracted; the scaled normals are then added to
+it, with no chunk-sized temporary.
 """
 
 from __future__ import annotations
@@ -226,20 +229,21 @@ def _copy(rng):
 
 
 class _path_increments:    # lower case, as it is called like a function
-    """Summed increments (steps, count, n): path i is the ``sample_increments``
-    stream of ``rng_at(i)``, drawn a chunk of ``CHUNK_STEPS`` steps at a time
-    as the kernel reads the steps in order.  Paths that share a generator take
-    its stream in turn, path 0 first, each from its own copy."""
+    """Summed increments (steps, len(gens), n): path i is the
+    ``sample_increments`` stream of ``gens[i]``, drawn a chunk of
+    ``CHUNK_STEPS`` steps at a time as the kernel reads the steps in order.
+    Paths that share a generator take its stream in turn, path 0 first, each
+    from its own copy."""
 
-    def __init__(self, n, grid, count, rng_at, jump=None, speed=1.0):
+    def __init__(self, n, grid, gens, jump=None, speed=1.0):
         self._grid, self._jump, self._speed = _check_grid(grid), jump, _check_speed(speed)
-        self.shape = (len(self._grid) - 1, count, n)
-        gens = [_required(rng_at(i)) for i in range(count)]
-        self._buf = np.empty((min(CHUNK_STEPS, len(self)), count, n))
+        gens = [_required(rng) for rng in gens]
+        self.shape = (len(self._grid) - 1, len(gens), n)
+        self._buf = np.empty((min(CHUNK_STEPS, len(self)), len(gens), n))
         self._rate = 0.0 if jump is None or len(self) == 0 else jump.intensity * speed
         # each path's events; a generator that several paths share gives
         # each a copy standing at its normals and is drawn past them
-        shared, rows, drawn = len({id(g) for g in gens}) < count, len(self) * n, []
+        shared, rows, drawn = len({id(g) for g in gens}) < len(gens), len(self) * n, []
         skip = np.empty(max(min(rows, _SCRATCH), 1)) if shared else None
         for i, rng in enumerate(gens):
             if self._rate > 0:
@@ -256,7 +260,7 @@ class _path_increments:    # lower case, as it is called like a function
             # the stable sort keeps one path's events in a step in their time
             # order, as in its stream
             size, step = (np.concatenate(cols) for cols in zip(*drawn))
-            path = np.repeat(np.arange(count), [len(steps) for _, steps in drawn])
+            path = np.repeat(np.arange(len(gens)), [len(steps) for _, steps in drawn])
             order = np.argsort(step, kind="stable")
             self._events = size[order], step[order], path[order]
 
@@ -276,6 +280,18 @@ class _path_increments:    # lower case, as it is called like a function
         count, n = self.shape[1:]
         dts = np.diff(self._grid[lo:hi + 1])[:, None, None]
         buf = self._buf[:hi - lo]
+        jumps = self._events is not None
+        if jumps:
+            # the compensated jump sums first, as ``sample_increments`` takes
+            # them: from 0.0 in event order, less the compensator; the normals
+            # are added to them below, and a + b is b + a in IEEE arithmetic
+            size, step, path = self._events
+            now = slice(*np.searchsorted(step, (lo, hi)))
+            buf.fill(0.0)
+            np.add.at(buf, (step[now] - lo, path[now]), size[now])
+            buf -= self._rate * self._jump.mean_size * dts
+            if hi == len(self):
+                self._events = None
         # sqrt(c dt) per element of a path's (steps, n) rows, so that one
         # multiply runs over them contiguously
         scale = np.repeat(np.sqrt(self._speed * dts[:, 0]), n, axis=1)
@@ -287,22 +303,8 @@ class _path_increments:    # lower case, as it is called like a function
             for rng, row in zip(self._gens[j:j + len(part)], part):
                 rng.standard_normal(out=row)
             part *= scale
-            buf[:, j:j + len(part)] = part.swapaxes(0, 1)
-        if self._events is not None:
-            # buf + (sum - comp) where events fall, the sum taken from 0.0 in
-            # event order, and buf + (0.0 - comp) elsewhere, as if adding a
-            # whole (steps, count, n) block of compensated jump sums
-            size, step, path = self._events
-            now = slice(*np.searchsorted(step, (lo, hi)))
-            comp = self._rate * self._jump.mean_size * dts
-            cells, at = np.unique((step[now] - lo) * count + path[now],
-                                  return_inverse=True)
-            sums = np.zeros((len(cells), n))
-            np.add.at(sums, at, size[now])
-            cells = np.divmod(cells, count)
-            hit = buf[cells] + (sums - comp[cells[0], 0])
-            buf += 0.0 - comp
-            buf[cells] = hit
-            if hi == len(self):
-                self._events = None
+            if jumps:
+                buf[:, j:j + len(part)] += part.swapaxes(0, 1)
+            else:
+                buf[:, j:j + len(part)] = part.swapaxes(0, 1)
         self._start, self._end = lo, hi

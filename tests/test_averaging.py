@@ -275,7 +275,7 @@ def test_simulate_averaged_gaussian_variance():
     rng = np.random.default_rng(14)
     grid = make_grid(1.0, 0.005)
     # 3000 successive streams of one generator, stepped as one batch
-    incr = _path_increments(1, grid, 3000, lambda i: rng)
+    incr = _path_increments(1, grid, [rng] * 3000)
     run = _averaged_run(am, np.broadcast_to(am.x0, (3000, 1)), grid, 0.005,
                         (am.sigma1, incr))
     finals = run.path[0][-1, :, 0]

@@ -38,10 +38,20 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
     return str(path)
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def strict_json(text):
+    """``json.loads`` of an artifact or a printed line; NaN and Infinity,
+    which Python writes but JSON has no form for, raise ValueError."""
+    return json.loads(text, parse_constant=_not_json)
+
+
 def test_validate_passes_linear_benchmark(tmp_path, capsys):
     cfg = write_cfg(tmp_path, LINEAR_CFG)
     code = main(["validate", "--config", cfg])
-    out = json.loads(capsys.readouterr().out)
+    out = strict_json(capsys.readouterr().out)
     assert code == 0
     assert out["passed"]
     assert out["gamma_b"] == pytest.approx(2.0)
@@ -53,7 +63,7 @@ def test_validate_fails_unstable_matrix(tmp_path, capsys):
     cfg = write_cfg(tmp_path, cfg_data)
     code = main(["validate", "--config", cfg])
     assert code == 2
-    assert not json.loads(capsys.readouterr().out)["passed"]
+    assert not strict_json(capsys.readouterr().out)["passed"]
 
 
 def test_missing_config_file_is_usage_error(capsys):
@@ -155,16 +165,21 @@ def test_malformed_config_is_one_error_line(tmp_path, capsys, path, value, prefi
     ("deviate", {"x": [float("inf")]}),
     ("deviate", {"s_max": 0.2, "lag_step": 0.1, "burn_in": 1.0, "horizon": 60.0,
                  "n_replicas": 8, "dt": 0.05}),
+    ("average", {"epsilons": [-0.05, -0.1, -0.2]}),
+    ("average", {"epsilons": [0.2, 0.1, 0.05], "t_end": 0}),
+    ("manifold", {"u0": [float("inf")]}),
 ], ids=["infinite-horizon", "zero-grid-step", "zero-lag-step", "zero-tol",
         "petabyte-grid", "negative-burn-in", "one-point-window", "nan-htilde",
         "no-lags", "one-point-mixing-curve", "boolean-mixing-step", "nan-mixing-start",
         "infinite-fbar-point", "negative-theta-horizon", "zero-theta-step",
-        "infinite-kernel-point", "undecayed-kernel"])
+        "infinite-kernel-point", "undecayed-kernel", "negative-epsilons",
+        "zero-rate-horizon", "infinite-manifold-start"])
 def test_run_failure_is_one_error_line(tmp_path, capsys, command, block):
-    # a bad horizon, step, burn-in, point, start, lag set or diffusion matrix
-    # is refused before any artifact is written, and so is a kernel that has
-    # not decayed; a solve that does not converge and a grid of 7 PiB, which
-    # no machine can allocate, end in one error line too; none warns
+    # a bad horizon, step, burn-in, point, start, epsilon, lag set or
+    # diffusion matrix is refused before any artifact is written, and so is
+    # a kernel that has not decayed; a solve that does not converge and a
+    # grid of 7 PiB, which no machine can allocate, end in one error line
+    # too; none warns
     cfg = write_cfg(tmp_path, dict(LINEAR_CFG, **{command: block}))
     out = tmp_path / "o"
     with warnings.catch_warnings(record=True) as caught:
@@ -223,9 +238,9 @@ def test_simulate_writes_artifacts_and_is_reproducible(tmp_path, capsys):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
     assert main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
-    first = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    first = strict_json(capsys.readouterr().out.strip().split("\n")[-1])
     assert main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
-    second = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    second = strict_json(capsys.readouterr().out.strip().split("\n")[-1])
     a = open(first["x_csv"]).read()
     b = open(second["x_csv"]).read()
     assert a == b                      # same config + seed: identical bytes
@@ -237,7 +252,7 @@ def test_simulate_zero_horizon_single_row(tmp_path, capsys):
     cfg_data["simulate"] = {"t_end": 0.0, "dt": 0.001}
     cfg = write_cfg(tmp_path, cfg_data)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    info = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    info = strict_json(capsys.readouterr().out.strip().split("\n")[-1])
     rows = open(info["x_csv"]).read().strip().split("\n")
     assert len(rows) == 2              # header + initial condition
     assert rows[1].split(",")[1] == "1"
@@ -252,7 +267,7 @@ def test_simulate_default_step_keeps_the_guard(tmp_path, capsys, epsilon):
     cfg_data["simulate"] = {"t_end": 1.0}
     cfg = write_cfg(tmp_path, cfg_data)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    info = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    info = strict_json(capsys.readouterr().out.strip().split("\n")[-1])
     t = np.loadtxt(info["x_csv"], delimiter=",", skiprows=1)[:, 0]
     assert t[-1] == 1.0 and np.max(np.diff(t)) <= epsilon / 10 + 1e-15
 
@@ -264,7 +279,7 @@ def test_seed_precedence_flag_env_config(tmp_path, capsys, monkeypatch):
 
     def x_csv(args):
         assert main(args) == 0
-        return open(json.loads(capsys.readouterr().out.strip().split("\n")[-1])["x_csv"]).read()
+        return open(strict_json(capsys.readouterr().out.strip().split("\n")[-1])["x_csv"]).read()
 
     base = x_csv(["simulate", "--config", cfg, "--out", str(tmp_path / "o1")])
     monkeypatch.setenv("SEED", "99")
@@ -281,7 +296,7 @@ def test_average_reports_fbar_and_mixing(tmp_path, capsys):
                            "t_mix": 1.5, "n_paths": 400}
     cfg = write_cfg(tmp_path, cfg_data)
     assert main(["average", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    out = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    out = strict_json(capsys.readouterr().out.strip().split("\n")[-1])
     assert abs(out["fbar"][0]) < 0.2
     assert out["mixing"]["eta_declared"] == pytest.approx(4.0)
 
@@ -306,6 +321,34 @@ def test_average_refuses_a_window_shorter_than_the_fbar_batches(tmp_path, capsys
     assert "\n" not in err and err.startswith("error: ") and "fbar window" in err
 
 
+def _average_artifact(tmp_path, capsys, model, block):
+    """The report ``slowfast average`` prints and the one it writes, read
+    strictly; they are the same."""
+    cfg = write_cfg(tmp_path, dict(LINEAR_CFG, model=model, average=block))
+    assert main(["average", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    printed = strict_json(capsys.readouterr().out.strip().split("\n")[-1])
+    (path,) = (tmp_path / "o").glob("*.json")
+    assert strict_json(path.read_text()) == printed
+    return printed
+
+
+def test_average_writes_null_where_no_rate_is_fitted(tmp_path, capsys):
+    # a mixing start at the stationary mean keeps every curve point under
+    # the noise floor; a drift without y couples the two slow paths exactly,
+    # so every strong error is 0: neither rate has a fit, and both read null
+    block = {"x": [1.0], "horizon": 10.0, "t_mix": 0.5, "n_paths": 100}
+    out = _average_artifact(tmp_path, capsys, LINEAR_CFG["model"],
+                            dict(block, y_list=0))
+    assert out["mixing"]["eta_empirical"] is None
+    zero_f = dict(LINEAR_CFG["model"], f={"kind": "zero"})
+    (tmp_path / "z").mkdir()
+    out = _average_artifact(tmp_path / "z", capsys, zero_f,
+                            dict(block, epsilons=[0.2, 0.1, 0.05], t_end=0.1,
+                                 n_paths_rate=100))
+    assert out["rate"]["errors"] == [0.0, 0.0, 0.0]
+    assert [out["rate"][k] for k in ("slope", "intercept", "ci")] == [None] * 3
+
+
 def test_manifold_command_writes_solution(tmp_path, capsys):
     cfg_data = {
         "model": {
@@ -320,7 +363,7 @@ def test_manifold_command_writes_solution(tmp_path, capsys):
     }
     cfg = write_cfg(tmp_path, cfg_data)
     assert main(["manifold", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    out = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    out = strict_json(capsys.readouterr().out.strip().split("\n")[-1])
     assert out["h_value"][0] == pytest.approx(0.5, abs=1e-6)
     files = os.listdir(tmp_path / "o")
     assert any(f.endswith("-profile.csv") for f in files)
@@ -376,7 +419,7 @@ def test_manifold_reports_the_window_it_solved_on(tmp_path, capsys):
     cfg = write_cfg(tmp_path, dict(LINEAR_CFG, manifold={"grid_step": 0.5,
                                                          "t_neg": 1.2}))
     assert main(["manifold", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    out = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    out = strict_json(capsys.readouterr().out.strip().split("\n")[-1])
     assert out["t_neg"] == 1.0
     profile = [f for f in os.listdir(tmp_path / "o") if f.endswith("-profile.csv")]
     rows = np.loadtxt(tmp_path / "o" / profile[0], delimiter=",", skiprows=1)

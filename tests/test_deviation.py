@@ -93,6 +93,16 @@ def test_kernel_refuses_fewer_than_two_replicas():
                               np.random.default_rng(0), n_replicas=1)
 
 
+def test_kernel_refuses_a_diverged_replica():
+    # fast drift +50 blows every replica up: an error, as in estimate_fbar,
+    # not a NaN kernel that reads as one not yet decayed
+    m = SlowFastModel(a=[[-1.0]], b=[[50.0]], f=DriftFn.linear(fy=[[1.0]]),
+                      g=DriftFn.zero(1), sigma2=1.0, x0=[1.0], y0=[0.0])
+    with pytest.raises(DivergedError, match="replica diverged"):
+        autocovariance_kernel(m, [1.0], np.arange(0.0, 0.51, 0.05), 0.0, 40.0, 0.01,
+                              np.random.default_rng(0), n_replicas=2)
+
+
 @st.composite
 def _kernel_cases(draw):
     n = draw(st.integers(1, 3))

@@ -86,11 +86,11 @@ def test_negative_speed_is_refused():
     with pytest.raises(ValueError, match="speed"):
         sample_increments(1, g, np.random.default_rng(0), speed=-1.0)
     with pytest.raises(ValueError, match="speed"):
-        _path_increments(1, g, 2, lambda i: np.random.default_rng(i), speed=-1.0)
+        _path_increments(1, g, [np.random.default_rng(i) for i in range(2)], speed=-1.0)
     # speed 0, the slow noise of the epsilon = 0 manifold solve, draws none
     incr = sample_increments(1, g, np.random.default_rng(0), jump=UNIF, speed=0.0)
     assert np.all(incr.d_brownian == 0.0) and np.all(incr.d_jump == 0.0)
-    assert np.all(_path_increments(1, g, 2, lambda i: np.random.default_rng(i),
+    assert np.all(_path_increments(1, g, [np.random.default_rng(i) for i in range(2)],
                                    jump=UNIF, speed=0.0)[0] == 0.0)
 
 

@@ -192,21 +192,21 @@ def _rows(incr):
 
 def test_streamed_steps_are_read_in_order():
     grid = make_grid(1.0, 0.1)
-    incr = _path_increments(1, grid, 2, lambda i: substream(1, i, ROLE_FAST))
+    incr = _path_increments(1, grid, [substream(1, i, ROLE_FAST) for i in range(2)])
     with _chunks(4):
-        stepped = _path_increments(1, grid, 2, lambda i: substream(1, i, ROLE_FAST))
+        stepped = _path_increments(1, grid, [substream(1, i, ROLE_FAST) for i in range(2)])
     assert np.array_equal(_rows(stepped), _rows(incr))     # chunks of 4, and one
     with pytest.raises(IndexError):
         stepped[0]                 # its chunk has been overwritten
-    fresh = _path_increments(1, grid, 2, lambda i: substream(1, i, ROLE_FAST))
+    fresh = _path_increments(1, grid, [substream(1, i, ROLE_FAST) for i in range(2)])
     with pytest.raises(IndexError):
         fresh[3]                   # steps 0-2 are not drawn yet
 
 
 def _check_rows_equal_streams(grid, paths, jump, chunk, seed):
     with _chunks(chunk):
-        incr = _path_increments(1, grid, paths, lambda i: substream(seed, i, ROLE_FAST),
-                                jump=jump, speed=1.0 / EPS)
+        gens = [substream(seed, i, ROLE_FAST) for i in range(paths)]
+        incr = _path_increments(1, grid, gens, jump=jump, speed=1.0 / EPS)
     rows = _rows(incr)
     for i in range(paths):
         ref = sample_increments(1, grid, substream(seed, i, ROLE_FAST), jump=jump,
@@ -237,7 +237,7 @@ def test_shared_generator_rows_across_path_blocks_equal_successive_streams(extra
     jump = JumpSpec(50.0, SizeDist.uniform(-0.4, 0.2))
     rng, one = np.random.default_rng(5), np.random.default_rng(5)
     with _chunks(steps):
-        rows = _rows(_path_increments(1, grid, paths, lambda i: rng, jump=jump,
+        rows = _rows(_path_increments(1, grid, [rng] * paths, jump=jump,
                                       speed=1.0 / EPS))
     for i in range(paths):
         ref = sample_increments(1, grid, one, jump=jump, speed=1.0 / EPS)
@@ -257,7 +257,7 @@ def test_shared_generator_streams_in_chunks_as_successive_streams(n):
             for _ in range(paths)]
     rows = []
     with _chunks(chunk):
-        incr = _path_increments(n, grid, paths, lambda i: rng, jump=jump,
+        incr = _path_increments(n, grid, [rng] * paths, jump=jump,
                                 speed=1.0 / EPS)
         for k in range(len(incr)):
             rows.append(incr[k].copy())
