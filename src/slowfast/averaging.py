@@ -29,7 +29,7 @@ import numpy as np
 from .harness import _split_paths, fit_exp_rate, fit_loglog_rate
 from .integrator import (DivergedError, _check_stable, _euler, _trajectory,
                          default_step, frozen_fast_batch, make_grid)
-from .model import _finite, _lin, _lin_plus, has_slow_noise
+from .model import _finite, _lin, has_slow_noise
 from .noise import ROLE_FAST, ROLE_SLOW, _path_increments, _substreams
 
 # batch means behind the standard error of ``estimate_fbar``
@@ -296,12 +296,10 @@ def simulate_averaged(am, t_end, dt, incr):
 def _averaged_run(am, x0, grid, dt, noise):
     """Averaged slow equation from x0 (..., n) along ``make_grid``'s grid
     under one ``_euler`` noise term; records the full path."""
-    averaged = _lin_plus(am.a, am.fbar._add)
-
     def drift(k, s, d):
-        averaged(d[0], s[0], s[0])
+        am.fbar._add(d[0], s[0])
 
-    return _euler((x0,), drift, (dt,), (noise,), grid, dt, path=True)
+    return _euler((x0,), (am.a,), drift, (dt,), (noise,), grid, dt, path=True)
 
 
 def _increment_blocks(m, grid, master_seed, start, count):
@@ -351,27 +349,23 @@ def _coupled_range(m, am, grid, dt, master_seed, start, count, sup):
     d_fast, d_slow = _increment_blocks(m, grid, master_seed, start, count)
     x0, y0 = (np.broadcast_to(v, (count, m.n)) for v in (m.x0, m.y0))
     ds = None if d_slow is None else (m.sigma1, d_slow)
-    state, factors, noise = [x0, y0], [dt, dt / m.epsilon], [ds, (m.sigma2, d_fast)]
+    # x, y, and with slow noise the averaged path
+    parts = 2 if ds is None else 3
     if ds is None:
         carrier = _averaged_run(am, np.reshape(m.x0, (1, -1)), grid, dt, None)
         if carrier.diverged[0]:
             return (np.full(count, np.nan), np.full((count, m.n), np.nan),
                     np.ones(count, dtype=bool))
-    else:
-        state, factors, noise = state + [x0], factors + [dt], noise + [ds]
-
-    slow, fast = _lin_plus(m.a, m.f._add), _lin_plus(m.b, m.g._add)
-    averaged = _lin_plus(am.a, am.fbar._add)
 
     def averaged_at(k, s):
         return carrier.path[0, k] if ds is None else s[2]
 
     def drift(k, s, d):
         x, y = s[0], s[1]
-        slow(d[0], x, x, y)
-        fast(d[1], y, x, y)
+        m.f._add(d[0], x, y)
+        m.g._add(d[1], x, y)
         if ds is not None:
-            averaged(d[2], s[2], s[2])
+            am.fbar._add(d[2], s[2])
 
     def gap_sq(k, s):
         diff = s[0] - averaged_at(k, s)
@@ -379,7 +373,9 @@ def _coupled_range(m, am, grid, dt, master_seed, start, count, sup):
         # a sum over one coordinate is that coordinate
         return diff[:, 0] if m.n == 1 else np.sum(diff, axis=-1)
 
-    run = _euler(state, drift, factors, noise, grid, dt, sup=gap_sq if sup else None)
+    run = _euler([x0, y0, x0][:parts], [m.a, m.b, am.a][:parts], drift,
+                 [dt, dt / m.epsilon, dt][:parts], [ds, (m.sigma2, d_fast), ds][:parts],
+                 grid, dt, sup=gap_sq if sup else None)
     diff = run.state[0] - averaged_at(len(grid) - 1, run.state)
     return run.sup if sup else np.full(count, np.nan), diff, run.diverged
 

@@ -373,9 +373,12 @@ def main(argv=None):
         if args.command == "validate" or not report.passed:
             out = _fields(report, "gamma_a gamma_a_rev gamma_b lip_f_probe "
                                   "lip_g_probe passed")
+            # a probe that met a non-finite drift value has no estimate
+            for key in ("lip_f_probe", "lip_g_probe"):
+                out[key] = out[key] if np.isfinite(out[key]) else None
             out["checks"] = [{"id": c.check_id, "status": c.status,
                               "detail": c.detail} for c in report.checks]
-            print(json.dumps(out, indent=2))
+            print(json.dumps(out, indent=2, allow_nan=False))
             return 0 if report.passed else 2
         return _RUNNERS[args.command](m, _block(cfg, args.command, {}), seed, out_dir)
     except _ConfigError as exc:

@@ -34,12 +34,16 @@ import numpy as np
 from .averaging import _increment_blocks, _slow_increments, coupled_error_batch
 from .integrator import (DivergedError, _check_stable, _euler, _frozen_fast_run,
                          _trajectory, frozen_fast_batch, make_grid)
-from .model import _add_value, _finite, _lin, _lin_plus, _value_into
+from .model import _finite, _lin, _value_into
 from .noise import CHUNK_STEPS, ROLE_BURN, ROLE_DEV, _path_increments, _substreams
 from .harness import _split_paths, _var_se, two_sample_compare
 
 # central-difference step of ``fbar_derivative``
 FD_STEP = 1e-5
+# the longest dot product that OpenBLAS takes on one thread (its x86_64
+# ddot); a longer one is split across its threads, with bits that depend on
+# their count
+_DOT_PIECE = 10000
 
 
 @dataclass
@@ -72,7 +76,8 @@ def autocovariance_kernel(m, x, lags, burn_in, horizon, dt, rng, n_replicas=24):
     time, and centred there.  Each replica is then copied coordinate-major,
     (n, T), contiguous along time, and each lag l is one (n, T - l) by
     (T - l, n) product in BLAS: 2 n^2 (T - l) flops, with no copy of the
-    window beyond one replica's.
+    window beyond one replica's.  At n = 1 it is a dot product, taken in
+    pieces so that its bits do not depend on the BLAS thread count.
     """
     x = _finite(np.atleast_1d(np.asarray(x, dtype=float)), "kernel point x")
     lags = np.asarray(sorted(lags), dtype=float)
@@ -113,7 +118,14 @@ def autocovariance_kernel(m, x, lags, burn_in, horizon, dt, rng, n_replicas=24):
     for p in range(n_replicas):
         cp = np.ascontiguousarray(window[:, p].T)                # (n, T)
         for k, li in enumerate(lag_idx):
-            np.matmul(cp[:, li:], cp[:, :t_len - li].T, out=sums[k, p])
+            if n == 1:
+                # pieces of at most _DOT_PIECE terms, each one BLAS dot on
+                # one thread, added left to right: the bits of any thread count
+                a, b = cp[0, li:], cp[0, :t_len - li]
+                sums[k, p] = sum(np.dot(a[i:i + _DOT_PIECE], b[i:i + _DOT_PIECE])
+                                 for i in range(0, len(a), _DOT_PIECE))
+            else:
+                np.matmul(cp[:, li:], cp[:, :t_len - li].T, out=sums[k, p])
     h = np.empty((len(lags), n, n))
     se = np.empty((len(lags), n, n))
     for k, li in enumerate(lag_idx):
@@ -207,7 +219,6 @@ class DeviationModel:
     def __init__(self, a, fbar_deriv, htilde):
         self.a = np.atleast_2d(np.asarray(a, dtype=float))
         self.n = self.a.shape[0]
-        self._a_theta_plus = _lin_plus(self.a, _add_value)
         self.deriv_const, self.htilde_const = (
             None if callable(coef) else self._square(name, coef)
             for name, coef in (("fbar_deriv", fbar_deriv), ("htilde", htilde)))
@@ -239,9 +250,9 @@ class DeviationModel:
         return mats[where.reshape(-1)].reshape(x.shape[:-1] + (self.n, self.n))
 
     def _drift_into(self, d, theta, x):
-        """A theta + J(x) theta, for fluctuations theta (..., n) along slow
-        states x, written into the float buffer d shaped as theta."""
-        self._a_theta_plus(d, theta, _matvec(self._at(self._deriv, x), theta))
+        """Complete A theta + J(x) theta, for fluctuations theta (..., n) along
+        slow states x, in the float buffer d that holds A theta."""
+        np.add(d, _matvec(self._at(self._deriv, x), theta), out=d)
 
     def noise(self, dw, x):
         """sqrt(Htilde(x)) dw for Brownian increments dw (..., n)."""
@@ -271,7 +282,7 @@ def simulate_deviation(dm, x_path, t_end, dt, rng):
     idx = np.clip(np.searchsorted(x_path.grid, grid[:-1] + 1e-12, side="right") - 1,
                   0, len(x_path.grid) - 1)
     x_at = x_path.states[idx, None]
-    run = _euler((np.zeros((1, dm.n)),),
+    run = _euler((np.zeros((1, dm.n)),), (dm.a,),
                  lambda k, s, d: dm._drift_into(d[0], s[0], x_at[k]), (dt,),
                  (lambda k, s: dm.noise(dw[k], x_at[k]),), grid, dt, path=True)
     return _trajectory(grid, run.path[0][:, 0], run.diverged_at[0])
@@ -324,26 +335,26 @@ def residual_theta2(m, epsilon, t_end, dt, n_paths, master_seed,
     n = me.n
     root = math.sqrt(epsilon)
     # f is needed alone for theta2, so the slow drifts add a value of it
-    slow, fast = _lin_plus(me.a, _add_value), _lin_plus(me.b, me.g._add)
     fx, fxh = np.empty((2, n_paths, n))
 
     def drift(k, s, d):
-        theta2, x, xh, y, yh = s
+        x, xh, y, yh = s[1], s[2], s[3], s[4]
         _value_into(fx, me.f._add, x, y)
         _value_into(fxh, me.f._add, xh, yh)
-        slow(d[1], x, fx)
-        slow(d[2], xh, fxh)
-        fast(d[3], y, x, y)
-        fast(d[4], yh, xh, yh)
+        d[1] += fx
+        d[2] += fxh
+        me.g._add(d[3], x, y)
+        me.g._add(d[4], xh, yh)
         np.subtract(fx, fxh, out=fx)
         np.divide(fx, root, out=fx)
-        slow(d[0], theta2, fx)
+        d[0] += fx
 
     x0 = np.broadcast_to(me.x0, (n_paths, n))
     y0 = y_h0 if y_on_manifold else np.broadcast_to(me.y0, (n_paths, n))
     ds = None if d_slow is None else (me.sigma1, d_slow)
     df = (me.sigma2, d_fast)
-    run = _euler((np.zeros((n_paths, n)), x0, x0, y0, y_h0), drift,
+    run = _euler((np.zeros((n_paths, n)), x0, x0, y0, y_h0),
+                 (me.a, me.a, me.a, me.b, me.b), drift,
                  (dt, dt, dt, dt / epsilon, dt / epsilon), (None, ds, ds, df, df),
                  grid, dt, sup=lambda k, s: np.sum(s[0] * s[0], axis=-1))
     alive = ~run.diverged
@@ -375,12 +386,10 @@ def simulate_truncated_deviation(m, am, epsilon, radius, t_end, dt, master_seed,
     drives = np.empty((steps, 1, n))
     gates = np.empty(steps)
     root = math.sqrt(epsilon)
-    slow, fast = _lin_plus(me.a, _add_value), _lin_plus(me.b, me.g._add)
-    averaged = _lin_plus(am.a, _add_value)
     fxh, fb = np.empty((2, 1, n))
 
     def drift(k, s, d):
-        theta1, xh, yh, xa = s
+        theta1, xh, yh, xa = s[0], s[1], s[2], s[3]
         _value_into(fxh, me.f._add, xh, yh)
         _value_into(fb, am.fbar._add, xa)
         drive = drives[k]
@@ -388,13 +397,13 @@ def simulate_truncated_deviation(m, am, epsilon, radius, t_end, dt, master_seed,
         drive /= root
         gate = 1.0 if float(np.linalg.norm(theta1)) <= radius else 0.0
         gates[k] = gate
-        slow(d[0], theta1, gate * drive)
-        slow(d[1], xh, fxh)
-        fast(d[2], yh, xh, yh)
-        averaged(d[3], xa, fb)
+        d[0] += gate * drive
+        d[1] += fxh
+        me.g._add(d[2], xh, yh)
+        d[3] += fb
 
     ds = None if d_slow is None else (me.sigma1, d_slow)
-    run = _euler((np.zeros((1, n)), me.x0, y_h0, am.x0), drift,
+    run = _euler((np.zeros((1, n)), me.x0, y_h0, am.x0), (me.a, me.a, me.b, am.a), drift,
                  (dt, dt, dt / epsilon, dt), (None, ds, (me.sigma2, d_fast), ds),
                  grid, dt, path=True)
     traj = _trajectory(grid, run.path[0][:, 0], run.diverged_at[0])
@@ -458,15 +467,12 @@ def _limit_range(dm, am, grid, dt, master_seed, start, count):
     d_slow = _slow_increments(am, grid, master_seed, start, count)
     dw = _path_increments(n, grid, _substreams(master_seed, start, count, ROLE_DEV))
 
-    averaged = _lin_plus(am.a, am.fbar._add)
-
     def drift(k, s, d):
-        x, theta = s
-        averaged(d[0], x, x)
-        dm._drift_into(d[1], theta, x)
+        am.fbar._add(d[0], s[0])
+        dm._drift_into(d[1], s[1], s[0])
 
     x0 = np.broadcast_to(am.x0, (count, n))
-    run = _euler((x0, np.zeros((count, n))), drift, (dt, dt),
+    run = _euler((x0, np.zeros((count, n))), (am.a, dm.a), drift, (dt, dt),
                  (None if d_slow is None else (am.sigma1, d_slow),
                   lambda k, s: dm.noise(dw[k], s[0])), grid, dt)
     return run.state[1]

@@ -3,7 +3,7 @@
 Every simulator is one explicit Euler-Maruyama step on a stacked state, one
 (..., n) block per component (slow, fast, averaged, fluctuation, ...):
 
-    s_c <- s_c + drift_c(s) * h_c + sigma_c (dW + dJ)
+    s_c <- s_c + (A_c s_c + F_c(s)) * h_c + sigma_c (dW + dJ)
 
 with h_c = dt, or dt / epsilon for a fast component, and dJ compensated.
 When dt does not divide the horizon, ``make_grid`` stretches or shortens
@@ -14,42 +14,34 @@ ensemble scheme of Higham, SIAM Review 43(3):525, 2001); a batch of many
 path-steps may be cut into contiguous ranges of paths, each stepped by its
 own kernel run in a forked worker process (``harness._split_paths``), and
 since every row is stepped on its own the rows do not depend on the range
-that holds them.  The private kernel
-``_euler`` owns the time loop, the noise term and the recorders (final
-state, running sup, full path); a simulator supplies its drift, step factors
-and noise.  A component that is the same on every path of a batch, such as
-an averaged carrier without slow noise, is stepped once per batch, as one
-row, by its own run; the batch's drift and sup read its row k, which is why
-the sup hook takes the step index.  Jumps break the smoothness higher-order
-schemes need, and every claim verified downstream is a weak or strong
-limit, so the explicit scheme is the right tool.  Every simulator of the
-coupled system enforces ``dt <= epsilon / 10`` (``_check_stable``) because
-the fast drift scales like 1/epsilon.
+that holds them.  Jumps break the smoothness higher-order schemes need, and
+every claim verified downstream is a weak or strong limit, so the explicit
+scheme is the right tool.  Every simulator of the coupled system enforces
+``dt <= epsilon / 10`` (``_check_stable``) because the fast drift scales
+like 1/epsilon.
 
-Stepping is in place.  ``_euler`` stacks the components into one state
-array (C, ..., n) and owns a drift buffer of that shape, plus a spare state
-buffer or the rows of the recorded path.  A simulator's drift writes into
-the drift buffer, component by component, through ``model._lin_plus``: the
-linear part by one ufunc call with ``out=`` (a matmul, or a scalar multiply
-at n = 1), then the nonlinearity added in place by ``DriftFn._add``.  The
-kernel scales the drift by every component's step factor at once, writes
-``s + d * h`` straight into the next path row or the spare buffer, and adds
-the noise there, so the bits are those of ``(s + d * h) + noise``.  No step
-allocates a state or builds a list.  At one to a few dozen paths a step
-costs numpy call overhead, not arithmetic, so the number of calls per step
-is what counts: one stacked update serves all the components.
+The private kernel ``_euler`` is the one place that knows how a step is
+taken; a simulator declares each component's linear part A_c, a drift that
+adds the rest F_c, step factors and noise.  Stepping is in place, on one
+state array (C, ..., n) with a drift buffer of that shape.  Each step applies
+every A_c by one ufunc call (a stacked matmul, a multiply at n = 1), lets
+the drift add its nonlinearities (``DriftFn._add``), scales the buffer by
+all step factors at once, writes ``s + d * h`` straight into the next path
+row or a spare buffer, and adds one noise row per component there.  At one
+to a few dozen paths a step costs numpy call overhead, not arithmetic, so
+the calls per step are what count.  A component that is the same on every
+path of a batch, such as an averaged carrier without slow noise, is stepped
+once per batch, as one row, by its own run; the batch's drift and sup read
+its row k, which is why the sup hook takes the step index.
 
+An amplitude is applied once, where its increments are drawn, by
+``apply_noise``'s rule (``model._lin``, a scalar being the (1, 1) matrix).
 Single paths draw their noise before stepping (``noise.sample_increments``),
-and ``_euler`` scales such a pre-drawn block by its amplitude once, whole,
-before the loop.  Batches stream theirs inside the loop, a time chunk at a
-time, from ``noise._path_increments``, and each step's rows are scaled into
-one buffer by an amplitude bound once per run; so does
-``deviation.simulate_truncated_deviation``, a batch of one path.  An
-amplitude, scalar or matrix, is applied as a drift's linear part is: by
-``model._lin`` to a block (``apply_noise``) and by ``model._lin_op`` to a
-row, a scalar being the (1, 1) matrix.  ``_frozen_fast_run`` steps
-the frozen-fast equation for ``frozen_fast_batch`` and the manifold burn-in
-of ``deviation``.
+and ``_euler`` scales that block whole before the loop.  Batches stream
+theirs a time chunk at a time from ``noise._path_increments``, which
+``_euler`` hands the amplitude and which scales each chunk as it fills it.
+``_frozen_fast_run`` steps the frozen-fast equation for
+``frozen_fast_batch`` and the manifold burn-in of ``deviation``.
 
 A non-finite value stays non-finite under the step, so divergence is read
 once, after the loop, from every component of the final state.  Single-path
@@ -66,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import _lin, _lin_op, _lin_plus
+from .model import _lin
 from .noise import _path_increments, sample_increments
 
 
@@ -126,50 +118,64 @@ def _nan_after_divergence(path):
     return np.where(bad.any(axis=0), bad.argmax(axis=0), -1)
 
 
-def _euler(state, drift, factors, noise, grid, dt, sup=None, path=False):
+def _euler(state, mats, drift, factors, noise, grid, dt, sup=None, path=False):
     """Advance a stacked state along ``grid``, a ``make_grid`` grid over dt
     or any stretch of it, by explicit Euler steps, in place.
 
     ``state`` holds one (..., n) array per component, broadcast to a common
-    shape and stacked as s (C, ..., n).  ``drift(k, s, d)`` writes step k's
-    drift of component c into ``d[c]`` of the buffer d shaped as s: it sets
-    every entry, reads s and keeps a reference to neither.  Component c
-    moves by ``d[c] * factors[c]``, times ``_stretch(grid, dt)`` at the last
-    step, plus its noise term ``noise[c]``: None, a pair
-    ``(sigma, increments)`` adding ``apply_noise(sigma, increments)[k]``,
-    or a function ``(k, s) -> array`` for noise scaled by the state.  The
-    caller's states and increments are never written to.
-    ``sup(k, s)`` maps the state at grid point k to one value per path,
-    whose running max over the grid is recorded; ``path=True`` records
-    every state.
+    shape and stacked as s (C, ..., n).  Each step stores every component's
+    linear part s[c] @ mats[c].T in ``d[c]`` of a buffer d shaped as s, by
+    one call on (C, P, n) aliases, a row per path (a single path too);
+    ``drift(k, s, d)`` then completes step k's drift in place, reading s and
+    keeping a reference to neither.  Component c moves by
+    ``d[c] * factors[c]`` (times ``_stretch(grid, dt)`` at the last step)
+    plus ``noise[c]``: None, a pair ``(sigma, increments)`` adding
+    ``apply_noise(sigma, increments)[k]``, or ``(k, s) -> array``.
+    Pre-drawn increments (an ndarray) are scaled here, whole; a stream is
+    handed its amplitude once by ``scale(sigma)``, however many components
+    read it.  The caller's arrays are never written to.  ``sup(k, s)`` maps
+    the state at grid point k to one value per path, whose running max is
+    recorded; ``path=True`` records every state.
     """
     s = np.array(np.broadcast_arrays(*state), dtype=float)
-    steps, stretch = len(grid) - 1, _stretch(grid, dt)
+    steps, lift = len(grid) - 1, (len(s), math.prod(s.shape[1:-1]), s.shape[-1])
     d, spare = np.empty_like(s), np.empty_like(s)
+    s_l, spare_l, d_l = (a.reshape(lift) for a in (s, spare, d))
+    # one linear-map call per step, with each component's bits of ``_lin``:
+    # at n = 1 a multiply by the column (C, 1, 1) of the scalars, else a
+    # matmul by the stack of mats[c].T, each with the strides of A.T
+    lin = np.array(mats, dtype=float)
+    op, operand = ((np.multiply, lin.reshape(-1, 1, 1)) if lift[-1] == 1
+                   else (np.matmul, lin.transpose(0, 2, 1)))
     h = np.reshape(np.array(factors, dtype=float), (-1,) + (1,) * (s.ndim - 1))
-    block, terms = _noise_terms(noise, s.shape, steps)
+    block, streams, terms = _noise_terms(noise, s.shape, steps)
     rows = None
     if path:
-        rows = np.empty((steps + 1,) + s.shape)
+        rows_l = np.empty((steps + 1,) + lift)
+        rows = rows_l.reshape((steps + 1,) + s.shape)
         rows[0] = s
     best = None if sup is None else np.array(sup(0, s), dtype=float)
-    last = steps - 1
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
+            op(s_l, operand, out=d_l)
             drift(k, s, d)
-            if k == last:
-                h = h * stretch
+            if k == steps - 1:
+                h = h * _stretch(grid, dt)
             d *= h
             # the next state goes straight into its path row, or else into
             # the spare buffer, which then trades places with the state
-            nxt = spare if rows is None else rows[k + 1]
+            nxt, nxt_l = ((spare, spare_l) if rows is None
+                          else (rows[k + 1], rows_l[k + 1]))
             np.add(s, d, out=nxt)
             if block is not None:
                 nxt += block[k]
+            for c, stream in streams:
+                part = nxt[c]
+                part += stream[k]
             for c, term in terms:
                 part = nxt[c]
-                part += term(k, s, d[c])
-            spare, s = s, nxt
+                part += term(k, s)
+            spare, s, spare_l, s_l = s, nxt, s_l, nxt_l
             if sup is not None:
                 np.maximum(best, sup(k + 1, s), out=best)
     diverged = ~_finite_rows(s)
@@ -188,30 +194,24 @@ def _euler(state, drift, factors, noise, grid, dt, sup=None, path=False):
 
 
 def _noise_terms(noise, shape, steps):
-    """``_euler``'s noise: the pre-drawn terms as one block (steps, C, ..., n),
-    scaled once, whole, with -0.0 (the additive identity) on the other
-    components, or None; and the others as ``(c, term)`` pairs, term(k, s,
-    scratch) giving component c's noise at step k.  The scratch is the
-    component's drift buffer, which the step has used by then: a streamed
-    block is scaled row by row into it, by an amplitude bound once."""
-    block, terms = None, []
+    """``_euler``'s noise terms for a state (C, ..., n): the pre-drawn ones as
+    one scaled block (steps, C, ..., n), -0.0 (the additive identity) on
+    other components, or None; the streams, scaled; the state's, as given."""
+    block, streams, terms = None, [], []
     for c, t in enumerate(noise):
         if t is None:
             continue
         if callable(t):
-            terms.append((c, lambda k, s, scratch, t=t: t(k, s)))
+            terms.append((c, t))
         elif isinstance(t[1], np.ndarray):
             if block is None:
                 block = np.full((steps,) + shape, -0.0)
             block[:, c] = apply_noise(*t)
         else:
-            terms.append((c, _streamed(*t)))
-    return block, tuple(terms)
-
-
-def _streamed(sigma, increments):
-    op, operand = _lin_op(np.atleast_2d(sigma))
-    return lambda k, s, scratch: op(increments[k], operand, out=scratch)
+            if all(source is not t[1] for _, source in streams):
+                t[1].scale(t[0])
+            streams.append((c, t[1]))
+    return block, tuple(streams), tuple(terms)
 
 
 def _trajectory(grid, states, diverged_at):
@@ -267,17 +267,15 @@ def simulate_slow_fast(m, t_end, dt, rng=None, slow_incr=None, fast_incr=None):
         fast_incr = sample_increments(n, grid, rng, jump=m.jump_fast,
                                       speed=1.0 / m.epsilon)
 
-    slow, fast = _lin_plus(m.a, m.f._add), _lin_plus(m.b, m.g._add)
-
     def drift(k, s, d):
-        x, y = s
-        slow(d[0], x, x, y)
-        fast(d[1], y, x, y)
+        x, y = s[0], s[1]
+        m.f._add(d[0], x, y)
+        m.g._add(d[1], x, y)
 
     noise = ((m.sigma1, slow_incr.d_brownian + slow_incr.d_jump),
              (m.sigma2, fast_incr.d_brownian + fast_incr.d_jump))
-    run = _euler((m.x0, m.y0), drift, (dt, dt / m.epsilon), noise, grid, dt,
-                 path=True)
+    run = _euler((m.x0, m.y0), (m.a, m.b), drift, (dt, dt / m.epsilon), noise, grid,
+                 dt, path=True)
     xs, ys = run.path
     return (_trajectory(grid, xs, run.diverged_at),
             _trajectory(grid, ys, run.diverged_at))
@@ -287,12 +285,10 @@ def _frozen_fast_run(m, x_frozen, y0, grid, dt, d_fast, path=False):
     """Frozen-fast equation from y0 (..., n), slow argument x_frozen (same
     shape), along a grid over dt with step factor dt, driven by summed fast
     increments (steps, ..., n)."""
-    fast = _lin_plus(m.b, m.g._add)
-
     def drift(k, s, d):
-        fast(d[0], s[0], x_frozen, s[0])
+        m.g._add(d[0], x_frozen, s[0])
 
-    return _euler((y0,), drift, (dt,), ((m.sigma2, d_fast),), grid, dt, path=path)
+    return _euler((y0,), (m.b,), drift, (dt,), ((m.sigma2, d_fast),), grid, dt, path=path)
 
 
 def frozen_fast_batch(m, x_frozen, y0, steps, dt, rng, n_paths):

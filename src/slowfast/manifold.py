@@ -44,8 +44,7 @@ from scipy.linalg import expm
 
 from .harness import fit_exp_rate
 from .integrator import _euler, apply_noise
-from .model import (_finite, _lin_op, _lin_plus, _rates, _value_into, decay_rate,
-                    has_slow_noise)
+from .model import _finite, _rates, _value_into, decay_rate, has_slow_noise
 from .noise import _required, sample_increments
 
 # sweeps ``lyapunov_perron_solve`` makes before it gives up and raises
@@ -355,22 +354,18 @@ def tracking_check(m, epsilon, ic_on, ic_off, t_end, dt, rng):
     v = np.vstack([ic_on[1], ic_off[1]]).astype(float)
     dv0 = float(np.linalg.norm(v[0] - v[1]))
 
-    op_a, a = _lin_op(m.a)
-    fast = _lin_plus(m.b, m.g._add)
     fu = np.empty_like(u)
 
     def drift(k, s, d):
-        u, v = s
-        du = d[0]
-        arg = (u + eta_w[k], v + xi_w[k])
-        op_a(u, a, out=du)
-        du *= epsilon
+        arg = (s[0] + eta_w[k], s[1] + xi_w[k])
+        d[0] *= epsilon
         _value_into(fu, m.f._add, *arg)
         np.multiply(fu, epsilon, out=fu)
-        du += fu
-        fast(d[1], v, *arg)
+        d[0] += fu
+        m.g._add(d[1], *arg)
 
-    us, vs = _euler((u, v), drift, (dt, dt), (None, None), ts, dt, path=True).path
+    us, vs = _euler((u, v), (m.a, m.b), drift, (dt, dt), (None, None), ts, dt,
+                    path=True).path
     with np.errstate(invalid="ignore", over="ignore"):
         gaps = (np.linalg.norm(us[:, 0] - us[:, 1], axis=-1)
                 + np.linalg.norm(vs[:, 0] - vs[:, 1], axis=-1))

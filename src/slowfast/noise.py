@@ -28,16 +28,17 @@ generators of all its paths in one pass (``_substreams``), which hashes
 their seeds together in numpy and gives the same streams, draw for draw.
 
 A chunk holds ``CHUNK_STEPS`` steps, or the whole batch where that is
-shorter.  A chunk is filled a block of paths at a time: each path draws its
-rows in one contiguous call into a small path-major scratch, the block is
-scaled there by sqrt(c dt) and copied transposed into the (steps, paths, n)
-chunk, or added to its jumps, so every element is ``z * sqrt(c dt)`` as in
-``sample_increments``, plus that path's jump increment.
-A batch's jump events are drawn when its stream is built and sorted by step
-once.  A chunk with jumps takes them by ``sample_increments``' rule, in
-place: zeros, each event's size added to its cell (step, path) in event
-order, the compensator subtracted; the scaled normals are then added to
-it, with no chunk-sized temporary.
+shorter, and is filled a block of paths at a time: each path draws its rows
+in one contiguous call into a small path-major scratch, scaled there by
+sqrt(c dt), as in ``sample_increments``.  A chunk with jumps first takes
+them by ``sample_increments``' rule, in place (zeros, each event's size
+added to its cell (step, path) in event order, less the compensator); the
+batch's events are drawn when its stream is built and sorted by step once.
+A stream the stepping kernel hands an amplitude (``scale``) applies it as
+it fills a chunk, so that ``apply_noise`` runs on no row later: a scalar to
+each block while in cache, after its normals (and jumps) are in, a matrix
+to time slabs of every path, whose rows it multiplies as one row alone.  No
+chunk-sized temporary is made.
 """
 
 from __future__ import annotations
@@ -190,7 +191,10 @@ def _draw_jumps(n, grid, rng, jump, rate):
     count = rng.poisson(rate * (grid[-1] - grid[0]))
     times = np.sort(rng.uniform(grid[0], grid[-1], size=count))
     sizes = jump.size_dist.sample(rng, (count, n))
-    idx = np.clip(np.searchsorted(grid, times, side="right") - 1, 0, len(grid) - 2)
+    # a draw is at least grid[0]; one that rounds up to grid[-1] is in the
+    # last step
+    idx = np.searchsorted(grid, times, side="right") - 1
+    np.minimum(idx, len(grid) - 2, out=idx)
     return times, sizes, idx
 
 
@@ -220,10 +224,16 @@ def sample_increments(n, grid, rng, jump=None, speed=1.0):
     return IncrementStream(grid, d_brownian, d_jump, events)
 
 
+# the seed words of ``_copy``'s twin, which its copied state overwrites, so
+# that no SeedSequence is hashed; as many as any numpy bit generator reads
+# (MT19937, 624)
+_PLACEHOLDER = np.zeros(624, dtype=np.uint64)
+
+
 def _copy(rng):
     """A generator of ``rng``'s kind standing where ``rng`` stands."""
     bits = rng.bit_generator
-    twin = type(bits)(bits.seed_seq)
+    twin = type(bits)(_SeedWords(_PLACEHOLDER))
     twin.state = bits.state
     return np.random.Generator(twin)
 
@@ -252,7 +262,7 @@ class _path_increments:    # lower case, as it is called like a function
                 gens[i] = _copy(rng)
                 for k in range(0, rows, len(skip)):
                     rng.standard_normal(out=skip[:rows - k])
-        self._gens = gens
+        self._gens, self._sigma = gens, None
         # the drawn chunk's steps; sizes, steps and paths of all events, in
         # step order, freed after the last chunk
         self._start, self._end, self._events = 0, 0, None
@@ -266,6 +276,13 @@ class _path_increments:    # lower case, as it is called like a function
 
     def __len__(self):
         return self.shape[0]
+
+    def scale(self, sigma):
+        """Deliver every row times ``sigma`` by ``integrator.apply_noise``'s
+        rule; before the first read."""
+        if self._end:
+            raise ValueError("a stream is scaled before its first row is read")
+        self._sigma = np.atleast_2d(sigma)
 
     def __getitem__(self, k):
         """Step k (count, n), read in step order."""
@@ -295,6 +312,10 @@ class _path_increments:    # lower case, as it is called like a function
         # sqrt(c dt) per element of a path's (steps, n) rows, so that one
         # multiply runs over them contiguously
         scale = np.repeat(np.sqrt(self._speed * dts[:, 0]), n, axis=1)
+        sigma = self._sigma
+        # a scalar amplitude multiplies each block while it is in cache: its
+        # scaled normals, or with jumps the sum of jumps and normals
+        amp = None if sigma is None or sigma.shape != (1, 1) else sigma[0, 0]
         # a block of paths at a time, drawn and scaled path-major
         block = max(1, min(_PATH_BLOCK, _SCRATCH // max((hi - lo) * n, 1)))
         scratch = np.empty((min(block, count), hi - lo, n))
@@ -303,8 +324,19 @@ class _path_increments:    # lower case, as it is called like a function
             for rng, row in zip(self._gens[j:j + len(part)], part):
                 rng.standard_normal(out=row)
             part *= scale
+            cols = buf[:, j:j + len(part)]
             if jumps:
-                buf[:, j:j + len(part)] += part.swapaxes(0, 1)
+                cols += part.swapaxes(0, 1)
+                if amp is not None:
+                    cols *= amp
             else:
-                buf[:, j:j + len(part)] = part.swapaxes(0, 1)
+                if amp is not None:
+                    part *= amp
+                cols[...] = part.swapaxes(0, 1)
+        if sigma is not None and amp is None:
+            # a matrix on time slabs of every path, so that each step's rows
+            # are multiplied as one row alone, with a temporary of one slab
+            slab = max(1, _SCRATCH // max(count * n, 1))
+            for t in range(0, len(buf), slab):
+                buf[t:t + slab] = buf[t:t + slab] @ sigma.T
         self._start, self._end = lo, hi

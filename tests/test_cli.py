@@ -66,6 +66,20 @@ def test_validate_fails_unstable_matrix(tmp_path, capsys):
     assert not strict_json(capsys.readouterr().out)["passed"]
 
 
+def test_validate_writes_null_for_a_probe_that_meets_an_infinite_drift(tmp_path, capsys):
+    cfg_data = json.loads(json.dumps(LINEAR_CFG))
+    cfg_data["model"]["f"] = {"kind": "expr", "components": ["1e999*x1"], "lip": 1.0,
+                              "growth": 1.0}
+    cfg = write_cfg(tmp_path, cfg_data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # a probe's warning would raise
+        code = main(["validate", "--config", cfg])
+    captured = capsys.readouterr()
+    out = strict_json(captured.out)
+    assert code == 2 and not out["passed"] and not captured.err
+    assert out["lip_f_probe"] is None and out["lip_g_probe"] == 0.0
+
+
 def test_missing_config_file_is_usage_error(capsys):
     code = main(["validate", "--config", "/nonexistent/f.json"])
     assert code == 1

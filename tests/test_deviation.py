@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -141,6 +144,30 @@ def test_kernel_matches_per_lag_reference(case):
         want_se = 2.0 * per_rep.std(axis=0, ddof=1) / np.sqrt(replicas)  # widened: < 8
         assert np.max(np.abs(k.h[i] - want_h)) <= 1e-12 * np.max(np.abs(want_h))
         assert np.max(np.abs(k.stderr[i] - want_se)) <= 1e-12 * np.max(np.abs(want_se))
+
+
+_ONE_D_KERNEL = """
+import sys
+import numpy as np
+from slowfast.benchmarks import linear_benchmark
+from slowfast.deviation import autocovariance_kernel
+k = autocovariance_kernel(linear_benchmark(), [1.0], np.arange(0.0, 1.01, 0.1), 1.0,
+                          251.0, 0.01, np.random.default_rng(5), n_replicas=4)
+sys.stdout.write((k.h.tobytes() + k.stderr.tobytes()).hex())
+"""
+
+
+def test_one_dimensional_kernel_bits_do_not_depend_on_blas_threads():
+    # a window of 25000 steps: at n = 1 each lag product is a dot product of
+    # over 10000 terms, which OpenBLAS splits across its threads
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        outs.append(subprocess.run([sys.executable, "-c", _ONE_D_KERNEL], env=env,
+                                   capture_output=True, text=True, check=True).stdout)
+    assert len(outs[0]) == 2 * 2 * 11 * 8 and outs[0] == outs[1]
 
 
 def test_kernel_memory_holds_no_extra_window_copy():

@@ -16,7 +16,7 @@ from slowfast.integrator import (Trajectory, _check_stable, _euler, _stretch,
                                  apply_noise, default_step, frozen_fast_batch,
                                  make_grid, simulate_slow_fast)
 from slowfast.manifold import tracking_check
-from slowfast.model import DriftFn, JumpSpec, SizeDist, SlowFastModel, parse_drift
+from slowfast.model import DriftFn, JumpSpec, SizeDist, SlowFastModel, _lin, parse_drift
 from slowfast.noise import sample_increments
 
 
@@ -29,25 +29,32 @@ def model(a=-1.0, b=-2.0, f=None, g=None, sigma1=0.0, sigma2=0.0, eps=1.0,
 
 # -- the Euler kernel ----------------------------------------------------------
 
-def in_place(fn):
-    """The kernel's form of an out-of-place drift (k, s) -> one array per
-    component: each value is copied into its drift buffer."""
+def adding(fn):
+    """The kernel's form of the rest of a drift beyond its linear part,
+    (k, s) -> one array per component: each value is added into its drift
+    buffer, which holds the linear part."""
     def drift(k, s, d):
         for dc, value in zip(d, fn(k, s)):
-            dc[...] = value
+            dc += value
     return drift
 
 
 class Streamed:
-    """Increments that are not an ndarray, read a step at a time in order."""
+    """Increments that are not an ndarray, read a step at a time in order
+    (a step again, when components share them); the kernel hands them their
+    amplitude, and each row is scaled as read."""
 
     def __init__(self, block):
-        self.block, self.shape, self.next = block, block.shape, 0
+        self.block, self.shape, self.next, self.sigma = block, block.shape, 0, None
+
+    def scale(self, sigma):
+        assert self.next == 0 and self.sigma is None
+        self.sigma = sigma
 
     def __getitem__(self, k):
-        assert k == self.next
-        self.next += 1
-        return self.block[k]
+        assert k in (self.next - 1, self.next)        # in step order
+        self.next = k + 1
+        return apply_noise(self.sigma, self.block[k])
 
 
 @settings(max_examples=80, deadline=None)
@@ -83,6 +90,13 @@ def test_euler_kernel_matches_reference_loop(n, paths, matrix_sigma, noise, view
             return y, x
         return x @ a.T + np.tanh(y), y @ b.T + 0.25 * np.sin(x)
 
+    # the kernel applies the linear parts, and the drift adds the rest
+    mats = (np.zeros((n, n)),) * 2 if views else (a, b)
+
+    def rest(k, s):
+        x, y = s[0], s[1]
+        return (y, x) if views else (np.tanh(y), 0.25 * np.sin(x))
+
     def noise_y(k, s):     # reads the state the step starts from
         return amp(s2, dy[k]) * (1.0 + 0.1 * np.tanh(s[0]))
 
@@ -94,8 +108,8 @@ def test_euler_kernel_matches_reference_loop(n, paths, matrix_sigma, noise, view
                 "mixed": ((s1, dx), noise_y),
                 "streamed": ((s1, Streamed(dx)), noise_y)}[noise]
 
-    run = _euler((x0, y0), in_place(fn), (dt, h_fast), terms(), grid, dt, sup=gap,
-                 path=True)
+    run = _euler((x0, y0), mats, adding(rest), (dt, h_fast), terms(), grid, dt,
+                 sup=gap, path=True)
 
     # a pre-drawn block is scaled whole, a streamed one row by row
     x, y = x0, y0
@@ -119,9 +133,47 @@ def test_euler_kernel_matches_reference_loop(n, paths, matrix_sigma, noise, view
     assert all(np.array_equal(v, c) for v, c in zip((x0, y0, dx, dy), callers))
 
     # without a recorded path the final state and sup are the same
-    bare = _euler((x0, y0), in_place(fn), (dt, h_fast), terms(), grid, dt, sup=gap)
+    bare = _euler((x0, y0), mats, adding(rest), (dt, h_fast), terms(), grid, dt,
+                  sup=gap)
     assert bare.path is None and bare.diverged_at is None
     assert np.array_equal(bare.state, run.state) and np.array_equal(bare.sup, best)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), comps=st.integers(1, 5),
+       paths=st.sampled_from([None, 1, 2, 7]), seed=st.integers(0, 2 ** 32 - 1))
+def test_euler_stacked_linear_map_equals_each_components_lin(n, comps, paths, seed):
+    # the drift finds every component's linear part in its buffer, the bits
+    # of ``_lin`` with that component's own (non-symmetric) matrix
+    rng = np.random.default_rng(seed)
+    mats = [rng.standard_normal((n, n)) for _ in range(comps)]
+    shape = (n,) if paths is None else (paths, n)
+    state = [rng.standard_normal(shape) for _ in range(comps)]
+    seen = []
+
+    def drift(k, s, d):
+        seen.append(d.copy())
+
+    run = _euler(state, mats, drift, (1.0,) * comps, (None,) * comps,
+                 make_grid(0.02, 0.01), 0.01)
+    assert len(seen) == 2 and run.state.shape == (comps,) + shape
+    for c in range(comps):
+        assert np.array_equal(seen[0][c].reshape(shape), _lin(mats[c], state[c]))
+
+
+def test_euler_scales_a_shared_stream_once():
+    # two components read one stream with one amplitude: it is handed the
+    # amplitude once, and both add its row
+    dx = np.random.default_rng(1).standard_normal((5, 3, 2))
+    sigma = np.array([[1.0, 0.5], [0.0, 2.0]])
+    stream = Streamed(dx)
+    zero = np.zeros((2, 2))
+    run = _euler((np.zeros((3, 2)),) * 2, (zero, zero), lambda k, s, d: None,
+                 (0.1, 0.1), ((sigma, stream),) * 2, 0.1 * np.arange(6), 0.1)
+    want = np.zeros((3, 2))
+    for k in range(5):
+        want = want + apply_noise(sigma, dx[k])
+    assert np.array_equal(run.state[0], want) and np.array_equal(run.state[1], want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,7 +192,7 @@ def test_euler_prescaled_blocks_match_per_step_noise(n, matrix_sigma, paths, ste
     def drift(k, s):
         return (np.tanh(s[0] @ a.T),)
 
-    run = _euler((x0,), in_place(drift), (0.01,), ((sigma, dx),),
+    run = _euler((x0,), (np.zeros((n, n)),), adding(drift), (0.01,), ((sigma, dx),),
                  0.01 * np.arange(steps + 1), 0.01, path=True)
     assert np.array_equal(dx, caller)            # the caller's block is not scaled
     x, want = x0, [x0]
@@ -159,10 +211,11 @@ def test_euler_divergence_conventions():
     # so only the check of every component finds the diverged path
     y0 = np.array([[1.0], [0.0], [1e-200]])
 
-    def drift(k, s):
-        return np.tanh(s[1]), 50.0 * s[1]
+    def drift(k, s):       # y's linear part 50 y is the kernel's
+        return np.tanh(s[1]), 0.0
 
-    run = _euler((np.zeros((3, 1)), y0), in_place(drift), (0.1, 0.1), (None, None),
+    run = _euler((np.zeros((3, 1)), y0), (np.zeros((1, 1)), np.full((1, 1), 50.0)),
+                 adding(drift), (0.1, 0.1), (None, None),
                  0.1 * np.arange(401), 0.1, sup=lambda k, s: np.abs(s[0][:, 0]),
                  path=True)
     x, y = np.zeros((3, 1)), y0

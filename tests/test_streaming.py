@@ -23,7 +23,7 @@ from slowfast import harness, noise
 from slowfast.averaging import build_averaged, coupled_error_batch, simulate_averaged
 from slowfast.benchmarks import linear_benchmark
 from slowfast.deviation import DeviationModel, limit_marginal_samples, simulate_deviation
-from slowfast.integrator import make_grid, simulate_slow_fast
+from slowfast.integrator import apply_noise, make_grid, simulate_slow_fast
 from slowfast.model import DriftFn, JumpSpec, SizeDist, SlowFastModel, parse_drift
 from slowfast.noise import (ROLE_DEV, ROLE_FAST, ROLE_SLOW, _path_increments,
                             sample_increments, substream)
@@ -190,6 +190,34 @@ def _rows(incr):
     return np.stack([incr[k].copy() for k in range(len(incr))])
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 3), matrix_sigma=st.booleans(), jumps=st.booleans(),
+       shared=st.booleans(), paths=st.sampled_from([1, 2, noise._PATH_BLOCK + 3]),
+       chunk=st.sampled_from([1, 7, noise.CHUNK_STEPS]), steps=st.integers(1, 30),
+       seed=st.integers(0, 2**16))
+def test_scaled_stream_rows_are_the_amplitude_applied_to_each_row(
+        n, matrix_sigma, jumps, shared, paths, chunk, steps, seed):
+    # a stream handed its amplitude scales each chunk as it fills it, with
+    # the bits of ``apply_noise`` on the row it would deliver unscaled
+    grid = make_grid(steps * DT, DT)
+    jump = JumpSpec(50.0, SizeDist.uniform(-0.4, 0.2)) if jumps else None
+    sigma = (np.random.default_rng(seed).standard_normal((n, n)) if matrix_sigma
+             else 0.7)
+
+    def stream():
+        gens = ([np.random.default_rng(seed)] * paths if shared
+                else [substream(seed, i, ROLE_FAST) for i in range(paths)])
+        return _path_increments(n, grid, gens, jump=jump, speed=1.0 / EPS)
+
+    with _chunks(chunk):
+        raw, scaled = stream(), stream()
+        scaled.scale(sigma)
+        for k in range(steps):
+            assert np.array_equal(scaled[k], apply_noise(sigma, raw[k]))
+        with pytest.raises(ValueError, match="before its first row"):
+            scaled.scale(sigma)
+
+
 def test_streamed_steps_are_read_in_order():
     grid = make_grid(1.0, 0.1)
     incr = _path_increments(1, grid, [substream(1, i, ROLE_FAST) for i in range(2)])
@@ -241,6 +269,18 @@ def test_shared_generator_rows_across_path_blocks_equal_successive_streams(extra
                                       speed=1.0 / EPS))
     for i in range(paths):
         ref = sample_increments(1, grid, one, jump=jump, speed=1.0 / EPS)
+        assert np.array_equal(rows[:, i], ref.d_brownian + ref.d_jump)
+
+
+@pytest.mark.parametrize("bits", [np.random.PCG64, np.random.MT19937, np.random.Philox,
+                                  np.random.SFC64])
+def test_shared_generator_of_any_kind_gives_successive_streams(bits):
+    # each path's copy of the shared generator is a generator of its kind
+    grid = make_grid(0.5, DT)
+    rng, twin = np.random.Generator(bits(5)), np.random.Generator(bits(5))
+    rows = _rows(_path_increments(1, grid, [rng] * 3))
+    for i in range(3):
+        ref = sample_increments(1, grid, twin)
         assert np.array_equal(rows[:, i], ref.d_brownian + ref.d_jump)
 
 
